@@ -13,12 +13,13 @@ import json
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from .config import (SCHEMA_VERSION, ConfigError, RunConfig, load_config,
-                     make_initial_data, parse_range)
+                     make_initial_data)
 from .constants import (InfeasibleLambdaError, NoFeasibleLambdaError, certify,
                         find_beta0, lyapunov_constants, n0_from_constants)
 from .discretization import assemble_generator
@@ -132,8 +133,8 @@ def _run_trajectory(cfg: RunConfig):
     u0, u1, theta0, f0 = make_initial_data(cfg)
     traj = simulate(
         cfg.grid, cfg.params, consts, u0, u1, theta0, f0,
-        t_end=cfg.t_end, dt=cfg.dt, record_every=cfg.record_every,
-        delay_mode=cfg.delay_mode, theta_weight=cfg.theta_weight,
+        t_end=cfg.t_end, record_every=cfg.record_every,
+        theta_weight=cfg.theta_weight,
     )
     return consts, traj
 
@@ -191,8 +192,7 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> int:
 
 def _sweep_variable(cfg: RunConfig):
     reserved = {"workers", "spectrum"}
-    swept = [(k, parse_range(v)) for k, v in cfg.sweep.items() if k not in reserved]
-    swept = [(k, vals) for k, vals in swept if vals]
+    swept = [(k, vals) for k, vals in cfg.sweep.items() if k not in reserved and vals]
     if len(swept) != 1:
         raise ConfigError("sweep needs exactly one swept parameter range")
     return swept[0]
@@ -203,7 +203,8 @@ def _sweep_point(cfg: RunConfig, name: str, value: float, want_spectrum: bool):
            "final_E": "", "abscissa": "", "error": ""}
     try:
         params = PhysParams(**{**cfg.params.__dict__, name: value})
-        sub = RunConfig(**{**cfg.__dict__, "params": params, "beta_given": True})
+        sub = RunConfig(**{**cfg.__dict__, "params": params, "beta_given": True,
+                           "grid": replace(cfg.grid, ell=params.ell)})
         row["certified"] = str(_certification(sub)["certified"]).lower()
         consts, traj = _run_trajectory(sub)
         s = _summarize(sub, traj)
@@ -212,7 +213,7 @@ def _sweep_point(cfg: RunConfig, name: str, value: float, want_spectrum: bool):
                 row[key] = float(s[key])
         if want_spectrum:
             gen = assemble_generator(sub.grid, params, consts.xi)
-            row["abscissa"] = float(spectral_abscissa(gen, restrict_domain=True)[0])
+            row["abscissa"] = float(spectral_abscissa(gen)[0])
     except (ConfigError, ValueError, NumericalBlowupError) as exc:
         row["error"] = type(exc).__name__
     return row
@@ -220,11 +221,8 @@ def _sweep_point(cfg: RunConfig, name: str, value: float, want_spectrum: bool):
 
 def cmd_sweep(cfg: RunConfig, out: Path) -> int:
     name, values = _sweep_variable(cfg)
-    workers = max(1, int(cfg.sweep.get("workers", "4")))
-    want_spectrum = cfg.sweep.get("spectrum", "false").lower() in ("1", "true", "yes")
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_sweep_point, cfg, name, v, want_spectrum)
+    with ThreadPoolExecutor(max_workers=cfg.sweep["workers"]) as pool:
+        futures = [pool.submit(_sweep_point, cfg, name, v, cfg.sweep["spectrum"])
                    for v in values]
         rows = [f.result() for f in futures]   # deterministic order
 
@@ -242,7 +240,7 @@ def cmd_sweep(cfg: RunConfig, out: Path) -> int:
 def cmd_spectrum(cfg: RunConfig, out: Path) -> int:
     consts = _constants_for_run(cfg)
     gen = assemble_generator(cfg.grid, cfg.params, consts.xi)
-    res = spectrum_dense(gen, restrict_domain=True)
+    res = spectrum_dense(gen)
     w = res.eigenvalues
     _write_csv(out / "spectrum.csv", ["re", "im"],
                ([float(z.real), float(z.imag)] for z in w))

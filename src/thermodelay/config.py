@@ -23,10 +23,7 @@ DEFAULTS = {
         "tau": "1.0", "ell": "1.0", "theta_bc": "neumann",
     },
     "grid": {"nx": "64", "nrho": "64"},
-    "time": {
-        "t_end": "40.0", "dt": "", "record_every": "1",
-        "theta_weight": "0.5", "delay_mode": "ring",
-    },
+    "time": {"t_end": "40.0", "record_every": "1", "theta_weight": "0.5"},
     "lyapunov": {
         "lambda": "", "lambda_grid": "0.5:3.0:11",
         "xi_factor": "2.0", "sharp_poincare": "false",
@@ -38,6 +35,10 @@ DEFAULTS = {
     "sweep": {"workers": "4", "spectrum": "false"},
     "output": {"fit_start_fraction": "0.4"},
 }
+# [sweep] also takes one range per model parameter below
+SWEEPABLE = ("alpha", "beta", "gamma", "kappa", "tau", "ell")
+PROFILES = ("sine", "cosine", "bump", "zero")
+HISTORIES = ("constant_history", "decaying_exponential", "zero")
 
 
 class ConfigError(ValueError):
@@ -66,16 +67,14 @@ class RunConfig:
     beta_given: bool
     grid: Grid
     t_end: float
-    dt: float | None
     record_every: int
     theta_weight: float
-    delay_mode: str
     lam: float | None
     lambda_grid: list[float]
     xi_factor: float
     sharp_poincare: bool
-    init: dict
-    sweep: dict
+    init: dict                     # name -> (preset kind, argument or None)
+    sweep: dict                    # workers, spectrum, then parameter -> values
     fit_start_fraction: float
     echo: dict = field(default_factory=dict)
 
@@ -91,6 +90,7 @@ def load_config(path: str | None = None, overrides: list[str] = (),
     """Read a config file (or literal text) and apply key=value overrides.
 
     Overrides use 'section.key=value', e.g. --override model.beta=5.0.
+    Unknown sections and keys, and out-of-range values, raise ConfigError.
     """
     cp = _parser_with_defaults()
     try:
@@ -106,10 +106,17 @@ def load_config(path: str | None = None, overrides: list[str] = (),
         if "=" not in ov or "." not in ov.split("=", 1)[0]:
             raise ConfigError(f"override must be section.key=value, got {ov!r}")
         key, val = ov.split("=", 1)
-        sec, opt = key.split(".", 1)
+        sec, opt = (part.strip() for part in key.split(".", 1))
         if not cp.has_section(sec):
             cp.add_section(sec)
-        cp.set(sec.strip(), opt.strip(), val.strip())
+        cp.set(sec, opt, val.strip())
+
+    for sec in cp.sections():
+        if sec not in DEFAULTS:
+            raise ConfigError(f"unknown section [{sec}]")
+        for opt in cp.options(sec):
+            if opt not in DEFAULTS[sec] and not (sec == "sweep" and opt in SWEEPABLE):
+                raise ConfigError(f"unknown key {sec}.{opt}")
 
     try:
         beta_text = cp.get("model", "beta").strip()
@@ -124,46 +131,76 @@ def load_config(path: str | None = None, overrides: list[str] = (),
         )
         grid = Grid(Nx=cp.getint("grid", "nx"), Nrho=cp.getint("grid", "nrho"),
                     ell=params.ell)
-        dt_text = cp.get("time", "dt").strip()
         lam_text = cp.get("lyapunov", "lambda").strip()
+        init = {k: _preset(cp.get("init", k), PROFILES, int)
+                for k in ("u0", "u1", "theta0")}
+        init["f0"] = _preset(cp.get("init", "f0"), HISTORIES, float)
         cfg = RunConfig(
             params=params,
             beta_given=bool(beta_text),
             grid=grid,
             t_end=cp.getfloat("time", "t_end"),
-            dt=float(dt_text) if dt_text else None,
             record_every=cp.getint("time", "record_every"),
             theta_weight=cp.getfloat("time", "theta_weight"),
-            delay_mode=cp.get("time", "delay_mode").strip(),
             lam=float(lam_text) if lam_text else None,
             lambda_grid=parse_range(cp.get("lyapunov", "lambda_grid")),
             xi_factor=cp.getfloat("lyapunov", "xi_factor"),
             sharp_poincare=cp.getboolean("lyapunov", "sharp_poincare"),
-            init={k: cp.get("init", k).strip() for k in ("u0", "u1", "theta0", "f0")},
-            sweep=dict(cp.items("sweep")),
+            init=init,
+            sweep={"workers": cp.getint("sweep", "workers"),
+                   "spectrum": cp.getboolean("sweep", "spectrum"),
+                   **{k: parse_range(v) for k, v in cp.items("sweep")
+                      if k in SWEEPABLE}},
             fit_start_fraction=cp.getfloat("output", "fit_start_fraction"),
         )
     except (ValueError, configparser.Error) as exc:
         raise ConfigError(f"bad config value: {exc}") from exc
 
+    checks = [
+        (cfg.t_end > 0.0 and math.isfinite(cfg.t_end),
+         f"time.t_end must be positive and finite, got {cfg.t_end}"),
+        (cfg.record_every >= 1, f"time.record_every must be >= 1, got {cfg.record_every}"),
+        (0.5 <= cfg.theta_weight <= 1.0,
+         f"time.theta_weight must lie in [0.5, 1], got {cfg.theta_weight}"),
+        (cfg.lam is None or cfg.lam > 0.0, f"lyapunov.lambda must be positive, got {cfg.lam}"),
+        (all(lam > 0.0 for lam in cfg.lambda_grid),
+         f"lyapunov.lambda_grid must be positive, got {cfg.lambda_grid}"),
+        (cfg.xi_factor > 1.0, f"lyapunov.xi_factor must exceed 1, got {cfg.xi_factor}"),
+        (0.0 <= cfg.fit_start_fraction < 1.0,
+         f"output.fit_start_fraction must lie in [0, 1), got {cfg.fit_start_fraction}"),
+        (cfg.sweep["workers"] >= 1, f"sweep.workers must be >= 1, got {cfg.sweep['workers']}"),
+    ]
+    for ok, message in checks:
+        if not ok:
+            raise ConfigError(message)
+
     cfg.echo = {sec: dict(cp.items(sec)) for sec in cp.sections()}
     return cfg
 
 
-def _profile(name: str, x: np.ndarray, ell: float) -> np.ndarray:
-    """Spatial preset: sine:n, bump, zero (Dirichlet profiles);
+def _preset(name: str, kinds: tuple, arg_type) -> tuple:
+    """Split 'kind[:arg]' into (kind, arg or None), checking both parts."""
+    kind, _, arg = name.strip().partition(":")
+    if kind not in kinds:
+        raise ConfigError(f"unknown preset {name!r}; expected one of {kinds}")
+    try:
+        return kind, arg_type(arg) if arg else None
+    except ValueError:
+        raise ConfigError(f"bad preset argument in {name!r}") from None
+
+
+def _profile(preset: tuple, x: np.ndarray, ell: float) -> np.ndarray:
+    """Spatial preset (kind, n): sine:n, bump, zero (Dirichlet profiles);
     cosine:n, zero (theta profiles)."""
-    kind, _, arg = name.partition(":")
-    n = int(arg) if arg else 1
+    kind, n = preset
+    n = 1 if n is None else n
     if kind == "zero":
         return np.zeros_like(x)
     if kind == "sine":
         return np.sin(n * math.pi * x / ell)
     if kind == "cosine":
         return np.cos(n * math.pi * x / ell)
-    if kind == "bump":
-        return np.exp(-100.0 * (x / ell - 0.5) ** 2) * np.sin(math.pi * x / ell)
-    raise ConfigError(f"unknown profile preset {name!r}")
+    return np.exp(-100.0 * (x / ell - 0.5) ** 2) * np.sin(math.pi * x / ell)
 
 
 def make_initial_data(cfg: RunConfig):
@@ -174,19 +211,16 @@ def make_initial_data(cfg: RunConfig):
     theta0 = _profile(cfg.init["theta0"], grid.x_flux, ell)
 
     ux0 = grad_u(u0, grid.dx)
-    name = cfg.init["f0"]
-    kind, _, arg = name.partition(":")
+    kind, rate = cfg.init["f0"]
     if kind == "zero":
         def f0(x, s):
             return np.zeros_like(x)
     elif kind == "constant_history":
         def f0(x, s):
             return np.interp(x, grid.x_flux, ux0)
-    elif kind == "decaying_exponential":
-        rate = float(arg) if arg else 1.0
+    else:
+        rate = 1.0 if rate is None else rate
 
         def f0(x, s):
             return np.interp(x, grid.x_flux, ux0) * math.exp(rate * s)
-    else:
-        raise ConfigError(f"unknown history preset {name!r}")
     return u0, u1, theta0, f0

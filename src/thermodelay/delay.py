@@ -1,29 +1,21 @@
-"""Delayed-strain management: rho-transport field and exact ring buffer.
+"""Delayed strain u_x(., t - tau rho) as an exact ring buffer.
 
-Two interchangeable representations of u_x(., t - tau rho):
-
-  * a field z(x, rho, t) advanced by explicit upwind transport in rho, and
-  * a ring buffer of past u_x snapshots, exact when dt = tau / Nrho.
-
-At unit CFL (dt = tau * drho) the upwind update degenerates to a pure shift
-and the two coincide, which keeps them mutually validating.
+The time step is locked to dt = tau / Nrho, so each step shifts the delay
+field z(x, rho) = u_x(x, t - tau rho) by exactly one rho node: the ring keeps
+the last Nrho + 1 snapshots of u_x and never interpolates.  as_field() views
+the ring as z, rho ascending.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .discretization import Grid, grad_u
 
-__all__ = ["HistoryBuffer", "CFLError", "init_history", "advance_transport",
-           "read_delayed"]
-
-
-class CFLError(RuntimeError):
-    """Explicit upwind step requested beyond its stability bound."""
+__all__ = ["HistoryBuffer", "init_history"]
 
 
 @dataclass
@@ -98,32 +90,3 @@ def init_history(f0, grid: Grid, tau: float, u0=None, tol: float = 1e-8):
     for i in range(grid.Nrho, -1, -1):
         buf.push(z[:, i])
     return z, buf
-
-
-def advance_transport(z: np.ndarray, current_ux: np.ndarray, dt: float,
-                      tau: float, drho: float) -> np.ndarray:
-    """One explicit upwind step of tau z_t + z_rho = 0 with inflow at rho = 0.
-
-    Requires dt <= tau * drho (CFL).  At equality the update is an exact
-    shift by one rho node.
-    """
-    c = dt / (tau * drho)
-    if c > 1.0 + 1e-12:
-        raise CFLError(f"upwind CFL violated: dt/(tau drho) = {c:.4f} > 1")
-    out = np.empty_like(z)
-    if abs(c - 1.0) <= 1e-12:
-        out[:, 1:] = z[:, :-1]   # unit CFL: exact shift, bitwise
-    else:
-        out[:, 1:] = z[:, 1:] - c * (z[:, 1:] - z[:, :-1])
-    out[:, 0] = current_ux
-    return out
-
-
-def read_delayed(source) -> np.ndarray:
-    """Delayed strain u_x(., t - tau): rho = 1 slice or ring tail."""
-    if isinstance(source, HistoryBuffer):
-        return source.tail().copy()
-    z = np.asarray(source)
-    if z.ndim != 2:
-        raise ValueError("expected a z field of shape (Nx+1, Nrho+1)")
-    return z[:, -1].copy()

@@ -109,62 +109,29 @@ def theta_mean(theta: np.ndarray, grid: Grid) -> float:
 
 @dataclass
 class Operators:
-    """Sparse finite-difference operators for one (grid, theta_bc)."""
+    """Sparse finite-difference operators for one (grid, theta_bc).
 
-    grid: Grid
+    Every stencil derives from the gradient G: the divergence (also theta_x
+    at the interior faces) is -G^T and the Dirichlet Laplacian of u is
+    -G^T G.
+    """
+
     G: sp.csr_matrix          # gradient, interior nodes -> flux points
-    D: sp.csr_matrix          # divergence, flux points -> interior nodes
-    Dxx_dirichlet: sp.csr_matrix   # D @ G
     L_theta: sp.csr_matrix    # cell-centered Laplacian with theta_bc fluxes
-    Dx_theta: sp.csr_matrix   # theta_x at interior nodes (cell faces)
-    theta_bc: str = "neumann"
 
 
 def build_operators(grid: Grid, p: PhysParams) -> Operators:
-    """Assemble the second-order stencils used by the generator and stepper."""
+    """Assemble the gradient and the theta Laplacian from one unit stencil."""
     Nx, dx = grid.Nx, grid.dx
-
-    # gradient: (Gu)_j = (u_{j+1} - u_j)/dx, boundary values zero
-    G = sp.lil_matrix((Nx + 1, Nx))
-    for j in range(Nx + 1):
-        if j < Nx:
-            G[j, j] = 1.0 / dx
-        if j >= 1:
-            G[j, j - 1] = -1.0 / dx
-    G = G.tocsr()
-
-    # divergence at node i: (q_i - q_{i-1})/dx; adjoint of -G up to dx weights
-    D = sp.lil_matrix((Nx, Nx + 1))
-    for i in range(Nx):
-        D[i, i + 1] = 1.0 / dx
-        D[i, i] = -1.0 / dx
-    D = D.tocsr()
-
-    # cell-centered theta Laplacian in flux form
-    n = grid.ntheta
-    L = sp.lil_matrix((n, n))
-    for j in range(n):
-        if j >= 1:            # flux through left interior face
-            L[j, j] -= 1.0 / dx**2
-            L[j, j - 1] += 1.0 / dx**2
-        if j <= n - 2:        # flux through right interior face
-            L[j, j] -= 1.0 / dx**2
-            L[j, j + 1] += 1.0 / dx**2
+    # (G1 u)_j = u_{j+1} - u_j with zero boundary values of u
+    G1 = sp.diags([np.ones(Nx), -np.ones(Nx)], [0, -1], shape=(Nx + 1, Nx),
+                  format="csr")
+    # flux form: -G1 G1^T is the zero-flux (Neumann) cell-centered Laplacian;
+    # a Dirichlet boundary value sits dx/2 from the outermost centers
+    L = -(G1 @ G1.T) / dx**2
     if p.theta_bc == "dirichlet":
-        # boundary value at distance dx/2 from the outermost centers
-        L[0, 0] -= 2.0 / dx**2
-        L[n - 1, n - 1] -= 2.0 / dx**2
-    L = L.tocsr()
-
-    # theta_x at the Nx interior faces (= interior u nodes)
-    Dxt = sp.lil_matrix((Nx, n))
-    for i in range(Nx):
-        Dxt[i, i + 1] = 1.0 / dx
-        Dxt[i, i] = -1.0 / dx
-    Dxt = Dxt.tocsr()
-
-    return Operators(grid=grid, G=G, D=D, Dxx_dirichlet=(D @ G).tocsr(),
-                     L_theta=L, Dx_theta=Dxt, theta_bc=p.theta_bc)
+        L = L - sp.diags(np.r_[2.0, np.zeros(Nx - 1), 2.0] / dx**2)
+    return Operators(G=G1 / dx, L_theta=L.tocsr())
 
 
 @dataclass
@@ -224,34 +191,24 @@ def assemble_generator(grid: Grid, p: PhysParams, xi: float) -> Generator:
     """
     Nx, nf, nr = grid.Nx, grid.nflux, grid.Nrho + 1
     ops = build_operators(grid, p)
-    su, sv, sz, st = _slices(grid)
-
-    A = sp.lil_matrix((grid.dim, grid.dim))
-
-    # u row
-    A[su, sv] = sp.identity(Nx)
-
-    # v row
-    zcol_last = [sz.start + j * nr + (nr - 1) for j in range(nf)]
-    A[sv, zcol_last] = p.alpha * ops.D
-    A[sv, sv] = p.beta * ops.Dxx_dirichlet
-    A[sv, st] = -p.gamma * ops.Dx_theta
-
-    # z rows
+    G = ops.G
+    D = -G.T
+    first = sp.csr_matrix(([1.0], ([0], [0])), shape=(nr, 1))     # rho = 0 row
+    last = sp.csr_matrix(([1.0], ([0], [nr - 1])), shape=(1, nr))  # rho = 1 column
+    # upwind in rho on the nodes i >= 1; the rho = 0 row is set by `first`
     c = 1.0 / (p.tau * grid.drho)
-    for j in range(nf):
-        base = sz.start + j * nr
-        # rho = 0: z tracks u_x, so its rate is (grad v)_j
-        A[base, sv] = ops.G[j, :]
-        for i in range(1, nr):
-            A[base + i, base + i] = -c
-            A[base + i, base + i - 1] = c
+    i = np.arange(1, nr)
+    transport = sp.csr_matrix((np.r_[np.full(nr - 1, -c), np.full(nr - 1, c)],
+                               (np.r_[i, i], np.r_[i, i - 1])), shape=(nr, nr))
 
-    # theta row
-    A[st, sv] = -p.gamma * ops.G
-    A[st, st] = p.kappa * ops.L_theta
-
-    return Generator(grid=grid, p=p, xi=xi, matrix=A.tocsr(), ops=ops)
+    A = sp.bmat([
+        [sp.csr_matrix((Nx, Nx)), sp.identity(Nx), None, None],
+        [None, p.beta * (D @ G), sp.kron(p.alpha * D, last), -p.gamma * D],
+        [None, sp.kron(G, first), sp.kron(sp.identity(nf), transport), None],
+        [None, -p.gamma * G, None, p.kappa * ops.L_theta],
+    ], format="csr")
+    A.eliminate_zeros()     # a zero coefficient leaves no stored entries
+    return Generator(grid=grid, p=p, xi=xi, matrix=A, ops=ops)
 
 
 def apply_rhs(state: State, grid: Grid, p: PhysParams) -> State:

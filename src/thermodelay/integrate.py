@@ -3,8 +3,9 @@
 The stiff viscous and heat terms (and the skew thermo-mechanical coupling)
 are advanced by a theta-method on the coupled (v, theta) block, solved
 monolithically from one LU factorization per (dt, params).  The delayed
-stress alpha z(., 1)_x is the only explicit term; with the ring buffer and
-dt = tau/Nrho it is known exactly at both endpoints of the step.
+stress alpha z(., 1)_x is the only explicit term.  The step is fixed at
+dt = tau/Nrho, so the ring buffer knows it exactly at both endpoints of the
+step.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .constants import LyapunovConstants
-from .delay import HistoryBuffer, advance_transport, init_history
+from .delay import HistoryBuffer, init_history
 from .discretization import (Generator, Grid, State, build_operators, grad_u,
                              pack, unpack)
 from .observables import Trajectory, energy, lyapunov_components, theta_mass
@@ -44,7 +45,6 @@ class ImplicitFactor:
     lu: tuple = field(repr=False, default=None)       # lu_factor of I - w dt M
     explicit_mat: np.ndarray = field(repr=False, default=None)  # I + (1-w) dt M
     D: np.ndarray = field(repr=False, default=None)   # alpha-stress divergence
-    G: np.ndarray = field(repr=False, default=None)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         return sla.lu_solve(self.lu, rhs)
@@ -62,12 +62,14 @@ def factor_implicit(grid: Grid, p: PhysParams, dt: float,
     if not (0.5 <= theta_weight <= 1.0):
         raise ValueError("theta_weight must lie in [1/2, 1]")
     ops = build_operators(grid, p)
+    G = ops.G
+    D = (-G.T).toarray(order="C")      # C order keeps the stress matvec bitwise
     Nx, nt = grid.Nx, grid.ntheta
     n = Nx + nt
     M = np.zeros((n, n))
-    M[:Nx, :Nx] = p.beta * ops.Dxx_dirichlet.toarray()
-    M[:Nx, Nx:] = -p.gamma * ops.Dx_theta.toarray()
-    M[Nx:, :Nx] = -p.gamma * ops.G.toarray()
+    M[:Nx, :Nx] = p.beta * ((-G.T) @ G).toarray()
+    M[:Nx, Nx:] = -p.gamma * D
+    M[Nx:, :Nx] = -p.gamma * G.toarray()
     M[Nx:, Nx:] = p.kappa * ops.L_theta.toarray()
 
     w = theta_weight
@@ -78,32 +80,23 @@ def factor_implicit(grid: Grid, p: PhysParams, dt: float,
     return ImplicitFactor(
         grid=grid, p=p, dt=dt, theta_weight=w, lu=lu,
         explicit_mat=np.eye(n) + (1.0 - w) * dt * M,
-        D=ops.D.toarray(), G=ops.G.toarray(),
+        D=D,
     )
 
 
 def step_imex(state: State, dt: float, fac: ImplicitFactor,
-              delay, delay_mode: str = "ring") -> State:
-    """One IMEX step; advances (u, v, theta) and the delay pipeline.
+              buf: HistoryBuffer) -> State:
+    """One IMEX step of length dt = tau/Nrho; advances (u, v, theta) and buf.
 
-    `delay` is a HistoryBuffer (ring mode) or the z field itself is taken
-    from state.z (transport mode).  In ring mode the delayed stress is
-    available at both step endpoints and is combined with the theta-method
-    weights; transport mode uses the start-of-step value.
+    The delayed stress is read from the ring at both step endpoints and
+    combined with the theta-method weights.
     """
     grid, p, w = fac.grid, fac.p, fac.theta_weight
     Nx = grid.Nx
 
-    if delay_mode == "ring":
-        if not isinstance(delay, HistoryBuffer):
-            raise TypeError("ring mode needs a HistoryBuffer")
-        z1_n = delay.tail()
-        z1_new = delay.snapshot(grid.Nrho - 1)  # u_x(t_{n+1} - tau)
-        z1_eff = (1.0 - w) * z1_n + w * z1_new
-    elif delay_mode == "transport":
-        z1_eff = state.z[:, -1]
-    else:
-        raise ValueError(f"unknown delay_mode {delay_mode!r}")
+    z1_n = buf.tail()
+    z1_new = buf.snapshot(grid.Nrho - 1)  # u_x(t_{n+1} - tau)
+    z1_eff = (1.0 - w) * z1_n + w * z1_new
 
     # near blow-up these products may overflow; the finite check below handles it
     with np.errstate(over="ignore", invalid="ignore"):
@@ -120,15 +113,8 @@ def step_imex(state: State, dt: float, fac: ImplicitFactor,
     v_new = y_new[:Nx]
     theta_new = y_new[Nx:]
     u_new = state.u + dt * ((1.0 - w) * state.v + w * v_new)
-    ux_new = grad_u(u_new, grid.dx)
-
-    if delay_mode == "ring":
-        delay.push(ux_new)
-        z_new = delay.as_field()
-    else:
-        z_new = advance_transport(state.z, ux_new, dt, p.tau, grid.drho)
-
-    return State(u=u_new, v=v_new, z=z_new, theta=theta_new)
+    buf.push(grad_u(u_new, grid.dx))
+    return State(u=u_new, v=v_new, z=buf.as_field(), theta=theta_new)
 
 
 def expm_oracle(gen: Generator, state: State, t: float) -> State:
@@ -151,26 +137,20 @@ def simulate(
     theta0: np.ndarray,
     f0,
     t_end: float,
-    dt: float | None = None,
     record_every: int = 1,
-    delay_mode: str = "ring",
     theta_weight: float = 0.5,
     store_snapshots: bool = False,
     raise_on_blowup: bool = False,
 ) -> Trajectory:
     """Advance the system to t_end and record observables.
 
-    Deterministic given its inputs.  dt defaults to tau/Nrho (exact ring
+    Deterministic given its inputs.  The step is dt = tau/Nrho (exact ring
     delay).  The first step uses backward Euler to damp the initial layer,
     then the theta-method with the requested weight.  On numerical blow-up
     the trajectory is truncated and blowup_time set (or the error re-raised
     when raise_on_blowup).
     """
-    if dt is None:
-        dt = p.tau / grid.Nrho
-    if delay_mode == "ring" and abs(dt * grid.Nrho / p.tau - 1.0) > 1e-12:
-        raise ValueError("ring mode requires dt = tau/Nrho; use transport mode")
-
+    dt = p.tau / grid.Nrho
     theta0 = np.asarray(theta0, dtype=float).copy()
     if p.theta_bc == "neumann":
         theta0 -= theta0.mean()
@@ -204,9 +184,7 @@ def simulate(
     for n in range(nsteps):
         t_next = (n + 1) * dt
         try:
-            state = step_imex(state, dt, fac_be if n == 0 else fac,
-                              buf if delay_mode == "ring" else None,
-                              delay_mode=delay_mode)
+            state = step_imex(state, dt, fac_be if n == 0 else fac, buf)
         except NumericalBlowupError as exc:
             if raise_on_blowup:
                 exc.t = t_next

@@ -1,4 +1,10 @@
-"""Eigenvalue analysis of the discrete generator."""
+"""Eigenvalue analysis of the discrete generator on the constrained state space.
+
+The delay reformulation lives on the subspace z(., 0) = u_x (with zero theta
+mean in Neumann mode).  Spectra are taken there: sparse maps E and P
+restrict the assembled generator to it, and only the final reduced matrix is
+dense.
+"""
 
 from __future__ import annotations
 
@@ -9,7 +15,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .discretization import Generator, Grid, grad_u, random_state
+from .discretization import Generator, Grid
 from .params import PhysParams
 
 __all__ = ["SpectrumResult", "spectrum_dense", "spectral_abscissa",
@@ -27,80 +33,67 @@ class SpectrumResult:
 
 
 def restriction_maps(gen: Generator):
-    """Embedding E and left inverse P of the constrained subspace.
+    """Sparse embedding E and left inverse P of the constrained subspace.
 
-    E maps reduced coordinates (u, v, z at rho > 0, compressed theta) to full
-    packed coordinates obeying the domain constraints (z(., 0) = u_x and, in
-    Neumann mode, zero theta mean); P recovers reduced coordinates, P E = I.
-    The constrained subspace is invariant under the generator, so
+    E maps reduced coordinates (u, v, z at rho > 0, theta coordinates) to full
+    packed coordinates obeying the domain constraints: z(., 0) = G u and, in
+    Neumann mode, zero theta mean through an orthonormal basis of the
+    mean-zero vectors.  P recovers reduced coordinates, P E = I.  The
+    constrained subspace is invariant under the generator, so
     A @ E = E @ (P @ A @ E) up to rounding.
     """
-    grid, p = gen.grid, gen.p
+    grid = gen.grid
     Nx, nf, nr = grid.Nx, grid.nflux, grid.Nrho + 1
-    nt = grid.ntheta
-    dim = gen.dim
+    z = 2 * Nx + np.arange(nf * nr).reshape(nf, nr)     # packed z indices
+    kept = np.r_[np.arange(2 * Nx), z[:, 1:].ravel()]   # u, v, z at rho > 0
+    n_full, n_kept = 2 * Nx + nf * nr, kept.size
+    G = gen.ops.G.tocoo()
+    # identity on the kept coordinates, and z(., 0) = G u
+    E_uvz = sp.csr_matrix(
+        (np.r_[np.ones(n_kept), G.data],
+         (np.r_[kept, z[G.row, 0]], np.r_[np.arange(n_kept), G.col])),
+        shape=(n_full, n_kept))
+    P_uvz = sp.csr_matrix((np.ones(n_kept), (np.arange(n_kept), kept)),
+                          shape=(n_kept, n_full))
 
-    # embedding E: (u, v, z_{i>=1}, theta) -> full coordinates, z0 = G u
-    nz_free = nf * (nr - 1)
-    sub = 2 * Nx + nz_free + nt
-    E = np.zeros((dim, sub))
-    P = np.zeros((sub, dim))
-    G = gen.ops.G.toarray()
-    E[:Nx, :Nx] = np.eye(Nx)
-    P[:Nx, :Nx] = np.eye(Nx)
-    E[Nx:2 * Nx, Nx:2 * Nx] = np.eye(Nx)
-    P[Nx:2 * Nx, Nx:2 * Nx] = np.eye(Nx)
-    col = 2 * Nx
-    for j in range(nf):
-        base = 2 * Nx + j * nr
-        E[base, :Nx] = G[j, :]          # z(., 0) = u_x
-        for i in range(1, nr):
-            E[base + i, col] = 1.0
-            P[col, base + i] = 1.0
-            col += 1
-    tfull = 2 * Nx + nf * nr
-    E[tfull:, col:] = np.eye(nt)
-    P[col:, tfull:] = np.eye(nt)
-
-    if p.theta_bc == "neumann":
-        B = sla.null_space(np.ones((1, nt)))
-        head = sub - nt
-        Q = np.zeros((sub, sub - 1))
-        Q[:head, :head] = np.eye(head)
-        Q[head:, head:] = B
-        E = E @ Q
-        P = Q.T @ P
+    if gen.p.theta_bc == "neumann":
+        theta = sp.csr_matrix(sla.null_space(np.ones((1, grid.ntheta))))
+    else:
+        theta = sp.identity(grid.ntheta, format="csr")
+    E = sp.block_diag([E_uvz, theta], format="csr")
+    P = sp.block_diag([P_uvz, theta.T], format="csr")
     return E, P
 
 
 def reduced_generator(gen: Generator) -> np.ndarray:
     """Generator restricted to the discrete state space, as a dense matrix.
 
-    The full-space matrix conserves z(., 0) - u_x componentwise and (in
-    Neumann mode) the theta mass, so it carries Nx + 2 spurious zero
-    eigenvalues whose eigenvectors violate the domain constraints.  The
-    restriction eliminates those directions (see restriction_maps), so the
-    reduced matrix has exactly the physical part of the spectrum.
+    Only this sub x sub matrix is dense; E, P and the product P A E stay
+    sparse.  The full-space matrix conserves z(., 0) - u_x componentwise and
+    (in Neumann mode) the theta mass, so it carries Nx + 1 (Neumann: Nx + 2)
+    structural zero eigenvalues; the restriction removes exactly those, and
+    every spectrum in this module is taken on the reduced matrix.
     """
     E, P = restriction_maps(gen)
-    return P @ (gen.matrix @ E)
+    return (P @ (gen.matrix @ E)).toarray()
+
+
+def _eigvals(gen: Generator) -> np.ndarray:
+    if gen.dim > DENSE_MAX_DIM:
+        raise ValueError(f"dimension {gen.dim} too large for dense solve")
+    return sla.eigvals(reduced_generator(gen))
 
 
 def spectrum_dense(gen: Generator, n_refine: int = 10,
-                   residual_tol: float = 1e-8,
-                   restrict_domain: bool = False) -> SpectrumResult:
-    """All eigenvalues of the dense generator, rightmost ones verified.
+                   residual_tol: float = 1e-8) -> SpectrumResult:
+    """All eigenvalues of the generator on the constrained state space.
 
-    Eigenvalues come from the QR algorithm on the Hessenberg form (LAPACK);
-    the n_refine rightmost are refined by shifted inverse iteration on the
-    sparse matrix and their relative residuals reported.  With
-    restrict_domain the spectrum is taken on the invariant subspace obeying
-    the domain constraints (see reduced_generator).
+    Eigenvalues come from the QR algorithm (LAPACK) on the dense reduced
+    generator (see reduced_generator); the n_refine rightmost are refined by
+    shifted inverse iteration on the full sparse matrix and their relative
+    residuals reported.
     """
-    if gen.dim > DENSE_MAX_DIM:
-        raise ValueError(f"dimension {gen.dim} too large for dense solve")
-    dense = reduced_generator(gen) if restrict_domain else gen.dense()
-    w = sla.eigvals(dense)
+    w = _eigvals(gen)
     order = np.argsort(-w.real)
     w = w[order]
 
@@ -140,16 +133,10 @@ def spectrum_dense(gen: Generator, n_refine: int = 10,
                           converged=converged)
 
 
-def spectral_abscissa(gen: Generator, spectrum: SpectrumResult | None = None,
-                      restrict_domain: bool = False):
-    """Maximum real part of the generator spectrum and the achieving eigenvalue."""
-    if spectrum is None:
-        if gen.dim > DENSE_MAX_DIM:
-            raise ValueError(f"dimension {gen.dim} too large for dense solve")
-        dense = reduced_generator(gen) if restrict_domain else gen.dense()
-        w = sla.eigvals(dense)
-    else:
-        w = spectrum.eigenvalues
+def spectral_abscissa(gen: Generator, spectrum: SpectrumResult | None = None):
+    """Maximum real part of the constrained-space spectrum and the achieving
+    eigenvalue."""
+    w = _eigvals(gen) if spectrum is None else spectrum.eigenvalues
     idx = int(np.argmax(w.real))
     return float(w.real[idx]), complex(w[idx])
 

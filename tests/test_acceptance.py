@@ -65,7 +65,7 @@ def _decay_run(p, c, theta_bc="neumann"):
                     t_end=40.0, record_every=4)
     fit = decay_rate_fit(traj, (16.0, 40.0))
     gen = assemble_generator(g, p, c.xi)
-    abscissa, _ = spectral_abscissa(gen, restrict_domain=True)
+    abscissa, _ = spectral_abscissa(gen)
     return p, g, traj, fit, abscissa, time.time() - t0
 
 
@@ -283,7 +283,7 @@ def test_criterion_10_beta_zero_instability():
     E1 = float(np.interp(1.0, traj.times, traj.E))
     E20 = float(traj.E[-1])
     gen = assemble_generator(Grid(Nx=32, Nrho=32), p, xi=1.0)
-    abscissa, _ = spectral_abscissa(gen, restrict_domain=True)
+    abscissa, _ = spectral_abscissa(gen)
     dt = time.time() - t0
     growing = E20 > E1
     ok = (growing or abscissa > 0) and dt < 60.0

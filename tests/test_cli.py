@@ -120,16 +120,33 @@ def test_sweep_crossing_and_determinism(tmp_path, cfgfile):
 
 
 def test_sweep_single_point_matches_simulate(tmp_path, cfgfile):
-    cfg2 = tmp_path / "sweep1.ini"
-    cfg2.write_text(BASE + "\n[sweep]\nbeta = 4.6\n")
-    outs, outw = tmp_path / "one_sim", tmp_path / "one_sw"
-    assert _run(["simulate", "--config", cfgfile, "--out", str(outs)]) == 0
-    assert _run(["sweep", "--config", str(cfg2), "--out", str(outw)]) == 0
-    summary = json.loads((outs / "summary.json").read_text())
-    row = (outw / "sweep.csv").read_text().strip().split("\n")[2].split(",")
-    assert float(row[1]) == 4.6
-    assert float(row[3]) == pytest.approx(summary["a0"], rel=1e-12)
-    assert float(row[5]) == pytest.approx(summary["final_E"], rel=1e-12)
+    # ell also sets the grid spacing, so the swept point must rebuild the grid
+    for name, value in (("beta", 4.6), ("ell", 2.0)):
+        cfg2 = tmp_path / f"sweep_{name}.ini"
+        cfg2.write_text(BASE + f"\n[sweep]\n{name} = {value}\n")
+        outs, outw = tmp_path / f"sim_{name}", tmp_path / f"sw_{name}"
+        assert _run(["simulate", "--config", cfgfile, "--out", str(outs),
+                     "--override", f"model.{name}={value}"]) == 0
+        assert _run(["sweep", "--config", str(cfg2), "--out", str(outw)]) == 0
+        summary = json.loads((outs / "summary.json").read_text())
+        row = (outw / "sweep.csv").read_text().strip().split("\n")[2].split(",")
+        assert row[0] == name and float(row[1]) == value
+        assert float(row[3]) == pytest.approx(summary["a0"], rel=1e-12)
+        assert float(row[5]) == pytest.approx(summary["final_E"], rel=1e-12)
+
+
+@pytest.mark.parametrize("override", [
+    "time.record_every=0", "time.t_end=-1", "time.theta_weight=0.2",
+    "init.u0=sine:x", "sweep.foo=1:2:3", "sweep.workers=0",
+    "time.dt=0.01", "time.delay_mode=ring", "plot.style=dark",
+    "lyapunov.lambda=-1", "lyapunov.xi_factor=0", "output.fit_start_fraction=2",
+])
+def test_bad_config_is_one_line_exit_1(tmp_path, cfgfile, capsys, override):
+    code = _run(["simulate", "--config", cfgfile, "--out", str(tmp_path / "bad"),
+                 "--override", override])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("config error:") and err.count("\n") == 1, err
 
 
 def test_sweep_requires_exactly_one_range(tmp_path, cfgfile):

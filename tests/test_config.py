@@ -93,12 +93,11 @@ def test_initial_data_decaying_history():
 
 
 def test_unknown_presets_rejected():
-    cfg = load_config(text=BASE, overrides=["init.u0=wavelet"])
-    with pytest.raises(ConfigError):
-        make_initial_data(cfg)
-    cfg = load_config(text=BASE, overrides=["init.f0=mystery"])
-    with pytest.raises(ConfigError):
-        make_initial_data(cfg)
+    # presets are checked when the config is loaded
+    for bad in ("init.u0=wavelet", "init.f0=mystery", "init.theta0=cosine:x",
+                "init.f0=decaying_exponential:fast"):
+        with pytest.raises(ConfigError):
+            load_config(text=BASE, overrides=[bad])
 
 
 def test_higher_mode_presets():

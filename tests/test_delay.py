@@ -1,12 +1,11 @@
-"""History ring buffer and rho-transport field."""
+"""History sampling and the exact ring buffer."""
 
 import math
 
 import numpy as np
 import pytest
 
-from thermodelay.delay import (CFLError, HistoryBuffer, advance_transport,
-                               init_history, read_delayed)
+from thermodelay.delay import HistoryBuffer, init_history
 from thermodelay.discretization import Grid, grad_u
 
 G = Grid(Nx=8, Nrho=8)
@@ -28,8 +27,8 @@ def test_constant_history_all_slices_identical():
 
     z, buf = init_history(f0, G, TAU, u0=u0)
     assert np.allclose(z, z[:, [0]])
-    assert np.array_equal(read_delayed(buf), ux0)
-    assert np.array_equal(read_delayed(z), ux0)
+    assert np.array_equal(buf.tail(), ux0)
+    assert np.array_equal(z[:, -1], ux0)
 
 
 def test_separable_exponential_history_sampling():
@@ -70,16 +69,8 @@ def test_ring_buffer_indexing_exact():
         buf.snapshot(buf.capacity)
 
 
-def test_unit_cfl_transport_is_pure_shift():
-    rng = np.random.default_rng(1)
-    z = rng.standard_normal((G.nflux, G.Nrho + 1))
-    ux = rng.standard_normal(G.nflux)
-    out = advance_transport(z, ux, TAU * G.drho, TAU, G.drho)
-    assert np.array_equal(out[:, 1:], z[:, :-1])
-    assert np.array_equal(out[:, 0], ux)
-
-
 def test_unit_cfl_transport_matches_ring_semantics():
+    # one step at dt = tau/Nrho shifts z by exactly one rho node
     rng = np.random.default_rng(2)
     z0 = rng.standard_normal((G.nflux, G.Nrho + 1))
     buf = HistoryBuffer.allocate(G, TAU)
@@ -88,53 +79,6 @@ def test_unit_cfl_transport_matches_ring_semantics():
     z = z0
     for _ in range(3 * G.Nrho):
         ux = rng.standard_normal(G.nflux)
-        z = advance_transport(z, ux, TAU * G.drho, TAU, G.drho)
+        z = np.column_stack([ux, z[:, :-1]])
         buf.push(ux)
         assert np.array_equal(z, buf.as_field())
-
-
-def test_constant_field_preserved():
-    z = np.ones((G.nflux, G.Nrho + 1))
-    out = advance_transport(z, np.ones(G.nflux), 0.3 * TAU * G.drho, TAU, G.drho)
-    assert np.array_equal(out, z)
-
-
-def test_cfl_violation_raises():
-    z = np.zeros((G.nflux, G.Nrho + 1))
-    with pytest.raises(CFLError):
-        advance_transport(z, np.zeros(G.nflux), 1.5 * TAU * G.drho, TAU, G.drho)
-
-
-def test_upwind_monotone():
-    rng = np.random.default_rng(3)
-    z = rng.standard_normal((G.nflux, G.Nrho + 1))
-    ux = rng.standard_normal(G.nflux)
-    out = advance_transport(z, ux, 0.5 * TAU * G.drho, TAU, G.drho)
-    stacked = np.column_stack([z[:, 1:], z[:, :-1]])
-    assert np.all(out[:, 1:] <= np.maximum(z[:, 1:], z[:, :-1]) + 1e-15)
-    assert np.all(out[:, 1:] >= np.minimum(z[:, 1:], z[:, :-1]) - 1e-15)
-    del stacked
-
-
-def test_transport_first_order_against_exact_shift():
-    # smooth profile advected at half CFL; error vs exact solution is O(drho)
-    tau = 1.0
-    errs = []
-    for nr in (16, 32, 64):
-        g = Grid(Nx=4, Nrho=nr)
-        rho = g.rho_nodes
-
-        def prof(r):
-            return np.sin(2.0 * math.pi * r)
-
-        z = np.tile(prof(rho), (g.nflux, 1))
-        dt = 0.5 * tau * g.drho
-        nsteps = int(round(0.25 / dt))    # advance to t = 0.25
-        for n in range(nsteps):
-            t_new = (n + 1) * dt
-            inflow = np.full(g.nflux, prof(-t_new / tau))
-            z = advance_transport(z, inflow, dt, tau, g.drho)
-        exact = prof(rho - nsteps * dt / tau)
-        errs.append(np.max(np.abs(z[0] - exact)))
-    assert errs[0] / errs[1] == pytest.approx(2.0, rel=0.4)
-    assert errs[1] / errs[2] == pytest.approx(2.0, rel=0.4)

@@ -31,7 +31,7 @@ def test_dirichlet_laplacian_sine_eigenvector():
     g = Grid(Nx=63, Nrho=2)
     ops = build_operators(g, P)
     w = np.sin(math.pi * g.x_nodes / g.ell)
-    lam_num = (ops.Dxx_dirichlet @ w) / w
+    lam_num = (-(ops.G.T @ ops.G) @ w) / w
     assert np.allclose(lam_num, lam_num[0])
     assert lam_num[0] == pytest.approx(-(math.pi / g.ell) ** 2, rel=(g.dx) ** 2)
 
@@ -43,11 +43,38 @@ def test_neumann_laplacian_constant_null():
     assert np.max(np.abs(ops.L_theta @ c)) == 0.0
 
 
+def _stencil(n, diag, off):
+    """Symmetric tridiagonal reference with the given entries, dense."""
+    return (np.diag(np.full(n, diag)) + np.diag(np.full(n - 1, off), 1)
+            + np.diag(np.full(n - 1, off), -1))
+
+
 def test_div_grad_equals_dirichlet_laplacian_exactly():
-    g = Grid(Nx=16, Nrho=2)
-    ops = build_operators(g, P)
-    diff = (ops.D @ ops.G - ops.Dxx_dirichlet).toarray()
-    assert np.max(np.abs(diff)) == 0.0
+    # bitwise against the values a per-entry stencil assembly produces
+    for Nx in (8, 32, 48, 64):
+        g = Grid(Nx=Nx, Nrho=2)
+        d = 1.0 / g.dx
+        ops = build_operators(g, P)
+        want_G = np.zeros((Nx + 1, Nx))
+        want_G[np.arange(Nx), np.arange(Nx)] = d
+        want_G[np.arange(1, Nx + 1), np.arange(Nx)] = -d
+        assert np.array_equal(ops.G.toarray(), want_G), Nx
+        div_grad = (-ops.G.T @ ops.G).toarray()
+        assert np.array_equal(div_grad, _stencil(Nx, -d * d - d * d, d * d)), Nx
+
+
+def test_theta_laplacian_stencil_bitwise():
+    for Nx in (8, 32, 48, 64):
+        for bc in ("neumann", "dirichlet"):
+            g = Grid(Nx=Nx, Nrho=2)
+            dx = g.dx
+            p = PhysParams(beta=2.0, theta_bc=bc)
+            L = build_operators(g, p).L_theta.toarray()
+            want = _stencil(Nx + 1, -1.0 / dx**2 - 1.0 / dx**2, 1.0 / dx**2)
+            want[0, 0] = want[-1, -1] = -1.0 / dx**2
+            if bc == "dirichlet":
+                want[0, 0] = want[-1, -1] = -1.0 / dx**2 - 2.0 / dx**2
+            assert np.array_equal(L, want), (Nx, bc)
 
 
 def test_summation_by_parts_exact():
@@ -58,7 +85,7 @@ def test_summation_by_parts_exact():
     for _ in range(20):
         w = rng.standard_normal(g.Nx)
         q = rng.standard_normal(g.nflux)
-        lhs = np.dot(ops.D @ q, w)
+        lhs = np.dot(-ops.G.T @ q, w)
         rhs = -np.dot(q, ops.G @ w)
         assert lhs == pytest.approx(rhs, abs=1e-12 * max(1.0, abs(lhs)))
 
@@ -124,7 +151,7 @@ def test_v_row_reduces_to_delayed_stress_when_decoupled():
     rng = np.random.default_rng(4)
     s = random_state(g, p, rng, domain=False)
     ds = apply_rhs(s, g, p)
-    assert np.allclose(ds.v, p.alpha * (ops.D @ s.z[:, -1]), atol=1e-13)
+    assert np.allclose(ds.v, p.alpha * (-ops.G.T @ s.z[:, -1]), atol=1e-13)
 
 
 def test_inner_product_definite_symmetric_blocks():

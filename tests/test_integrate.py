@@ -158,31 +158,6 @@ def test_simulate_zero_data_stays_zero():
     assert np.max(np.abs(traj.E)) == 0.0
 
 
-def test_simulate_ring_mode_rejects_unlocked_dt():
-    g = Grid(Nx=6, Nrho=4)
-    c = lyapunov_constants(P, 0.5)
-    with pytest.raises(ValueError, match="ring mode requires"):
-        simulate(g, P, c, np.zeros(g.Nx), np.zeros(g.Nx), np.zeros(g.ntheta),
-                 lambda x, s: np.zeros_like(x), t_end=1.0, dt=0.1)
-
-
-def test_transport_mode_close_to_ring_mode():
-    g = Grid(Nx=8, Nrho=32)
-    c = lyapunov_constants(P, 0.5)
-    u0 = np.sin(math.pi * g.x_nodes)
-    ux0 = grad_u(u0, g.dx)
-
-    def f0(x, s):
-        return np.interp(x, g.x_flux, ux0)
-
-    kw = dict(u0=u0, u1=np.zeros(g.Nx), theta0=np.zeros(g.ntheta), f0=f0,
-              t_end=2.0)
-    ring = simulate(g, P, c, delay_mode="ring", **kw)
-    trans = simulate(g, P, c, delay_mode="transport", **kw)
-    # identical dt; only the delay pipeline differs, by O(drho)
-    assert np.max(np.abs(ring.E - trans.E)) <= 0.05 * np.max(ring.E)
-
-
 def test_blowup_truncates_or_raises():
     # beta = 0 with a large alpha delayed stress blows up quickly
     p = PhysParams(alpha=50.0, beta=0.0, gamma=1.0, kappa=1.0, tau=1.0)
