@@ -206,13 +206,13 @@ def _sweep_point(cfg: RunConfig, name: str, value: float, want_spectrum: bool):
         sub = RunConfig(**{**cfg.__dict__, "params": params, "beta_given": True,
                            "grid": replace(cfg.grid, ell=params.ell)})
         row["certified"] = str(_certification(sub)["certified"]).lower()
-        consts, traj = _run_trajectory(sub)
+        _, traj = _run_trajectory(sub)
         s = _summarize(sub, traj)
         for key in ("a0", "r2", "final_E"):
             if s[key] is not None:
                 row[key] = float(s[key])
         if want_spectrum:
-            gen = assemble_generator(sub.grid, params, consts.xi)
+            gen = assemble_generator(sub.grid, params)
             row["abscissa"] = float(spectral_abscissa(gen)[0])
     except (ConfigError, ValueError, NumericalBlowupError) as exc:
         row["error"] = type(exc).__name__
@@ -238,8 +238,7 @@ def cmd_sweep(cfg: RunConfig, out: Path) -> int:
 
 
 def cmd_spectrum(cfg: RunConfig, out: Path) -> int:
-    consts = _constants_for_run(cfg)
-    gen = assemble_generator(cfg.grid, cfg.params, consts.xi)
+    gen = assemble_generator(cfg.grid, cfg.params)
     res = spectrum_dense(gen)
     w = res.eigenvalues
     _write_csv(out / "spectrum.csv", ["re", "im"],

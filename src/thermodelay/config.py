@@ -10,6 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .discretization import Grid, grad_u
+from .integrate import step_count
 from .params import PhysParams
 
 __all__ = ["ConfigError", "RunConfig", "load_config", "parse_range",
@@ -173,6 +174,10 @@ def load_config(path: str | None = None, overrides: list[str] = (),
     for ok, message in checks:
         if not ok:
             raise ConfigError(message)
+    try:
+        step_count(cfg.t_end, params.tau / grid.Nrho)
+    except ValueError as exc:
+        raise ConfigError(f"time.{exc}") from None
 
     cfg.echo = {sec: dict(cp.items(sec)) for sec in cp.sections()}
     return cfg

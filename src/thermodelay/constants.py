@@ -294,11 +294,6 @@ def certify(
     return check_conditions(c, p)
 
 
-def _certified_on_grid(p: PhysParams, beta: float, lambda_grid, **kw) -> bool:
-    pb = p.with_beta(beta)
-    return any(certify(pb, lam, **kw).verdict for lam in lambda_grid)
-
-
 def find_beta0(
     p: PhysParams,
     lambda_grid,

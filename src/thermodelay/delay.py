@@ -1,9 +1,9 @@
-"""Delayed strain u_x(., t - tau rho) as an exact ring buffer.
+"""The delay field z(x, rho) = u_x(x, t - tau rho), shifted one rho node per step.
 
-The time step is locked to dt = tau / Nrho, so each step shifts the delay
-field z(x, rho) = u_x(x, t - tau rho) by exactly one rho node: the ring keeps
-the last Nrho + 1 snapshots of u_x and never interpolates.  as_field() views
-the ring as z, rho ascending.
+The time step is locked to dt = tau / Nrho, so each step moves z by exactly
+one rho node: push(u_x) puts the new strain at rho = 0 and drops the rho = 1
+column, with no interpolation.  Every push builds a new array, so a z handed
+out by as_field() (and stored in a State) is never modified afterwards.
 """
 
 from __future__ import annotations
@@ -20,49 +20,26 @@ __all__ = ["HistoryBuffer", "init_history"]
 
 @dataclass
 class HistoryBuffer:
-    """Ring of the last `capacity` u_x snapshots (newest first in time).
+    """The delay field z, shape (Nx+1, Nrho+1), rho ascending."""
 
-    With dt locked to tau/Nrho the oldest retained snapshot is exactly
-    u_x(t - tau): no interpolation is ever performed.
-    """
-
-    capacity: int                 # Nrho + 1 snapshots
-    dt_lock: float                # tau / Nrho
-    data: np.ndarray              # (capacity, Nx+1)
-    head: int = 0                 # index of the newest snapshot
-    fill: int = 0
-
-    @classmethod
-    def allocate(cls, grid: Grid, tau: float) -> "HistoryBuffer":
-        cap = grid.Nrho + 1
-        return cls(capacity=cap, dt_lock=tau / grid.Nrho,
-                   data=np.zeros((cap, grid.nflux)))
+    z: np.ndarray
 
     def push(self, ux: np.ndarray):
-        self.head = (self.head - 1) % self.capacity
-        self.data[self.head] = ux
-        self.fill = min(self.fill + 1, self.capacity)
-
-    def snapshot(self, steps_back: int) -> np.ndarray:
-        """u_x recorded `steps_back` pushes ago (0 = newest)."""
-        if steps_back >= self.fill:
-            raise RuntimeError("history buffer not filled that far back")
-        return self.data[(self.head + steps_back) % self.capacity]
+        """One step: ux becomes the rho = 0 column, the rest shifts one node."""
+        self.z = np.column_stack([ux, self.z[:, :-1]])
 
     def tail(self) -> np.ndarray:
-        """Oldest retained snapshot, u_x(t - tau) at locked dt."""
-        if self.fill < self.capacity:
-            raise RuntimeError("history buffer not fully initialized")
-        return self.snapshot(self.capacity - 1)
+        """The rho = 1 column, u_x(t - tau)."""
+        return self.z[:, -1]
 
     def as_field(self) -> np.ndarray:
-        """View the ring as a z field of shape (Nx+1, Nrho+1), rho ascending."""
-        idx = (self.head + np.arange(self.capacity)) % self.capacity
-        return self.data[idx].T.copy()
+        """z itself, not a copy; later pushes leave it unchanged."""
+        return self.z
 
 
-def init_history(f0, grid: Grid, tau: float, u0=None, tol: float = 1e-8):
-    """Sample the history datum f0(x, s), s in [-tau, 0], onto z and a ring.
+def init_history(f0, grid: Grid, tau: float, u0=None,
+                 tol: float = 1e-8) -> HistoryBuffer:
+    """Sample the history datum f0(x, s), s in [-tau, 0], into a HistoryBuffer.
 
     z[j, i] = f0(x_flux_j, -tau * rho_i).  When u0 is supplied, the rho = 0
     slice is compared against the discrete u_x of u0 and a warning is issued
@@ -84,9 +61,4 @@ def init_history(f0, grid: Grid, tau: float, u0=None, tol: float = 1e-8):
             warnings.warn(
                 f"history datum at s=0 differs from u0_x by {mismatch:.3e}; "
                 "keeping the supplied history", stacklevel=2)
-
-    buf = HistoryBuffer.allocate(grid, tau)
-    # oldest sample pushed first so that tail() is the s = -tau slice
-    for i in range(grid.Nrho, -1, -1):
-        buf.push(z[:, i])
-    return z, buf
+    return HistoryBuffer(z)

@@ -23,7 +23,7 @@ from .params import PhysParams
 
 __all__ = ["Grid", "State", "Operators", "Generator", "build_operators",
            "assemble_generator", "apply_rhs", "inner_product_H", "pack", "unpack",
-           "random_state", "grad_u", "theta_mean"]
+           "random_state", "grad_u"]
 
 
 @dataclass(frozen=True)
@@ -102,11 +102,6 @@ def grad_u(u: np.ndarray, dx: float) -> np.ndarray:
     return np.diff(u, prepend=0.0, append=0.0) / dx
 
 
-def theta_mean(theta: np.ndarray, grid: Grid) -> float:
-    """Discrete mean of theta (mass / ell)."""
-    return float(np.sum(theta) * grid.dx / grid.ell)
-
-
 @dataclass
 class Operators:
     """Sparse finite-difference operators for one (grid, theta_bc).
@@ -140,7 +135,6 @@ class Generator:
 
     grid: Grid
     p: PhysParams
-    xi: float
     matrix: sp.csr_matrix
     ops: Operators = field(repr=False, default=None)
 
@@ -182,7 +176,7 @@ def unpack(vec: np.ndarray, grid: Grid) -> State:
     )
 
 
-def assemble_generator(grid: Grid, p: PhysParams, xi: float) -> Generator:
+def assemble_generator(grid: Grid, p: PhysParams) -> Generator:
     """Assemble the sparse block generator.
 
     Rows: u' = v; v' = div(alpha z(.,1) + beta grad v) - gamma theta_x;
@@ -208,7 +202,7 @@ def assemble_generator(grid: Grid, p: PhysParams, xi: float) -> Generator:
         [None, -p.gamma * G, None, p.kappa * ops.L_theta],
     ], format="csr")
     A.eliminate_zeros()     # a zero coefficient leaves no stored entries
-    return Generator(grid=grid, p=p, xi=xi, matrix=A, ops=ops)
+    return Generator(grid=grid, p=p, matrix=A, ops=ops)
 
 
 def apply_rhs(state: State, grid: Grid, p: PhysParams) -> State:

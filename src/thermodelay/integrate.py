@@ -2,14 +2,15 @@
 
 The stiff viscous and heat terms (and the skew thermo-mechanical coupling)
 are advanced by a theta-method on the coupled (v, theta) block, solved
-monolithically from one LU factorization per (dt, params).  The delayed
-stress alpha z(., 1)_x is the only explicit term.  The step is fixed at
-dt = tau/Nrho, so the ring buffer knows it exactly at both endpoints of the
-step.
+monolithically from one LU factorization per (dt, params) of the (v, theta)
+rows and columns of the assembled generator.  The delayed stress
+alpha z(., 1)_x is the only explicit term.  The step is fixed at
+dt = tau/Nrho, so z holds it exactly at both endpoints of the step.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,13 +18,13 @@ import scipy.linalg as sla
 
 from .constants import LyapunovConstants
 from .delay import HistoryBuffer, init_history
-from .discretization import (Generator, Grid, State, build_operators, grad_u,
-                             pack, unpack)
+from .discretization import (Generator, Grid, State, _slices, assemble_generator,
+                             grad_u, pack, unpack)
 from .observables import Trajectory, energy, lyapunov_components, theta_mass
 from .params import PhysParams
 
 __all__ = ["ImplicitFactor", "NumericalBlowupError", "factor_implicit",
-           "step_imex", "expm_oracle", "simulate"]
+           "step_imex", "expm_oracle", "step_count", "simulate"]
 
 EXPM_MAX_DIM = 4000
 
@@ -54,23 +55,21 @@ def factor_implicit(grid: Grid, p: PhysParams, dt: float,
                     theta_weight: float = 0.5) -> ImplicitFactor:
     """Factor the coupled implicit block once; reusable across steps.
 
-    The block treats beta u_xxt, kappa theta_xx and the gamma coupling
-    implicitly.  For beta = kappa = gamma = 0 it reduces to the identity.
+    M is the (v, theta) block of the assembled generator: the Kelvin-Voigt
+    damping, the heat operator and the thermo-mechanical coupling, all
+    treated implicitly.  Without damping, conduction and coupling it reduces
+    to the identity.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     if not (0.5 <= theta_weight <= 1.0):
         raise ValueError("theta_weight must lie in [1/2, 1]")
-    ops = build_operators(grid, p)
-    G = ops.G
-    D = (-G.T).toarray(order="C")      # C order keeps the stress matvec bitwise
-    Nx, nt = grid.Nx, grid.ntheta
-    n = Nx + nt
-    M = np.zeros((n, n))
-    M[:Nx, :Nx] = p.beta * ((-G.T) @ G).toarray()
-    M[:Nx, Nx:] = -p.gamma * D
-    M[Nx:, :Nx] = -p.gamma * G.toarray()
-    M[Nx:, Nx:] = p.kappa * ops.L_theta.toarray()
+    gen = assemble_generator(grid, p)
+    _, sv, _, st = _slices(grid)
+    vt = np.r_[sv, st]
+    M = gen.matrix[vt][:, vt].toarray()
+    D = (-gen.ops.G.T).toarray(order="C")  # C order keeps the stress matvec bitwise
+    n = len(vt)
 
     w = theta_weight
     implicit = np.eye(n) - w * dt * M
@@ -88,15 +87,14 @@ def step_imex(state: State, dt: float, fac: ImplicitFactor,
               buf: HistoryBuffer) -> State:
     """One IMEX step of length dt = tau/Nrho; advances (u, v, theta) and buf.
 
-    The delayed stress is read from the ring at both step endpoints and
-    combined with the theta-method weights.
+    The delayed stress is read from z at both step endpoints, u_x(t_n - tau)
+    = z(., 1) and u_x(t_{n+1} - tau) = z(., 1 - 1/Nrho), and combined with
+    the theta-method weights.
     """
     grid, p, w = fac.grid, fac.p, fac.theta_weight
     Nx = grid.Nx
 
-    z1_n = buf.tail()
-    z1_new = buf.snapshot(grid.Nrho - 1)  # u_x(t_{n+1} - tau)
-    z1_eff = (1.0 - w) * z1_n + w * z1_new
+    z1_eff = (1.0 - w) * buf.tail() + w * buf.z[:, -2]
 
     # near blow-up these products may overflow; the finite check below handles it
     with np.errstate(over="ignore", invalid="ignore"):
@@ -128,6 +126,15 @@ def expm_oracle(gen: Generator, state: State, t: float) -> State:
     return unpack(phi @ pack(state), gen.grid)
 
 
+def step_count(t_end: float, dt: float) -> int:
+    """Number of steps of length dt to t_end, which must lie on the step grid."""
+    n = round(t_end / dt)
+    if not math.isclose(t_end / dt, n, rel_tol=1e-9):
+        raise ValueError(f"t_end = {t_end} is not a multiple of the step "
+                         f"tau/Nrho = {dt}")
+    return n
+
+
 def simulate(
     grid: Grid,
     p: PhysParams,
@@ -139,32 +146,31 @@ def simulate(
     t_end: float,
     record_every: int = 1,
     theta_weight: float = 0.5,
-    store_snapshots: bool = False,
     raise_on_blowup: bool = False,
 ) -> Trajectory:
     """Advance the system to t_end and record observables.
 
-    Deterministic given its inputs.  The step is dt = tau/Nrho (exact ring
-    delay).  The first step uses backward Euler to damp the initial layer,
-    then the theta-method with the requested weight.  On numerical blow-up
-    the trajectory is truncated and blowup_time set (or the error re-raised
-    when raise_on_blowup).
+    Deterministic given its inputs.  The step is dt = tau/Nrho (an exact
+    one-node shift of z); t_end must be a whole number of steps.  The first
+    step uses backward Euler to damp the initial layer, then the theta-method
+    with the requested weight.  On numerical blow-up the trajectory is
+    truncated and blowup_time set (or the error re-raised when
+    raise_on_blowup).
     """
     dt = p.tau / grid.Nrho
+    nsteps = step_count(t_end, dt)
     theta0 = np.asarray(theta0, dtype=float).copy()
     if p.theta_bc == "neumann":
         theta0 -= theta0.mean()
 
-    z0, buf = init_history(f0, grid, p.tau, u0=u0)
+    buf = init_history(f0, grid, p.tau, u0=u0)
     state = State(u=np.asarray(u0, float).copy(), v=np.asarray(u1, float).copy(),
-                  z=z0.copy(), theta=theta0)
+                  z=buf.as_field(), theta=theta0)
 
     fac_be = factor_implicit(grid, p, dt, theta_weight=1.0)
     fac = factor_implicit(grid, p, dt, theta_weight=theta_weight)
 
-    nsteps = int(round(t_end / dt))
     times, Es, Vs, Vts, terms, masses = [], [], [], [], [], []
-    snapshots = []
     blowup_time = None
 
     def record(t, s):
@@ -177,8 +183,6 @@ def simulate(
         Vts.append(comp["Vtilde"])
         terms.append([comp[f"V{i}"] for i in range(1, 7)])
         masses.append(theta_mass(s, grid))
-        if store_snapshots:
-            snapshots.append((t, s.copy()))
 
     record(0.0, state)
     for n in range(nsteps):
@@ -202,7 +206,6 @@ def simulate(
     traj = Trajectory(
         times=np.asarray(times), E=np.asarray(Es), V=np.asarray(Vs),
         Vtilde=np.asarray(Vts), V_terms=np.asarray(terms).T if terms else np.zeros((6, 0)),
-        theta_mass=np.asarray(masses), snapshots=snapshots,
-        blowup_time=blowup_time,
+        theta_mass=np.asarray(masses), blowup_time=blowup_time,
     )
     return traj

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +24,6 @@ class Trajectory:
     Vtilde: np.ndarray
     V_terms: np.ndarray          # shape (6, nsamples)
     theta_mass: np.ndarray
-    snapshots: list = field(default_factory=list)   # optional (t, State) pairs
     blowup_time: float | None = None
 
     def __post_init__(self):

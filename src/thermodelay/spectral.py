@@ -143,18 +143,16 @@ def spectral_abscissa(gen: Generator, spectrum: SpectrumResult | None = None):
 
 def h_weight_matrix(grid: Grid, p: PhysParams, xi: float) -> sp.csr_matrix:
     """Gram matrix of the discrete state-space inner product in packed coordinates."""
-    from .discretization import build_operators, _slices
+    from .discretization import build_operators
 
-    ops = build_operators(grid, p)
-    dx, drho = grid.dx, grid.drho
-    su, sv, sz, st = _slices(grid)
-    n = grid.dim
-    W = sp.lil_matrix((n, n))
-    W[su, su] = p.alpha * dx * (ops.G.T @ ops.G)
-    W[sv, sv] = dx * sp.identity(grid.Nx)
-    W[sz, sz] = xi * dx * drho * sp.identity(grid.nflux * (grid.Nrho + 1))
-    W[st, st] = dx * sp.identity(grid.ntheta)
-    return W.tocsr()
+    G = build_operators(grid, p).G
+    dx = grid.dx
+    return sp.block_diag([
+        p.alpha * dx * (G.T @ G),
+        dx * sp.identity(grid.Nx),
+        xi * dx * grid.drho * sp.identity(grid.nflux * (grid.Nrho + 1)),
+        dx * sp.identity(grid.ntheta),
+    ], format="csr")
 
 
 def dissipativity_test(grid: Grid, p: PhysParams, xi: float, trials: int,
@@ -174,7 +172,7 @@ def dissipativity_test(grid: Grid, p: PhysParams, xi: float, trials: int,
             raise ValueError("paper shift needs beta > 0; pass m explicitly")
         m = p.alpha**2 / p.beta + xi / (2.0 * p.tau)
 
-    gen = assemble_generator(grid, p, xi)
+    gen = assemble_generator(grid, p)
     A = gen.matrix
     W = h_weight_matrix(grid, p, xi)
     rng = np.random.default_rng(seed)

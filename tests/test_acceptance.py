@@ -64,7 +64,7 @@ def _decay_run(p, c, theta_bc="neumann"):
     traj = simulate(g, p, c, u0, np.zeros(g.Nx), theta0, f0,
                     t_end=40.0, record_every=4)
     fit = decay_rate_fit(traj, (16.0, 40.0))
-    gen = assemble_generator(g, p, c.xi)
+    gen = assemble_generator(g, p)
     abscissa, _ = spectral_abscissa(gen)
     return p, g, traj, fit, abscissa, time.time() - t0
 
@@ -171,13 +171,13 @@ def test_criterion_6_imex_vs_expm_oracle():
     errs = []
     for N in (4, 8):   # matched refinement: dt = tau/N on an Nrho = N grid
         g = Grid(Nx=4, Nrho=N)
-        gen = assemble_generator(g, p, xi=1.0)
+        gen = assemble_generator(g, p)
         u0 = np.sin(math.pi * g.x_nodes)
         ux0 = grad_u(u0, g.dx)
-        z0, buf = init_history(
+        buf = init_history(
             lambda x, s, ux0=ux0, g=g: np.interp(x, g.x_flux, ux0),
             g, p.tau, u0=u0)
-        s = State(u=u0.copy(), v=np.zeros(g.Nx), z=z0,
+        s = State(u=u0.copy(), v=np.zeros(g.Nx), z=buf.as_field(),
                   theta=np.zeros(g.ntheta))
         ref = pack(expm_oracle(gen, s, 1.0))
         h = p.tau / N
@@ -204,12 +204,12 @@ def test_criterion_7_theta_mass_conservation():
     h = p.tau / g.Nrho
     u0 = np.sin(math.pi * g.x_nodes)
     ux0 = grad_u(u0, g.dx)
-    z0, buf = init_history(lambda x, s: np.interp(x, g.x_flux, ux0),
-                           g, p.tau, u0=u0)
+    buf = init_history(lambda x, s: np.interp(x, g.x_flux, ux0),
+                       g, p.tau, u0=u0)
     theta0 = np.cos(math.pi * g.x_flux)
     theta0 -= theta0.mean()
     theta0 += 1.0 / p.ell          # nonzero mass, conserved
-    s = State(u=u0.copy(), v=np.zeros(g.Nx), z=z0, theta=theta0)
+    s = State(u=u0.copy(), v=np.zeros(g.Nx), z=buf.as_field(), theta=theta0)
     fac_be = factor_implicit(g, p, h, theta_weight=1.0)
     fac = factor_implicit(g, p, h)
     mass0 = np.sum(s.theta) * g.dx
@@ -282,7 +282,7 @@ def test_criterion_10_beta_zero_instability():
                     np.zeros(g.ntheta), f0, t_end=20.0, record_every=8)
     E1 = float(np.interp(1.0, traj.times, traj.E))
     E20 = float(traj.E[-1])
-    gen = assemble_generator(Grid(Nx=32, Nrho=32), p, xi=1.0)
+    gen = assemble_generator(Grid(Nx=32, Nrho=32), p)
     abscissa, _ = spectral_abscissa(gen)
     dt = time.time() - t0
     growing = E20 > E1
@@ -310,9 +310,9 @@ def test_criterion_11_dirichlet_variant(decay_dirichlet):
     h = pd.tau / g7.Nrho
     u0 = np.sin(math.pi * g7.x_nodes)
     ux0 = grad_u(u0, g7.dx)
-    z0, buf = init_history(lambda x, s: np.interp(x, g7.x_flux, ux0),
-                           g7, pd.tau, u0=u0)
-    s = State(u=u0.copy(), v=np.zeros(g7.Nx), z=z0,
+    buf = init_history(lambda x, s: np.interp(x, g7.x_flux, ux0),
+                       g7, pd.tau, u0=u0)
+    s = State(u=u0.copy(), v=np.zeros(g7.Nx), z=buf.as_field(),
               theta=np.ones(g7.ntheta))
     fac_be = factor_implicit(g7, pd, h, theta_weight=1.0)
     fac = factor_implicit(g7, pd, h)

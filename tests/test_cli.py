@@ -140,6 +140,7 @@ def test_sweep_single_point_matches_simulate(tmp_path, cfgfile):
     "init.u0=sine:x", "sweep.foo=1:2:3", "sweep.workers=0",
     "time.dt=0.01", "time.delay_mode=ring", "plot.style=dark",
     "lyapunov.lambda=-1", "lyapunov.xi_factor=0", "output.fit_start_fraction=2",
+    "time.t_end=0.3",
 ])
 def test_bad_config_is_one_line_exit_1(tmp_path, cfgfile, capsys, override):
     code = _run(["simulate", "--config", cfgfile, "--out", str(tmp_path / "bad"),
@@ -147,6 +148,18 @@ def test_bad_config_is_one_line_exit_1(tmp_path, cfgfile, capsys, override):
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("config error:") and err.count("\n") == 1, err
+
+
+def test_sweep_point_off_the_step_grid_is_a_row_error(tmp_path, cfgfile):
+    # t_end = 6 is 48 steps of tau/nrho at tau = 1, but not a whole number at 0.7
+    cfg2 = tmp_path / "sweep_tau.ini"
+    cfg2.write_text(BASE + "\n[sweep]\ntau = 1.0,0.7\n")
+    out = tmp_path / "sw_tau"
+    assert _run(["sweep", "--config", str(cfg2), "--out", str(out)]) == 0
+    rows = [r.split(",") for r in
+            (out / "sweep.csv").read_text().strip().split("\n")[2:]]
+    assert [r[-1] for r in rows] == ["", "ValueError"]
+    assert json.loads((out / "summary.json").read_text())["failed_points"] == 1
 
 
 def test_sweep_requires_exactly_one_range(tmp_path, cfgfile):

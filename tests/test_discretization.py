@@ -92,7 +92,7 @@ def test_summation_by_parts_exact():
 
 def test_theta_row_sums_vanish_neumann():
     g = Grid(Nx=8, Nrho=4)
-    gen = assemble_generator(g, P, xi=1.0)
+    gen = assemble_generator(g, P)
     tstart = 2 * g.Nx + g.nflux * (g.Nrho + 1)
     rows = gen.matrix[tstart:, :].toarray()
     colsums = rows.sum(axis=0)   # theta-mass rate for unit basis vectors
@@ -115,7 +115,7 @@ def test_pack_unpack_roundtrip_and_locality():
 
 def test_generator_zero_and_linearity():
     g = Grid(Nx=6, Nrho=4)
-    gen = assemble_generator(g, P, xi=1.0)
+    gen = assemble_generator(g, P)
     assert np.max(np.abs(gen.matvec(np.zeros(g.dim)))) == 0.0
     rng = np.random.default_rng(2)
     x, y = rng.standard_normal((2, g.dim))
@@ -129,7 +129,7 @@ def test_generator_matches_hand_coded_rhs(bc):
     p = PhysParams(alpha=1.3, beta=0.7, gamma=0.9, kappa=1.1, tau=0.8,
                    ell=1.5, theta_bc=bc)
     g = Grid(Nx=9, Nrho=6, ell=p.ell)
-    gen = assemble_generator(g, p, xi=1.0)
+    gen = assemble_generator(g, p)
     rng = np.random.default_rng(3)
     worst = 0.0
     for _ in range(100):

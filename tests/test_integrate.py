@@ -1,6 +1,7 @@
 """IMEX stepping, implicit factorization, and the matrix-exponential oracle."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ import scipy.linalg as sla
 from thermodelay.constants import lyapunov_constants
 from thermodelay.delay import init_history
 from thermodelay.discretization import (Grid, State, assemble_generator,
-                                        grad_u, pack, random_state, unpack)
+                                        build_operators, grad_u, pack,
+                                        random_state, unpack)
 from thermodelay.integrate import (NumericalBlowupError, expm_oracle,
                                    factor_implicit, simulate, step_imex)
 from thermodelay.params import PhysParams
@@ -49,6 +51,37 @@ def test_factor_determinism():
     assert np.array_equal(x1, x2)
 
 
+@pytest.mark.parametrize("theta_bc", ["neumann", "dirichlet"])
+@pytest.mark.parametrize("beta, gamma, kappa", [
+    (2.0, 1.0, 1.0), (4.6, 0.3, 7.0), (0.0, 0.0, 1e-300), (0.0, 1.3, 0.0),
+    (5.0, 0.0, 2.0),
+])
+def test_factor_matrices_match_per_block_formula(theta_bc, beta, gamma, kappa):
+    # the (v, theta) block sliced from the generator equals, bit for bit,
+    # beta (-G^T G), -gamma (-G^T), -gamma G, kappa L_theta assembled densely
+    p = PhysParams(alpha=1.0, beta=beta, gamma=gamma, kappa=kappa, tau=1.0,
+                   theta_bc=theta_bc)
+    for g in (Grid(Nx=3, Nrho=2), Grid(Nx=17, Nrho=8)):
+        ops = build_operators(g, p)
+        G, Nx = ops.G, g.Nx
+        D = (-G.T).toarray(order="C")
+        n = Nx + g.ntheta
+        M = np.zeros((n, n))
+        M[:Nx, :Nx] = beta * ((-G.T) @ G).toarray()
+        M[:Nx, Nx:] = -gamma * D
+        M[Nx:, :Nx] = -gamma * G.toarray()
+        M[Nx:, Nx:] = kappa * ops.L_theta.toarray()
+        dt = p.tau / g.Nrho
+        for w in (0.5, 1.0):
+            fac = factor_implicit(g, p, dt, theta_weight=w)
+            lu, piv = sla.lu_factor(np.eye(n) - w * dt * M)
+            assert fac.lu[0].tobytes() == lu.tobytes()
+            assert np.array_equal(fac.lu[1], piv)
+            assert (fac.explicit_mat.tobytes()
+                    == (np.eye(n) + (1.0 - w) * dt * M).tobytes())
+            assert fac.D.tobytes() == D.tobytes() and fac.D.flags.c_contiguous
+
+
 def test_factor_validation():
     g = Grid(Nx=6, Nrho=4)
     with pytest.raises(ValueError):
@@ -61,7 +94,7 @@ def test_zero_state_is_equilibrium():
     g = Grid(Nx=6, Nrho=6)
     dt = P.tau / g.Nrho
     fac = factor_implicit(g, P, dt)
-    _, buf = init_history(lambda x, s: np.zeros_like(x), g, P.tau)
+    buf = init_history(lambda x, s: np.zeros_like(x), g, P.tau)
     s = State.zeros(g)
     for _ in range(3 * g.Nrho):
         s = step_imex(s, dt, fac, buf)
@@ -73,7 +106,7 @@ def test_gamma_zero_decouples_theta_pure_heat():
     g = Grid(Nx=10, Nrho=5)
     dt = p.tau / g.Nrho
     fac = factor_implicit(g, p, dt)
-    _, buf = init_history(lambda x, s: np.zeros_like(x), g, p.tau)
+    buf = init_history(lambda x, s: np.zeros_like(x), g, p.tau)
     s = State.zeros(g)
     s.theta = np.cos(math.pi * g.x_flux)
     mass0 = np.sum(s.theta) * g.dx
@@ -87,7 +120,7 @@ def test_gamma_zero_decouples_theta_pure_heat():
 
 def test_expm_oracle_identity_and_semigroup():
     g = Grid(Nx=4, Nrho=3)
-    gen = assemble_generator(g, P, xi=1.0)
+    gen = assemble_generator(g, P)
     rng = np.random.default_rng(3)
     s = random_state(g, P, rng)
     s0 = expm_oracle(gen, s, 0.0)
@@ -113,12 +146,12 @@ def test_imex_matches_expm_and_converges():
     errs = []
     for N in (4, 8, 16):
         g = Grid(Nx=4, Nrho=N)
-        gen = assemble_generator(g, p, xi=1.0)
+        gen = assemble_generator(g, p)
         u0 = np.sin(math.pi * g.x_nodes)
         ux0 = grad_u(u0, g.dx)
-        z0, buf = init_history(lambda x, s, ux0=ux0, g=g: np.interp(x, g.x_flux, ux0),
-                               g, p.tau, u0=u0)
-        s = State(u=u0.copy(), v=np.zeros(g.Nx), z=z0, theta=np.zeros(g.ntheta))
+        buf = init_history(lambda x, s, ux0=ux0, g=g: np.interp(x, g.x_flux, ux0),
+                           g, p.tau, u0=u0)
+        s = State(u=u0.copy(), v=np.zeros(g.Nx), z=buf.as_field(), theta=np.zeros(g.ntheta))
         ref = pack(expm_oracle(gen, s, 1.0))
         dt = p.tau / N
         fac_be = factor_implicit(g, p, dt, theta_weight=1.0)
@@ -156,6 +189,20 @@ def test_simulate_zero_data_stays_zero():
     traj = simulate(g, P, c, np.zeros(g.Nx), np.zeros(g.Nx),
                     np.zeros(g.ntheta), lambda x, s: np.zeros_like(x), t_end=1.0)
     assert np.max(np.abs(traj.E)) == 0.0
+
+
+def test_simulate_rejects_t_end_off_the_step_grid():
+    g = Grid(Nx=6, Nrho=8)                     # dt = 1/8
+    c = lyapunov_constants(P, 0.5)
+    data = (np.zeros(g.Nx), np.zeros(g.Nx), np.zeros(g.ntheta),
+            lambda x, s: np.zeros_like(x))
+    with pytest.raises(ValueError, match="not a multiple of the step"):
+        simulate(g, P, c, *data, t_end=0.3)
+    assert simulate(g, P, c, *data, t_end=0.375).times[-1] == 0.375
+    # rounding noise in t_end / dt (here 10.000000000000002) is not an error
+    p = replace(P, tau=0.3)
+    traj = simulate(Grid(Nx=6, Nrho=3), p, c, *data, t_end=1.0)
+    assert len(traj.times) == 11 and traj.times[-1] == pytest.approx(1.0)
 
 
 def test_blowup_truncates_or_raises():

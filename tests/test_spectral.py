@@ -38,7 +38,7 @@ def test_small_dense_solver_sanity():
 def test_spectrum_residuals_small(certified):
     p, c = certified
     g = Grid(Nx=8, Nrho=8)
-    gen = assemble_generator(g, p, c.xi)
+    gen = assemble_generator(g, p)
     res = spectrum_dense(gen)
     assert np.all(np.diff(res.eigenvalues.real) <= 1e-12)   # sorted descending
     assert np.all(res.rightmost_residuals <= 1e-8)
@@ -52,7 +52,7 @@ def test_companion_matrix_cross_check(certified):
 
     p, c = certified
     g = Grid(Nx=3, Nrho=3)
-    gen = assemble_generator(g, p, c.xi)
+    gen = assemble_generator(g, p)
     A = gen.dense()
     w_qr = sla.eigvals(A)
     w_poly = np.roots(np.poly(A))
@@ -67,7 +67,7 @@ def test_reduced_generator_invariance(certified):
 
     p, c = certified
     g = Grid(Nx=5, Nrho=4)
-    gen = assemble_generator(g, p, c.xi)
+    gen = assemble_generator(g, p)
     E, Pm = (m.toarray() for m in restriction_maps(gen))
     assert np.allclose(Pm @ E, np.eye(E.shape[1]), atol=1e-13)
     red = Pm @ (gen.matrix @ E)
@@ -87,7 +87,7 @@ def test_full_spectrum_has_spurious_zeros_reduced_does_not(certified):
                                             ["neumann", "dirichlet"]):
         g = Grid(Nx=Nx, Nrho=Nrho)
         pb = PhysParams(**{**p.__dict__, "theta_bc": bc})
-        gen = assemble_generator(g, pb, c.xi)
+        gen = assemble_generator(g, pb)
         w_full = sla.eigvals(gen.dense())
         zero = np.abs(w_full) <= 1e-10
         # conserved z(.,0) - u_x at the Nx+1 flux points, and the theta mass
@@ -101,7 +101,7 @@ def test_full_spectrum_has_spurious_zeros_reduced_does_not(certified):
 def test_certified_beta_negative_abscissa_32(certified):
     p, c = certified
     g = Grid(Nx=32, Nrho=32)
-    gen = assemble_generator(g, p, c.xi)
+    gen = assemble_generator(g, p)
     a, lam = spectral_abscissa(gen)
     assert a < 0.0
     assert a == pytest.approx(lam.real)
@@ -110,7 +110,7 @@ def test_certified_beta_negative_abscissa_32(certified):
 def test_beta_zero_positive_abscissa():
     p = UNIT.with_beta(0.0)
     g = Grid(Nx=16, Nrho=16)
-    gen = assemble_generator(g, p, xi=1.0)
+    gen = assemble_generator(g, p)
     a, _ = spectral_abscissa(gen)
     assert a > 0.0
 
@@ -127,7 +127,7 @@ def test_pure_heat_block_spectrum():
 def test_dense_size_guard(certified):
     p, c = certified
     g = Grid(Nx=70, Nrho=70)
-    gen = assemble_generator(g, p, c.xi)
+    gen = assemble_generator(g, p)
     with pytest.raises(ValueError, match="too large"):
         spectrum_dense(gen)
 
@@ -168,7 +168,7 @@ def test_dissipativity_theta_only_states():
     xi = 4.0 * p.tau * p.alpha**2 / p.beta
     g = Grid(Nx=12, Nrho=8)
     from thermodelay.discretization import assemble_generator as asm
-    gen = asm(g, p, xi)
+    gen = asm(g, p)
     W = h_weight_matrix(g, p, xi)
     m = p.alpha**2 / p.beta + xi / (2 * p.tau)
     rng = np.random.default_rng(1)
@@ -198,7 +198,7 @@ def test_resolvent_solve_above_shift():
     xi = 4.0 * p.tau * p.alpha**2 / p.beta
     m = p.alpha**2 / p.beta + xi / (2 * p.tau)
     g = Grid(Nx=10, Nrho=8)
-    gen = assemble_generator(g, p, xi)
+    gen = assemble_generator(g, p)
     lam = m + 1.0
     A = (lam * sp.identity(gen.dim) - gen.matrix).tocsc()
     rng = np.random.default_rng(3)
