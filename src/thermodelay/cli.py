@@ -2,8 +2,8 @@
 
 All commands read one flat key=value config (see config.DEFAULTS for the
 sections), apply --override section.key=value pairs, and write CSV/JSON
-into --out.  Exit codes: 0 ok, 1 usage/parse, 2 certification failure,
-3 numerical failure.
+into --out.  Exit codes: 0 ok, 1 usage/parse or a grid too large for a
+dense solve, 2 certification failure, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .config import (SCHEMA_VERSION, ConfigError, RunConfig, load_config,
                      make_initial_data)
 from .constants import (InfeasibleLambdaError, NoFeasibleLambdaError, certify,
                         find_beta0, lyapunov_constants, n0_from_constants)
-from .discretization import assemble_generator
+from .discretization import DenseSizeError, assemble_generator
 from .integrate import NumericalBlowupError, simulate
 from .observables import decay_rate_fit
 from .params import PhysParams
@@ -247,6 +247,7 @@ def cmd_spectrum(cfg: RunConfig, out: Path) -> int:
     _write_json(out / "summary.json",
                 {"command": "spectrum", "config": cfg.echo,
                  "abscissa": abscissa,
+                 "rightmost_mode": None if res.modes is None else res.modes[0],
                  "rightmost_residuals": list(res.rightmost_residuals),
                  "n_eigenvalues": len(w)})
     print(f"spectral abscissa = {abscissa:.16e}")
@@ -293,6 +294,9 @@ def main(argv=None) -> int:
         return COMMANDS[args.command](cfg, out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 1
+    except DenseSizeError as exc:
+        print(f"size error: {exc}", file=sys.stderr)
         return 1
     except NumericalBlowupError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

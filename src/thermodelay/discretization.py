@@ -21,9 +21,13 @@ import scipy.sparse as sp
 
 from .params import PhysParams
 
-__all__ = ["Grid", "State", "Operators", "Generator", "build_operators",
-           "assemble_generator", "apply_rhs", "inner_product_H", "pack", "unpack",
-           "random_state", "grad_u"]
+__all__ = ["Grid", "State", "Operators", "Generator", "DenseSizeError",
+           "build_operators", "modal_operators", "assemble_generator", "apply_rhs",
+           "inner_product_H", "pack", "unpack", "random_state", "grad_u"]
+
+
+class DenseSizeError(ValueError):
+    """A dense solve was refused because its matrix would exhaust memory."""
 
 
 @dataclass(frozen=True)
@@ -113,6 +117,7 @@ class Operators:
 
     G: sp.csr_matrix          # gradient, interior nodes -> flux points
     L_theta: sp.csr_matrix    # cell-centered Laplacian with theta_bc fluxes
+    modal: bool = False       # Fourier-mode coordinates (see modal_operators)
 
 
 def build_operators(grid: Grid, p: PhysParams) -> Operators:
@@ -127,6 +132,26 @@ def build_operators(grid: Grid, p: PhysParams) -> Operators:
     if p.theta_bc == "dirichlet":
         L = L - sp.diags(np.r_[2.0, np.zeros(Nx - 1), 2.0] / dx**2)
     return Operators(G=G1 / dx, L_theta=L.tocsr())
+
+
+def modal_operators(grid: Grid) -> Operators:
+    """G and the Neumann L_theta in Fourier-mode coordinates.
+
+    With the orthonormal DST-I S on the interior nodes (u, v) and the
+    orthonormal DCT-II C on the cells (z, theta), C^T G S maps sine mode k to
+    cosine mode k with the symbol g_k = 2 sin(k pi / (2 (Nx+1))) / dx, and
+    C^T L_theta C = -diag(g)^2 with g_0 = 0 (the conserved theta mean).  A
+    generator assembled from these operators is T^T A T for the orthogonal
+    T = diag(S, S, C (x) I, C): every Fourier mode is its own block.  The
+    Dirichlet corner terms of L_theta couple the cosine modes, so there is
+    no Dirichlet counterpart.
+    """
+    Nx = grid.Nx
+    k = np.arange(1, Nx + 1)
+    g = 2.0 * np.sin(k * np.pi / (2 * (Nx + 1))) / grid.dx
+    G = sp.csr_matrix((g, (k, k - 1)), shape=(Nx + 1, Nx))
+    return Operators(G=G, L_theta=sp.diags(-np.r_[0.0, g] ** 2, format="csr"),
+                     modal=True)
 
 
 @dataclass
@@ -176,15 +201,20 @@ def unpack(vec: np.ndarray, grid: Grid) -> State:
     )
 
 
-def assemble_generator(grid: Grid, p: PhysParams) -> Generator:
+def assemble_generator(grid: Grid, p: PhysParams,
+                       ops: Operators | None = None) -> Generator:
     """Assemble the sparse block generator.
 
     Rows: u' = v; v' = div(alpha z(.,1) + beta grad v) - gamma theta_x;
     z' with first-order upwind in rho and the rho = 0 column driven by
     (grad v) so that z(.,0) tracks u_x; theta' = -gamma v_x + kappa L theta.
+    `ops` defaults to the real-space build_operators; modal_operators gives
+    the same generator in Fourier-mode coordinates.
     """
     Nx, nf, nr = grid.Nx, grid.nflux, grid.Nrho + 1
-    ops = build_operators(grid, p)
+    ops = build_operators(grid, p) if ops is None else ops
+    if ops.modal and p.theta_bc != "neumann":
+        raise ValueError("modal operators need theta_bc = 'neumann'")
     G = ops.G
     D = -G.T
     first = sp.csr_matrix(([1.0], ([0], [0])), shape=(nr, 1))     # rho = 0 row

@@ -18,8 +18,8 @@ import scipy.linalg as sla
 
 from .constants import LyapunovConstants
 from .delay import HistoryBuffer, init_history
-from .discretization import (Generator, Grid, State, _slices, assemble_generator,
-                             grad_u, pack, unpack)
+from .discretization import (DenseSizeError, Generator, Grid, State, _slices,
+                             assemble_generator, grad_u, pack, unpack)
 from .observables import Trajectory, energy, lyapunov_components, theta_mass
 from .params import PhysParams
 
@@ -27,6 +27,7 @@ __all__ = ["ImplicitFactor", "NumericalBlowupError", "factor_implicit",
            "step_imex", "expm_oracle", "step_count", "simulate"]
 
 EXPM_MAX_DIM = 4000
+IMPLICIT_MAX_DIM = 4097     # dense (v, theta) block of 2 Nx + 1: Nx <= 2048
 
 
 class NumericalBlowupError(RuntimeError):
@@ -58,8 +59,13 @@ def factor_implicit(grid: Grid, p: PhysParams, dt: float,
     M is the (v, theta) block of the assembled generator: the Kelvin-Voigt
     damping, the heat operator and the thermo-mechanical coupling, all
     treated implicitly.  Without damping, conduction and coupling it reduces
-    to the identity.
+    to the identity.  The block and its LU are dense, so blocks larger than
+    IMPLICIT_MAX_DIM are refused before anything is assembled.
     """
+    n = grid.Nx + grid.ntheta
+    if n > IMPLICIT_MAX_DIM:
+        raise DenseSizeError(f"implicit (v, theta) block of dimension {n} "
+                             f"exceeds the limit {IMPLICIT_MAX_DIM}")
     if dt <= 0:
         raise ValueError("dt must be positive")
     if not (0.5 <= theta_weight <= 1.0):
@@ -69,7 +75,6 @@ def factor_implicit(grid: Grid, p: PhysParams, dt: float,
     vt = np.r_[sv, st]
     M = gen.matrix[vt][:, vt].toarray()
     D = (-gen.ops.G.T).toarray(order="C")  # C order keeps the stress matvec bitwise
-    n = len(vt)
 
     w = theta_weight
     implicit = np.eye(n) - w * dt * M
@@ -121,7 +126,7 @@ def expm_oracle(gen: Generator, state: State, t: float) -> State:
     Dense only; refuses dimensions above EXPM_MAX_DIM.
     """
     if gen.dim > EXPM_MAX_DIM:
-        raise ValueError(f"generator dimension {gen.dim} exceeds dense limit")
+        raise DenseSizeError(f"generator dimension {gen.dim} exceeds dense limit")
     phi = sla.expm(t * gen.dense())
     return unpack(phi @ pack(state), gen.grid)
 
@@ -163,12 +168,12 @@ def simulate(
     if p.theta_bc == "neumann":
         theta0 -= theta0.mean()
 
+    fac_be = factor_implicit(grid, p, dt, theta_weight=1.0)
+    fac = factor_implicit(grid, p, dt, theta_weight=theta_weight)
+
     buf = init_history(f0, grid, p.tau, u0=u0)
     state = State(u=np.asarray(u0, float).copy(), v=np.asarray(u1, float).copy(),
                   z=buf.as_field(), theta=theta0)
-
-    fac_be = factor_implicit(grid, p, dt, theta_weight=1.0)
-    fac = factor_implicit(grid, p, dt, theta_weight=theta_weight)
 
     times, Es, Vs, Vts, terms, masses = [], [], [], [], [], []
     blowup_time = None

@@ -2,8 +2,10 @@
 
 The delay reformulation lives on the subspace z(., 0) = u_x (with zero theta
 mean in Neumann mode).  Spectra are taken there: sparse maps E and P
-restrict the assembled generator to it, and only the final reduced matrix is
-dense.
+restrict the assembled generator to it.  In Neumann mode the generator is
+first assembled in Fourier-mode coordinates (modal_operators), where the
+restricted matrix splits into one small block per mode; only those blocks
+are dense.  Dirichlet theta couples the modes and stays one dense block.
 """
 
 from __future__ import annotations
@@ -14,15 +16,17 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import connected_components
 
-from .discretization import Generator, Grid
+from .discretization import (DenseSizeError, Generator, Grid,
+                             assemble_generator, modal_operators)
 from .params import PhysParams
 
 __all__ = ["SpectrumResult", "spectrum_dense", "spectral_abscissa",
            "dissipativity_test", "h_weight_matrix", "reduced_generator",
            "restriction_maps"]
 
-DENSE_MAX_DIM = 5000
+DENSE_MAX_DIM = 5000     # largest block handed to the dense eigensolver
 
 
 @dataclass
@@ -30,6 +34,7 @@ class SpectrumResult:
     eigenvalues: np.ndarray        # sorted by real part, descending
     rightmost_residuals: np.ndarray
     converged: np.ndarray          # per refined eigenvalue
+    modes: np.ndarray | None = None  # Fourier mode per eigenvalue (Neumann only)
 
 
 def restriction_maps(gen: Generator):
@@ -37,8 +42,9 @@ def restriction_maps(gen: Generator):
 
     E maps reduced coordinates (u, v, z at rho > 0, theta coordinates) to full
     packed coordinates obeying the domain constraints: z(., 0) = G u and, in
-    Neumann mode, zero theta mean through an orthonormal basis of the
-    mean-zero vectors.  P recovers reduced coordinates, P E = I.  The
+    Neumann mode, zero theta mean, through an orthonormal basis of the
+    mean-zero vectors (in modal coordinates: every theta mode but the
+    constant one).  P recovers reduced coordinates, P E = I.  The
     constrained subspace is invariant under the generator, so
     A @ E = E @ (P @ A @ E) up to rounding.
     """
@@ -56,44 +62,71 @@ def restriction_maps(gen: Generator):
     P_uvz = sp.csr_matrix((np.ones(n_kept), (np.arange(n_kept), kept)),
                           shape=(n_kept, n_full))
 
-    if gen.p.theta_bc == "neumann":
-        theta = sp.csr_matrix(sla.null_space(np.ones((1, grid.ntheta))))
-    else:
+    if gen.p.theta_bc == "dirichlet":
         theta = sp.identity(grid.ntheta, format="csr")
+    elif gen.ops.modal:
+        theta = sp.identity(grid.ntheta, format="csr")[:, 1:]
+    else:
+        theta = sp.csr_matrix(sla.null_space(np.ones((1, grid.ntheta))))
     E = sp.block_diag([E_uvz, theta], format="csr")
     P = sp.block_diag([P_uvz, theta.T], format="csr")
     return E, P
 
 
-def reduced_generator(gen: Generator) -> np.ndarray:
-    """Generator restricted to the discrete state space, as a dense matrix.
+def reduced_generator(gen: Generator) -> sp.csr_matrix:
+    """Generator restricted to the discrete state space, as a sparse matrix.
 
-    Only this sub x sub matrix is dense; E, P and the product P A E stay
-    sparse.  The full-space matrix conserves z(., 0) - u_x componentwise and
-    (in Neumann mode) the theta mass, so it carries Nx + 1 (Neumann: Nx + 2)
+    The full-space matrix conserves z(., 0) - u_x componentwise and (in
+    Neumann mode) the theta mass, so it carries Nx + 1 (Neumann: Nx + 2)
     structural zero eigenvalues; the restriction removes exactly those, and
     every spectrum in this module is taken on the reduced matrix.
     """
     E, P = restriction_maps(gen)
-    return (P @ (gen.matrix @ E)).toarray()
+    return (P @ (gen.matrix @ E)).tocsr()
 
 
-def _eigvals(gen: Generator) -> np.ndarray:
-    if gen.dim > DENSE_MAX_DIM:
-        raise ValueError(f"dimension {gen.dim} too large for dense solve")
-    return sla.eigvals(reduced_generator(gen))
+def _eigvals(gen: Generator):
+    """Eigenvalues of the reduced generator, block by block.
+
+    Neumann generators are reduced in Fourier-mode coordinates, where the
+    connected components are the Nx modes k = 1..Nx (Nrho + 3 coordinates
+    each) and the mode-0 transport chain (Nrho).  Returns the eigenvalues
+    and the mode of each (None for Dirichlet, one component).
+    DENSE_MAX_DIM bounds the largest block, checked before any is densified.
+    """
+    grid = gen.grid
+    modal = gen.p.theta_bc == "neumann"
+    if modal and not gen.ops.modal:
+        gen = assemble_generator(grid, gen.p, modal_operators(grid))
+    R = reduced_generator(gen)
+    _, labels = connected_components(R, directed=True, connection="weak")
+    order = np.argsort(labels, kind="stable")
+    blocks = np.split(order, np.cumsum(np.bincount(labels))[:-1])
+    largest = max(b.size for b in blocks)
+    if largest > DENSE_MAX_DIM:
+        raise DenseSizeError(f"dense block of dimension {largest} exceeds "
+                             f"the limit {DENSE_MAX_DIM}")
+    w = np.concatenate([sla.eigvals(R[b][:, b].toarray()) for b in blocks])
+    if not modal:
+        return w, None
+    # mode of each reduced coordinate: u, v (sine k), z at rho > 0 (cosine j),
+    # theta (cosine k); see restriction_maps.  A block holds one mode, so the
+    # i-th eigenvalue has the mode of the i-th coordinate in block order.
+    k = np.arange(1, grid.Nx + 1)
+    mode = np.r_[k, k, np.repeat(np.arange(grid.nflux), grid.Nrho), k]
+    return w, mode[order]
 
 
 def spectrum_dense(gen: Generator, n_refine: int = 10,
                    residual_tol: float = 1e-8) -> SpectrumResult:
     """All eigenvalues of the generator on the constrained state space.
 
-    Eigenvalues come from the QR algorithm (LAPACK) on the dense reduced
-    generator (see reduced_generator); the n_refine rightmost are refined by
-    shifted inverse iteration on the full sparse matrix and their relative
-    residuals reported.
+    Eigenvalues come from the QR algorithm (LAPACK) on the dense blocks of
+    the reduced generator (see _eigvals); the n_refine rightmost are refined
+    by shifted inverse iteration on the full sparse matrix of gen and their
+    relative residuals reported.
     """
-    w = _eigvals(gen)
+    w, modes = _eigvals(gen)
     order = np.argsort(-w.real)
     w = w[order]
 
@@ -130,13 +163,14 @@ def spectrum_dense(gen: Generator, n_refine: int = 10,
     order2 = np.argsort(-refined.real)
     return SpectrumResult(eigenvalues=refined[order2],
                           rightmost_residuals=residuals,
-                          converged=converged)
+                          converged=converged,
+                          modes=None if modes is None else modes[order][order2])
 
 
 def spectral_abscissa(gen: Generator, spectrum: SpectrumResult | None = None):
     """Maximum real part of the constrained-space spectrum and the achieving
     eigenvalue."""
-    w = _eigvals(gen) if spectrum is None else spectrum.eigenvalues
+    w = _eigvals(gen)[0] if spectrum is None else spectrum.eigenvalues
     idx = int(np.argmax(w.real))
     return float(w.real[idx]), complex(w[idx])
 
@@ -165,8 +199,6 @@ def dissipativity_test(grid: Grid, p: PhysParams, xi: float, trials: int,
     m = alpha^2/beta + xi/(2 tau) the maximum is expected nonpositive up to
     the O(drho) quadrature defect of the discrete identities.
     """
-    from .discretization import assemble_generator
-
     if m is None:
         if p.beta <= 0:
             raise ValueError("paper shift needs beta > 0; pass m explicitly")

@@ -2,10 +2,16 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import thermodelay
+from thermodelay import integrate, spectral
 from thermodelay.cli import main
 
 BASE = """
@@ -175,4 +181,52 @@ def test_spectrum_outputs(tmp_path, cfgfile):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["abscissa"] == pytest.approx(vals[:, 0].max())
     assert summary["abscissa"] < 0.0
+    assert summary["rightmost_mode"] == 1
     assert max(summary["rightmost_residuals"]) <= 1e-8
+    out_d = tmp_path / "spec_d"
+    assert _run(["spectrum", "--config", cfgfile, "--out", str(out_d),
+                 "--override", "model.theta_bc=dirichlet"]) == 0
+    assert json.loads((out_d / "summary.json").read_text())["rightmost_mode"] is None
+
+
+def _trap(*args, **kwargs):
+    raise AssertionError("an oversized dense path ran")
+
+
+@pytest.mark.parametrize("command,overrides,module,name", [
+    # one dense Dirichlet block of 2*128 + 129*64 + 129 = 8641 > 5000
+    ("spectrum", ["grid.nx=128", "grid.nrho=64", "model.theta_bc=dirichlet"],
+     spectral, "sla"),
+    # implicit (v, theta) block of 2*2049 + 1 = 4099 > 4097
+    ("simulate", ["grid.nx=2049", "grid.nrho=2"], integrate, "assemble_generator"),
+])
+def test_too_large_is_one_line_exit_1(tmp_path, cfgfile, capsys, monkeypatch,
+                                      command, overrides, module, name):
+    # the trap stands in for the dense work, so nothing oversized runs even
+    # if the guard is missing
+    monkeypatch.setattr(module, name, _trap)
+    args = [command, "--config", cfgfile, "--out", str(tmp_path / "big")]
+    for o in overrides:
+        args += ["--override", o]
+    code = _run(args)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("size error:") and err.count("\n") == 1, err
+
+
+def test_neumann_spectrum_bytes_independent_of_blas_threads(tmp_path):
+    # the 64x64 default is solved in blocks of at most nrho + 3 = 67 rows;
+    # the one dense 4352-row solve it replaced gave different bytes
+    cfg = tmp_path / "spec.ini"
+    cfg.write_text("[model]\nbeta = 4.5\n")
+    src = str(Path(thermodelay.__file__).resolve().parents[1])
+    outs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
+        out = tmp_path / f"threads{threads}"
+        subprocess.run([sys.executable, "-m", "thermodelay.cli", "spectrum",
+                        "--config", str(cfg), "--out", str(out)],
+                       env=env, check=True, capture_output=True, timeout=300)
+        outs.append(out)
+    for name in ("spectrum.csv", "summary.json"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()

@@ -5,10 +5,12 @@ import math
 import numpy as np
 import pytest
 
+import scipy.sparse as sp
+
 from thermodelay.discretization import (Grid, State, apply_rhs,
                                         assemble_generator, build_operators,
-                                        grad_u, inner_product_H, pack,
-                                        random_state, unpack)
+                                        grad_u, inner_product_H, modal_operators,
+                                        pack, random_state, unpack)
 from thermodelay.params import PhysParams
 
 P = PhysParams(alpha=1.0, beta=2.0, gamma=1.0, kappa=1.0, tau=1.0, ell=1.0)
@@ -141,6 +143,33 @@ def test_generator_matches_hand_coded_rhs(bc):
             scale = max(1.0, np.max(np.abs(b)))
             worst = max(worst, np.max(np.abs(a - b)) / scale)
     assert worst <= 1e-13
+
+
+def _fourier_basis(g):
+    """Orthogonal T = diag(S, S, C (x) I, C): DST-I on u, v, DCT-II on z, theta."""
+    k = np.arange(1, g.Nx + 1)
+    S = math.sqrt(2.0 / (g.Nx + 1)) * np.sin(np.outer(k, k) * math.pi / (g.Nx + 1))
+    j = np.arange(g.nflux)
+    C = math.sqrt(2.0 / g.nflux) * np.cos(np.outer(j + 0.5, j) * math.pi / g.nflux)
+    C[:, 0] /= math.sqrt(2.0)
+    return sp.block_diag([S, S, sp.kron(C, sp.identity(g.Nrho + 1)), C]).toarray()
+
+
+@pytest.mark.parametrize("Nx,Nrho", [(16, 8), (17, 5)])
+def test_modal_generator_is_fourier_transform_of_real_space(Nx, Nrho):
+    g = Grid(Nx=Nx, Nrho=Nrho)
+    T = _fourier_basis(g)
+    assert np.allclose(T.T @ T, np.eye(g.dim), atol=1e-13)
+    modal = assemble_generator(g, P, modal_operators(g)).dense()
+    TAT = T.T @ assemble_generator(g, P).dense() @ T
+    assert np.max(np.abs(modal - TAT)) <= 1e-13 * np.max(np.abs(TAT))
+    # Dirichlet theta: the corner terms couple cosine modes, O(10^2) entries
+    # where the Neumann modal generator has none, so it has no modal form
+    pd = PhysParams(**{**P.__dict__, "theta_bc": "dirichlet"})
+    TAT_d = T.T @ assemble_generator(g, pd).dense() @ T
+    assert np.max(np.abs(TAT_d[modal == 0.0])) > 50.0
+    with pytest.raises(ValueError, match="neumann"):
+        assemble_generator(g, pd, modal_operators(g))
 
 
 def test_v_row_reduces_to_delayed_stress_when_decoupled():

@@ -9,9 +9,10 @@ import scipy.linalg as sla
 
 from thermodelay.constants import lyapunov_constants
 from thermodelay.delay import init_history
-from thermodelay.discretization import (Grid, State, assemble_generator,
-                                        build_operators, grad_u, pack,
-                                        random_state, unpack)
+from thermodelay import integrate
+from thermodelay.discretization import (DenseSizeError, Grid, State,
+                                        assemble_generator, build_operators,
+                                        grad_u, pack, random_state, unpack)
 from thermodelay.integrate import (NumericalBlowupError, expm_oracle,
                                    factor_implicit, simulate, step_imex)
 from thermodelay.params import PhysParams
@@ -88,6 +89,20 @@ def test_factor_validation():
         factor_implicit(g, P, dt=0.0)
     with pytest.raises(ValueError):
         factor_implicit(g, P, dt=0.1, theta_weight=0.25)
+
+
+def test_factor_refuses_oversized_block_before_assembly(monkeypatch):
+    # the dense (v, theta) block has 2 Nx + 1 rows; a trap in place of the
+    # assembly shows the guard acts first, so nothing oversized is allocated
+    def trap(*args, **kwargs):
+        raise LookupError("assembled")
+
+    monkeypatch.setattr(integrate, "assemble_generator", trap)
+    assert integrate.IMPLICIT_MAX_DIM == 4097
+    with pytest.raises(DenseSizeError, match="4099 exceeds the limit 4097"):
+        factor_implicit(Grid(Nx=2049, Nrho=2), P, dt=0.5)
+    with pytest.raises(LookupError):     # at the bound the guard lets it pass
+        factor_implicit(Grid(Nx=2048, Nrho=2), P, dt=0.5)
 
 
 def test_zero_state_is_equilibrium():

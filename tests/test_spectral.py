@@ -1,6 +1,7 @@
 """Spectrum, abscissa, dissipativity and the resolvent smoke test."""
 
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from thermodelay import spectral
 from thermodelay.constants import find_beta0, lyapunov_constants
 from thermodelay.discretization import (Grid, assemble_generator,
                                         build_operators, pack, random_state)
@@ -124,12 +126,67 @@ def test_pure_heat_block_spectrum():
     assert w[-2] < -1e-6
 
 
-def test_dense_size_guard(certified):
+def test_dense_size_guard(certified, monkeypatch):
+    # Dirichlet theta stays one dense block: 2*70 + 71*70 + 71 = 5181 > 5000;
+    # the trap keeps the oversized solve from running if the guard is missing
+    def trap(a):
+        raise AssertionError(f"dense eigvals of {a.shape} ran")
+
+    monkeypatch.setattr(spectral, "sla", SimpleNamespace(eigvals=trap))
+    p, c = certified
+    pd = PhysParams(**{**p.__dict__, "theta_bc": "dirichlet"})
+    gen = assemble_generator(Grid(Nx=70, Nrho=70), pd)
+    with pytest.raises(ValueError, match="dimension 5181 exceeds"):
+        spectrum_dense(gen)
+
+
+def test_neumann_spectrum_is_modal_past_the_dense_limit(certified):
+    # Neumann blocks have Nrho + 3 rows, so 70x70 (reduced 5180) is accepted
     p, c = certified
     g = Grid(Nx=70, Nrho=70)
-    gen = assemble_generator(g, p)
-    with pytest.raises(ValueError, match="too large"):
-        spectrum_dense(gen)
+    res = spectrum_dense(assemble_generator(g, p))
+    assert len(res.eigenvalues) == 70 * 73 + 70 == 5180
+    assert np.all(res.converged)
+    assert np.bincount(res.modes).tolist() == [70] + [73] * 70
+
+
+@pytest.mark.parametrize("Nx,Nrho", [(32, 32), (17, 5)])
+@pytest.mark.parametrize("damped", [True, False])
+def test_modal_spectrum_matches_dense(certified, Nx, Nrho, damped):
+    # oracle: one dense eigvals of the real-space reduced generator
+    p, c = certified
+    p = p if damped else p.with_beta(0.0)
+    gen = assemble_generator(Grid(Nx=Nx, Nrho=Nrho), p)
+    w_dense = sla.eigvals(reduced_generator(gen).toarray())
+    w_modal, modes = spectral._eigvals(gen)
+    assert len(w_modal) == len(w_dense) == len(modes)
+    assert abs(spectral_abscissa(gen)[0] - w_dense.real.max()) <= 1e-10
+    top_d = w_dense[np.argsort(-w_dense.real)[:20]]
+    top_m = w_modal[np.argsort(-w_modal.real)[:20]]
+    dist = np.abs(top_d[:, None] - top_m[None, :])
+    assert dist.min(axis=1).max() <= 1e-10 and dist.min(axis=0).max() <= 1e-10
+
+
+@pytest.mark.parametrize("beta,mode", [(4.5, 1), (0.0, 16)])
+def test_rightmost_mode(beta, mode):
+    # damped: the slowest decay is the lowest mode; undamped: the delay
+    # destabilizes the highest mode Nx
+    res = spectrum_dense(assemble_generator(Grid(Nx=16, Nrho=16),
+                                            UNIT.with_beta(beta)))
+    assert res.modes[0] == mode
+    assert (res.eigenvalues[0].real > 0) == (beta == 0.0)
+    pd = PhysParams(**{**UNIT.__dict__, "beta": beta, "theta_bc": "dirichlet"})
+    assert spectrum_dense(assemble_generator(Grid(Nx=8, Nrho=8), pd)).modes is None
+
+
+def test_benchmark_reference_abscissa():
+    # the shipped 64x64 Neumann default at beta = 4.5, recorded from the
+    # dense 4352 x 4352 eigensolve
+    gen = assemble_generator(Grid(Nx=64, Nrho=64), UNIT.with_beta(4.5))
+    res = spectrum_dense(gen)
+    assert len(res.eigenvalues) == 4352
+    assert abs(spectral_abscissa(gen, res)[0] - -0.29329475221755485) <= 1e-10
+    assert np.all(res.rightmost_residuals <= 1e-8)
 
 
 def test_h_weight_matrix_spd():
