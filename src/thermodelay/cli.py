@@ -301,7 +301,7 @@ def main(argv=None) -> int:
     except NumericalBlowupError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (np.linalg.LinAlgError, FloatingPointError) as exc:
+    except (np.linalg.LinAlgError, FloatingPointError, OverflowError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

@@ -2,10 +2,12 @@
 
 The stiff viscous and heat terms (and the skew thermo-mechanical coupling)
 are advanced by a theta-method on the coupled (v, theta) block, solved
-monolithically from one LU factorization per (dt, params) of the (v, theta)
-rows and columns of the assembled generator.  The delayed stress
-alpha z(., 1)_x is the only explicit term.  The step is fixed at
-dt = tau/Nrho, so z holds it exactly at both endpoints of the step.
+monolithically from one sparse LU factorization (SuperLU) per (dt, params)
+of the (v, theta) rows and columns of the assembled generator.  The block
+is banded, so factor, solve and the explicit matvec cost O(Nx) and no size
+limit applies.  The delayed stress alpha z(., 1)_x is the only explicit
+term.  The step is fixed at dt = tau/Nrho, so z holds it exactly at both
+endpoints of the step.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from .constants import LyapunovConstants
 from .delay import HistoryBuffer, init_history
@@ -27,7 +31,6 @@ __all__ = ["ImplicitFactor", "NumericalBlowupError", "factor_implicit",
            "step_imex", "expm_oracle", "step_count", "simulate"]
 
 EXPM_MAX_DIM = 4000
-IMPLICIT_MAX_DIM = 4097     # dense (v, theta) block of 2 Nx + 1: Nx <= 2048
 
 
 class NumericalBlowupError(RuntimeError):
@@ -38,18 +41,19 @@ class NumericalBlowupError(RuntimeError):
 
 @dataclass
 class ImplicitFactor:
-    """LU factorization of the implicit (v, theta) block for one (dt, weight)."""
+    """Sparse LU of the implicit (v, theta) block for one (dt, weight)."""
 
     grid: Grid
     p: PhysParams
     dt: float
     theta_weight: float
-    lu: tuple = field(repr=False, default=None)       # lu_factor of I - w dt M
-    explicit_mat: np.ndarray = field(repr=False, default=None)  # I + (1-w) dt M
-    D: np.ndarray = field(repr=False, default=None)   # alpha-stress divergence
+    implicit: sp.csc_matrix = field(repr=False, default=None)  # I - w dt M
+    lu: spla.SuperLU = field(repr=False, default=None)    # splu of implicit
+    explicit_mat: sp.csr_matrix = field(repr=False, default=None)  # I + (1-w) dt M
+    D: sp.csr_matrix = field(repr=False, default=None)    # alpha-stress divergence
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        return sla.lu_solve(self.lu, rhs)
+        return self.lu.solve(rhs)
 
 
 def factor_implicit(grid: Grid, p: PhysParams, dt: float,
@@ -59,32 +63,34 @@ def factor_implicit(grid: Grid, p: PhysParams, dt: float,
     M is the (v, theta) block of the assembled generator: the Kelvin-Voigt
     damping, the heat operator and the thermo-mechanical coupling, all
     treated implicitly.  Without damping, conduction and coupling it reduces
-    to the identity.  The block and its LU are dense, so blocks larger than
-    IMPLICIT_MAX_DIM are refused before anything is assembled.
+    to the identity.  M is banded and stays sparse; a singular or
+    non-finite block raises NumericalBlowupError.
     """
-    n = grid.Nx + grid.ntheta
-    if n > IMPLICIT_MAX_DIM:
-        raise DenseSizeError(f"implicit (v, theta) block of dimension {n} "
-                             f"exceeds the limit {IMPLICIT_MAX_DIM}")
     if dt <= 0:
         raise ValueError("dt must be positive")
     if not (0.5 <= theta_weight <= 1.0):
         raise ValueError("theta_weight must lie in [1/2, 1]")
-    gen = assemble_generator(grid, p)
     _, sv, _, st = _slices(grid)
     vt = np.r_[sv, st]
-    M = gen.matrix[vt][:, vt].toarray()
-    D = (-gen.ops.G.T).toarray(order="C")  # C order keeps the stress matvec bitwise
-
     w = theta_weight
-    implicit = np.eye(n) - w * dt * M
-    lu = sla.lu_factor(implicit)
-    if not np.all(np.isfinite(lu[0])):
-        raise RuntimeError("implicit factorization produced non-finite factors")
+    # huge parameters may overflow here; the finite checks below handle it
+    with np.errstate(over="ignore", invalid="ignore"):
+        gen = assemble_generator(grid, p)
+        M = gen.matrix[vt][:, vt]
+        eye = sp.identity(M.shape[0], format="csr")
+        implicit = (eye - w * dt * M).tocsc()
+        explicit = (eye + (1.0 - w) * dt * M).tocsr()
+    if not np.all(np.isfinite(implicit.data)):
+        raise NumericalBlowupError("non-finite implicit (v, theta) block")
+    try:
+        lu = spla.splu(implicit)
+    except RuntimeError as exc:     # SuperLU: "Factor is exactly singular"
+        raise NumericalBlowupError(f"implicit factorization failed: {exc}") from None
+    if not (np.all(np.isfinite(lu.L.data)) and np.all(np.isfinite(lu.U.data))):
+        raise NumericalBlowupError("implicit factorization produced non-finite factors")
     return ImplicitFactor(
-        grid=grid, p=p, dt=dt, theta_weight=w, lu=lu,
-        explicit_mat=np.eye(n) + (1.0 - w) * dt * M,
-        D=D,
+        grid=grid, p=p, dt=dt, theta_weight=w, implicit=implicit, lu=lu,
+        explicit_mat=explicit, D=(-gen.ops.G.T).tocsr(),
     )
 
 

@@ -23,8 +23,8 @@ from .discretization import (DenseSizeError, Generator, Grid,
 from .params import PhysParams
 
 __all__ = ["SpectrumResult", "spectrum_dense", "spectral_abscissa",
-           "dissipativity_test", "h_weight_matrix", "reduced_generator",
-           "restriction_maps"]
+           "dissipativity_test", "h_weight_matrix", "reduced_eigvals",
+           "reduced_generator", "restriction_maps"]
 
 DENSE_MAX_DIM = 5000     # largest block handed to the dense eigensolver
 
@@ -85,7 +85,7 @@ def reduced_generator(gen: Generator) -> sp.csr_matrix:
     return (P @ (gen.matrix @ E)).tocsr()
 
 
-def _eigvals(gen: Generator):
+def reduced_eigvals(gen: Generator):
     """Eigenvalues of the reduced generator, block by block.
 
     Neumann generators are reduced in Fourier-mode coordinates, where the
@@ -122,11 +122,11 @@ def spectrum_dense(gen: Generator, n_refine: int = 10,
     """All eigenvalues of the generator on the constrained state space.
 
     Eigenvalues come from the QR algorithm (LAPACK) on the dense blocks of
-    the reduced generator (see _eigvals); the n_refine rightmost are refined
-    by shifted inverse iteration on the full sparse matrix of gen and their
-    relative residuals reported.
+    the reduced generator (see reduced_eigvals); the n_refine rightmost are
+    refined by shifted inverse iteration on the full sparse matrix of gen and
+    their relative residuals reported.
     """
-    w, modes = _eigvals(gen)
+    w, modes = reduced_eigvals(gen)
     order = np.argsort(-w.real)
     w = w[order]
 
@@ -170,7 +170,7 @@ def spectrum_dense(gen: Generator, n_refine: int = 10,
 def spectral_abscissa(gen: Generator, spectrum: SpectrumResult | None = None):
     """Maximum real part of the constrained-space spectrum and the achieving
     eigenvalue."""
-    w = _eigvals(gen)[0] if spectrum is None else spectrum.eigenvalues
+    w = reduced_eigvals(gen)[0] if spectrum is None else spectrum.eigenvalues
     idx = int(np.argmax(w.real))
     return float(w.real[idx]), complex(w[idx])
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import thermodelay
-from thermodelay import integrate, spectral
+from thermodelay import spectral
 from thermodelay.cli import main
 
 BASE = """
@@ -197,8 +197,6 @@ def _trap(*args, **kwargs):
     # one dense Dirichlet block of 2*128 + 129*64 + 129 = 8641 > 5000
     ("spectrum", ["grid.nx=128", "grid.nrho=64", "model.theta_bc=dirichlet"],
      spectral, "sla"),
-    # implicit (v, theta) block of 2*2049 + 1 = 4099 > 4097
-    ("simulate", ["grid.nx=2049", "grid.nrho=2"], integrate, "assemble_generator"),
 ])
 def test_too_large_is_one_line_exit_1(tmp_path, cfgfile, capsys, monkeypatch,
                                       command, overrides, module, name):
@@ -214,19 +212,68 @@ def test_too_large_is_one_line_exit_1(tmp_path, cfgfile, capsys, monkeypatch,
     assert err.startswith("size error:") and err.count("\n") == 1, err
 
 
-def test_neumann_spectrum_bytes_independent_of_blas_threads(tmp_path):
-    # the 64x64 default is solved in blocks of at most nrho + 3 = 67 rows;
-    # the one dense 4352-row solve it replaced gave different bytes
-    cfg = tmp_path / "spec.ini"
-    cfg.write_text("[model]\nbeta = 4.5\n")
+def test_simulate_has_no_size_limit(tmp_path, cfgfile):
+    # the sparse (v, theta) block of 2*4096 + 1 rows is past the old dense cap
+    out = tmp_path / "wide"
+    assert _run(["simulate", "--config", cfgfile, "--out", str(out),
+                 "--override", "grid.nx=4096", "--override", "grid.nrho=2"]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["a0"] > 0.0 and summary["blowup_time"] is None
+
+
+@pytest.mark.parametrize("override", [
+    "model.kappa=1e300",     # the implicit block is singular in floating point
+    "model.beta=1e308",      # the implicit block overflows
+    "model.alpha=1e300",     # alpha**2 overflows in the Lyapunov constants
+])
+def test_numerical_failure_is_one_line_exit_3(tmp_path, cfgfile, capsys, override):
+    code = _run(["simulate", "--config", cfgfile, "--out", str(tmp_path / "nf"),
+                 "--override", override])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("numerical failure:") and err.count("\n") == 1, err
+
+
+def test_sweep_point_with_singular_block_is_a_row_error(tmp_path, cfgfile):
+    cfg2 = tmp_path / "sweep_kappa.ini"
+    cfg2.write_text(BASE + "\n[sweep]\nkappa = 1.0,1e300\n")
+    out = tmp_path / "sw_kappa"
+    assert _run(["sweep", "--config", str(cfg2), "--out", str(out)]) == 0
+    rows = [r.split(",") for r in
+            (out / "sweep.csv").read_text().strip().split("\n")[2:]]
+    assert [r[-1] for r in rows] == ["", "NumericalBlowupError"]
+
+
+def _cli_bytes_per_blas_threads(tmp_path, command, cfg_text, names):
+    """Run a CLI command in subprocesses with 1 and 2 OpenBLAS threads."""
+    cfg = tmp_path / f"{command}.ini"
+    cfg.write_text(cfg_text)
     src = str(Path(thermodelay.__file__).resolve().parents[1])
     outs = []
     for threads in ("1", "2"):
         env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
-        out = tmp_path / f"threads{threads}"
-        subprocess.run([sys.executable, "-m", "thermodelay.cli", "spectrum",
+        out = tmp_path / f"{command}_threads{threads}"
+        subprocess.run([sys.executable, "-m", "thermodelay.cli", command,
                         "--config", str(cfg), "--out", str(out)],
                        env=env, check=True, capture_output=True, timeout=300)
         outs.append(out)
-    for name in ("spectrum.csv", "summary.json"):
-        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+    return [[(out / name).read_bytes() for name in names] for out in outs]
+
+
+def test_neumann_spectrum_bytes_independent_of_blas_threads(tmp_path):
+    # the 64x64 default is solved in blocks of at most nrho + 3 = 67 rows;
+    # the one dense 4352-row solve it replaced gave different bytes
+    one, two = _cli_bytes_per_blas_threads(
+        tmp_path, "spectrum", "[model]\nbeta = 4.5\n",
+        ("spectrum.csv", "summary.json"))
+    assert one == two
+
+
+def test_simulate_bytes_independent_of_blas_threads(tmp_path):
+    # the sparse stepper calls no BLAS routine whose rounding depends on the
+    # thread count; the dense lu_solve and matvecs it replaced did
+    one, two = _cli_bytes_per_blas_threads(
+        tmp_path, "simulate",
+        "[model]\nbeta = 4.5\n[grid]\nnx = 128\nnrho = 8\n[time]\nt_end = 2\n",
+        ("traj.csv", "summary.json"))
+    assert one == two

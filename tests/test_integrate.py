@@ -6,13 +6,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from thermodelay.constants import lyapunov_constants
-from thermodelay.delay import init_history
-from thermodelay import integrate
-from thermodelay.discretization import (DenseSizeError, Grid, State,
-                                        assemble_generator, build_operators,
-                                        grad_u, pack, random_state, unpack)
+from thermodelay.delay import HistoryBuffer, init_history
+from thermodelay.discretization import (Grid, State, _slices, assemble_generator,
+                                        build_operators, grad_u, pack,
+                                        random_state, unpack)
 from thermodelay.integrate import (NumericalBlowupError, expm_oracle,
                                    factor_implicit, simulate, step_imex)
 from thermodelay.params import PhysParams
@@ -36,7 +37,7 @@ def test_factor_solve_residual():
     rng = np.random.default_rng(1)
     n = g.Nx + g.ntheta
     # at theta_weight = 1/2 the implicit matrix is 2 I - explicit_mat
-    implicit = 2.0 * np.eye(n) - fac.explicit_mat
+    implicit = 2.0 * sp.identity(n) - fac.explicit_mat
     for _ in range(10):
         rhs = rng.standard_normal(n)
         x = fac.solve(rhs)
@@ -59,13 +60,15 @@ def test_factor_determinism():
 ])
 def test_factor_matrices_match_per_block_formula(theta_bc, beta, gamma, kappa):
     # the (v, theta) block sliced from the generator equals, bit for bit,
-    # beta (-G^T G), -gamma (-G^T), -gamma G, kappa L_theta assembled densely
+    # beta (-G^T G), -gamma (-G^T), -gamma G, kappa L_theta assembled densely;
+    # the sparse LU solves like a dense LU of the same matrix
     p = PhysParams(alpha=1.0, beta=beta, gamma=gamma, kappa=kappa, tau=1.0,
                    theta_bc=theta_bc)
+    rng = np.random.default_rng(5)
     for g in (Grid(Nx=3, Nrho=2), Grid(Nx=17, Nrho=8)):
         ops = build_operators(g, p)
         G, Nx = ops.G, g.Nx
-        D = (-G.T).toarray(order="C")
+        D = (-G.T).toarray()
         n = Nx + g.ntheta
         M = np.zeros((n, n))
         M[:Nx, :Nx] = beta * ((-G.T) @ G).toarray()
@@ -75,12 +78,17 @@ def test_factor_matrices_match_per_block_formula(theta_bc, beta, gamma, kappa):
         dt = p.tau / g.Nrho
         for w in (0.5, 1.0):
             fac = factor_implicit(g, p, dt, theta_weight=w)
-            lu, piv = sla.lu_factor(np.eye(n) - w * dt * M)
-            assert fac.lu[0].tobytes() == lu.tobytes()
-            assert np.array_equal(fac.lu[1], piv)
-            assert (fac.explicit_mat.tobytes()
+            implicit = np.eye(n) - w * dt * M
+            assert fac.implicit.format == "csc"
+            assert fac.explicit_mat.format == "csr" and fac.D.format == "csr"
+            assert fac.implicit.toarray().tobytes() == implicit.tobytes()
+            assert (fac.explicit_mat.toarray().tobytes()
                     == (np.eye(n) + (1.0 - w) * dt * M).tobytes())
-            assert fac.D.tobytes() == D.tobytes() and fac.D.flags.c_contiguous
+            assert fac.D.toarray().tobytes() == D.tobytes()
+            rhs = rng.standard_normal(n)
+            ref = sla.lu_solve(sla.lu_factor(implicit), rhs)
+            assert (np.linalg.norm(fac.solve(rhs) - ref)
+                    <= 1e-13 * np.linalg.norm(ref))
 
 
 def test_factor_validation():
@@ -91,18 +99,74 @@ def test_factor_validation():
         factor_implicit(g, P, dt=0.1, theta_weight=0.25)
 
 
-def test_factor_refuses_oversized_block_before_assembly(monkeypatch):
-    # the dense (v, theta) block has 2 Nx + 1 rows; a trap in place of the
-    # assembly shows the guard acts first, so nothing oversized is allocated
-    def trap(*args, **kwargs):
-        raise LookupError("assembled")
+def test_factor_fill_is_linear_past_the_old_dense_limit():
+    # the (v, theta) block is banded: its LU holds at most 6 entries per row
+    # at any size, here up to Nx = 4096 (the dense factor stopped at 2048)
+    rng = np.random.default_rng(6)
+    for theta_bc in ("neumann", "dirichlet"):
+        for Nx in (1024, 4096):
+            fac = factor_implicit(Grid(Nx=Nx, Nrho=2), replace(P, theta_bc=theta_bc),
+                                  dt=0.5)
+            n = Nx + Nx + 1
+            assert fac.implicit.shape == (n, n)
+            assert fac.lu.L.nnz + fac.lu.U.nnz <= 6 * n
+            rhs = rng.standard_normal(n)
+            x = fac.solve(rhs)
+            # normwise backward error: the entries grow like dt beta / dx^2
+            scale = (spla.norm(fac.implicit) * np.linalg.norm(x)
+                     + np.linalg.norm(rhs))
+            assert np.linalg.norm(fac.implicit @ x - rhs) <= 1e-15 * scale
 
-    monkeypatch.setattr(integrate, "assemble_generator", trap)
-    assert integrate.IMPLICIT_MAX_DIM == 4097
-    with pytest.raises(DenseSizeError, match="4099 exceeds the limit 4097"):
-        factor_implicit(Grid(Nx=2049, Nrho=2), P, dt=0.5)
-    with pytest.raises(LookupError):     # at the bound the guard lets it pass
-        factor_implicit(Grid(Nx=2048, Nrho=2), P, dt=0.5)
+
+@pytest.mark.parametrize("override, match", [
+    ({"kappa": 1e300}, "exactly singular"),      # 1 + kappa dt L_theta loses the 1
+    ({"beta": 1e308}, "non-finite implicit"),     # beta dt G^T G overflows
+])
+def test_factor_failure_is_numerical_blowup(override, match):
+    p = replace(P, **override)
+    with pytest.raises(NumericalBlowupError, match=match):
+        factor_implicit(Grid(Nx=8, Nrho=8), p, dt=0.125)
+
+
+class _DenseFactor:
+    """The dense stepper: lu_factor of the same (v, theta) slice, for reference."""
+
+    def __init__(self, grid, p, dt, theta_weight):
+        gen = assemble_generator(grid, p)
+        _, sv, _, st = _slices(grid)
+        vt = np.r_[sv, st]
+        M = gen.matrix[vt][:, vt].toarray()
+        n = M.shape[0]
+        self.grid, self.p, self.theta_weight = grid, p, theta_weight
+        self.lu = sla.lu_factor(np.eye(n) - theta_weight * dt * M)
+        self.explicit_mat = np.eye(n) + (1.0 - theta_weight) * dt * M
+        self.D = (-gen.ops.G.T).toarray(order="C")
+
+    def solve(self, rhs):
+        return sla.lu_solve(self.lu, rhs)
+
+
+@pytest.mark.parametrize("theta_bc", ["neumann", "dirichlet"])
+@pytest.mark.parametrize("Nx, Nrho", [(17, 8), (64, 16)])
+def test_sparse_step_matches_dense_lu_reference(theta_bc, Nx, Nrho):
+    # 3 Nrho steps (backward Euler first, then Crank-Nicolson, as simulate
+    # does) agree with the dense-LU stepper to 1e-12 of the initial state
+    p = PhysParams(alpha=1.0, beta=4.5, gamma=1.0, kappa=1.0, tau=1.0,
+                   theta_bc=theta_bc)
+    g = Grid(Nx=Nx, Nrho=Nrho)
+    dt = p.tau / Nrho
+    s0 = random_state(g, p, np.random.default_rng(7))
+    finals = []
+    for make in (factor_implicit, _DenseFactor):
+        fac_be, fac = make(g, p, dt, theta_weight=1.0), make(g, p, dt, theta_weight=0.5)
+        buf = HistoryBuffer(s0.z.copy())
+        s = unpack(pack(s0), g)
+        for n in range(3 * Nrho):
+            s = step_imex(s, dt, fac_be if n == 0 else fac, buf)
+        finals.append(pack(s))
+    scale = np.linalg.norm(pack(s0))
+    assert np.linalg.norm(finals[0] - finals[1]) <= 1e-12 * scale
+    assert not np.array_equal(finals[0], pack(s0))
 
 
 def test_zero_state_is_equilibrium():

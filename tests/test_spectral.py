@@ -158,7 +158,7 @@ def test_modal_spectrum_matches_dense(certified, Nx, Nrho, damped):
     p = p if damped else p.with_beta(0.0)
     gen = assemble_generator(Grid(Nx=Nx, Nrho=Nrho), p)
     w_dense = sla.eigvals(reduced_generator(gen).toarray())
-    w_modal, modes = spectral._eigvals(gen)
+    w_modal, modes = spectral.reduced_eigvals(gen)
     assert len(w_modal) == len(w_dense) == len(modes)
     assert abs(spectral_abscissa(gen)[0] - w_dense.real.max()) <= 1e-10
     top_d = w_dense[np.argsort(-w_dense.real)[:20]]
