@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
@@ -39,13 +38,8 @@ def _write_csv(path: Path, header: list[str], rows):
         fh.write(f"# schema_version={SCHEMA_VERSION}\n")
         fh.write(",".join(header) + "\n")
         for row in rows:
-            cells = []
-            for c in row:
-                if isinstance(c, float):
-                    cells.append(FLOAT_FMT % c)
-                else:
-                    cells.append(str(c))
-            fh.write(",".join(cells) + "\n")
+            fh.write(",".join(FLOAT_FMT % c if isinstance(c, float) else str(c)
+                              for c in row) + "\n")
 
 
 def _write_json(path: Path, payload: dict):
@@ -64,7 +58,13 @@ def _jsonable(obj):
 
 
 def _lambda_candidates(cfg: RunConfig) -> list[float]:
-    return [cfg.lam] if cfg.lam is not None else list(cfg.lambda_grid)
+    """The lambdas to try; every path to the Lyapunov constants starts here."""
+    if min(cfg.params.alpha, cfg.params.gamma, cfg.params.kappa) <= 0.0:
+        raise ConfigError("model.alpha, gamma, kappa must be positive for the Lyapunov constants")
+    lams = [cfg.lam] if cfg.lam is not None else cfg.lambda_grid
+    if not lams:
+        raise ConfigError("lyapunov.lambda_grid is empty and lyapunov.lambda unset")
+    return lams
 
 
 def _certification(cfg: RunConfig) -> dict:
@@ -102,10 +102,9 @@ def _constants_for_run(cfg: RunConfig):
 def cmd_certify(cfg: RunConfig, out: Path) -> int:
     if cfg.beta_given:
         cert = _certification(cfg)
-        rep = cert["conditions"]
         print(f"lambda = {cert['lambda']}")
         print(f"{'condition':<12} {'lhs':>24} {'rhs':>24}  status")
-        for rec in rep["conditions"]:
+        for rec in cert["conditions"]["conditions"]:
             status = "ok" if rec["satisfied"] else "FAIL"
             print(f"{rec['name']:<12} {rec['lhs']:>24.16e} {rec['rhs']:>24.16e}  {status}")
             if not rec["satisfied"]:
@@ -281,16 +280,8 @@ def main(argv=None) -> int:
         return 1 if exc.code not in (0, None) else 0
     try:
         cfg = load_config(args.config, overrides=args.override)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    out = Path(args.out)
-    try:
+        out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        print(f"cannot create output directory: {exc}", file=sys.stderr)
-        return 1
-    try:
         return COMMANDS[args.command](cfg, out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -298,10 +289,10 @@ def main(argv=None) -> int:
     except DenseSizeError as exc:
         print(f"size error: {exc}", file=sys.stderr)
         return 1
-    except NumericalBlowupError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
-    except (np.linalg.LinAlgError, FloatingPointError, OverflowError) as exc:
+    except OSError as exc:
+        print(f"cannot write output: {exc}", file=sys.stderr)
+        return 1
+    except (NumericalBlowupError, np.linalg.LinAlgError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

@@ -55,8 +55,8 @@ def parse_range(text: str) -> list[float]:
         parts = text.split(":")
         if len(parts) != 3:
             raise ConfigError(f"range must be start:stop:num, got {text!r}")
-        lo, hi, num = float(parts[0]), float(parts[1]), int(parts[2])
-        return list(np.linspace(lo, hi, num))
+        # Python floats, not numpy scalars that warn where floats overflow
+        return np.linspace(float(parts[0]), float(parts[1]), int(parts[2])).tolist()
     return [float(tok) for tok in text.split(",") if tok.strip()]
 
 
@@ -163,10 +163,12 @@ def load_config(path: str | None = None, overrides: list[str] = (),
         (cfg.record_every >= 1, f"time.record_every must be >= 1, got {cfg.record_every}"),
         (0.5 <= cfg.theta_weight <= 1.0,
          f"time.theta_weight must lie in [0.5, 1], got {cfg.theta_weight}"),
-        (cfg.lam is None or cfg.lam > 0.0, f"lyapunov.lambda must be positive, got {cfg.lam}"),
-        (all(lam > 0.0 for lam in cfg.lambda_grid),
-         f"lyapunov.lambda_grid must be positive, got {cfg.lambda_grid}"),
-        (cfg.xi_factor > 1.0, f"lyapunov.xi_factor must exceed 1, got {cfg.xi_factor}"),
+        (cfg.lam is None or 0.0 < cfg.lam < math.inf,
+         f"lyapunov.lambda must be positive and finite, got {cfg.lam}"),
+        (all(0.0 < lam < math.inf for lam in cfg.lambda_grid),
+         f"lyapunov.lambda_grid must be positive and finite, got {cfg.lambda_grid}"),
+        (1.0 < cfg.xi_factor < math.inf,
+         f"lyapunov.xi_factor must exceed 1 and be finite, got {cfg.xi_factor}"),
         (0.0 <= cfg.fit_start_fraction < 1.0,
          f"output.fit_start_fraction must lie in [0, 1), got {cfg.fit_start_fraction}"),
         (cfg.sweep["workers"] >= 1, f"sweep.workers must be >= 1, got {cfg.sweep['workers']}"),

@@ -109,21 +109,10 @@ def lyapunov_constants(
 
     alpha, beta, tau = p.alpha, p.beta, p.tau
     h = math.exp(-2.0 * lam)
-    Gamma = (1.0 - h) / (2.0 * lam)
-    Psi = h * Gamma
-    Lambda = Psi + Gamma
-    Phi = (
-        1.0
-        / (4.0 * lam**2)
-        * (
-            Gamma
-            - 2.0 * math.exp(-4.0 * lam)
-            + (math.exp(-6.0 * lam) - math.exp(-8.0 * lam)) / (2.0 * lam)
-        )
-    )
     A = 1.0 + h - h**2 - 2.0 * h**3 - 4.0 * h**4
     k = 1.0 - h**4
 
+    # checked first: at extreme lam, where they fail, Gamma and Phi break down
     if not (A > 1.0):
         raise InfeasibleLambdaError(f"lambda infeasible: A = {A} <= 1 at lam={lam}")
     # k < 1 holds exactly; for large lam the float value rounds to 1.0
@@ -138,6 +127,18 @@ def lyapunov_constants(
             f"lambda infeasible: A/k >= 2 lam Lambda^2/Gamma at lam={lam}"
         )
 
+    Gamma = (1.0 - h) / (2.0 * lam)
+    Psi = h * Gamma
+    Lambda = Psi + Gamma
+    Phi = (
+        1.0
+        / (4.0 * lam**2)
+        * (
+            Gamma
+            - 2.0 * math.exp(-4.0 * lam)
+            + (math.exp(-6.0 * lam) - math.exp(-8.0 * lam)) / (2.0 * lam)
+        )
+    )
     root = math.sqrt(A * Gamma / (2.0 * lam * k))
     # Lambda - root, evaluated as (Lambda^2 - root^2)/(Lambda + root) with the
     # numerator in the same cancellation-free polynomial form
@@ -278,20 +279,22 @@ def certify(
     """Build the constants for (p, lam) and evaluate all conditions.
 
     Unlike lyapunov_constants this never raises on a bad (beta, lam) pair:
-    beta = 0 and infeasible lambdas yield a failed report.
+    beta = 0, infeasible lambdas and constants that overflow or divide by
+    zero in floating point yield a failed report.
     """
+    rep = ConditionReport()
     if p.beta <= 0.0:
-        rep = ConditionReport()
         rep.add("xi-bound", math.inf, math.inf, satisfied=False)
         rep.add("eqfond2", math.inf, 0.0, satisfied=False)
         return rep.finalize()
     try:
         c = lyapunov_constants(p, lam, xi_factor=xi_factor, sharp_poincare=sharp_poincare)
+        return check_conditions(c, p)
     except InfeasibleLambdaError:
-        rep = ConditionReport()
         rep.add("eqfond0", math.inf, 0.0, satisfied=False)
-        return rep.finalize()
-    return check_conditions(c, p)
+    except ArithmeticError:
+        rep.add("float-range", math.inf, math.inf, satisfied=False)
+    return rep.finalize()
 
 
 def find_beta0(
@@ -315,9 +318,12 @@ def find_beta0(
 
     best = None
     for lam in lambda_grid:
-        hi = p.alpha * p.tau * math.exp(4.0 * lam)
-        if not certify(p.with_beta(hi), lam, **kw).verdict:
-            continue  # witness fails: lambda not usable
+        try:
+            hi = p.alpha * p.tau * math.exp(4.0 * lam)
+        except OverflowError:
+            continue  # witness past the float range: lambda not usable
+        if not (hi < math.inf and certify(p.with_beta(hi), lam, **kw).verdict):
+            continue  # witness fails or overflowed: lambda not usable
         lo = 1e-300
         # bisect the crossing: certify fails at lo, passes at hi
         while (hi - lo) > rel_tol * hi:

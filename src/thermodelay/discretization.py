@@ -97,9 +97,6 @@ class State:
             theta=np.zeros(grid.ntheta),
         )
 
-    def copy(self) -> "State":
-        return State(self.u.copy(), self.v.copy(), self.z.copy(), self.theta.copy())
-
 
 def grad_u(u: np.ndarray, dx: float) -> np.ndarray:
     """u_x at the Nx+1 flux points for Dirichlet u (zero boundary values)."""
@@ -238,8 +235,7 @@ def assemble_generator(grid: Grid, p: PhysParams,
 def apply_rhs(state: State, grid: Grid, p: PhysParams) -> State:
     """Hand-coded right-hand side, independent of the assembled matrix.
 
-    Serves as the oracle for assemble_generator and as the matrix-free path
-    for large grids.
+    The test oracle for assemble_generator; the package never calls it.
     """
     dx, drho = grid.dx, grid.drho
     ux_rate = grad_u(state.v, dx)  # d/dt of u_x
@@ -252,14 +248,10 @@ def apply_rhs(state: State, grid: Grid, p: PhysParams) -> State:
     dz[:, 0] = ux_rate
     dz[:, 1:] = -(state.z[:, 1:] - state.z[:, :-1]) / (p.tau * drho)
 
-    flux = np.diff(state.theta) / dx
+    lo, hi = 0.0, 0.0
     if p.theta_bc == "dirichlet":
-        lo = 2.0 * state.theta[0] / dx
-        hi = -2.0 * state.theta[-1] / dx
-    else:
-        lo = 0.0
-        hi = 0.0
-    full_flux = np.concatenate([[lo], flux, [hi]])
+        lo, hi = 2.0 * state.theta[0] / dx, -2.0 * state.theta[-1] / dx
+    full_flux = np.concatenate([[lo], theta_x, [hi]])
     dtheta = -p.gamma * ux_rate + p.kappa * np.diff(full_flux) / dx
 
     return State(u=state.v.copy(), v=dv, z=dz, theta=dtheta)

@@ -45,7 +45,6 @@ class ImplicitFactor:
 
     grid: Grid
     p: PhysParams
-    dt: float
     theta_weight: float
     implicit: sp.csc_matrix = field(repr=False, default=None)  # I - w dt M
     lu: spla.SuperLU = field(repr=False, default=None)    # splu of implicit
@@ -56,26 +55,25 @@ class ImplicitFactor:
         return self.lu.solve(rhs)
 
 
-def factor_implicit(grid: Grid, p: PhysParams, dt: float,
+def factor_implicit(gen: Generator, dt: float,
                     theta_weight: float = 0.5) -> ImplicitFactor:
     """Factor the coupled implicit block once; reusable across steps.
 
-    M is the (v, theta) block of the assembled generator: the Kelvin-Voigt
-    damping, the heat operator and the thermo-mechanical coupling, all
-    treated implicitly.  Without damping, conduction and coupling it reduces
-    to the identity.  M is banded and stays sparse; a singular or
-    non-finite block raises NumericalBlowupError.
+    M is the (v, theta) block of the real-space generator gen: the
+    Kelvin-Voigt damping, the heat operator and the thermo-mechanical
+    coupling, all treated implicitly.  Without damping, conduction and
+    coupling it reduces to the identity.  M is banded and stays sparse; a
+    singular or non-finite block raises NumericalBlowupError.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     if not (0.5 <= theta_weight <= 1.0):
         raise ValueError("theta_weight must lie in [1/2, 1]")
-    _, sv, _, st = _slices(grid)
+    _, sv, _, st = _slices(gen.grid)
     vt = np.r_[sv, st]
     w = theta_weight
-    # huge parameters may overflow here; the finite checks below handle it
+    # a block that overflowed in assembly holds inf; the checks below see it
     with np.errstate(over="ignore", invalid="ignore"):
-        gen = assemble_generator(grid, p)
         M = gen.matrix[vt][:, vt]
         eye = sp.identity(M.shape[0], format="csr")
         implicit = (eye - w * dt * M).tocsc()
@@ -89,7 +87,7 @@ def factor_implicit(grid: Grid, p: PhysParams, dt: float,
     if not (np.all(np.isfinite(lu.L.data)) and np.all(np.isfinite(lu.U.data))):
         raise NumericalBlowupError("implicit factorization produced non-finite factors")
     return ImplicitFactor(
-        grid=grid, p=p, dt=dt, theta_weight=w, implicit=implicit, lu=lu,
+        grid=gen.grid, p=gen.p, theta_weight=w, implicit=implicit, lu=lu,
         explicit_mat=explicit, D=(-gen.ops.G.T).tocsr(),
     )
 
@@ -139,11 +137,11 @@ def expm_oracle(gen: Generator, state: State, t: float) -> State:
 
 def step_count(t_end: float, dt: float) -> int:
     """Number of steps of length dt to t_end, which must lie on the step grid."""
-    n = round(t_end / dt)
-    if not math.isclose(t_end / dt, n, rel_tol=1e-9):
+    ratio = t_end / dt
+    if not (math.isfinite(ratio) and math.isclose(ratio, round(ratio), rel_tol=1e-9)):
         raise ValueError(f"t_end = {t_end} is not a multiple of the step "
                          f"tau/Nrho = {dt}")
-    return n
+    return round(ratio)
 
 
 def simulate(
@@ -174,8 +172,10 @@ def simulate(
     if p.theta_bc == "neumann":
         theta0 -= theta0.mean()
 
-    fac_be = factor_implicit(grid, p, dt, theta_weight=1.0)
-    fac = factor_implicit(grid, p, dt, theta_weight=theta_weight)
+    with np.errstate(over="ignore", invalid="ignore"):   # factor_implicit reports it
+        gen = assemble_generator(grid, p)
+    fac_be = factor_implicit(gen, dt, theta_weight=1.0)
+    fac = factor_implicit(gen, dt, theta_weight=theta_weight)
 
     buf = init_history(f0, grid, p.tau, u0=u0)
     state = State(u=np.asarray(u0, float).copy(), v=np.asarray(u1, float).copy(),

@@ -10,7 +10,7 @@ are dense.  Dirichlet theta couples the modes and stays one dense block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg as sla
@@ -85,6 +85,19 @@ def reduced_generator(gen: Generator) -> sp.csr_matrix:
     return (P @ (gen.matrix @ E)).tocsr()
 
 
+def _connected_blocks(M: sp.spmatrix) -> list[np.ndarray]:
+    """Index sets of the weakly connected components of M's sparsity graph,
+    each ascending; DENSE_MAX_DIM bounds the largest before any is densified."""
+    _, labels = connected_components(M, directed=True, connection="weak")
+    order = np.argsort(labels, kind="stable")
+    blocks = np.split(order, np.cumsum(np.bincount(labels))[:-1])
+    largest = max(b.size for b in blocks)
+    if largest > DENSE_MAX_DIM:
+        raise DenseSizeError(f"dense block of dimension {largest} exceeds "
+                             f"the limit {DENSE_MAX_DIM}")
+    return blocks
+
+
 def reduced_eigvals(gen: Generator):
     """Eigenvalues of the reduced generator, block by block.
 
@@ -92,20 +105,13 @@ def reduced_eigvals(gen: Generator):
     connected components are the Nx modes k = 1..Nx (Nrho + 3 coordinates
     each) and the mode-0 transport chain (Nrho).  Returns the eigenvalues
     and the mode of each (None for Dirichlet, one component).
-    DENSE_MAX_DIM bounds the largest block, checked before any is densified.
     """
     grid = gen.grid
     modal = gen.p.theta_bc == "neumann"
     if modal and not gen.ops.modal:
         gen = assemble_generator(grid, gen.p, modal_operators(grid))
     R = reduced_generator(gen)
-    _, labels = connected_components(R, directed=True, connection="weak")
-    order = np.argsort(labels, kind="stable")
-    blocks = np.split(order, np.cumsum(np.bincount(labels))[:-1])
-    largest = max(b.size for b in blocks)
-    if largest > DENSE_MAX_DIM:
-        raise DenseSizeError(f"dense block of dimension {largest} exceeds "
-                             f"the limit {DENSE_MAX_DIM}")
+    blocks = _connected_blocks(R)
     w = np.concatenate([sla.eigvals(R[b][:, b].toarray()) for b in blocks])
     if not modal:
         return w, None
@@ -114,7 +120,7 @@ def reduced_eigvals(gen: Generator):
     # i-th eigenvalue has the mode of the i-th coordinate in block order.
     k = np.arange(1, grid.Nx + 1)
     mode = np.r_[k, k, np.repeat(np.arange(grid.nflux), grid.Nrho), k]
-    return w, mode[order]
+    return w, mode[np.concatenate(blocks)]
 
 
 def spectrum_dense(gen: Generator, n_refine: int = 10,
@@ -175,57 +181,50 @@ def spectral_abscissa(gen: Generator, spectrum: SpectrumResult | None = None):
     return float(w.real[idx]), complex(w[idx])
 
 
-def h_weight_matrix(grid: Grid, p: PhysParams, xi: float) -> sp.csr_matrix:
-    """Gram matrix of the discrete state-space inner product in packed coordinates."""
-    from .discretization import build_operators
-
-    G = build_operators(grid, p).G
+def h_weight_matrix(gen: Generator, xi: float) -> sp.csr_matrix:
+    """Gram matrix of the discrete state-space inner product in the packed
+    coordinates of gen (real space or Fourier modes)."""
+    grid, G = gen.grid, gen.ops.G
     dx = grid.dx
     return sp.block_diag([
-        p.alpha * dx * (G.T @ G),
+        gen.p.alpha * dx * (G.T @ G),
         dx * sp.identity(grid.Nx),
         xi * dx * grid.drho * sp.identity(grid.nflux * (grid.Nrho + 1)),
         dx * sp.identity(grid.ntheta),
     ], format="csr")
 
 
-def dissipativity_test(grid: Grid, p: PhysParams, xi: float, trials: int,
-                       m: float | None = None, seed: int = 0,
-                       batch: int = 256) -> dict:
-    """Maximum Rayleigh quotient of (A_h - m I) over random admissible states.
+def dissipativity_test(grid: Grid, p: PhysParams, xi: float,
+                       m: float | None = None, *, trials: int | None = None,
+                       seed: int | None = None) -> dict:
+    """Exact supremum of <(A_h - m I) x, x>_W / <x, x>_W over the discrete
+    state space: the top eigenvalue of (E^T sym(W (A_h - m I)) E, E^T W E).
 
-    States satisfy the discrete domain constraints (z(.,0) = u_x; zero theta
-    mean in Neumann mode).  For xi > 2 tau alpha^2/beta and the shift
-    m = alpha^2/beta + xi/(2 tau) the maximum is expected nonpositive up to
-    the O(drho) quadrature defect of the discrete identities.
+    The v-theta coupling is W-skew, so the pencil has no (u, v, z)-theta
+    block, and its theta part, kappa L_theta - m on the constrained theta
+    space, lies below -m: the quotient of every state whose only free
+    nonzero field is u (z(., 0) = u_x follows).  So the supremum is that of
+    the (u, v, z) part, whose rows do not depend on theta_bc; it is solved
+    per Fourier mode of the Neumann generator, in blocks of Nrho + 2.  For xi > 2 tau alpha^2/beta and the
+    paper's m it is expected nonpositive up to the O(drho) quadrature
+    defect.  trials and seed are ignored (trials is echoed back); they keep
+    the benchmark's call working until its next change retires them.
     """
+    if not (p.alpha > 0 and xi > 0):
+        raise ValueError("the weight W needs alpha > 0 and xi > 0")
     if m is None:
         if p.beta <= 0:
             raise ValueError("paper shift needs beta > 0; pass m explicitly")
         m = p.alpha**2 / p.beta + xi / (2.0 * p.tau)
 
-    gen = assemble_generator(grid, p)
-    A = gen.matrix
-    W = h_weight_matrix(grid, p, xi)
-    rng = np.random.default_rng(seed)
-
-    Nx, nf, nr = grid.Nx, grid.nflux, grid.Nrho + 1
-    max_q = -np.inf
-    done = 0
-    while done < trials:
-        b = min(batch, trials - done)
-        X = rng.standard_normal((grid.dim, b))
-        # enforce domain membership column-wise
-        U = X[:Nx]
-        ux = np.diff(U, axis=0, prepend=0.0, append=0.0) / grid.dx
-        zrow0 = 2 * Nx + np.arange(nf) * nr
-        X[zrow0] = ux
-        if p.theta_bc == "neumann":
-            th = X[2 * Nx + nf * nr:]
-            th -= th.mean(axis=0, keepdims=True)
-        num = np.sum(X * (W @ (A @ X - m * X)), axis=0)
-        den = np.sum(X * (W @ X), axis=0)
-        q = num / den
-        max_q = max(max_q, float(q.max()))
-        done += b
-    return {"max_rayleigh": max_q, "m_used": float(m), "trials": trials}
+    gen = assemble_generator(grid, replace(p, theta_bc="neumann"),
+                             modal_operators(grid))
+    # reduced (u, v, z at rho > 0) coordinates; the theta ones follow them
+    E = restriction_maps(gen)[0][:, :2 * grid.Nx + grid.nflux * grid.Nrho]
+    W = h_weight_matrix(gen, xi)
+    WA = W @ (gen.matrix - m * sp.identity(gen.dim))
+    S, B = E.T @ (0.5 * (WA + WA.T)) @ E, E.T @ W @ E
+    sup = max(sla.eigh(S[b][:, b].toarray(), B[b][:, b].toarray(),
+                       eigvals_only=True)[-1]
+              for b in _connected_blocks(abs(S) + abs(B)))
+    return {"max_rayleigh": float(sup), "m_used": float(m), "trials": trials}

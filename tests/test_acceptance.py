@@ -5,7 +5,9 @@ magnitude against the fitted energy decay rate a0.  For a quadratic energy
 the observed decay rate is twice the modal rate (E ~ |e^{lam t}|^2), so
 |abscissa| ~ a0/2 and the requirement |abscissa| >= 0.95 a0 cannot hold;
 those two sub-checks are split out and marked xfail(strict) with the
-measured numbers printed.
+measured numbers printed.  So is criterion 5's refinement sub-check (the
+64x64 value bounds the 128x128 one): it held for the sampled maximum, but
+the exact supremum rises toward its continuum limit as the grid refines.
 """
 
 import math
@@ -146,23 +148,37 @@ def test_criterion_4_beta0_crossing(threshold):
     assert dt < 5.0
 
 
-def test_criterion_5_discrete_dissipativity():
-    t0 = time.time()
+@pytest.fixture(scope="module")
+def dissipativity_sups():
     p = UNIT.with_beta(2.0)
     xi = 4.0 * p.tau * p.alpha**2 / p.beta
-    coarse = dissipativity_test(Grid(Nx=64, Nrho=64), p, xi, trials=10**4,
-                                seed=0)
-    fine = dissipativity_test(Grid(Nx=128, Nrho=128), p, xi, trials=10**4,
-                              seed=0)
-    dt = time.time() - t0
-    ok = (coarse["max_rayleigh"] <= 1e-3
-          and fine["max_rayleigh"] <= coarse["max_rayleigh"] and dt < 60.0)
-    _verdict(5, ok, f"max Rayleigh {coarse['max_rayleigh']:.4f} (64x64) -> "
-                    f"{fine['max_rayleigh']:.4f} (128x128), m = {coarse['m_used']}, "
-                    f"{dt:.1f} s")
+    t0 = time.time()
+    coarse = dissipativity_test(Grid(Nx=64, Nrho=64), p, xi)
+    fine = dissipativity_test(Grid(Nx=128, Nrho=128), p, xi)
+    return coarse, fine, time.time() - t0
+
+
+def test_criterion_5_discrete_dissipativity(dissipativity_sups):
+    coarse, fine, dt = dissipativity_sups
+    ok = (coarse["max_rayleigh"] <= 1e-3 and fine["max_rayleigh"] <= 1e-3
+          and dt < 60.0)
+    _verdict(5, ok, f"exact sup of the Rayleigh quotient "
+                    f"{coarse['max_rayleigh']:.4f} (64x64), "
+                    f"{fine['max_rayleigh']:.4f} (128x128), "
+                    f"m = {coarse['m_used']}, {dt:.1f} s")
     assert coarse["max_rayleigh"] <= 1e-3
-    assert fine["max_rayleigh"] <= coarse["max_rayleigh"]
+    assert fine["max_rayleigh"] <= 1e-3
     assert dt < 60.0
+
+
+@pytest.mark.xfail(strict=True, reason="held only for the sampled maximum; "
+                   "the exact supremum rises under refinement toward its "
+                   "continuum limit, -0.540 at 64x64 and -0.489 at 128x128")
+def test_criterion_5_fine_not_above_coarse(dissipativity_sups):
+    coarse, fine, _ = dissipativity_sups
+    print(f"criterion 5 (refinement sub-check): {coarse['max_rayleigh']:.4f} "
+          f"(64x64) -> {fine['max_rayleigh']:.4f} (128x128)")
+    assert fine["max_rayleigh"] <= coarse["max_rayleigh"]
 
 
 def test_criterion_6_imex_vs_expm_oracle():
@@ -181,8 +197,8 @@ def test_criterion_6_imex_vs_expm_oracle():
                   theta=np.zeros(g.ntheta))
         ref = pack(expm_oracle(gen, s, 1.0))
         h = p.tau / N
-        fac_be = factor_implicit(g, p, h, theta_weight=1.0)
-        fac = factor_implicit(g, p, h)
+        fac_be = factor_implicit(gen, h, theta_weight=1.0)
+        fac = factor_implicit(gen, h)
         for n in range(N):
             s = step_imex(s, h, fac_be if n == 0 else fac, buf)
         errs.append(np.linalg.norm(pack(s) - ref) / np.linalg.norm(ref))
@@ -210,8 +226,9 @@ def test_criterion_7_theta_mass_conservation():
     theta0 -= theta0.mean()
     theta0 += 1.0 / p.ell          # nonzero mass, conserved
     s = State(u=u0.copy(), v=np.zeros(g.Nx), z=buf.as_field(), theta=theta0)
-    fac_be = factor_implicit(g, p, h, theta_weight=1.0)
-    fac = factor_implicit(g, p, h)
+    gen = assemble_generator(g, p)
+    fac_be = factor_implicit(gen, h, theta_weight=1.0)
+    fac = factor_implicit(gen, h)
     mass0 = np.sum(s.theta) * g.dx
     drift = 0.0
     for n in range(10**5):
@@ -302,8 +319,7 @@ def test_criterion_11_dirichlet_variant(decay_dirichlet):
     pd = PhysParams(alpha=1.0, beta=2.0, gamma=1.0, kappa=1.0, tau=1.0,
                     theta_bc="dirichlet")
     xi = 4.0 * pd.tau * pd.alpha**2 / pd.beta
-    diss = dissipativity_test(Grid(Nx=64, Nrho=64), pd, xi, trials=10**4,
-                              seed=0)
+    diss = dissipativity_test(Grid(Nx=64, Nrho=64), pd, xi)
 
     # criterion 7 analogue: theta mass decays instead of being conserved
     g7 = Grid(Nx=8, Nrho=8)
@@ -314,8 +330,9 @@ def test_criterion_11_dirichlet_variant(decay_dirichlet):
                        g7, pd.tau, u0=u0)
     s = State(u=u0.copy(), v=np.zeros(g7.Nx), z=buf.as_field(),
               theta=np.ones(g7.ntheta))
-    fac_be = factor_implicit(g7, pd, h, theta_weight=1.0)
-    fac = factor_implicit(g7, pd, h)
+    gen7 = assemble_generator(g7, pd)
+    fac_be = factor_implicit(gen7, h, theta_weight=1.0)
+    fac = factor_implicit(gen7, h)
     mass0 = abs(np.sum(s.theta) * g7.dx)
     for n in range(10**4):
         s = step_imex(s, h, fac_be if n == 0 else fac, buf)

@@ -141,19 +141,38 @@ def test_sweep_single_point_matches_simulate(tmp_path, cfgfile):
         assert float(row[5]) == pytest.approx(summary["final_E"], rel=1e-12)
 
 
-@pytest.mark.parametrize("override", [
+# (command, space-separated overrides); a simulate case's id is its overrides
+BAD_CONFIGS = [("simulate", o) for o in [
     "time.record_every=0", "time.t_end=-1", "time.theta_weight=0.2",
     "init.u0=sine:x", "sweep.foo=1:2:3", "sweep.workers=0",
     "time.dt=0.01", "time.delay_mode=ring", "plot.style=dark",
     "lyapunov.lambda=-1", "lyapunov.xi_factor=0", "output.fit_start_fraction=2",
-    "time.t_end=0.3",
-])
-def test_bad_config_is_one_line_exit_1(tmp_path, cfgfile, capsys, override):
-    code = _run(["simulate", "--config", cfgfile, "--out", str(tmp_path / "bad"),
-                 "--override", override])
+    "time.t_end=0.3", "model.alpha=0", "model.gamma=0", "model.kappa=0",
+    "lyapunov.xi_factor=inf",
+]] + [
+    ("certify", "model.beta=5 lyapunov.lambda= lyapunov.lambda_grid=0.5:3:0"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, overrides", BAD_CONFIGS,
+    ids=[o if c == "simulate" else f"{c} {o}" for c, o in BAD_CONFIGS])
+def test_bad_config_is_one_line_exit_1(tmp_path, cfgfile, capsys, command,
+                                       overrides):
+    args = [command, "--config", cfgfile, "--out", str(tmp_path / "bad")]
+    for o in overrides.split():
+        args += ["--override", o]
+    code = _run(args)
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("config error:") and err.count("\n") == 1, err
+
+
+def test_spectrum_needs_no_lyapunov_constants(tmp_path, cfgfile):
+    # gamma = 0 and an empty lambda grid rule out the constants, not a spectrum
+    assert _run(["spectrum", "--config", cfgfile, "--out", str(tmp_path / "s"),
+                 "--override", "model.gamma=0", "--override", "lyapunov.lambda=",
+                 "--override", "lyapunov.lambda_grid="]) == 0
 
 
 def test_sweep_point_off_the_step_grid_is_a_row_error(tmp_path, cfgfile):

@@ -66,6 +66,26 @@ def test_small_lambda_infeasible():
         lyapunov_constants(UNIT, 0.1)
 
 
+def test_extreme_lambdas_infeasible_before_any_division():
+    # lam -> 0 divides by zero and lam -> inf overflows in Gamma and Phi,
+    # but A <= 1 rules both out first
+    for lam in (1e-300, 1e308):
+        with pytest.raises(InfeasibleLambdaError, match="A = "):
+            lyapunov_constants(UNIT, lam)
+
+
+def test_certify_fails_past_the_float_range():
+    # alpha**2 overflows: no certificate, and no OverflowError either
+    rep = certify(PhysParams(alpha=1e300, beta=1.0), 0.5)
+    assert not rep.verdict
+    assert rep.record("float-range").lhs == math.inf
+    # the witness beta alpha tau e^{4 lam} is past the float range
+    with pytest.raises(NoFeasibleLambdaError):
+        find_beta0(UNIT, [300.0, 1e308])
+    with pytest.raises(NoFeasibleLambdaError):
+        find_beta0(PhysParams(alpha=1e308), [0.5])
+
+
 def test_large_beta_witness_passes():
     hits = [lam for lam in range(1, 11)
             if certify(UNIT.with_beta(math.exp(4.0 * lam)), float(lam)).verdict]

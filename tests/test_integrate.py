@@ -24,7 +24,7 @@ P = PhysParams(alpha=1.0, beta=2.0, gamma=1.0, kappa=1.0, tau=1.0, ell=1.0)
 def test_factor_identity_when_unstiff():
     p = PhysParams(alpha=1.0, beta=0.0, gamma=0.0, kappa=1e-300)
     g = Grid(Nx=6, Nrho=4)
-    fac = factor_implicit(g, p, dt=0.1)
+    fac = factor_implicit(assemble_generator(g, p), dt=0.1)
     rng = np.random.default_rng(0)
     rhs = rng.standard_normal(g.Nx + g.ntheta)
     # kappa ~ 0, beta = gamma = 0: the block is the identity up to kappa*dt
@@ -33,7 +33,7 @@ def test_factor_identity_when_unstiff():
 
 def test_factor_solve_residual():
     g = Grid(Nx=8, Nrho=4)
-    fac = factor_implicit(g, P, dt=0.05)
+    fac = factor_implicit(assemble_generator(g, P), dt=0.05)
     rng = np.random.default_rng(1)
     n = g.Nx + g.ntheta
     # at theta_weight = 1/2 the implicit matrix is 2 I - explicit_mat
@@ -48,8 +48,8 @@ def test_factor_determinism():
     g = Grid(Nx=8, Nrho=4)
     rng = np.random.default_rng(2)
     rhs = rng.standard_normal(g.Nx + g.ntheta)
-    x1 = factor_implicit(g, P, dt=0.05).solve(rhs)
-    x2 = factor_implicit(g, P, dt=0.05).solve(rhs)
+    x1 = factor_implicit(assemble_generator(g, P), dt=0.05).solve(rhs)
+    x2 = factor_implicit(assemble_generator(g, P), dt=0.05).solve(rhs)
     assert np.array_equal(x1, x2)
 
 
@@ -77,7 +77,7 @@ def test_factor_matrices_match_per_block_formula(theta_bc, beta, gamma, kappa):
         M[Nx:, Nx:] = kappa * ops.L_theta.toarray()
         dt = p.tau / g.Nrho
         for w in (0.5, 1.0):
-            fac = factor_implicit(g, p, dt, theta_weight=w)
+            fac = factor_implicit(assemble_generator(g, p), dt, theta_weight=w)
             implicit = np.eye(n) - w * dt * M
             assert fac.implicit.format == "csc"
             assert fac.explicit_mat.format == "csr" and fac.D.format == "csr"
@@ -94,9 +94,9 @@ def test_factor_matrices_match_per_block_formula(theta_bc, beta, gamma, kappa):
 def test_factor_validation():
     g = Grid(Nx=6, Nrho=4)
     with pytest.raises(ValueError):
-        factor_implicit(g, P, dt=0.0)
+        factor_implicit(assemble_generator(g, P), dt=0.0)
     with pytest.raises(ValueError):
-        factor_implicit(g, P, dt=0.1, theta_weight=0.25)
+        factor_implicit(assemble_generator(g, P), dt=0.1, theta_weight=0.25)
 
 
 def test_factor_fill_is_linear_past_the_old_dense_limit():
@@ -105,8 +105,9 @@ def test_factor_fill_is_linear_past_the_old_dense_limit():
     rng = np.random.default_rng(6)
     for theta_bc in ("neumann", "dirichlet"):
         for Nx in (1024, 4096):
-            fac = factor_implicit(Grid(Nx=Nx, Nrho=2), replace(P, theta_bc=theta_bc),
-                                  dt=0.5)
+            fac = factor_implicit(
+                assemble_generator(Grid(Nx=Nx, Nrho=2), replace(P, theta_bc=theta_bc)),
+                dt=0.5)
             n = Nx + Nx + 1
             assert fac.implicit.shape == (n, n)
             assert fac.lu.L.nnz + fac.lu.U.nnz <= 6 * n
@@ -124,20 +125,21 @@ def test_factor_fill_is_linear_past_the_old_dense_limit():
 ])
 def test_factor_failure_is_numerical_blowup(override, match):
     p = replace(P, **override)
+    with np.errstate(over="ignore"):
+        gen = assemble_generator(Grid(Nx=8, Nrho=8), p)
     with pytest.raises(NumericalBlowupError, match=match):
-        factor_implicit(Grid(Nx=8, Nrho=8), p, dt=0.125)
+        factor_implicit(gen, dt=0.125)
 
 
 class _DenseFactor:
     """The dense stepper: lu_factor of the same (v, theta) slice, for reference."""
 
-    def __init__(self, grid, p, dt, theta_weight):
-        gen = assemble_generator(grid, p)
-        _, sv, _, st = _slices(grid)
+    def __init__(self, gen, dt, theta_weight):
+        _, sv, _, st = _slices(gen.grid)
         vt = np.r_[sv, st]
         M = gen.matrix[vt][:, vt].toarray()
         n = M.shape[0]
-        self.grid, self.p, self.theta_weight = grid, p, theta_weight
+        self.grid, self.p, self.theta_weight = gen.grid, gen.p, theta_weight
         self.lu = sla.lu_factor(np.eye(n) - theta_weight * dt * M)
         self.explicit_mat = np.eye(n) + (1.0 - theta_weight) * dt * M
         self.D = (-gen.ops.G.T).toarray(order="C")
@@ -156,9 +158,10 @@ def test_sparse_step_matches_dense_lu_reference(theta_bc, Nx, Nrho):
     g = Grid(Nx=Nx, Nrho=Nrho)
     dt = p.tau / Nrho
     s0 = random_state(g, p, np.random.default_rng(7))
+    gen = assemble_generator(g, p)
     finals = []
     for make in (factor_implicit, _DenseFactor):
-        fac_be, fac = make(g, p, dt, theta_weight=1.0), make(g, p, dt, theta_weight=0.5)
+        fac_be, fac = make(gen, dt, theta_weight=1.0), make(gen, dt, theta_weight=0.5)
         buf = HistoryBuffer(s0.z.copy())
         s = unpack(pack(s0), g)
         for n in range(3 * Nrho):
@@ -172,7 +175,7 @@ def test_sparse_step_matches_dense_lu_reference(theta_bc, Nx, Nrho):
 def test_zero_state_is_equilibrium():
     g = Grid(Nx=6, Nrho=6)
     dt = P.tau / g.Nrho
-    fac = factor_implicit(g, P, dt)
+    fac = factor_implicit(assemble_generator(g, P), dt)
     buf = init_history(lambda x, s: np.zeros_like(x), g, P.tau)
     s = State.zeros(g)
     for _ in range(3 * g.Nrho):
@@ -184,7 +187,7 @@ def test_gamma_zero_decouples_theta_pure_heat():
     p = PhysParams(alpha=1.0, beta=1.0, gamma=0.0, kappa=1.0, tau=1.0)
     g = Grid(Nx=10, Nrho=5)
     dt = p.tau / g.Nrho
-    fac = factor_implicit(g, p, dt)
+    fac = factor_implicit(assemble_generator(g, p), dt)
     buf = init_history(lambda x, s: np.zeros_like(x), g, p.tau)
     s = State.zeros(g)
     s.theta = np.cos(math.pi * g.x_flux)
@@ -233,8 +236,8 @@ def test_imex_matches_expm_and_converges():
         s = State(u=u0.copy(), v=np.zeros(g.Nx), z=buf.as_field(), theta=np.zeros(g.ntheta))
         ref = pack(expm_oracle(gen, s, 1.0))
         dt = p.tau / N
-        fac_be = factor_implicit(g, p, dt, theta_weight=1.0)
-        fac = factor_implicit(g, p, dt)
+        fac_be = factor_implicit(assemble_generator(g, p), dt, theta_weight=1.0)
+        fac = factor_implicit(assemble_generator(g, p), dt)
         for n in range(N):
             s = step_imex(s, dt, fac_be if n == 0 else fac, buf)
         errs.append(np.linalg.norm(pack(s) - ref) / np.linalg.norm(ref))

@@ -1,11 +1,22 @@
-"""Property tests: packed-state round trip and theta-mass conservation."""
+"""Property tests: packed-state round trip, theta-mass conservation, and
+config validation under hostile overrides."""
+
+import contextlib
+import io
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import scipy.sparse.linalg as spla
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from thermodelay.cli import main
+from thermodelay.config import (DEFAULTS, SWEEPABLE, ConfigError, RunConfig,
+                                load_config)
 from thermodelay.delay import HistoryBuffer
-from thermodelay.discretization import Grid, pack, random_state, unpack
+from thermodelay.discretization import (Grid, assemble_generator, pack,
+                                        random_state, unpack)
 from thermodelay.integrate import factor_implicit, step_imex
 from thermodelay.observables import theta_mass
 from thermodelay.params import PhysParams
@@ -47,7 +58,7 @@ def test_step_conserves_neumann_theta_mass(grid, beta, gamma, kappa, weight,
     dt = p.tau / grid.Nrho
     s = random_state(grid, p, np.random.default_rng(seed))
     s.theta += mean
-    fac = factor_implicit(grid, p, dt, theta_weight=weight)
+    fac = factor_implicit(assemble_generator(grid, p), dt, theta_weight=weight)
     buf = HistoryBuffer(s.z.copy())
     mass0 = theta_mass(s, grid)
     # backward error of the solve: eps times |implicit| times the iterate
@@ -58,3 +69,60 @@ def test_step_conserves_neumann_theta_mass(grid, beta, gamma, kappa, weight,
         s = step_imex(s, dt, fac, buf)
         bound += unit * max(np.abs(s.v).max(), np.abs(s.theta).max())
         assert abs(theta_mass(s, grid) - mass0) <= 10.0 * bound + 1e-15 * abs(mass0)
+
+
+# every key the schema takes, and values that probe each check: zero,
+# negative, non-finite, huge, tiny, empty, garbage and malformed ranges;
+# range counts stay at most 300, since parse_range allocates them
+CONFIG_KEYS = sorted([f"{sec}.{key}" for sec, keys in DEFAULTS.items() for key in keys]
+                     + [f"sweep.{key}" for key in SWEEPABLE])
+CONFIG_VALUES = ["0", "-1", "nan", "inf", "-inf", "1e308", "-1e308", "1e-300", "",
+                 "garbage", "true", "0.5", "2", "7", "0.5,2", "1,,nan", "1:2",
+                 "1:2:3:4", "a:b:2", "0.5:3:0", "1:2:-1", "2:1:3", "0.5:3:300",
+                 "sine:1", "cosine:x", "bump", "neumann", "dirichlet"]
+overrides = st.lists(st.tuples(st.sampled_from(CONFIG_KEYS),
+                               st.sampled_from(CONFIG_VALUES)
+                               | st.floats().map(repr)),
+                     min_size=1, max_size=3)
+CONFIG = "[model]\nbeta = 4.6\n[grid]\nnx = 8\nnrho = 8\n[time]\nt_end = 6.0\n"
+
+
+@PROPERTY
+@given(overrides=overrides)
+@example(overrides=[("time.t_end", "1e308")])    # was an OverflowError
+def test_load_config_returns_or_raises_config_error(overrides):
+    try:
+        cfg = load_config(text=CONFIG, overrides=[f"{k}={v}" for k, v in overrides])
+    except ConfigError:
+        return
+    assert isinstance(cfg, RunConfig)
+
+
+@PROPERTY
+@given(overrides=overrides)
+# each of these once ended in a traceback, exit 3 or a RuntimeWarning
+@example(overrides=[("model.beta", "5"), ("lyapunov.lambda_grid", "0.5:3:0")])
+@example(overrides=[("model.gamma", "0")])
+@example(overrides=[("model.alpha", "0"), ("model.beta", "")])
+@example(overrides=[("lyapunov.xi_factor", "inf")])
+@example(overrides=[("time.t_end", "1e308")])
+@example(overrides=[("lyapunov.lambda", "1e308"), ("model.beta", "")])
+@example(overrides=[("lyapunov.lambda", "1e-300")])
+@example(overrides=[("model.ell", "1e308")])
+@example(overrides=[("model.beta", "1e-300")])
+def test_certify_exits_0_1_or_2_with_at_most_one_error_line(overrides):
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, \
+            warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")    # each would print to stderr
+        cfg = Path(tmp) / "run.ini"
+        cfg.write_text(CONFIG)
+        argv = ["certify", "--config", str(cfg), "--out", str(Path(tmp) / "out")]
+        for key, value in overrides:
+            argv += ["--override", f"{key}={value}"]
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert err.getvalue().count("\n") + len(caught) <= 1, (
+        err.getvalue(), [str(w.message) for w in caught])

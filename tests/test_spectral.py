@@ -191,7 +191,7 @@ def test_benchmark_reference_abscissa():
 
 def test_h_weight_matrix_spd():
     g = Grid(Nx=6, Nrho=4)
-    W = h_weight_matrix(g, UNIT, xi=1.3).toarray()
+    W = h_weight_matrix(assemble_generator(g, UNIT), xi=1.3).toarray()
     assert np.allclose(W, W.T)
     evals = np.linalg.eigvalsh(W)
     assert evals.min() > 0.0
@@ -202,7 +202,7 @@ def test_h_weight_matches_inner_product():
 
     g = Grid(Nx=6, Nrho=4)
     xi = 0.9
-    W = h_weight_matrix(g, UNIT, xi)
+    W = h_weight_matrix(assemble_generator(g, UNIT), xi)
     rng = np.random.default_rng(0)
     for _ in range(10):
         s = random_state(g, UNIT, rng, domain=False)
@@ -211,13 +211,94 @@ def test_h_weight_matches_inner_product():
             inner_product_H(s, s, g, UNIT, xi), rel=1e-13)
 
 
+def _paper_xi_m(p):
+    xi = 4.0 * p.tau * p.alpha**2 / p.beta
+    return xi, p.alpha**2 / p.beta + xi / (2 * p.tau)
+
+
 def test_dissipativity_negative_under_hypothesis():
     p = UNIT.with_beta(2.0)
     xi = 4.0 * p.tau * p.alpha**2 / p.beta
     g = Grid(Nx=24, Nrho=24)
-    out = dissipativity_test(g, p, xi, trials=1000, seed=0)
+    out = dissipativity_test(g, p, xi)
     assert out["max_rayleigh"] <= 1e-3
     assert out["m_used"] == pytest.approx(p.alpha**2 / p.beta + xi / (2 * p.tau))
+
+
+def _dense_pencil(gen, xi, m):
+    """(E^T sym(W (A - m I)) E, E^T W E) in real space, dense, and E."""
+    E = spectral.restriction_maps(gen)[0].toarray()
+    W = h_weight_matrix(gen, xi).toarray()
+    WA = W @ (gen.dense() - m * np.eye(gen.dim))
+    return E.T @ (0.5 * (WA + WA.T)) @ E, E.T @ W @ E, E
+
+
+@pytest.mark.parametrize("theta_bc", ["neumann", "dirichlet"])
+@pytest.mark.parametrize("N", [16, 32])
+def test_dissipativity_matches_dense_real_space_pencil(theta_bc, N):
+    # the supremum over the constrained space is the top eigenvalue of the
+    # pencil, here solved densely in real space, theta included
+    p = PhysParams(alpha=1.0, beta=2.0, gamma=1.0, kappa=1.0, tau=1.0,
+                   theta_bc=theta_bc)
+    xi, m = _paper_xi_m(p)
+    gen = assemble_generator(Grid(Nx=N, Nrho=N), p)
+    S, B, _ = _dense_pencil(gen, xi, m)
+    ref = sla.eigh(S, B, eigvals_only=True)[-1]
+    exact = dissipativity_test(gen.grid, p, xi)["max_rayleigh"]
+    assert abs(exact - ref) <= 1e-12
+
+
+@pytest.mark.parametrize("theta_bc", ["neumann", "dirichlet"])
+def test_dissipativity_theta_part_lies_below_u_only_states(theta_bc):
+    # why the theta part is not solved: a state whose only nonzero field is u
+    # has quotient exactly -m, and the theta block of the pencil lies below -m
+    p = PhysParams(alpha=0.7, beta=0.5, gamma=3.0, kappa=0.01, tau=0.5,
+                   theta_bc=theta_bc)
+    xi, m = 1.3, -0.4
+    g = Grid(Nx=12, Nrho=6)
+    gen = assemble_generator(g, p)
+    S, B, E = _dense_pencil(gen, xi, m)
+    n = 2 * g.Nx + g.nflux * g.Nrho            # reduced (u, v, z) coordinates
+    y = np.zeros(S.shape[0])
+    y[:g.Nx] = np.random.default_rng(5).standard_normal(g.Nx)
+    assert (y @ S @ y) / (y @ B @ y) == pytest.approx(-m, abs=1e-12)
+    assert not S[:n, n:].any() and not B[:n, n:].any()
+    assert sla.eigh(S[n:, n:], B[n:, n:], eigvals_only=True)[-1] < -m
+    ref = sla.eigh(S, B, eigvals_only=True)[-1]
+    assert abs(dissipativity_test(g, p, xi, m=m)["max_rayleigh"] - ref) <= 1e-12
+
+
+@pytest.mark.parametrize("theta_bc", ["neumann", "dirichlet"])
+def test_dissipativity_bounds_every_domain_state(theta_bc):
+    p = PhysParams(alpha=1.0, beta=2.0, gamma=1.0, kappa=1.0, tau=1.0,
+                   theta_bc=theta_bc)
+    xi, m = _paper_xi_m(p)
+    g = Grid(Nx=12, Nrho=8)
+    gen = assemble_generator(g, p)
+    W = h_weight_matrix(gen, xi)
+    exact = dissipativity_test(g, p, xi)["max_rayleigh"]
+    rng = np.random.default_rng(4)
+    for _ in range(500):
+        x = pack(random_state(g, p, rng, domain=True))
+        q = (x @ (W @ (gen.matrix @ x - m * x))) / (x @ (W @ x))
+        assert q <= exact + 1e-12
+
+
+def test_dissipativity_trials_and_seed_are_ignored():
+    p = UNIT.with_beta(2.0)
+    xi, _ = _paper_xi_m(p)
+    g = Grid(Nx=8, Nrho=6)
+    out = dissipativity_test(g, p, xi, trials=10**4, seed=3)
+    assert out["trials"] == 10**4
+    assert out["max_rayleigh"] == dissipativity_test(g, p, xi)["max_rayleigh"]
+
+
+@pytest.mark.parametrize("alpha, xi", [(0.0, 1.0), (1.0, 0.0), (1.0, -2.0)])
+def test_dissipativity_needs_a_positive_definite_weight(alpha, xi):
+    # PhysParams itself refuses a negative alpha
+    p = PhysParams(alpha=alpha, beta=2.0)
+    with pytest.raises(ValueError, match="alpha > 0 and xi > 0"):
+        dissipativity_test(Grid(Nx=6, Nrho=4), p, xi)
 
 
 def test_dissipativity_theta_only_states():
@@ -226,7 +307,7 @@ def test_dissipativity_theta_only_states():
     g = Grid(Nx=12, Nrho=8)
     from thermodelay.discretization import assemble_generator as asm
     gen = asm(g, p)
-    W = h_weight_matrix(g, p, xi)
+    W = h_weight_matrix(gen, xi)
     m = p.alpha**2 / p.beta + xi / (2 * p.tau)
     rng = np.random.default_rng(1)
     for _ in range(50):
@@ -245,7 +326,7 @@ def test_dissipativity_xi_below_bound_reported_not_asserted():
     p = UNIT.with_beta(2.0)
     xi = p.tau * p.alpha**2 / p.beta
     g = Grid(Nx=12, Nrho=8)
-    out = dissipativity_test(g, p, xi, trials=200, m=0.0, seed=2)
+    out = dissipativity_test(g, p, xi, m=0.0)
     assert np.isfinite(out["max_rayleigh"])
 
 
