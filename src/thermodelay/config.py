@@ -46,18 +46,32 @@ class ConfigError(ValueError):
     pass
 
 
-def parse_range(text: str) -> list[float]:
-    """Parse 'a,b,c' or 'start:stop:num' into a list of floats."""
+def parse_range(text: str, name: str = "range") -> list[float]:
+    """Parse 'a,b,c' or 'start:stop:num' into a list of finite floats.
+
+    Empty text gives an empty list; any other text must give at least one
+    value.  `name` labels the range in error messages.
+    """
     text = text.strip()
     if not text:
         return []
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise ConfigError(f"range must be start:stop:num, got {text!r}")
-        # Python floats, not numpy scalars that warn where floats overflow
-        return np.linspace(float(parts[0]), float(parts[1]), int(parts[2])).tolist()
-    return [float(tok) for tok in text.split(",") if tok.strip()]
+    parts = text.split(":")
+    if len(parts) == 1:
+        values = [float(tok) for tok in text.split(",") if tok.strip()]
+    elif len(parts) != 3:
+        raise ConfigError(f"{name} must be start:stop:num, got {text!r}")
+    elif int(parts[2]) < 1:
+        values = []
+    else:
+        # Python floats; a step that overflows gives non-finite values,
+        # rejected below instead of warned about
+        with np.errstate(all="ignore"):
+            values = np.linspace(float(parts[0]), float(parts[1]),
+                                 int(parts[2])).tolist()
+    if not values or not all(map(math.isfinite, values)):
+        raise ConfigError(f"{name} needs at least one value, all finite, "
+                          f"got {text!r}")
+    return values
 
 
 @dataclass
@@ -144,14 +158,15 @@ def load_config(path: str | None = None, overrides: list[str] = (),
             record_every=cp.getint("time", "record_every"),
             theta_weight=cp.getfloat("time", "theta_weight"),
             lam=float(lam_text) if lam_text else None,
-            lambda_grid=parse_range(cp.get("lyapunov", "lambda_grid")),
+            lambda_grid=parse_range(cp.get("lyapunov", "lambda_grid"),
+                                    "lyapunov.lambda_grid"),
             xi_factor=cp.getfloat("lyapunov", "xi_factor"),
             sharp_poincare=cp.getboolean("lyapunov", "sharp_poincare"),
             init=init,
             sweep={"workers": cp.getint("sweep", "workers"),
                    "spectrum": cp.getboolean("sweep", "spectrum"),
-                   **{k: parse_range(v) for k, v in cp.items("sweep")
-                      if k in SWEEPABLE}},
+                   **{k: parse_range(v, f"sweep.{k}")
+                      for k, v in cp.items("sweep") if k in SWEEPABLE}},
             fit_start_fraction=cp.getfloat("output", "fit_start_fraction"),
         )
     except (ValueError, configparser.Error) as exc:

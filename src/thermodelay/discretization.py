@@ -131,24 +131,34 @@ def build_operators(grid: Grid, p: PhysParams) -> Operators:
     return Operators(G=G1 / dx, L_theta=L.tocsr())
 
 
-def modal_operators(grid: Grid) -> Operators:
-    """G and the Neumann L_theta in Fourier-mode coordinates.
+def modal_operators(grid: Grid, p: PhysParams) -> Operators:
+    """build_operators in Fourier-mode coordinates.
 
     With the orthonormal DST-I S on the interior nodes (u, v) and the
     orthonormal DCT-II C on the cells (z, theta), C^T G S maps sine mode k to
     cosine mode k with the symbol g_k = 2 sin(k pi / (2 (Nx+1))) / dx, and
-    C^T L_theta C = -diag(g)^2 with g_0 = 0 (the conserved theta mean).  A
-    generator assembled from these operators is T^T A T for the orthogonal
-    T = diag(S, S, C (x) I, C): every Fourier mode is its own block.  The
-    Dirichlet corner terms of L_theta couple the cosine modes, so there is
-    no Dirichlet counterpart.
+    the Neumann C^T L_theta C = -diag(g)^2 with g_0 = 0 (the conserved theta
+    mean).  A generator assembled from these operators is T^T A T for the
+    orthogonal T = diag(S, S, C (x) I, C).  In Neumann mode every Fourier
+    mode is its own block.  The Dirichlet corner term
+    -(2/dx^2)(e_0 e_0^T + e_Nx e_Nx^T) becomes -(4/dx^2) c_j c_k for
+    j = k (mod 2), with c = C[0] and C[Nx, j] = (-1)^j c_j, and is zero
+    otherwise: it couples the cosine modes of one parity, and the
+    generator splits into an odd and an even block (the latter with the
+    theta mean).
     """
-    Nx = grid.Nx
+    Nx, nf = grid.Nx, grid.nflux
     k = np.arange(1, Nx + 1)
     g = 2.0 * np.sin(k * np.pi / (2 * (Nx + 1))) / grid.dx
     G = sp.csr_matrix((g, (k, k - 1)), shape=(Nx + 1, Nx))
-    return Operators(G=G, L_theta=sp.diags(-np.r_[0.0, g] ** 2, format="csr"),
-                     modal=True)
+    L = sp.diags(-np.r_[0.0, g] ** 2, format="csr")
+    if p.theta_bc == "dirichlet":
+        j = np.arange(nf)
+        c = np.sqrt(np.where(j == 0, 1.0, 2.0) / nf) * np.cos(j * np.pi / (2 * nf))
+        row, col = np.nonzero(np.add.outer(j, j) % 2 == 0)
+        L = L - sp.csr_matrix((4.0 / grid.dx**2 * c[row] * c[col], (row, col)),
+                              shape=(nf, nf))
+    return Operators(G=G, L_theta=L, modal=True)
 
 
 @dataclass
@@ -210,8 +220,6 @@ def assemble_generator(grid: Grid, p: PhysParams,
     """
     Nx, nf, nr = grid.Nx, grid.nflux, grid.Nrho + 1
     ops = build_operators(grid, p) if ops is None else ops
-    if ops.modal and p.theta_bc != "neumann":
-        raise ValueError("modal operators need theta_bc = 'neumann'")
     G = ops.G
     D = -G.T
     first = sp.csr_matrix(([1.0], ([0], [0])), shape=(nr, 1))     # rho = 0 row

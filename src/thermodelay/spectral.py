@@ -2,10 +2,13 @@
 
 The delay reformulation lives on the subspace z(., 0) = u_x (with zero theta
 mean in Neumann mode).  Spectra are taken there: sparse maps E and P
-restrict the assembled generator to it.  In Neumann mode the generator is
-first assembled in Fourier-mode coordinates (modal_operators), where the
-restricted matrix splits into one small block per mode; only those blocks
-are dense.  Dirichlet theta couples the modes and stays one dense block.
+restrict the assembled generator to it.  The generator is first assembled
+in Fourier-mode coordinates (modal_operators), where the restricted matrix
+splits into the connected components of its sparsity graph; only those
+blocks are dense.  With Neumann theta there is one small block per mode.
+Dirichlet theta couples the cosine modes of one parity, as the reflection
+x -> ell - x commutes with the generator, so it splits into an odd and an
+even block of about half the reduced dimension each.
 """
 
 from __future__ import annotations
@@ -91,25 +94,36 @@ def _connected_blocks(M: sp.spmatrix) -> list[np.ndarray]:
     _, labels = connected_components(M, directed=True, connection="weak")
     order = np.argsort(labels, kind="stable")
     blocks = np.split(order, np.cumsum(np.bincount(labels))[:-1])
-    largest = max(b.size for b in blocks)
-    if largest > DENSE_MAX_DIM:
-        raise DenseSizeError(f"dense block of dimension {largest} exceeds "
-                             f"the limit {DENSE_MAX_DIM}")
+    _check_dense_dim(max(b.size for b in blocks))
     return blocks
+
+
+def _check_dense_dim(dim: int):
+    if dim > DENSE_MAX_DIM:
+        raise DenseSizeError(f"dense block of dimension {dim} exceeds "
+                             f"the limit {DENSE_MAX_DIM}")
 
 
 def reduced_eigvals(gen: Generator):
     """Eigenvalues of the reduced generator, block by block.
 
-    Neumann generators are reduced in Fourier-mode coordinates, where the
-    connected components are the Nx modes k = 1..Nx (Nrho + 3 coordinates
-    each) and the mode-0 transport chain (Nrho).  Returns the eigenvalues
-    and the mode of each (None for Dirichlet, one component).
+    The generator is reduced in Fourier-mode coordinates, where each mode
+    k = 1..Nx has Nrho + 3 coordinates (u, v, z at rho > 0, theta) and the
+    mode-0 transport chain has Nrho.  With Neumann theta every mode is a
+    connected component of its own.  With Dirichlet theta the components
+    are the odd modes, the even modes with the theta mean, and the chain;
+    the larger parity block is checked against DENSE_MAX_DIM before the
+    corner coupling, about Nx^2/2 entries, is assembled.  Returns the
+    eigenvalues and the mode of each (None for Dirichlet, whose blocks mix
+    modes).
     """
     grid = gen.grid
     modal = gen.p.theta_bc == "neumann"
-    if modal and not gen.ops.modal:
-        gen = assemble_generator(grid, gen.p, modal_operators(grid))
+    if not modal:
+        _check_dense_dim(max((grid.Nx + 1) // 2 * (grid.Nrho + 3),
+                             grid.Nx // 2 * (grid.Nrho + 3) + 1))
+    if not gen.ops.modal:
+        gen = assemble_generator(grid, gen.p, modal_operators(grid, gen.p))
     R = reduced_generator(gen)
     blocks = _connected_blocks(R)
     w = np.concatenate([sla.eigvals(R[b][:, b].toarray()) for b in blocks])
@@ -217,8 +231,8 @@ def dissipativity_test(grid: Grid, p: PhysParams, xi: float,
             raise ValueError("paper shift needs beta > 0; pass m explicitly")
         m = p.alpha**2 / p.beta + xi / (2.0 * p.tau)
 
-    gen = assemble_generator(grid, replace(p, theta_bc="neumann"),
-                             modal_operators(grid))
+    pn = replace(p, theta_bc="neumann")
+    gen = assemble_generator(grid, pn, modal_operators(grid, pn))
     # reduced (u, v, z at rho > 0) coordinates; the theta ones follow them
     E = restriction_maps(gen)[0][:, :2 * grid.Nx + grid.nflux * grid.Nrho]
     W = h_weight_matrix(gen, xi)

@@ -151,7 +151,10 @@ BAD_CONFIGS = [("simulate", o) for o in [
     "lyapunov.xi_factor=inf",
 ]] + [
     ("certify", "model.beta=5 lyapunov.lambda= lyapunov.lambda_grid=0.5:3:0"),
-]
+] + [("sweep", o) for o in [
+    "sweep.beta=4.5:inf:3", "sweep.beta=1:2:0", "sweep.beta=1:2:-1",
+    "sweep.beta=1,nan",
+]]
 
 
 @pytest.mark.parametrize(
@@ -166,6 +169,8 @@ def test_bad_config_is_one_line_exit_1(tmp_path, cfgfile, capsys, command,
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("config error:") and err.count("\n") == 1, err
+    if command == "sweep":      # the message names the bad range
+        assert "sweep.beta" in err, err
 
 
 def test_spectrum_needs_no_lyapunov_constants(tmp_path, cfgfile):
@@ -213,8 +218,8 @@ def _trap(*args, **kwargs):
 
 
 @pytest.mark.parametrize("command,overrides,module,name", [
-    # one dense Dirichlet block of 2*128 + 129*64 + 129 = 8641 > 5000
-    ("spectrum", ["grid.nx=128", "grid.nrho=64", "model.theta_bc=dirichlet"],
+    # the even Dirichlet parity block of 80*67 + 1 = 5361 > 5000
+    ("spectrum", ["grid.nx=160", "grid.nrho=64", "model.theta_bc=dirichlet"],
      spectral, "sla"),
 ])
 def test_too_large_is_one_line_exit_1(tmp_path, cfgfile, capsys, monkeypatch,

@@ -69,6 +69,10 @@ def test_parse_range_forms():
     assert parse_range("") == []
     with pytest.raises(ConfigError):
         parse_range("0:1")
+    # non-finite values, an overflowing step and empty ranges, named
+    for bad in ("4.5:inf:3", "-1e308:1e308:3", "1,nan", "1:2:0", "1:2:-1", ","):
+        with pytest.raises(ConfigError, match="sweep.beta needs"):
+            parse_range(bad, "sweep.beta")
 
 
 def test_initial_data_presets():

@@ -160,16 +160,20 @@ def test_modal_generator_is_fourier_transform_of_real_space(Nx, Nrho):
     g = Grid(Nx=Nx, Nrho=Nrho)
     T = _fourier_basis(g)
     assert np.allclose(T.T @ T, np.eye(g.dim), atol=1e-13)
-    modal = assemble_generator(g, P, modal_operators(g)).dense()
-    TAT = T.T @ assemble_generator(g, P).dense() @ T
-    assert np.max(np.abs(modal - TAT)) <= 1e-13 * np.max(np.abs(TAT))
-    # Dirichlet theta: the corner terms couple cosine modes, O(10^2) entries
-    # where the Neumann modal generator has none, so it has no modal form
     pd = PhysParams(**{**P.__dict__, "theta_bc": "dirichlet"})
-    TAT_d = T.T @ assemble_generator(g, pd).dense() @ T
-    assert np.max(np.abs(TAT_d[modal == 0.0])) > 50.0
-    with pytest.raises(ValueError, match="neumann"):
-        assemble_generator(g, pd, modal_operators(g))
+    for p in (P, pd):
+        ops = modal_operators(g, p)
+        modal = assemble_generator(g, p, ops).dense()
+        TAT = T.T @ assemble_generator(g, p).dense() @ T
+        assert np.max(np.abs(modal - TAT)) <= 1e-13 * np.max(np.abs(TAT))
+    # Dirichlet theta: the corner terms couple the cosine modes of one
+    # parity, O(10^2) entries where the Neumann modal generator has none,
+    # and store no entry between modes of opposite parity
+    L = ops.L_theta.tocoo()
+    assert L.nnz == (g.nflux**2 + 1) // 2
+    assert np.all((L.row + L.col) % 2 == 0)
+    neumann = assemble_generator(g, P, modal_operators(g, P)).dense()
+    assert np.max(np.abs(modal[neumann == 0.0])) > 50.0
 
 
 def test_v_row_reduces_to_delayed_stress_when_decoupled():

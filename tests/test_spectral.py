@@ -12,7 +12,8 @@ import scipy.sparse.linalg as spla
 from thermodelay import spectral
 from thermodelay.constants import find_beta0, lyapunov_constants
 from thermodelay.discretization import (Grid, assemble_generator,
-                                        build_operators, pack, random_state)
+                                        build_operators, modal_operators, pack,
+                                        random_state)
 from thermodelay.params import PhysParams
 from thermodelay.spectral import (dissipativity_test, h_weight_matrix,
                                   spectral_abscissa, spectrum_dense)
@@ -127,16 +128,18 @@ def test_pure_heat_block_spectrum():
 
 
 def test_dense_size_guard(certified, monkeypatch):
-    # Dirichlet theta stays one dense block: 2*70 + 71*70 + 71 = 5181 > 5000;
-    # the trap keeps the oversized solve from running if the guard is missing
-    def trap(a):
-        raise AssertionError(f"dense eigvals of {a.shape} ran")
+    # the even Dirichlet parity block at 100x100 has 50*103 + 1 = 5151 > 5000
+    # rows; the traps keep the oversized solve, and the Nx^2 corner coupling
+    # before it, from running if the guard is missing or comes too late
+    def trap(*args):
+        raise AssertionError("an oversized dense path ran")
 
     monkeypatch.setattr(spectral, "sla", SimpleNamespace(eigvals=trap))
+    monkeypatch.setattr(spectral, "modal_operators", trap)
     p, c = certified
     pd = PhysParams(**{**p.__dict__, "theta_bc": "dirichlet"})
-    gen = assemble_generator(Grid(Nx=70, Nrho=70), pd)
-    with pytest.raises(ValueError, match="dimension 5181 exceeds"):
+    gen = assemble_generator(Grid(Nx=100, Nrho=100), pd)
+    with pytest.raises(ValueError, match="dimension 5151 exceeds"):
         spectrum_dense(gen)
 
 
@@ -150,16 +153,33 @@ def test_neumann_spectrum_is_modal_past_the_dense_limit(certified):
     assert np.bincount(res.modes).tolist() == [70] + [73] * 70
 
 
-@pytest.mark.parametrize("Nx,Nrho", [(32, 32), (17, 5)])
-@pytest.mark.parametrize("damped", [True, False])
-def test_modal_spectrum_matches_dense(certified, Nx, Nrho, damped):
+@pytest.mark.parametrize("theta_bc,damped,Nx,Nrho", [
+    pytest.param(bc, damped, Nx, Nrho,
+                 id=f"{damped}-{Nx}-{Nrho}" + ("-dirichlet" if bc == "dirichlet" else ""))
+    for bc in ("neumann", "dirichlet") for damped in (True, False)
+    for Nx, Nrho in [(32, 32), (17, 5)]])
+def test_modal_spectrum_matches_dense(certified, theta_bc, damped, Nx, Nrho):
     # oracle: one dense eigvals of the real-space reduced generator
     p, c = certified
-    p = p if damped else p.with_beta(0.0)
-    gen = assemble_generator(Grid(Nx=Nx, Nrho=Nrho), p)
+    p = PhysParams(**{**p.__dict__, "beta": p.beta if damped else 0.0,
+                      "theta_bc": theta_bc})
+    g = Grid(Nx=Nx, Nrho=Nrho)
+    gen = assemble_generator(g, p)
     w_dense = sla.eigvals(reduced_generator(gen).toarray())
     w_modal, modes = spectral.reduced_eigvals(gen)
-    assert len(w_modal) == len(w_dense) == len(modes)
+    assert len(w_modal) == len(w_dense)
+    # the mode-0 transport chain is a block of its own, with eigenvalues
+    # exactly -Nrho/tau
+    assert np.sum(w_modal == -Nrho / p.tau) == Nrho
+    if theta_bc == "neumann":
+        assert len(modes) == len(w_modal)
+    else:
+        # two parity blocks, the even one with the theta mean, and the chain
+        R = reduced_generator(assemble_generator(g, p, modal_operators(g, p)))
+        sizes = sorted(b.size for b in spectral._connected_blocks(R))
+        assert modes is None
+        assert sizes == sorted([Nrho, Nx // 2 * (Nrho + 3) + 1,
+                                (Nx + 1) // 2 * (Nrho + 3)])
     assert abs(spectral_abscissa(gen)[0] - w_dense.real.max()) <= 1e-10
     top_d = w_dense[np.argsort(-w_dense.real)[:20]]
     top_m = w_modal[np.argsort(-w_modal.real)[:20]]
