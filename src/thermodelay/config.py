@@ -17,6 +17,7 @@ __all__ = ["ConfigError", "RunConfig", "load_config", "parse_range",
            "make_initial_data"]
 
 SCHEMA_VERSION = 1
+MAX_RANGE_POINTS = 1000    # most values a start:stop:num range may ask for
 
 DEFAULTS = {
     "model": {
@@ -50,7 +51,8 @@ def parse_range(text: str, name: str = "range") -> list[float]:
     """Parse 'a,b,c' or 'start:stop:num' into a list of finite floats.
 
     Empty text gives an empty list; any other text must give at least one
-    value.  `name` labels the range in error messages.
+    value, and num may not exceed MAX_RANGE_POINTS.  `name` labels the
+    range in error messages.
     """
     text = text.strip()
     if not text:
@@ -62,6 +64,9 @@ def parse_range(text: str, name: str = "range") -> list[float]:
         raise ConfigError(f"{name} must be start:stop:num, got {text!r}")
     elif int(parts[2]) < 1:
         values = []
+    elif int(parts[2]) > MAX_RANGE_POINTS:
+        raise ConfigError(f"{name} asks for {int(parts[2])} points, above the "
+                          f"limit of {MAX_RANGE_POINTS}")
     else:
         # Python floats; a step that overflows gives non-finite values,
         # rejected below instead of warned about
@@ -192,7 +197,7 @@ def load_config(path: str | None = None, overrides: list[str] = (),
         if not ok:
             raise ConfigError(message)
     try:
-        step_count(cfg.t_end, params.tau / grid.Nrho)
+        step_count(cfg.t_end, params.tau / grid.Nrho, cfg.record_every)
     except ValueError as exc:
         raise ConfigError(f"time.{exc}") from None
 

@@ -131,6 +131,21 @@ def build_operators(grid: Grid, p: PhysParams) -> Operators:
     return Operators(G=G1 / dx, L_theta=L.tocsr())
 
 
+def _fourier_symbols(grid: Grid):
+    """Per-mode symbols of the Fourier-mode coordinates (see modal_operators).
+
+    Returns g, with g[k] = 2 sin(k pi / (2 (Nx+1))) / dx the symbol of G on
+    mode k and g[0] = 0, and c = C[0], the first row of the orthonormal
+    DCT-II: the Dirichlet corner term on cosine modes j, k is
+    -(4/dx^2) c_j c_k for j = k (mod 2).
+    """
+    j = np.arange(grid.nflux)
+    g = 2.0 * np.sin(j * np.pi / (2 * grid.nflux)) / grid.dx
+    c = (np.sqrt(np.where(j == 0, 1.0, 2.0) / grid.nflux)
+         * np.cos(j * np.pi / (2 * grid.nflux)))
+    return g, c
+
+
 def modal_operators(grid: Grid, p: PhysParams) -> Operators:
     """build_operators in Fourier-mode coordinates.
 
@@ -149,12 +164,11 @@ def modal_operators(grid: Grid, p: PhysParams) -> Operators:
     """
     Nx, nf = grid.Nx, grid.nflux
     k = np.arange(1, Nx + 1)
-    g = 2.0 * np.sin(k * np.pi / (2 * (Nx + 1))) / grid.dx
-    G = sp.csr_matrix((g, (k, k - 1)), shape=(Nx + 1, Nx))
-    L = sp.diags(-np.r_[0.0, g] ** 2, format="csr")
+    g, c = _fourier_symbols(grid)
+    G = sp.csr_matrix((g[1:], (k, k - 1)), shape=(Nx + 1, Nx))
+    L = sp.diags(-g ** 2, format="csr")
     if p.theta_bc == "dirichlet":
         j = np.arange(nf)
-        c = np.sqrt(np.where(j == 0, 1.0, 2.0) / nf) * np.cos(j * np.pi / (2 * nf))
         row, col = np.nonzero(np.add.outer(j, j) % 2 == 0)
         L = L - sp.csr_matrix((4.0 / grid.dx**2 * c[row] * c[col], (row, col)),
                               shape=(nf, nf))

@@ -31,6 +31,8 @@ __all__ = ["ImplicitFactor", "NumericalBlowupError", "factor_implicit",
            "step_imex", "expm_oracle", "step_count", "simulate"]
 
 EXPM_MAX_DIM = 4000
+MAX_STEPS = 10**7          # longest run step_count accepts
+MAX_RECORDS = 10**6        # most records (trajectory rows) it accepts
 
 
 class NumericalBlowupError(RuntimeError):
@@ -135,13 +137,24 @@ def expm_oracle(gen: Generator, state: State, t: float) -> State:
     return unpack(phi @ pack(state), gen.grid)
 
 
-def step_count(t_end: float, dt: float) -> int:
-    """Number of steps of length dt to t_end, which must lie on the step grid."""
+def step_count(t_end: float, dt: float, record_every: int = 1) -> int:
+    """Number of steps of length dt to t_end, which must lie on the step grid.
+
+    The run may take at most MAX_STEPS steps and MAX_RECORDS records: the
+    initial state, every record_every-th step and the last one.
+    """
     ratio = t_end / dt
     if not (math.isfinite(ratio) and math.isclose(ratio, round(ratio), rel_tol=1e-9)):
         raise ValueError(f"t_end = {t_end} is not a multiple of the step "
                          f"tau/Nrho = {dt}")
-    return round(ratio)
+    nsteps = round(ratio)
+    records = 1 + -(-nsteps // record_every)
+    if nsteps > MAX_STEPS or records > MAX_RECORDS:
+        raise ValueError(f"t_end = {t_end} takes {ratio:.4g} steps of tau/Nrho "
+                         f"= {dt} and {records:.4g} records at record_every = "
+                         f"{record_every}; the limits are {MAX_STEPS} steps "
+                         f"and {MAX_RECORDS} records")
+    return nsteps
 
 
 def simulate(
@@ -167,7 +180,7 @@ def simulate(
     raise_on_blowup).
     """
     dt = p.tau / grid.Nrho
-    nsteps = step_count(t_end, dt)
+    nsteps = step_count(t_end, dt, record_every)
     theta0 = np.asarray(theta0, dtype=float).copy()
     if p.theta_bc == "neumann":
         theta0 -= theta0.mean()

@@ -95,8 +95,9 @@ def decay_rate_fit(traj: Trajectory, window: tuple[float, float]) -> dict:
     E = traj.E[mask]
     if len(t) < 3:
         raise ValueError("window contains fewer than 3 samples")
-    if np.any(E <= 0):
-        raise ValueError("window contains nonpositive energy (degenerate run)")
+    if not np.all((E > 0) & np.isfinite(E)):
+        raise ValueError("window contains nonpositive or non-finite energy "
+                         "(degenerate run)")
     logE = np.log(E)
     slope, intercept = np.polyfit(t, logE, 1)
     resid = logE - (slope * t + intercept)

@@ -8,7 +8,11 @@ splits into the connected components of its sparsity graph; only those
 blocks are dense.  With Neumann theta there is one small block per mode.
 Dirichlet theta couples the cosine modes of one parity, as the reflection
 x -> ell - x commutes with the generator, so it splits into an odd and an
-even block of about half the reduced dimension each.
+even block of about half the reduced dimension each.  The Dirichlet
+abscissa alone needs no dense parity block: each block is the Neumann
+per-mode matrix plus a rank-1 theta coupling, so its rightmost eigenvalue
+is found by sparse shift-invert and confirmed by counting eigenvalues in a
+box (_counted_rightmost), with the dense block as the fallback.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import connected_components
 
-from .discretization import (DenseSizeError, Generator, Grid,
+from .discretization import (DenseSizeError, Generator, Grid, _fourier_symbols,
                              assemble_generator, modal_operators)
 from .params import PhysParams
 
@@ -30,6 +34,11 @@ __all__ = ["SpectrumResult", "spectrum_dense", "spectral_abscissa",
            "reduced_generator", "restriction_maps"]
 
 DENSE_MAX_DIM = 5000     # largest block handed to the dense eigensolver
+N_CANDIDATES = 6         # eigenvalues per shift in the Dirichlet abscissa
+BALANCE_SWEEPS = 10      # Osborne sweeps before the Gershgorin bounds
+WINDING_ROUNDS = 60      # bisection rounds of the winding-number contour
+WINDING_MAX_SAMPLES = 200_000
+SECANT_STEPS = 20        # polishing steps of the counted Dirichlet eigenvalue
 
 
 @dataclass
@@ -189,10 +198,267 @@ def spectrum_dense(gen: Generator, n_refine: int = 10,
 
 def spectral_abscissa(gen: Generator, spectrum: SpectrumResult | None = None):
     """Maximum real part of the constrained-space spectrum and the achieving
-    eigenvalue."""
-    w = reduced_eigvals(gen)[0] if spectrum is None else spectrum.eigenvalues
+    eigenvalue.
+
+    Without a spectrum, Neumann theta takes every eigenvalue per Fourier
+    mode (reduced_eigvals); Dirichlet theta counts instead of listing
+    (_dirichlet_rightmost).
+    """
+    if spectrum is not None:
+        w = spectrum.eigenvalues
+    elif gen.p.theta_bc == "neumann":
+        w = reduced_eigvals(gen)[0]
+    else:
+        w = _dirichlet_rightmost(gen)
     idx = int(np.argmax(w.real))
     return float(w.real[idx]), complex(w[idx])
+
+
+def _parity_coordinates(grid: Grid, parity: int) -> np.ndarray:
+    """Reduced Dirichlet coordinates of the cosine modes k = parity (mod 2):
+    u, v and z at rho > 0 of each mode k >= 1, then theta (see
+    restriction_maps); the even set holds the theta mean."""
+    Nx, Nrho = grid.Nx, grid.Nrho
+    k = np.arange(2 - parity, Nx + 1, 2)
+    z = 2 * Nx + k[:, None] * Nrho + np.arange(Nrho)
+    theta = 2 * Nx + grid.nflux * Nrho + np.arange(parity, grid.nflux, 2)
+    return np.r_[k - 1, Nx + k - 1, z.ravel(), theta]
+
+
+def _dirichlet_rightmost(gen: Generator) -> np.ndarray:
+    """The rightmost eigenvalues of the reduced Dirichlet generator, per block.
+
+    Each parity block is counted (_counted_rightmost); one whose count
+    fails is solved densely.  The mode-0 transport chain is the same as in
+    Neumann mode.
+    """
+    chain, blocks = _parity_blocks(gen)
+    out = [chain]
+    for M, theta, poles in blocks:
+        lam = _counted_rightmost(M, theta, poles, gen.grid, gen.p)
+        if lam is None:
+            _check_dense_dim(M.shape[0])
+            lam = sla.eigvals(M.toarray())
+        out.append(np.atleast_1d(lam))
+    return np.concatenate(out)
+
+
+def _parity_blocks(gen: Generator):
+    """The Dirichlet spectrum's pieces in Fourier-mode coordinates.
+
+    Returns the eigenvalues of the mode-0 transport chain and, for the odd
+    and the even cosine modes, (M, theta, poles): the sparse parity block M
+    of the reduced generator, its theta modes, and the eigenvalues of D.
+    M = D - w c c^T, where D is the Neumann per-mode block-diagonal matrix
+    of its modes (and 0 for the theta mean), w = 4 kappa/dx^2 and c the
+    corner cosines on its theta modes; so det(M - sI) = det(D - sI) F(s)
+    with the scalar F of _secular.  The eigenvalues of D come per mode from
+    the Neumann generator (reduced_eigvals).
+    """
+    grid, p = gen.grid, gen.p
+    # the theta coupling of the larger parity block is stored densely
+    _check_dense_dim(grid.nflux - grid.nflux // 2)
+    pn = replace(p, theta_bc="neumann")
+    poles, modes = reduced_eigvals(
+        assemble_generator(grid, pn, modal_operators(grid, pn)))
+    R = reduced_generator(assemble_generator(grid, p, modal_operators(grid, p)))
+    blocks = []
+    for parity in (1, 0):
+        idx = _parity_coordinates(grid, parity)
+        blocks.append((R[idx][:, idx], np.arange(parity, grid.nflux, 2),
+                       np.r_[poles[(modes % 2 == parity) & (modes > 0)],
+                             np.zeros(parity ^ 1)]))
+    return poles[modes == 0], blocks
+
+
+def _secular(s: np.ndarray, grid: Grid, p: PhysParams,
+             theta: np.ndarray) -> np.ndarray:
+    """F(s) = det(M - sI) / det(D - sI) for the parity block on the cosine
+    modes `theta` (see _parity_blocks), at the points s.
+
+    F(s) = 1 + (4 kappa/dx^2) sum_k c_k^2 rho_k(s), where rho_k is the
+    theta-theta entry of (sI - D_k)^-1 with z eliminated exactly:
+    rho_k = 1/(s + kappa mu + gamma^2 mu s / (s^2 + beta mu s
+    + alpha mu r^Nrho)), r = c/(s + c), c = Nrho/tau, mu = g_k^2 (so
+    rho_0 = 1/s).  Summed mode by mode, so memory stays that of s.
+    """
+    g, c = _fourier_symbols(grid)
+    rate = grid.Nrho / p.tau
+    with np.errstate(all="ignore"):   # a non-finite F is checked by the caller
+        rN = (rate / (s + rate)) ** grid.Nrho
+        acc = np.zeros_like(s)
+        for k in theta:
+            mu = g[k] ** 2
+            q = s * (s + p.beta * mu) + p.alpha * mu * rN
+            acc += c[k] ** 2 / (s + p.kappa * mu + p.gamma**2 * mu * s / q)
+        return 1.0 + 4.0 * p.kappa / grid.dx**2 * acc
+
+
+def _rightmost_candidates(M: sp.spmatrix, shifts) -> np.ndarray:
+    """Eigenvalues of M nearest each shift, by sparse shift-invert Arnoldi
+    (ARPACK) from a fixed start vector, with their conjugates (M is real)."""
+    A = M.astype(complex).tocsc()
+    n = A.shape[0]
+    w = np.concatenate([
+        spla.eigs(A, k=min(N_CANDIDATES, n - 2), sigma=sigma,
+                  v0=np.ones(n, complex), return_eigenvectors=False)
+        for sigma in shifts])
+    return np.r_[w, w.conj()]
+
+
+def _gershgorin_box(M: sp.spmatrix):
+    """X >= Re(lambda) and Y >= |Im(lambda)| for every eigenvalue of the real
+    sparse M, from the Gershgorin discs (by rows and by columns) of S M S^-1,
+    with the diagonal S balancing off-diagonal row and column sums
+    (Osborne's iteration)."""
+    d = M.diagonal()
+    A = abs(M - sp.diags(d)).tocsr()
+    s = np.ones(A.shape[0])
+    for _ in range(BALANCE_SWEEPS):
+        rows, cols = s * (A @ (1.0 / s)), (A.T @ s) / s
+        ok = (rows > 0.0) & (cols > 0.0)
+        s[ok] *= np.sqrt(cols[ok] / rows[ok])
+    rows, cols = s * (A @ (1.0 / s)), (A.T @ s) / s
+    return (min(np.max(d + rows), np.max(d + cols)),
+            min(np.max(rows), np.max(cols)))
+
+
+def _edge(a: float, b: float, marks: np.ndarray, step: float) -> np.ndarray:
+    """Samples from a to b: a uniform grid at most `step` apart and the
+    marks strictly between them."""
+    lo, hi = min(a, b), max(a, b)
+    t = np.unique(np.r_[np.linspace(lo, hi, int(np.ceil((hi - lo) / step)) + 1),
+                        marks[(marks > lo) & (marks < hi)]])
+    return t if a <= b else t[::-1]
+
+
+def _winding(f, x0: float, X: float, Y: float, known: np.ndarray,
+             step: float) -> int | None:
+    """Winding number of f around the box x0 < Re s < X, |Im s| < Y.
+
+    f(conj s) = conj f(s), so the winding number is the change of arg f
+    along the upper half X -> X + iY -> x0 + iY -> x0, divided by pi.  Each
+    edge is sampled at most `step` apart and, for each known pole or zero,
+    at its projection onto the edge and one distance from it either side;
+    then every step is bisected until f turns by at most pi/8 from sample
+    to sample.  The result is sampled, not proven.  Returns None when f is
+    not finite on the path or the refinement does not settle.
+    """
+    re, im = known.real, known.imag
+
+    def vertical(x):
+        d = np.abs(re - x)
+        return np.r_[im, im - d, im + d]
+
+    top = np.r_[re, re - np.abs(im - Y), re + np.abs(im - Y)]
+    s = np.r_[X + 1j * _edge(0.0, Y, vertical(X), step),
+              (_edge(X, x0, top, step) + 1j * Y)[1:],
+              (x0 + 1j * _edge(Y, 0.0, vertical(x0), step))[1:]]
+    fs = f(s)
+    for _ in range(WINDING_ROUNDS):
+        with np.errstate(all="ignore"):
+            turn = np.angle(fs[1:] / fs[:-1])
+        if not np.all(np.isfinite(turn)):
+            return None
+        wide = np.flatnonzero(np.abs(turn) > np.pi / 8)
+        if wide.size == 0:
+            n = turn.sum() / np.pi
+            return round(n) if abs(n - round(n)) < 1e-6 else None
+        if s.size + wide.size > WINDING_MAX_SAMPLES:
+            return None
+        mid = 0.5 * (s[wide] + s[wide + 1])
+        s = np.insert(s, wide + 1, mid)
+        fs = np.insert(fs, wide + 1, f(mid))
+    return None
+
+
+def _count_right_of(x0: float, M: sp.spmatrix, theta: np.ndarray,
+                    poles: np.ndarray, known: np.ndarray, grid: Grid,
+                    p: PhysParams) -> int | None:
+    """Number of eigenvalues of the parity block M (see _parity_blocks)
+    with real part above x0, or None when the winding number is not settled.
+
+    The box x0 < Re s < X, |Im s| < Y holds all of them: X and Y are the
+    balanced Gershgorin bounds of M plus a margin, which keeps every
+    eigenvalue off its right, top and bottom edges.  The count is the poles
+    (eigenvalues of D) in the box plus the winding number of F (_secular)
+    around it, sampled also at the poles and the other `known` points.
+    None also when the bounds overflow.
+    """
+    X, Y = _gershgorin_box(M)
+    if not np.isfinite(X + Y):
+        return None
+    margin = (X - x0 + Y) / 8.0
+    X, Y = X + margin, Y + margin
+    winding = _winding(lambda s: _secular(s, grid, p, theta), x0, X, Y,
+                       np.r_[poles, known], margin / 4.0)
+    if winding is None:
+        return None
+    inside = (poles.real > x0) & (poles.real < X) & (np.abs(poles.imag) < Y)
+    return int(inside.sum()) + winding
+
+
+def _counted_rightmost(M: sp.spmatrix, theta: np.ndarray, poles: np.ndarray,
+                       grid: Grid, p: PhysParams) -> complex | None:
+    """Rightmost eigenvalue of the Dirichlet parity block M, or None when
+    the count does not confirm it.
+
+    1. Candidates: shift-invert Arnoldi at 0 and at the rightmost pole.
+    2. The left edge x0 lies in the widest gap between pole real parts just
+       below the rightmost candidate a: at most 1e-3 (1 + |a|) below it, and
+       above the next candidate.
+    3. The eigenvalues right of x0 are counted (_count_right_of).
+    4. The candidate is accepted if the count equals the number of distinct
+       candidates right of x0.
+    """
+    top = poles[np.argmax(poles.real)]
+    shifts = dict.fromkeys([0j, complex(top.real, abs(top.imag))])
+    try:
+        cand = _rightmost_candidates(M, shifts)
+    except RuntimeError:      # a singular shift or an ArpackError
+        return None
+    a = cand.real.max()
+    tol = 1e-8 * (1.0 + abs(a))
+    lo = max(a - 1e-3 * (1.0 + abs(a)),
+             cand.real[cand.real < a - tol].max(initial=-np.inf))
+    cuts = np.sort(np.r_[lo, a, poles.real[(poles.real > lo) & (poles.real < a)]])
+    i = int(np.argmax(np.diff(cuts)))
+    x0 = 0.5 * (cuts[i] + cuts[i + 1])
+
+    distinct = []
+    for z in sorted(cand[cand.real > x0], key=lambda z: (-z.real, -z.imag)):
+        if all(abs(z - d) > tol for d in distinct):
+            distinct.append(z)
+    if _count_right_of(x0, M, theta, poles, cand, grid, p) != len(distinct):
+        return None
+    lam = complex(distinct[0].real,
+                  abs(distinct[0].imag) if abs(distinct[0].imag) > tol else 0.0)
+    # F times the distance to the nearest pole has the same root there but
+    # no pole beside it, which may sit closer than the rounded start
+    near = poles[np.argmin(np.abs(poles - lam))]
+    return _secant_root(lambda s: _secular(s, grid, p, theta) * (s - near), lam)
+
+
+def _secant_root(f, z: complex) -> complex | None:
+    """The root of f next to z, by the secant method from z rounded to
+    about 1e-9 relative, or None if it does not settle within that.
+
+    The last bits of an ARPACK eigenvalue depend on the BLAS thread count;
+    the root found from the rounded start does not, and it is the
+    eigenvalue as accurately as f can be evaluated.
+    """
+    h = 2.0 ** (np.floor(np.log2(1.0 + abs(z))) - 30)
+    s0 = complex(round(z.real / h) * h, round(z.imag / h) * h)
+    s1 = s0 + h
+    f0, f1 = (complex(f(np.array([s]))[0]) for s in (s0, s1))
+    for _ in range(SECANT_STEPS):
+        if f1 == f0:
+            break
+        s0, s1 = s1, s1 - f1 * (s1 - s0) / (f1 - f0)
+        f0, f1 = f1, complex(f(np.array([s1]))[0])
+        if abs(s1 - s0) <= 4.0 * np.finfo(float).eps * abs(s1):
+            break
+    return s1 if np.isfinite(s1) and abs(s1 - z) <= 4.0 * h else None
 
 
 def h_weight_matrix(gen: Generator, xi: float) -> sp.csr_matrix:

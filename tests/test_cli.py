@@ -173,6 +173,23 @@ def test_bad_config_is_one_line_exit_1(tmp_path, cfgfile, capsys, command,
         assert "sweep.beta" in err, err
 
 
+@pytest.mark.parametrize("command, override, key", [
+    ("simulate", "time.t_end=1e300", "time.t_end"),     # 8e300 steps
+    ("simulate", "time.t_end=200000", "time.t_end"),    # 1.6e6 records
+    ("sweep", "sweep.beta=1:2:3000000", "sweep.beta"),
+    ("certify", "lyapunov.lambda_grid=0.5:3:5000", "lyapunov.lambda_grid"),
+])
+def test_run_size_limit_is_one_line_exit_1(tmp_path, cfgfile, capsys, command,
+                                           override, key):
+    code = _run([command, "--config", cfgfile, "--out", str(tmp_path / "big"),
+                 "--override", "model.beta=", "--override", "lyapunov.lambda=",
+                 "--override", override])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("config error:") and err.count("\n") == 1, err
+    assert key in err, err
+
+
 def test_spectrum_needs_no_lyapunov_constants(tmp_path, cfgfile):
     # gamma = 0 and an empty lambda grid rule out the constants, not a spectrum
     assert _run(["spectrum", "--config", cfgfile, "--out", str(tmp_path / "s"),
@@ -236,6 +253,38 @@ def test_too_large_is_one_line_exit_1(tmp_path, cfgfile, capsys, monkeypatch,
     assert err.startswith("size error:") and err.count("\n") == 1, err
 
 
+def test_dirichlet_abscissa_past_the_dense_limit(tmp_path, cfgfile, capsys,
+                                                 monkeypatch):
+    # at 32x32 the parity blocks have 560 and 561 rows, one mode's block 35
+    sweep = tmp_path / "sweep_d.ini"
+    sweep.write_text(BASE + "\n[sweep]\nbeta = 4.5,6\nspectrum = true\n")
+    d32 = ["--override", "model.theta_bc=dirichlet", "--override", "grid.nx=32",
+           "--override", "grid.nrho=32", "--override", "time.t_end=2"]
+    ref = tmp_path / "ref"
+    assert _run(["sweep", "--config", str(sweep), "--out", str(ref)] + d32) == 0
+    monkeypatch.setattr(spectral, "DENSE_MAX_DIM", 100)
+    # a counted abscissa still runs and gives the same bytes
+    out = tmp_path / "counted"
+    assert _run(["sweep", "--config", str(sweep), "--out", str(out)] + d32) == 0
+    assert (out / "sweep.csv").read_bytes() == (ref / "sweep.csv").read_bytes()
+    # the spectrum lists every eigenvalue, so it stays dense and is refused
+    capsys.readouterr()
+    assert _run(["spectrum", "--config", cfgfile, "--out",
+                 str(tmp_path / "spec")] + d32) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("size error:") and err.count("\n") == 1, err
+    # a count that fails falls back to the dense block, refused per point
+    def no_candidates(M, shifts):
+        raise RuntimeError("no candidates")
+
+    monkeypatch.setattr(spectral, "_rightmost_candidates", no_candidates)
+    out = tmp_path / "fallback"
+    assert _run(["sweep", "--config", str(sweep), "--out", str(out)] + d32) == 0
+    rows = [r.split(",") for r in
+            (out / "sweep.csv").read_text().strip().split("\n")[2:]]
+    assert [(r[6], r[-1]) for r in rows] == [("", "DenseSizeError")] * 2
+
+
 def test_simulate_has_no_size_limit(tmp_path, cfgfile):
     # the sparse (v, theta) block of 2*4096 + 1 rows is past the old dense cap
     out = tmp_path / "wide"
@@ -290,6 +339,17 @@ def test_neumann_spectrum_bytes_independent_of_blas_threads(tmp_path):
     one, two = _cli_bytes_per_blas_threads(
         tmp_path, "spectrum", "[model]\nbeta = 4.5\n",
         ("spectrum.csv", "summary.json"))
+    assert one == two
+
+
+def test_dirichlet_sweep_bytes_independent_of_blas_threads(tmp_path):
+    # the counted abscissa solves no dense block larger than one mode's; the
+    # dense parity blocks it replaced gave thread-dependent bytes
+    one, two = _cli_bytes_per_blas_threads(
+        tmp_path, "sweep",
+        "[model]\ntheta_bc = dirichlet\n[grid]\nnx = 32\nnrho = 32\n"
+        "[time]\nt_end = 2\n[sweep]\nbeta = 0:6:4\nspectrum = true\n",
+        ("sweep.csv", "summary.json"))
     assert one == two
 
 

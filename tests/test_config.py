@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from thermodelay.config import (ConfigError, load_config, make_initial_data,
-                                parse_range)
+from thermodelay.config import (MAX_RANGE_POINTS, ConfigError, load_config,
+                                make_initial_data, parse_range)
 
 BASE = """
 [model]
@@ -73,6 +73,10 @@ def test_parse_range_forms():
     for bad in ("4.5:inf:3", "-1e308:1e308:3", "1,nan", "1:2:0", "1:2:-1", ","):
         with pytest.raises(ConfigError, match="sweep.beta needs"):
             parse_range(bad, "sweep.beta")
+    # the count is capped before anything is allocated
+    assert len(parse_range(f"1:2:{MAX_RANGE_POINTS}")) == MAX_RANGE_POINTS
+    with pytest.raises(ConfigError, match="sweep.beta asks for 3000000 points"):
+        parse_range("1:2:3000000", "sweep.beta")
 
 
 def test_initial_data_presets():

@@ -1,5 +1,5 @@
-"""Property tests: packed-state round trip, theta-mass conservation, and
-config validation under hostile overrides."""
+"""Property tests: packed-state round trip, theta-mass conservation,
+config validation under hostile overrides, and Dirichlet sweeps."""
 
 import contextlib
 import io
@@ -11,6 +11,7 @@ import numpy as np
 import scipy.sparse.linalg as spla
 from hypothesis import example, given, settings, strategies as st
 
+from thermodelay import spectral
 from thermodelay.cli import main
 from thermodelay.config import (DEFAULTS, SWEEPABLE, ConfigError, RunConfig,
                                 load_config)
@@ -90,6 +91,7 @@ CONFIG = "[model]\nbeta = 4.6\n[grid]\nnx = 8\nnrho = 8\n[time]\nt_end = 6.0\n"
 @PROPERTY
 @given(overrides=overrides)
 @example(overrides=[("time.t_end", "1e308")])    # was an OverflowError
+@example(overrides=[("time.t_end", "1e300")])    # was 8e300 steps, accepted
 def test_load_config_returns_or_raises_config_error(overrides):
     try:
         cfg = load_config(text=CONFIG, overrides=[f"{k}={v}" for k, v in overrides])
@@ -106,6 +108,7 @@ def test_load_config_returns_or_raises_config_error(overrides):
 @example(overrides=[("model.alpha", "0"), ("model.beta", "")])
 @example(overrides=[("lyapunov.xi_factor", "inf")])
 @example(overrides=[("time.t_end", "1e308")])
+@example(overrides=[("time.t_end", "1e300")])
 @example(overrides=[("lyapunov.lambda", "1e308"), ("model.beta", "")])
 @example(overrides=[("lyapunov.lambda", "1e-300")])
 @example(overrides=[("model.ell", "1e308")])
@@ -126,3 +129,50 @@ def test_certify_exits_0_1_or_2_with_at_most_one_error_line(overrides):
     assert code in (0, 1, 2)
     assert err.getvalue().count("\n") + len(caught) <= 1, (
         err.getvalue(), [str(w.message) for w in caught])
+
+
+SWEEP_CONFIG = ("[model]\ntheta_bc = dirichlet\n[lyapunov]\nlambda = 0.5\n"
+                "[sweep]\nspectrum = true\nworkers = 2\n")
+
+
+def _sweep_rows(out: Path) -> list[list[str]]:
+    return [r.split(",") for r in
+            (out / "sweep.csv").read_text().strip().split("\n")[2:]]
+
+
+@PROPERTY
+@given(nx=st.integers(3, 10), nrho=st.integers(2, 10),
+       steps=st.integers(1, 16), name=st.sampled_from(SWEEPABLE),
+       values=st.lists(st.floats(0.0, 8.0) | st.sampled_from(["0", "-1", "1e6"]),
+                       min_size=1, max_size=3))
+# the energy overflows: the decay fit warned twice on stderr
+@example(nx=3, nrho=2, steps=5, name="ell", values=[5.477282865432251e-30])
+def test_dirichlet_sweep_exits_cleanly_with_the_dense_abscissa(nx, nrho, steps,
+                                                               name, values):
+    # every abscissa in sweep.csv is the counted one; the oracle is the dense
+    # parity blocks of the same point
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, \
+            warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        cfg = Path(tmp) / "sweep.ini"
+        cfg.write_text(SWEEP_CONFIG)
+        out = Path(tmp) / "out"
+        code = main(["sweep", "--config", str(cfg), "--out", str(out),
+                     "--override", f"grid.nx={nx}", "--override", f"grid.nrho={nrho}",
+                     "--override", f"time.t_end={steps / nrho!r}",
+                     "--override", f"sweep.{name}={','.join(map(str, values))}"])
+        rows = _sweep_rows(out) if code == 0 else []
+    assert code in (0, 1, 2, 3)
+    assert err.getvalue().count("\n") + len(caught) <= 1, (
+        err.getvalue(), [str(w.message) for w in caught])
+    base = load_config(text=SWEEP_CONFIG)
+    for row in rows:
+        if not row[6]:
+            continue
+        p = PhysParams(**{**base.params.__dict__, name: float(row[1])})
+        gen = assemble_generator(Grid(Nx=nx, Nrho=nrho, ell=p.ell), p)
+        ref = spectral.reduced_eigvals(gen)[0].real.max()
+        assert abs(float(row[6]) - ref) <= 1e-10 * (1.0 + abs(ref)), row

@@ -209,6 +209,99 @@ def test_benchmark_reference_abscissa():
     assert np.all(res.rightmost_residuals <= 1e-8)
 
 
+def _dirichlet(beta):
+    return PhysParams(**{**UNIT.__dict__, "beta": beta, "theta_bc": "dirichlet"})
+
+
+def _mode_sized_eigvals_only(monkeypatch, grid):
+    """Fail every dense eigensolve larger than one Fourier mode's block."""
+    def eigvals(a):
+        assert a.shape[0] <= grid.Nrho + 3, f"a dense block of {a.shape[0]} rows ran"
+        return sla.eigvals(a)
+
+    monkeypatch.setattr(spectral, "sla", SimpleNamespace(eigvals=eigvals))
+
+
+# abscissa of the 64x64 Dirichlet reduced generator at beta = 4.5, recorded
+# from one dense eigvals of the 4353-row real-space matrix
+DIRICHLET_64_ABSCISSA = -0.2985132626820507
+
+
+@pytest.mark.parametrize("N,beta", [(32, 4.5), (32, 6.0), (32, 0.0), (64, 4.5)])
+def test_dirichlet_abscissa_is_counted(monkeypatch, N, beta):
+    # the count is accepted in every case: no dense block larger than one
+    # mode's runs; the dense parity blocks are the oracle
+    g = Grid(Nx=N, Nrho=N)
+    gen = assemble_generator(g, _dirichlet(beta))
+    ref = (DIRICHLET_64_ABSCISSA if N == 64
+           else spectral.reduced_eigvals(gen)[0].real.max())
+    _mode_sized_eigvals_only(monkeypatch, g)
+    a, lam = spectral_abscissa(gen)
+    assert abs(a - ref) <= 1e-10
+    assert lam.real == a and lam.imag >= 0.0
+    if beta == 0.0:
+        # the trap: the rightmost pair sits in a high mode, far from 0, where
+        # shift-invert at 0 alone finds nothing right of 3.92
+        assert lam == pytest.approx(5.0371 + 2.6136j, abs=1e-4)
+
+
+@pytest.mark.parametrize("beta", [4.5, 0.0])
+def test_dirichlet_count_matches_dense_count(beta):
+    # 32x32, odd block: the left edge is put 1e-4, 1e-6 and 1e-9 to either
+    # side of every pole and eigenvalue within 2e-3 of the abscissa.  At
+    # beta = 4.5 they interlace about 1e-4 apart in the cluster near -0.30;
+    # at beta = 0 the rightmost pair lies within 2e-6 of a pole.  Sampling
+    # the edges only uniformly, bisected the same way, miscounts at beta = 0.
+    g = Grid(Nx=32, Nrho=32)
+    p = _dirichlet(beta)
+    M, theta, poles = spectral._parity_blocks(assemble_generator(g, p))[1][0]
+    w = sla.eigvals(M.toarray())
+    a = w.real.max()
+    near = np.r_[poles, w]
+    near = near[near.real > a - 2e-3].real
+    offsets = np.array([1e-9, 1e-6, 1e-4])
+    edges = [x for x in np.ravel(near[:, None] + np.r_[-offsets, offsets])
+             if x < a]
+    assert len(edges) >= 10
+    for x0 in edges:
+        assert spectral._count_right_of(x0, M, theta, poles, np.array([]), g,
+                                        p) == np.sum(w.real > x0), x0
+
+
+@pytest.mark.parametrize("beta,miss", [(4.5, "drop the rightmost"),
+                                       (0.0, "shift at 0 only")])
+def test_dirichlet_abscissa_falls_back_when_candidates_miss(monkeypatch, beta,
+                                                            miss):
+    # the count then exceeds the candidates, and the dense block is solved
+    g = Grid(Nx=16, Nrho=16)
+    gen = assemble_generator(g, _dirichlet(beta))
+    ref = spectral.reduced_eigvals(gen)[0].real.max()
+    found = spectral._rightmost_candidates
+
+    def candidates(M, shifts):
+        if miss == "shift at 0 only":
+            return found(M, [0.0])
+        w = found(M, shifts)
+        return w[w.real < w.real.max() - 1e-9]
+
+    monkeypatch.setattr(spectral, "_rightmost_candidates", candidates)
+    for M, theta, poles in spectral._parity_blocks(gen)[1]:
+        assert spectral._counted_rightmost(M, theta, poles, g, gen.p) is None
+    assert abs(spectral_abscissa(gen)[0] - ref) <= 1e-12
+
+
+def test_dirichlet_abscissa_falls_back_when_arpack_fails(monkeypatch):
+    g = Grid(Nx=16, Nrho=16)
+    gen = assemble_generator(g, _dirichlet(4.5))
+    ref = spectral.reduced_eigvals(gen)[0].real.max()
+
+    def eigs(*args, **kwargs):
+        raise spla.ArpackNoConvergence("no convergence", np.empty(0), None)
+
+    monkeypatch.setattr(spectral.spla, "eigs", eigs)
+    assert abs(spectral_abscissa(gen)[0] - ref) <= 1e-12
+
+
 def test_h_weight_matrix_spd():
     g = Grid(Nx=6, Nrho=4)
     W = h_weight_matrix(assemble_generator(g, UNIT), xi=1.3).toarray()
