@@ -91,10 +91,15 @@ def _constants_for_run(cfg: RunConfig):
     for lam in _lambda_candidates(cfg):
         p = cfg.params if cfg.params.beta > 0 else cfg.params.with_beta(1.0)
         try:
-            return lyapunov_constants(p, lam, xi_factor=cfg.xi_factor,
-                                      sharp_poincare=cfg.sharp_poincare)
+            consts = lyapunov_constants(p, lam, xi_factor=cfg.xi_factor,
+                                        sharp_poincare=cfg.sharp_poincare)
         except InfeasibleLambdaError:
             continue
+        # xi ~ alpha^2 / beta; the energy needs it positive
+        if not consts.xi > 0.0:
+            raise FloatingPointError(f"the history weight xi = {consts.xi} "
+                                     f"underflows at alpha = {p.alpha}")
+        return consts
     raise ConfigError("no feasible lambda for the functional weights; "
                       "extend lyapunov.lambda_grid")
 
@@ -213,7 +218,8 @@ def _sweep_point(cfg: RunConfig, name: str, value: float, want_spectrum: bool):
         if want_spectrum:
             gen = assemble_generator(sub.grid, params)
             row["abscissa"] = float(spectral_abscissa(gen)[0])
-    except (ConfigError, ValueError, NumericalBlowupError) as exc:
+    except (ConfigError, ValueError, NumericalBlowupError, ArithmeticError,
+            np.linalg.LinAlgError) as exc:
         row["error"] = type(exc).__name__
     return row
 

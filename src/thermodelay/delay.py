@@ -2,14 +2,20 @@
 
 The time step is locked to dt = tau / Nrho, so each step moves z by exactly
 one rho node: push(u_x) puts the new strain at rho = 0 and drops the rho = 1
-column, with no interpolation.  Every push builds a new array, so a z handed
-out by as_field() (and stored in a State) is never modified afterwards.
+column, with no interpolation.
+
+The strains are kept in an append-only store: a chunk of 2(Nrho+1) rows of
+Nx+1 values, newest row first, filled from the back.  z is the transposed
+view of the Nrho+1 rows from the newest on, so a push writes one row and
+moves the view up by one.  When the chunk is full, a fresh one takes the
+newest Nrho rows; that copy comes once per Nrho+1 pushes, so a push costs
+O(Nx) amortized.  A row is written only once, so a z handed out by
+as_field() (and stored in a State) is never modified afterwards.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,19 +24,37 @@ from .discretization import Grid, grad_u
 __all__ = ["HistoryBuffer", "init_history"]
 
 
-@dataclass
 class HistoryBuffer:
-    """The delay field z, shape (Nx+1, Nrho+1), rho ascending."""
+    """The delay field z, shape (Nx+1, Nrho+1), rho ascending.
 
-    z: np.ndarray
+    z[:, i] is row head + i of the current chunk, so tail() (rho = 1) and
+    z[:, -2] are contiguous rows.
+    """
+
+    def __init__(self, z: np.ndarray):
+        z = np.asarray(z, dtype=float)
+        n = z.shape[1]
+        self._rows = np.empty((2 * n, z.shape[0]))
+        self._rows[n:] = z.T                   # copied: the caller's z is kept
+        self._head = n
+        self.z = self._rows[n:].T
 
     def push(self, ux: np.ndarray):
         """One step: ux becomes the rho = 0 column, the rest shifts one node."""
-        self.z = np.column_stack([ux, self.z[:, :-1]])
+        n = self.z.shape[1]
+        head = self._head
+        if head == 0:                          # chunk full: carry the newest Nrho rows
+            fresh = np.empty_like(self._rows)
+            fresh[n + 1:] = self._rows[:n - 1]
+            self._rows, head = fresh, n + 1
+        head -= 1
+        self._rows[head] = ux
+        self._head = head
+        self.z = self._rows[head:head + n].T
 
     def tail(self) -> np.ndarray:
         """The rho = 1 column, u_x(t - tau)."""
-        return self.z[:, -1]
+        return self._rows[self._head + self.z.shape[1] - 1]
 
     def as_field(self) -> np.ndarray:
         """z itself, not a copy; later pushes leave it unchanged."""

@@ -113,10 +113,10 @@ def step_imex(state: State, dt: float, fac: ImplicitFactor,
         y = np.concatenate([state.v, state.theta])
         rhs = fac.explicit_mat @ y
         rhs[:Nx] += dt * force_v
-    if not np.all(np.isfinite(rhs)):
+    if not np.isfinite(rhs).all():
         raise NumericalBlowupError("non-finite right-hand side before solve")
     y_new = fac.solve(rhs)
-    if not np.all(np.isfinite(y_new)):
+    if not np.isfinite(y_new).all():
         raise NumericalBlowupError("non-finite state after implicit solve")
 
     v_new = y_new[:Nx]

@@ -317,6 +317,20 @@ def test_sweep_point_with_singular_block_is_a_row_error(tmp_path, cfgfile):
     assert [r[-1] for r in rows] == ["", "NumericalBlowupError"]
 
 
+def test_sweep_point_with_arithmetic_error_is_a_row_error(tmp_path, cfgfile):
+    # at ell = 1e-300 the Lyapunov constants divide by an underflowed zero
+    cfg2 = tmp_path / "sweep_ell.ini"
+    cfg2.write_text(BASE + "\n[sweep]\nell = 1e-300,1\n")
+    out = tmp_path / "sw_ell"
+    assert _run(["sweep", "--config", str(cfg2), "--out", str(out),
+                 "--override", "grid.nx=3", "--override", "grid.nrho=2"]) == 0
+    rows = [r.split(",") for r in
+            (out / "sweep.csv").read_text().strip().split("\n")[2:]]
+    assert [r[-1] for r in rows] == ["ZeroDivisionError", ""]
+    assert all(rows[1][2:6]), rows[1]       # certified, a0, r2, final_E
+    assert json.loads((out / "summary.json").read_text())["failed_points"] == 1
+
+
 def _cli_bytes_per_blas_threads(tmp_path, command, cfg_text, names):
     """Run a CLI command in subprocesses with 1 and 2 OpenBLAS threads."""
     cfg = tmp_path / f"{command}.ini"

@@ -212,3 +212,16 @@ def test_grad_u_boundary_handling():
     assert ux.shape == (5,)
     assert ux[0] == pytest.approx(u[0] / g.dx)
     assert ux[-1] == pytest.approx(-u[-1] / g.dx)
+
+
+def test_grad_u_bitwise_equals_the_padded_diff():
+    # signed zeros at either end: 0.0 - u[-1] keeps +0.0 where -u[-1] would not
+    vals = [0.0, -0.0, np.inf, -np.inf, np.nan, 1.5, -2.0, 1e308, 5e-324]
+    rng = np.random.default_rng(0)
+    with np.errstate(invalid="ignore", over="ignore"):
+        for n in (1, 2, 3, 6):
+            for _ in range(200):
+                u = rng.choice(vals, size=n)
+                for dx in (0.25, 1.0 / 3.0):
+                    want = np.diff(u, prepend=0.0, append=0.0) / dx
+                    assert grad_u(u, dx).tobytes() == want.tobytes(), u

@@ -9,7 +9,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from thermodelay.constants import lyapunov_constants
+from thermodelay.constants import f_weight, lyapunov_constants
 from thermodelay.delay import HistoryBuffer, init_history
 from thermodelay.discretization import (Grid, State, _slices, assemble_generator,
                                         build_operators, grad_u, pack,
@@ -305,3 +305,90 @@ def test_blowup_truncates_or_raises():
     assert traj.times[-1] <= traj.blowup_time
     with pytest.raises(NumericalBlowupError):
         simulate(g, p, c, raise_on_blowup=True, **kw)
+
+
+class _ShiftedCopy:
+    """The former delay store: every push builds a shifted copy of z."""
+
+    def __init__(self, z):
+        self.z = z
+
+    def push(self, ux):
+        self.z = np.column_stack([ux, self.z[:, :-1]])
+
+    def tail(self):
+        return self.z[:, -1]
+
+    def as_field(self):
+        return self.z
+
+
+def _trapezoid(y, x):
+    # np.trapezoid's own formula, spelled out so the oracle needs no numpy 2
+    return float(np.add.reduce(np.diff(x) * (y[1:] + y[:-1]) / 2.0))
+
+
+def _former_record(s, g, p, c):
+    """t-free record row from the former energy and Lyapunov formulas."""
+    dx, rho = g.dx, g.rho_nodes
+    ux = np.diff(s.u, prepend=0.0, append=0.0) / dx
+    E = float(0.5 * (np.dot(s.v, s.v) + p.alpha * np.dot(ux, ux)
+                     + np.dot(s.theta, s.theta)) * dx
+              + c.xi * np.sum(s.z**2) * dx * g.drho)
+    V1 = 0.5 * np.dot(s.v, s.v) * dx
+    V2 = 0.5 * np.dot(ux, ux) * dx
+    V3 = 0.5 * np.dot(s.theta, s.theta) * dx
+    znorm2 = np.sum(s.z**2, axis=0) * dx
+    V4 = _trapezoid(np.exp(-2.0 * c.lam * rho) * znorm2, rho)
+    w5 = np.exp(-c.lam * rho) * f_weight(rho, c.lam)
+    V5 = -_trapezoid(w5 * (s.z.T @ ux * dx), rho)
+    V6 = float(np.dot(s.u, s.v) * dx)
+    Vt = c.N1 * V1 + p.alpha * c.N2 * V2 + c.N3 * V3 + c.N4 * V4
+    V = Vt + c.N5 * V5 + c.N6 * V6
+    return [E, V, Vt, V1, V2, V3, V4, V5, V6, float(np.sum(s.theta) * dx)]
+
+
+@pytest.mark.parametrize("record_every", [1, 3])
+@pytest.mark.parametrize("theta_bc", ["neumann", "dirichlet"])
+def test_simulate_matches_the_former_recording_path(theta_bc, record_every):
+    # 48 steps at Nrho = 8 cross the 9-push chunk of the strain store five
+    # times.  The step is unchanged, so t, V1-V3, V6 and theta_mass are
+    # bit-equal; E, V, Vtilde, V4 and V5 reorder their rho-sums
+    p = replace(P, beta=4.5, theta_bc=theta_bc)
+    g = Grid(Nx=16, Nrho=8)
+    c = lyapunov_constants(p, 0.5)
+    dt = p.tau / g.Nrho
+    u0 = np.sin(math.pi * g.x_nodes) + 0.3 * np.sin(3 * math.pi * g.x_nodes)
+    u1 = 0.5 * np.sin(2 * math.pi * g.x_nodes)
+    theta0 = 1.0 + np.cos(math.pi * g.x_flux)
+    ux0 = grad_u(u0, g.dx)
+
+    def f0(x, s):
+        return np.interp(x, g.x_flux, ux0) * np.exp(s) + 0.1 * np.sin(5 * s) * x
+
+    traj = simulate(g, p, c, u0, u1, theta0, f0, t_end=6.0,
+                    record_every=record_every)
+
+    gen = assemble_generator(g, p)
+    fac_be = factor_implicit(gen, dt, theta_weight=1.0)
+    fac = factor_implicit(gen, dt)
+    z0 = init_history(f0, g, p.tau).as_field().copy()
+    buf = _ShiftedCopy(z0)
+    th = theta0 - theta0.mean() if theta_bc == "neumann" else theta0.copy()
+    s = State(u=u0.copy(), v=u1.copy(), z=z0, theta=th)
+    times, rows = [0.0], [_former_record(s, g, p, c)]
+    nsteps = 48
+    for n in range(nsteps):
+        s = step_imex(s, dt, fac_be if n == 0 else fac, buf)
+        if (n + 1) % record_every == 0 or n + 1 == nsteps:
+            times.append((n + 1) * dt)
+            rows.append(_former_record(s, g, p, c))
+    want = np.array(rows).T
+
+    got = np.vstack([traj.E, traj.V, traj.Vtilde, traj.V_terms, traj.theta_mass])
+    assert got.shape == want.shape == (10, 1 + -(-nsteps // record_every))
+    assert np.asarray(traj.times).tobytes() == np.array(times).tobytes()
+    exact = [3, 4, 5, 8, 9]                  # V1, V2, V3, V6, theta_mass
+    assert got[exact].tobytes() == want[exact].tobytes()
+    close = [0, 1, 2, 6, 7]                  # E, V, Vtilde, V4, V5
+    assert np.all(np.abs(got[close] - want[close]) <= 1e-13 * np.abs(want[close]))

@@ -72,6 +72,28 @@ def test_step_conserves_neumann_theta_mass(grid, beta, gamma, kappa, weight,
         assert abs(theta_mass(s, grid) - mass0) <= 10.0 * bound + 1e-15 * abs(mass0)
 
 
+@PROPERTY
+@given(nx=st.integers(3, 20), nrho=st.integers(2, 40), data=st.data(), seed=seeds)
+def test_history_buffer_matches_the_shifted_copy(nx, nrho, data, seed):
+    # pushes cross several chunk rollovers; the reference shifts a copy
+    pushes = data.draw(st.integers(0, 5 * (nrho + 1)), label="pushes")
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((nx + 1, nrho + 1))
+    buf = HistoryBuffer(z.copy())
+    held = [(buf.as_field(), z)]
+    for _ in range(pushes):
+        ux = rng.standard_normal(nx + 1)
+        z = np.column_stack([ux, z[:, :-1]])
+        buf.push(ux)
+        field = buf.as_field()
+        assert field.tobytes() == z.tobytes()
+        assert np.array_equal(buf.tail(), z[:, -1])
+        assert np.array_equal(buf.z[:, -2], z[:, -2])
+        held.append((field, z))
+    for field, want in held:                 # no push rewrote a handed-out z
+        assert field.tobytes() == want.tobytes()
+
+
 # every key the schema takes, and values that probe each check: zero,
 # negative, non-finite, huge, tiny, empty, garbage and malformed ranges;
 # range counts stay at most 300, since parse_range allocates them
@@ -176,3 +198,52 @@ def test_dirichlet_sweep_exits_cleanly_with_the_dense_abscissa(nx, nrho, steps,
         gen = assemble_generator(Grid(Nx=nx, Nrho=nrho, ell=p.ell), p)
         ref = spectral.reduced_eigvals(gen)[0].real.max()
         assert abs(float(row[6]) - ref) <= 1e-10 * (1.0 + abs(ref)), row
+
+
+MODEL_KEYS = ("alpha", "beta", "gamma", "kappa", "tau", "ell")
+model_values = st.floats(0.0, 8.0) | st.sampled_from([0.0, -1.0, 1e6])
+
+
+@PROPERTY
+@given(nx=st.integers(3, 10), nrho=st.integers(2, 10), steps=st.integers(1, 16),
+       record_every=st.integers(1, 5),
+       theta_bc=st.sampled_from(["neumann", "dirichlet"]),
+       model=st.dictionaries(st.sampled_from(MODEL_KEYS), model_values,
+                             max_size=len(MODEL_KEYS)))
+# xi = 2 tau alpha^2 / beta underflowed to 0: energy raised a ValueError
+@example(nx=3, nrho=2, steps=1, record_every=1, theta_bc="neumann",
+         model={"alpha": 2.2250738585072014e-308, "beta": 0.0})
+# times of order 1e-300: polyfit divided by zero, then LAPACK printed errors
+@example(nx=10, nrho=2, steps=1, record_every=1, theta_bc="neumann",
+         model={"alpha": 1.66, "beta": 1.9, "gamma": 1e-300, "kappa": 1e-300,
+                "tau": 1e-300, "ell": 1.99})
+def test_simulate_exits_cleanly_with_every_record(nx, nrho, steps, record_every,
+                                                  theta_bc, model):
+    # model keys not drawn keep CONFIG's values; t_end is steps whole steps
+    # of tau/nrho, so an accepted run records the initial state, every
+    # record_every-th step and the last one
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, \
+            warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        cfg = Path(tmp) / "run.ini"
+        cfg.write_text(CONFIG)
+        out = Path(tmp) / "out"
+        overrides = {"grid.nx": nx, "grid.nrho": nrho,
+                     "time.t_end": repr(steps * model.get("tau", 1.0) / nrho),
+                     "time.record_every": record_every,
+                     "model.theta_bc": theta_bc,
+                     **{f"model.{k}": repr(v) for k, v in model.items()}}
+        argv = ["simulate", "--config", str(cfg), "--out", str(out)]
+        for key, value in overrides.items():
+            argv += ["--override", f"{key}={value}"]
+        code = main(argv)
+        lines = ((out / "traj.csv").read_text().strip().split("\n")
+                 if code == 0 else [])
+    assert code in (0, 1, 3)
+    assert err.getvalue().count("\n") + len(caught) <= 1, (
+        err.getvalue(), [str(w.message) for w in caught])
+    if code == 0:
+        assert len(lines) - 2 == 1 + -(-steps // record_every)
