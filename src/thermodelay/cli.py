@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -226,10 +225,7 @@ def _sweep_point(cfg: RunConfig, name: str, value: float, want_spectrum: bool):
 
 def cmd_sweep(cfg: RunConfig, out: Path) -> int:
     name, values = _sweep_variable(cfg)
-    with ThreadPoolExecutor(max_workers=cfg.sweep["workers"]) as pool:
-        futures = [pool.submit(_sweep_point, cfg, name, v, cfg.sweep["spectrum"])
-                   for v in values]
-        rows = [f.result() for f in futures]   # deterministic order
+    rows = [_sweep_point(cfg, name, v, cfg.sweep["spectrum"]) for v in values]
 
     header = ["param", "value", "certified", "a0", "r2", "final_E", "abscissa",
               "error"]

@@ -4,9 +4,9 @@ The delay reformulation lives on the subspace z(., 0) = u_x (with zero theta
 mean in Neumann mode).  Spectra are taken there: sparse maps E and P
 restrict the assembled generator to it.  The generator is first assembled
 in Fourier-mode coordinates (modal_operators), where the restricted matrix
-splits into the connected components of its sparsity graph; only those
-blocks are dense.  With Neumann theta there is one small block per mode.
-Dirichlet theta couples the cosine modes of one parity, as the reflection
+splits into fixed blocks of modes (_modal_blocks); only those blocks are
+dense.  With Neumann theta there is one small block per mode.  Dirichlet
+theta couples the cosine modes of one parity, as the reflection
 x -> ell - x commutes with the generator, so it splits into an odd and an
 even block of about half the reduced dimension each.  The Dirichlet
 abscissa alone needs no dense parity block: each block is the Neumann
@@ -23,7 +23,6 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.sparse.csgraph import connected_components
 
 from .discretization import (DenseSizeError, Generator, Grid, _fourier_symbols,
                              assemble_generator, modal_operators)
@@ -34,6 +33,8 @@ __all__ = ["SpectrumResult", "spectrum_dense", "spectral_abscissa",
            "reduced_generator", "restriction_maps"]
 
 DENSE_MAX_DIM = 5000     # largest block handed to the dense eigensolver
+N_REFINE = 10            # rightmost eigenvalues refined by inverse iteration
+RESIDUAL_TOL = 1e-8      # residual below which a refinement has converged
 N_CANDIDATES = 6         # eigenvalues per shift in the Dirichlet abscissa
 BALANCE_SWEEPS = 10      # Osborne sweeps before the Gershgorin bounds
 WINDING_ROUNDS = 60      # bisection rounds of the winding-number contour
@@ -97,14 +98,29 @@ def reduced_generator(gen: Generator) -> sp.csr_matrix:
     return (P @ (gen.matrix @ E)).tocsr()
 
 
-def _connected_blocks(M: sp.spmatrix) -> list[np.ndarray]:
-    """Index sets of the weakly connected components of M's sparsity graph,
-    each ascending; DENSE_MAX_DIM bounds the largest before any is densified."""
-    _, labels = connected_components(M, directed=True, connection="weak")
-    order = np.argsort(labels, kind="stable")
-    blocks = np.split(order, np.cumsum(np.bincount(labels))[:-1])
-    _check_dense_dim(max(b.size for b in blocks))
-    return blocks
+def _modal_blocks(grid: Grid, theta_bc: str) -> list[tuple[int | None, np.ndarray]]:
+    """The blocks of the reduced generator in Fourier-mode coordinates, as
+    (mode, ascending reduced indices), ordered by first index.
+
+    Each mode k = 1..Nx has Nrho + 3 reduced coordinates (u, v, z at
+    rho > 0, theta; see restriction_maps) and the mode-0 transport chain has
+    Nrho.  With Neumann theta each mode is a block of its own.  With
+    Dirichlet theta the corner coupling joins the modes of one parity: the
+    odd modes, then the even modes with the theta mean (mode None for
+    both).  The chain comes last.  These are the weakly connected components
+    of the reduced generator's sparsity graph.
+    """
+    Nx, Nrho = grid.Nx, grid.Nrho
+
+    def block(k, theta):      # the modes k with the theta coordinates theta
+        z = 2 * Nx + k[:, None] * Nrho + np.arange(Nrho)
+        return np.r_[k - 1, Nx + k - 1, z.ravel(), 2 * Nx + grid.nflux * Nrho + theta]
+
+    chain = (0, 2 * Nx + np.arange(Nrho))
+    if theta_bc == "neumann":     # no theta mean: theta of cosine k is k - 1
+        return [(k, block(np.array([k]), k - 1)) for k in range(1, Nx + 1)] + [chain]
+    odd, even = np.arange(1, Nx + 1, 2), np.arange(2, Nx + 1, 2)
+    return [(None, block(odd, odd)), (None, block(even, np.r_[0, even])), chain]
 
 
 def _check_dense_dim(dim: int):
@@ -114,48 +130,39 @@ def _check_dense_dim(dim: int):
 
 
 def reduced_eigvals(gen: Generator):
-    """Eigenvalues of the reduced generator, block by block.
+    """Eigenvalues of the reduced generator, block by block (_modal_blocks).
 
-    The generator is reduced in Fourier-mode coordinates, where each mode
-    k = 1..Nx has Nrho + 3 coordinates (u, v, z at rho > 0, theta) and the
-    mode-0 transport chain has Nrho.  With Neumann theta every mode is a
-    connected component of its own.  With Dirichlet theta the components
-    are the odd modes, the even modes with the theta mean, and the chain;
-    the larger parity block is checked against DENSE_MAX_DIM before the
-    corner coupling, about Nx^2/2 entries, is assembled.  Returns the
-    eigenvalues and the mode of each (None for Dirichlet, whose blocks mix
-    modes).
+    The largest block is checked against DENSE_MAX_DIM before anything is
+    assembled; with Dirichlet theta the corner coupling alone has about
+    Nx^2/2 entries.  Returns the eigenvalues and the mode of each (None for
+    Dirichlet, whose parity blocks mix modes).
     """
     grid = gen.grid
-    modal = gen.p.theta_bc == "neumann"
-    if not modal:
-        _check_dense_dim(max((grid.Nx + 1) // 2 * (grid.Nrho + 3),
-                             grid.Nx // 2 * (grid.Nrho + 3) + 1))
+    blocks = _modal_blocks(grid, gen.p.theta_bc)
+    _check_dense_dim(max(b.size for _, b in blocks))
     if not gen.ops.modal:
         gen = assemble_generator(grid, gen.p, modal_operators(grid, gen.p))
     R = reduced_generator(gen)
-    blocks = _connected_blocks(R)
-    w = np.concatenate([sla.eigvals(R[b][:, b].toarray()) for b in blocks])
-    if not modal:
+    w = np.concatenate([sla.eigvals(R[b][:, b].toarray()) for _, b in blocks])
+    if gen.p.theta_bc == "dirichlet":
         return w, None
-    # mode of each reduced coordinate: u, v (sine k), z at rho > 0 (cosine j),
-    # theta (cosine k); see restriction_maps.  A block holds one mode, so the
-    # i-th eigenvalue has the mode of the i-th coordinate in block order.
-    k = np.arange(1, grid.Nx + 1)
-    mode = np.r_[k, k, np.repeat(np.arange(grid.nflux), grid.Nrho), k]
-    return w, mode[np.concatenate(blocks)]
+    return w, np.repeat([k for k, _ in blocks], [b.size for _, b in blocks])
 
 
-def spectrum_dense(gen: Generator, n_refine: int = 10,
-                   residual_tol: float = 1e-8) -> SpectrumResult:
+def spectrum_dense(gen: Generator) -> SpectrumResult:
     """All eigenvalues of the generator on the constrained state space.
 
     Eigenvalues come from the QR algorithm (LAPACK) on the dense blocks of
-    the reduced generator (see reduced_eigvals); the n_refine rightmost are
+    the reduced generator (see reduced_eigvals); the N_REFINE rightmost are
     refined by shifted inverse iteration on the full sparse matrix of gen and
-    their relative residuals reported.
+    their residuals reported.  A refinement whose iterate, Rayleigh quotient
+    or final residual is not finite keeps the QR eigenvalue, unconverged
+    with residual inf, as does one whose shift cannot be factored.  Raises
+    FloatingPointError if a QR eigenvalue is not finite.
     """
     w, modes = reduced_eigvals(gen)
+    if not np.isfinite(w).all():
+        raise FloatingPointError("the spectrum has a non-finite eigenvalue")
     order = np.argsort(-w.real)
     w = w[order]
 
@@ -164,7 +171,7 @@ def spectrum_dense(gen: Generator, n_refine: int = 10,
     eye = sp.identity(n, format="csc", dtype=complex)
     rng = np.random.default_rng(1234)
 
-    k = min(n_refine, n)
+    k = min(N_REFINE, n)
     residuals = np.empty(k)
     converged = np.zeros(k, dtype=bool)
     refined = w.copy()
@@ -177,17 +184,24 @@ def spectrum_dense(gen: Generator, n_refine: int = 10,
             residuals[i] = np.inf
             continue
         x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        lam_r = lam
-        for _ in range(5):
-            x = lu.solve(x)
-            x /= np.linalg.norm(x)
-            Ax = A @ x
-            lam_r = np.vdot(x, Ax)
-            res = np.linalg.norm(Ax - lam_r * x)
-            if res <= residual_tol:
-                break
+        with np.errstate(all="ignore"):   # overflow is caught below
+            for _ in range(5):
+                x = lu.solve(x)
+                norm = np.linalg.norm(x)
+                if not 0.0 < norm < np.inf:
+                    lam_r = res = np.inf
+                    break
+                x /= norm
+                Ax = A @ x
+                lam_r = np.vdot(x, Ax)
+                res = np.linalg.norm(Ax - lam_r * x)
+                if res <= RESIDUAL_TOL:
+                    break
+        if not (np.isfinite(lam_r) and np.isfinite(res)):
+            residuals[i] = np.inf
+            continue
         residuals[i] = res
-        converged[i] = res <= residual_tol
+        converged[i] = res <= RESIDUAL_TOL
         refined[i] = lam_r
     order2 = np.argsort(-refined.real)
     return SpectrumResult(eigenvalues=refined[order2],
@@ -196,33 +210,19 @@ def spectrum_dense(gen: Generator, n_refine: int = 10,
                           modes=None if modes is None else modes[order][order2])
 
 
-def spectral_abscissa(gen: Generator, spectrum: SpectrumResult | None = None):
+def spectral_abscissa(gen: Generator):
     """Maximum real part of the constrained-space spectrum and the achieving
     eigenvalue.
 
-    Without a spectrum, Neumann theta takes every eigenvalue per Fourier
-    mode (reduced_eigvals); Dirichlet theta counts instead of listing
-    (_dirichlet_rightmost).
+    Neumann theta takes every eigenvalue per Fourier mode (reduced_eigvals);
+    Dirichlet theta counts instead of listing (_dirichlet_rightmost).
     """
-    if spectrum is not None:
-        w = spectrum.eigenvalues
-    elif gen.p.theta_bc == "neumann":
+    if gen.p.theta_bc == "neumann":
         w = reduced_eigvals(gen)[0]
     else:
         w = _dirichlet_rightmost(gen)
     idx = int(np.argmax(w.real))
     return float(w.real[idx]), complex(w[idx])
-
-
-def _parity_coordinates(grid: Grid, parity: int) -> np.ndarray:
-    """Reduced Dirichlet coordinates of the cosine modes k = parity (mod 2):
-    u, v and z at rho > 0 of each mode k >= 1, then theta (see
-    restriction_maps); the even set holds the theta mean."""
-    Nx, Nrho = grid.Nx, grid.Nrho
-    k = np.arange(2 - parity, Nx + 1, 2)
-    z = 2 * Nx + k[:, None] * Nrho + np.arange(Nrho)
-    theta = 2 * Nx + grid.nflux * Nrho + np.arange(parity, grid.nflux, 2)
-    return np.r_[k - 1, Nx + k - 1, z.ravel(), theta]
 
 
 def _dirichlet_rightmost(gen: Generator) -> np.ndarray:
@@ -263,8 +263,7 @@ def _parity_blocks(gen: Generator):
         assemble_generator(grid, pn, modal_operators(grid, pn)))
     R = reduced_generator(assemble_generator(grid, p, modal_operators(grid, p)))
     blocks = []
-    for parity in (1, 0):
-        idx = _parity_coordinates(grid, parity)
+    for parity, (_, idx) in zip((1, 0), _modal_blocks(grid, "dirichlet")):
         blocks.append((R[idx][:, idx], np.arange(parity, grid.nflux, 2),
                        np.r_[poles[(modes % 2 == parity) & (modes > 0)],
                              np.zeros(parity ^ 1)]))
@@ -497,6 +496,9 @@ def dissipativity_test(grid: Grid, p: PhysParams, xi: float,
             raise ValueError("paper shift needs beta > 0; pass m explicitly")
         m = p.alpha**2 / p.beta + xi / (2.0 * p.tau)
 
+    # each mode's block without its theta coordinate, the last one
+    blocks = [b if k == 0 else b[:-1] for k, b in _modal_blocks(grid, "neumann")]
+    _check_dense_dim(max(b.size for b in blocks))
     pn = replace(p, theta_bc="neumann")
     gen = assemble_generator(grid, pn, modal_operators(grid, pn))
     # reduced (u, v, z at rho > 0) coordinates; the theta ones follow them
@@ -505,6 +507,5 @@ def dissipativity_test(grid: Grid, p: PhysParams, xi: float,
     WA = W @ (gen.matrix - m * sp.identity(gen.dim))
     S, B = E.T @ (0.5 * (WA + WA.T)) @ E, E.T @ W @ E
     sup = max(sla.eigh(S[b][:, b].toarray(), B[b][:, b].toarray(),
-                       eigvals_only=True)[-1]
-              for b in _connected_blocks(abs(S) + abs(B)))
+                       eigvals_only=True)[-1] for b in blocks)
     return {"max_rayleigh": float(sup), "m_used": float(m), "trials": trials}

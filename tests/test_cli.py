@@ -5,13 +5,14 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import thermodelay
-from thermodelay import spectral
+from thermodelay import cli, spectral
 from thermodelay.cli import main
 
 BASE = """
@@ -123,6 +124,28 @@ def test_sweep_crossing_and_determinism(tmp_path, cfgfile):
     certified = [r.split(",")[2] for r in rows]
     flips = sum(1 for a, b in zip(certified, certified[1:]) if a != b)
     assert flips == 1 and certified[0] == "false" and certified[-1] == "true"
+
+
+def test_sweep_runs_its_points_in_order_on_the_calling_thread(tmp_path, cfgfile,
+                                                              monkeypatch):
+    # sweep.workers is accepted and checked, and changes nothing
+    calls = []
+    point = cli._sweep_point
+
+    def recorded(cfg, name, value, want_spectrum):
+        calls.append((value, threading.get_ident()))
+        return point(cfg, name, value, want_spectrum)
+
+    monkeypatch.setattr(cli, "_sweep_point", recorded)
+    data = []
+    for workers in (1, 4):
+        cfg2 = tmp_path / f"sweep_workers{workers}.ini"
+        cfg2.write_text(BASE + f"\n[sweep]\nbeta = 6.0,3.0,4.5\nworkers = {workers}\n")
+        out = tmp_path / f"sw_workers{workers}"
+        assert _run(["sweep", "--config", str(cfg2), "--out", str(out)]) == 0
+        data.append((out / "sweep.csv").read_bytes())
+    assert calls == [(v, threading.get_ident()) for v in (6.0, 3.0, 4.5)] * 2
+    assert data[0] == data[1]
 
 
 def test_sweep_single_point_matches_simulate(tmp_path, cfgfile):
@@ -305,6 +328,23 @@ def test_numerical_failure_is_one_line_exit_3(tmp_path, cfgfile, capsys, overrid
     err = capsys.readouterr().err
     assert code == 3
     assert err.startswith("numerical failure:") and err.count("\n") == 1, err
+
+
+def test_spectrum_whose_refinement_overflows_writes_no_nan(tmp_path, capfd):
+    # at gamma = 1e300 the inverse iteration overflows: it printed two
+    # RuntimeWarnings and wrote NaN eigenvalues and abscissa with exit 0
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[model]\nbeta = 1.0\n")
+    out = tmp_path / "spec"
+    code = _run(["spectrum", "--config", str(cfg), "--out", str(out),
+                 "--override", "grid.nx=3", "--override", "grid.nrho=6",
+                 "--override", "model.gamma=1e300"])
+    err = capfd.readouterr().err
+    assert code in (0, 3)
+    assert err.count("\n") <= 1, err
+    for name in ("spectrum.csv", "summary.json"):
+        if (out / name).exists():
+            assert "nan" not in (out / name).read_text().lower(), name
 
 
 def test_sweep_point_with_singular_block_is_a_row_error(tmp_path, cfgfile):

@@ -1,11 +1,16 @@
 """Property tests: packed-state round trip, theta-mass conservation,
-config validation under hostile overrides, and Dirichlet sweeps."""
+config validation under hostile overrides, and the CLI commands under
+hostile parameters."""
 
 import contextlib
+import ctypes
 import io
+import json
+import os
 import tempfile
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import scipy.sparse.linalg as spla
@@ -110,6 +115,38 @@ overrides = st.lists(st.tuples(st.sampled_from(CONFIG_KEYS),
 CONFIG = "[model]\nbeta = 4.6\n[grid]\nnx = 8\nnrho = 8\n[time]\nt_end = 6.0\n"
 
 
+@contextlib.contextmanager
+def _printed():
+    """Capture what a CLI run prints besides its stdout report: Python's
+    stderr, warnings, and any line native code writes straight to file
+    descriptors 1 or 2 (LAPACK's error handler prints `** On entry to ...`
+    to fd 1).  After the block, `.lines` counts all of them."""
+    err = io.StringIO()
+    libc = ctypes.CDLL(None)
+    with tempfile.TemporaryFile("w+") as native, \
+            warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")    # each would print to stderr
+        saved = [os.dup(1), os.dup(2)]
+        libc.fflush(None)
+        for fd in (1, 2):
+            os.dup2(native.fileno(), fd)
+        out = SimpleNamespace()
+        try:
+            yield out
+        finally:
+            libc.fflush(None)              # C stdio buffers fd 1 in a file
+            for fd, copy in zip((1, 2), saved):
+                os.dup2(copy, fd)
+                os.close(copy)
+            native.seek(0)
+            out.stderr, out.native = err.getvalue(), native.read()
+            out.warnings = [str(w.message) for w in caught]
+            out.lines = (out.stderr.count("\n") + out.native.count("\n")
+                         + len(out.warnings))
+
+
 @PROPERTY
 @given(overrides=overrides)
 @example(overrides=[("time.t_end", "1e308")])    # was an OverflowError
@@ -136,12 +173,7 @@ def test_load_config_returns_or_raises_config_error(overrides):
 @example(overrides=[("model.ell", "1e308")])
 @example(overrides=[("model.beta", "1e-300")])
 def test_certify_exits_0_1_or_2_with_at_most_one_error_line(overrides):
-    err = io.StringIO()
-    with tempfile.TemporaryDirectory() as tmp, \
-            warnings.catch_warnings(record=True) as caught, \
-            contextlib.redirect_stdout(io.StringIO()), \
-            contextlib.redirect_stderr(err):
-        warnings.simplefilter("always")    # each would print to stderr
+    with tempfile.TemporaryDirectory() as tmp, _printed() as printed:
         cfg = Path(tmp) / "run.ini"
         cfg.write_text(CONFIG)
         argv = ["certify", "--config", str(cfg), "--out", str(Path(tmp) / "out")]
@@ -149,8 +181,7 @@ def test_certify_exits_0_1_or_2_with_at_most_one_error_line(overrides):
             argv += ["--override", f"{key}={value}"]
         code = main(argv)
     assert code in (0, 1, 2)
-    assert err.getvalue().count("\n") + len(caught) <= 1, (
-        err.getvalue(), [str(w.message) for w in caught])
+    assert printed.lines <= 1, printed
 
 
 SWEEP_CONFIG = ("[model]\ntheta_bc = dirichlet\n[lyapunov]\nlambda = 0.5\n"
@@ -169,16 +200,14 @@ def _sweep_rows(out: Path) -> list[list[str]]:
                        min_size=1, max_size=3))
 # the energy overflows: the decay fit warned twice on stderr
 @example(nx=3, nrho=2, steps=5, name="ell", values=[5.477282865432251e-30])
+# the dense oracle misses by 7.9e-10 (eps ||R|| = 3.4e-8); the counted value
+# is right to 1e-15 (a 50-digit eigensolve of the parity block)
+@example(nx=4, nrho=7, steps=1, name="kappa", values=["1e6"])
 def test_dirichlet_sweep_exits_cleanly_with_the_dense_abscissa(nx, nrho, steps,
                                                                name, values):
     # every abscissa in sweep.csv is the counted one; the oracle is the dense
-    # parity blocks of the same point
-    err = io.StringIO()
-    with tempfile.TemporaryDirectory() as tmp, \
-            warnings.catch_warnings(record=True) as caught, \
-            contextlib.redirect_stdout(io.StringIO()), \
-            contextlib.redirect_stderr(err):
-        warnings.simplefilter("always")
+    # parity blocks of the same point, accurate to about eps ||R||
+    with tempfile.TemporaryDirectory() as tmp, _printed() as printed:
         cfg = Path(tmp) / "sweep.ini"
         cfg.write_text(SWEEP_CONFIG)
         out = Path(tmp) / "out"
@@ -188,8 +217,7 @@ def test_dirichlet_sweep_exits_cleanly_with_the_dense_abscissa(nx, nrho, steps,
                      "--override", f"sweep.{name}={','.join(map(str, values))}"])
         rows = _sweep_rows(out) if code == 0 else []
     assert code in (0, 1, 2, 3)
-    assert err.getvalue().count("\n") + len(caught) <= 1, (
-        err.getvalue(), [str(w.message) for w in caught])
+    assert printed.lines <= 1, printed
     base = load_config(text=SWEEP_CONFIG)
     for row in rows:
         if not row[6]:
@@ -197,7 +225,8 @@ def test_dirichlet_sweep_exits_cleanly_with_the_dense_abscissa(nx, nrho, steps,
         p = PhysParams(**{**base.params.__dict__, name: float(row[1])})
         gen = assemble_generator(Grid(Nx=nx, Nrho=nrho, ell=p.ell), p)
         ref = spectral.reduced_eigvals(gen)[0].real.max()
-        assert abs(float(row[6]) - ref) <= 1e-10 * (1.0 + abs(ref)), row
+        rounding = np.finfo(float).eps * spla.norm(spectral.reduced_generator(gen))
+        assert abs(float(row[6]) - ref) <= 1e-10 * (1.0 + abs(ref)) + rounding, row
 
 
 MODEL_KEYS = ("alpha", "beta", "gamma", "kappa", "tau", "ell")
@@ -222,12 +251,7 @@ def test_simulate_exits_cleanly_with_every_record(nx, nrho, steps, record_every,
     # model keys not drawn keep CONFIG's values; t_end is steps whole steps
     # of tau/nrho, so an accepted run records the initial state, every
     # record_every-th step and the last one
-    err = io.StringIO()
-    with tempfile.TemporaryDirectory() as tmp, \
-            warnings.catch_warnings(record=True) as caught, \
-            contextlib.redirect_stdout(io.StringIO()), \
-            contextlib.redirect_stderr(err):
-        warnings.simplefilter("always")
+    with tempfile.TemporaryDirectory() as tmp, _printed() as printed:
         cfg = Path(tmp) / "run.ini"
         cfg.write_text(CONFIG)
         out = Path(tmp) / "out"
@@ -243,7 +267,42 @@ def test_simulate_exits_cleanly_with_every_record(nx, nrho, steps, record_every,
         lines = ((out / "traj.csv").read_text().strip().split("\n")
                  if code == 0 else [])
     assert code in (0, 1, 3)
-    assert err.getvalue().count("\n") + len(caught) <= 1, (
-        err.getvalue(), [str(w.message) for w in caught])
+    assert printed.lines <= 1, printed
     if code == 0:
         assert len(lines) - 2 == 1 + -(-steps // record_every)
+
+
+@PROPERTY
+@given(nx=st.integers(3, 10), nrho=st.integers(2, 10),
+       theta_bc=st.sampled_from(["neumann", "dirichlet"]),
+       model=st.dictionaries(st.sampled_from(MODEL_KEYS),
+                             st.floats(0.0, 8.0)
+                             | st.sampled_from([0.0, -1.0, 1e6, 1e300]),
+                             max_size=len(MODEL_KEYS)))
+# the inverse iteration overflowed: two RuntimeWarnings, NaN in both files
+@example(nx=3, nrho=6, theta_bc="neumann", model={"beta": 1.0, "gamma": 1e300})
+def test_spectrum_exits_cleanly_with_every_eigenvalue(nx, nrho, theta_bc, model):
+    # an accepted run lists every eigenvalue of the reduced generator, all
+    # finite: 2 nx (u, v) + (nx + 1) nrho (z at rho > 0) + nx + 1 (theta),
+    # less the theta mean with Neumann theta
+    with tempfile.TemporaryDirectory() as tmp, _printed() as printed:
+        cfg = Path(tmp) / "run.ini"
+        cfg.write_text(CONFIG)
+        out = Path(tmp) / "out"
+        overrides = {"grid.nx": nx, "grid.nrho": nrho, "model.theta_bc": theta_bc,
+                     **{f"model.{k}": repr(v) for k, v in model.items()}}
+        argv = ["spectrum", "--config", str(cfg), "--out", str(out)]
+        for key, value in overrides.items():
+            argv += ["--override", f"{key}={value}"]
+        code = main(argv)
+        if code == 0:
+            summary = json.loads((out / "summary.json").read_text())
+            rows = np.loadtxt(out / "spectrum.csv", delimiter=",", skiprows=2,
+                              ndmin=2)
+    assert code in (0, 1, 3)
+    assert printed.lines <= 1, printed
+    if code == 0:
+        n = 2 * nx + (nx + 1) * (nrho + 1) - (theta_bc == "neumann")
+        assert summary["n_eigenvalues"] == n
+        assert rows.shape == (n, 2) and np.isfinite(rows).all()
+        assert np.isfinite(summary["abscissa"])

@@ -8,18 +8,27 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import connected_components
 
 from thermodelay import spectral
 from thermodelay.constants import find_beta0, lyapunov_constants
-from thermodelay.discretization import (Grid, assemble_generator,
-                                        build_operators, modal_operators, pack,
-                                        random_state)
+from thermodelay.discretization import (DenseSizeError, Grid,
+                                        assemble_generator, build_operators,
+                                        modal_operators, pack, random_state)
 from thermodelay.params import PhysParams
 from thermodelay.spectral import (dissipativity_test, h_weight_matrix,
                                   spectral_abscissa, spectrum_dense)
 from thermodelay.spectral import reduced_generator
 
 UNIT = PhysParams(alpha=1.0, beta=1.0, gamma=1.0, kappa=1.0, tau=1.0, ell=1.0)
+
+
+def _components(M):
+    """Index sets of the weakly connected components of M's sparsity graph,
+    each ascending, ordered by first index."""
+    _, labels = connected_components(M, directed=True, connection="weak")
+    order = np.argsort(labels, kind="stable")
+    return np.split(order, np.cumsum(np.bincount(labels))[:-1])
 
 
 @pytest.fixture(scope="module")
@@ -143,6 +152,33 @@ def test_dense_size_guard(certified, monkeypatch):
         spectrum_dense(gen)
 
 
+@pytest.mark.parametrize("theta_bc", ["neumann", "dirichlet"])
+@pytest.mark.parametrize("Nx,Nrho", [(3, 2), (4, 2), (17, 5), (32, 32)])
+def test_modal_blocks_are_the_connected_components(theta_bc, Nx, Nrho):
+    # the fixed layout equals a generic search of the sparsity graph: the
+    # same index sets in the same order, each mode's block labelled by it
+    g = Grid(Nx=Nx, Nrho=Nrho)
+    p = PhysParams(**{**UNIT.__dict__, "beta": 4.5, "theta_bc": theta_bc})
+    R = reduced_generator(assemble_generator(g, p, modal_operators(g, p)))
+    blocks = spectral._modal_blocks(g, theta_bc)
+    components = _components(R)
+    assert len(blocks) == len(components)
+    for (_, b), c in zip(blocks, components):
+        assert np.array_equal(b, c)
+    modes = [k for k, _ in blocks]
+    if theta_bc == "neumann":
+        assert modes == list(range(1, Nx + 1)) + [0]
+    else:
+        assert modes == [None, None, 0]
+
+
+def test_dissipativity_refuses_an_oversized_block():
+    # one mode's (u, v, z) block at Nrho = 4999 has 5001 rows
+    p = UNIT.with_beta(2.0)
+    with pytest.raises(DenseSizeError, match="dimension 5001 exceeds"):
+        dissipativity_test(Grid(Nx=3, Nrho=4999), p, 4.0 * p.tau / p.beta)
+
+
 def test_neumann_spectrum_is_modal_past_the_dense_limit(certified):
     # Neumann blocks have Nrho + 3 rows, so 70x70 (reduced 5180) is accepted
     p, c = certified
@@ -176,7 +212,7 @@ def test_modal_spectrum_matches_dense(certified, theta_bc, damped, Nx, Nrho):
     else:
         # two parity blocks, the even one with the theta mean, and the chain
         R = reduced_generator(assemble_generator(g, p, modal_operators(g, p)))
-        sizes = sorted(b.size for b in spectral._connected_blocks(R))
+        sizes = sorted(b.size for b in _components(R))
         assert modes is None
         assert sizes == sorted([Nrho, Nx // 2 * (Nrho + 3) + 1,
                                 (Nx + 1) // 2 * (Nrho + 3)])
@@ -205,7 +241,7 @@ def test_benchmark_reference_abscissa():
     gen = assemble_generator(Grid(Nx=64, Nrho=64), UNIT.with_beta(4.5))
     res = spectrum_dense(gen)
     assert len(res.eigenvalues) == 4352
-    assert abs(spectral_abscissa(gen, res)[0] - -0.29329475221755485) <= 1e-10
+    assert abs(res.eigenvalues[0].real - -0.29329475221755485) <= 1e-10
     assert np.all(res.rightmost_residuals <= 1e-8)
 
 
