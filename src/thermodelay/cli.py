@@ -4,6 +4,10 @@ All commands read one flat key=value config (see config.DEFAULTS for the
 sections), apply --override section.key=value pairs, and write CSV/JSON
 into --out.  Exit codes: 0 ok, 1 usage/parse or a grid too large for a
 dense solve, 2 certification failure, 3 numerical failure.
+
+Only numpy is imported up front: the commands that simulate or take a
+spectrum import their scipy-backed layers when they run, so `certify`
+and config loading import no scipy.
 """
 
 from __future__ import annotations
@@ -20,11 +24,8 @@ from .config import (SCHEMA_VERSION, ConfigError, RunConfig, load_config,
                      make_initial_data)
 from .constants import (InfeasibleLambdaError, NoFeasibleLambdaError, certify,
                         find_beta0, lyapunov_constants, n0_from_constants)
-from .discretization import DenseSizeError, assemble_generator
-from .integrate import NumericalBlowupError, simulate
-from .observables import decay_rate_fit
+from .grid import DenseSizeError, NumericalBlowupError
 from .params import PhysParams
-from .spectral import spectral_abscissa, spectrum_dense
 
 __all__ = ["main"]
 
@@ -132,6 +133,8 @@ def cmd_certify(cfg: RunConfig, out: Path) -> int:
 
 
 def _run_trajectory(cfg: RunConfig):
+    from .integrate import simulate
+
     consts = _constants_for_run(cfg)
     u0, u1, theta0, f0 = make_initial_data(cfg)
     traj = simulate(
@@ -143,6 +146,8 @@ def _run_trajectory(cfg: RunConfig):
 
 
 def _summarize(cfg: RunConfig, traj) -> dict:
+    from .observables import decay_rate_fit
+
     t_hi = traj.times[-1]
     fit = None
     try:
@@ -202,6 +207,9 @@ def _sweep_variable(cfg: RunConfig):
 
 
 def _sweep_point(cfg: RunConfig, name: str, value: float, want_spectrum: bool):
+    from .discretization import assemble_generator
+    from .spectral import spectral_abscissa
+
     row = {"param": name, "value": value, "certified": "", "a0": "", "r2": "",
            "final_E": "", "abscissa": "", "error": ""}
     try:
@@ -239,6 +247,9 @@ def cmd_sweep(cfg: RunConfig, out: Path) -> int:
 
 
 def cmd_spectrum(cfg: RunConfig, out: Path) -> int:
+    from .discretization import assemble_generator
+    from .spectral import spectrum_dense
+
     gen = assemble_generator(cfg.grid, cfg.params)
     res = spectrum_dense(gen)
     w = res.eigenvalues

@@ -9,8 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .discretization import Grid, grad_u
-from .integrate import step_count
+from .grid import Grid, grad_u, step_count
 from .params import PhysParams
 
 __all__ = ["ConfigError", "RunConfig", "load_config", "parse_range",

@@ -19,7 +19,7 @@ import warnings
 
 import numpy as np
 
-from .discretization import Grid, grad_u
+from .grid import Grid, grad_u
 
 __all__ = ["HistoryBuffer", "init_history"]
 

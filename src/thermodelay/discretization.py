@@ -1,4 +1,5 @@
-"""Grids, finite-difference operators and the assembled discrete generator.
+"""Finite-difference operators, the packed state and the assembled discrete
+generator, on the Grid of thermodelay.grid (re-exported here).
 
 Layout conventions (fixed; pack order is u, v, z row-major in x then rho, theta):
 
@@ -19,64 +20,12 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
+from .grid import DenseSizeError, Grid, grad_u
 from .params import PhysParams
 
 __all__ = ["Grid", "State", "Operators", "Generator", "DenseSizeError",
            "build_operators", "modal_operators", "assemble_generator", "apply_rhs",
            "inner_product_H", "pack", "unpack", "random_state", "grad_u"]
-
-
-class DenseSizeError(ValueError):
-    """A dense solve was refused because its matrix would exhaust memory."""
-
-
-@dataclass(frozen=True)
-class Grid:
-    """Tensor grid for Omega = (0, ell) x (0, 1)."""
-
-    Nx: int
-    Nrho: int
-    ell: float = 1.0
-
-    def __post_init__(self):
-        if self.Nx < 3:
-            raise ValueError(f"Nx must be >= 3, got {self.Nx}")
-        if self.Nrho < 2:
-            raise ValueError(f"Nrho must be >= 2, got {self.Nrho}")
-        if self.ell <= 0:
-            raise ValueError("ell must be positive")
-
-    @property
-    def dx(self) -> float:
-        return self.ell / (self.Nx + 1)
-
-    @property
-    def drho(self) -> float:
-        return 1.0 / self.Nrho
-
-    @property
-    def ntheta(self) -> int:
-        return self.Nx + 1
-
-    @property
-    def nflux(self) -> int:
-        return self.Nx + 1
-
-    @property
-    def x_nodes(self) -> np.ndarray:
-        return self.dx * np.arange(1, self.Nx + 1)
-
-    @property
-    def x_flux(self) -> np.ndarray:
-        return self.dx * (np.arange(self.Nx + 1) + 0.5)
-
-    @property
-    def rho_nodes(self) -> np.ndarray:
-        return np.linspace(0.0, 1.0, self.Nrho + 1)
-
-    @property
-    def dim(self) -> int:
-        return 2 * self.Nx + self.nflux * (self.Nrho + 1) + self.ntheta
 
 
 @dataclass
@@ -96,20 +45,6 @@ class State:
             z=np.zeros((grid.nflux, grid.Nrho + 1)),
             theta=np.zeros(grid.ntheta),
         )
-
-
-def grad_u(u: np.ndarray, dx: float) -> np.ndarray:
-    """u_x at the Nx+1 flux points for Dirichlet u (zero boundary values).
-
-    Bitwise equal to np.diff(u, prepend=0.0, append=0.0) / dx, signed zeros
-    included, without the padded copy.
-    """
-    out = np.empty(len(u) + 1, dtype=np.result_type(u, 0.0))
-    out[0] = u[0]
-    np.subtract(u[1:], u[:-1], out=out[1:-1])
-    out[-1] = 0.0 - u[-1]
-    out /= dx
-    return out
 
 
 @dataclass
@@ -175,7 +110,8 @@ def modal_operators(grid: Grid, p: PhysParams) -> Operators:
     k = np.arange(1, Nx + 1)
     g, c = _fourier_symbols(grid)
     G = sp.csr_matrix((g[1:], (k, k - 1)), shape=(Nx + 1, Nx))
-    L = sp.diags(-g ** 2, format="csr")
+    with np.errstate(over="ignore"):     # inf; spectral.reduced_generator reports it
+        L = sp.diags(-g ** 2, format="csr")
     if p.theta_bc == "dirichlet":
         j = np.arange(nf)
         row, col = np.nonzero(np.add.outer(j, j) % 2 == 0)
@@ -239,27 +175,30 @@ def assemble_generator(grid: Grid, p: PhysParams,
     z' with first-order upwind in rho and the rho = 0 column driven by
     (grad v) so that z(.,0) tracks u_x; theta' = -gamma v_x + kappa L theta.
     `ops` defaults to the real-space build_operators; modal_operators gives
-    the same generator in Fourier-mode coordinates.
+    the same generator in Fourier-mode coordinates.  A coefficient product
+    that overflows leaves inf in the matrix without a warning; its users
+    (factor_implicit, spectral.reduced_generator) check for it.
     """
-    Nx, nf, nr = grid.Nx, grid.nflux, grid.Nrho + 1
-    ops = build_operators(grid, p) if ops is None else ops
-    G = ops.G
-    D = -G.T
-    first = sp.csr_matrix(([1.0], ([0], [0])), shape=(nr, 1))     # rho = 0 row
-    last = sp.csr_matrix(([1.0], ([0], [nr - 1])), shape=(1, nr))  # rho = 1 column
-    # upwind in rho on the nodes i >= 1; the rho = 0 row is set by `first`
-    c = 1.0 / (p.tau * grid.drho)
-    i = np.arange(1, nr)
-    transport = sp.csr_matrix((np.r_[np.full(nr - 1, -c), np.full(nr - 1, c)],
-                               (np.r_[i, i], np.r_[i, i - 1])), shape=(nr, nr))
+    with np.errstate(over="ignore", invalid="ignore"):
+        ops = build_operators(grid, p) if ops is None else ops
+        Nx, nf, nr = grid.Nx, grid.nflux, grid.Nrho + 1
+        G = ops.G
+        D = -G.T
+        first = sp.csr_matrix(([1.0], ([0], [0])), shape=(nr, 1))     # rho = 0 row
+        last = sp.csr_matrix(([1.0], ([0], [nr - 1])), shape=(1, nr))  # rho = 1 column
+        # upwind in rho on the nodes i >= 1; the rho = 0 row is set by `first`
+        c = 1.0 / (p.tau * grid.drho)
+        i = np.arange(1, nr)
+        transport = sp.csr_matrix((np.r_[np.full(nr - 1, -c), np.full(nr - 1, c)],
+                                   (np.r_[i, i], np.r_[i, i - 1])), shape=(nr, nr))
 
-    A = sp.bmat([
-        [sp.csr_matrix((Nx, Nx)), sp.identity(Nx), None, None],
-        [None, p.beta * (D @ G), sp.kron(p.alpha * D, last), -p.gamma * D],
-        [None, sp.kron(G, first), sp.kron(sp.identity(nf), transport), None],
-        [None, -p.gamma * G, None, p.kappa * ops.L_theta],
-    ], format="csr")
-    A.eliminate_zeros()     # a zero coefficient leaves no stored entries
+        A = sp.bmat([
+            [sp.csr_matrix((Nx, Nx)), sp.identity(Nx), None, None],
+            [None, p.beta * (D @ G), sp.kron(p.alpha * D, last), -p.gamma * D],
+            [None, sp.kron(G, first), sp.kron(sp.identity(nf), transport), None],
+            [None, -p.gamma * G, None, p.kappa * ops.L_theta],
+        ], format="csr")
+        A.eliminate_zeros()     # a zero coefficient leaves no stored entries
     return Generator(grid=grid, p=p, matrix=A, ops=ops)
 
 

@@ -1,0 +1,111 @@
+"""The grid, the step count and the errors the CLI maps to exit codes.
+
+Needs numpy only, so config loading and `certify` import no scipy.  The
+layout conventions are in discretization's docstring.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+__all__ = ["Grid", "grad_u", "step_count", "MAX_STEPS", "MAX_RECORDS",
+           "DenseSizeError", "NumericalBlowupError"]
+
+MAX_STEPS = 10**7          # longest run step_count accepts
+MAX_RECORDS = 10**6        # most records (trajectory rows) it accepts
+
+
+class DenseSizeError(ValueError):
+    """A dense solve was refused because its matrix would exhaust memory."""
+
+
+class NumericalBlowupError(RuntimeError):
+    def __init__(self, message, t=None):
+        super().__init__(message)
+        self.t = t
+
+
+@dataclass(frozen=True)
+class Grid:
+    """Tensor grid for Omega = (0, ell) x (0, 1)."""
+
+    Nx: int
+    Nrho: int
+    ell: float = 1.0
+
+    def __post_init__(self):
+        if self.Nx < 3:
+            raise ValueError(f"Nx must be >= 3, got {self.Nx}")
+        if self.Nrho < 2:
+            raise ValueError(f"Nrho must be >= 2, got {self.Nrho}")
+        if self.ell <= 0:
+            raise ValueError("ell must be positive")
+
+    @property
+    def dx(self) -> float:
+        return self.ell / (self.Nx + 1)
+
+    @property
+    def drho(self) -> float:
+        return 1.0 / self.Nrho
+
+    @property
+    def ntheta(self) -> int:
+        return self.Nx + 1
+
+    @property
+    def nflux(self) -> int:
+        return self.Nx + 1
+
+    @property
+    def x_nodes(self) -> np.ndarray:
+        return self.dx * np.arange(1, self.Nx + 1)
+
+    @property
+    def x_flux(self) -> np.ndarray:
+        return self.dx * (np.arange(self.Nx + 1) + 0.5)
+
+    @property
+    def rho_nodes(self) -> np.ndarray:
+        return np.linspace(0.0, 1.0, self.Nrho + 1)
+
+    @property
+    def dim(self) -> int:
+        return 2 * self.Nx + self.nflux * (self.Nrho + 1) + self.ntheta
+
+
+def grad_u(u: np.ndarray, dx: float) -> np.ndarray:
+    """u_x at the Nx+1 flux points for Dirichlet u (zero boundary values).
+
+    Bitwise equal to np.diff(u, prepend=0.0, append=0.0) / dx, signed zeros
+    included, without the padded copy.
+    """
+    out = np.empty(len(u) + 1, dtype=np.result_type(u, 0.0))
+    out[0] = u[0]
+    np.subtract(u[1:], u[:-1], out=out[1:-1])
+    out[-1] = 0.0 - u[-1]
+    out /= dx
+    return out
+
+
+def step_count(t_end: float, dt: float, record_every: int = 1) -> int:
+    """Number of steps of length dt to t_end, which must lie on the step grid.
+
+    The run may take at most MAX_STEPS steps and MAX_RECORDS records: the
+    initial state, every record_every-th step and the last one.
+    """
+    ratio = t_end / dt
+    if not (math.isfinite(ratio) and math.isclose(ratio, round(ratio), rel_tol=1e-9)):
+        raise ValueError(f"t_end = {t_end} is not a multiple of the step "
+                         f"tau/Nrho = {dt}")
+    nsteps = round(ratio)
+    records = 1 + -(-nsteps // record_every)
+    if nsteps > MAX_STEPS or records > MAX_RECORDS:
+        raise ValueError(f"t_end = {t_end} takes {ratio:.4g} steps of tau/Nrho "
+                         f"= {dt} and {records:.4g} records at record_every = "
+                         f"{record_every}; the limits are {MAX_STEPS} steps "
+                         f"and {MAX_RECORDS} records")
+    return nsteps

@@ -12,7 +12,6 @@ endpoints of the step.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,8 +21,10 @@ import scipy.sparse.linalg as spla
 
 from .constants import LyapunovConstants
 from .delay import HistoryBuffer, init_history
-from .discretization import (DenseSizeError, Generator, Grid, State, _slices,
-                             assemble_generator, grad_u, pack, unpack)
+from .discretization import (Generator, State, _slices, assemble_generator,
+                             pack, unpack)
+from .grid import (MAX_RECORDS, MAX_STEPS, DenseSizeError, Grid,  # noqa: F401
+                   NumericalBlowupError, grad_u, step_count)
 from .observables import Trajectory, energy, lyapunov_components, theta_mass
 from .params import PhysParams
 
@@ -31,14 +32,6 @@ __all__ = ["ImplicitFactor", "NumericalBlowupError", "factor_implicit",
            "step_imex", "expm_oracle", "step_count", "simulate"]
 
 EXPM_MAX_DIM = 4000
-MAX_STEPS = 10**7          # longest run step_count accepts
-MAX_RECORDS = 10**6        # most records (trajectory rows) it accepts
-
-
-class NumericalBlowupError(RuntimeError):
-    def __init__(self, message, t=None):
-        super().__init__(message)
-        self.t = t
 
 
 @dataclass
@@ -137,26 +130,6 @@ def expm_oracle(gen: Generator, state: State, t: float) -> State:
     return unpack(phi @ pack(state), gen.grid)
 
 
-def step_count(t_end: float, dt: float, record_every: int = 1) -> int:
-    """Number of steps of length dt to t_end, which must lie on the step grid.
-
-    The run may take at most MAX_STEPS steps and MAX_RECORDS records: the
-    initial state, every record_every-th step and the last one.
-    """
-    ratio = t_end / dt
-    if not (math.isfinite(ratio) and math.isclose(ratio, round(ratio), rel_tol=1e-9)):
-        raise ValueError(f"t_end = {t_end} is not a multiple of the step "
-                         f"tau/Nrho = {dt}")
-    nsteps = round(ratio)
-    records = 1 + -(-nsteps // record_every)
-    if nsteps > MAX_STEPS or records > MAX_RECORDS:
-        raise ValueError(f"t_end = {t_end} takes {ratio:.4g} steps of tau/Nrho "
-                         f"= {dt} and {records:.4g} records at record_every = "
-                         f"{record_every}; the limits are {MAX_STEPS} steps "
-                         f"and {MAX_RECORDS} records")
-    return nsteps
-
-
 def simulate(
     grid: Grid,
     p: PhysParams,
@@ -185,8 +158,7 @@ def simulate(
     if p.theta_bc == "neumann":
         theta0 -= theta0.mean()
 
-    with np.errstate(over="ignore", invalid="ignore"):   # factor_implicit reports it
-        gen = assemble_generator(grid, p)
+    gen = assemble_generator(grid, p)      # factor_implicit reports an overflow
     fac_be = factor_implicit(gen, dt, theta_weight=1.0)
     fac = factor_implicit(gen, dt, theta_weight=theta_weight)
 

@@ -8,7 +8,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import LyapunovConstants, f_weight
-from .discretization import Grid, State, grad_u
+from .discretization import State
+from .grid import Grid, grad_u
 from .params import PhysParams
 
 __all__ = ["Trajectory", "energy", "lyapunov_components", "decay_rate_fit",

@@ -17,6 +17,7 @@ box (_counted_rightmost), with the dense block as the fallback.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -24,8 +25,9 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .discretization import (DenseSizeError, Generator, Grid, _fourier_symbols,
-                             assemble_generator, modal_operators)
+from .discretization import (Generator, _fourier_symbols, assemble_generator,
+                             modal_operators)
+from .grid import DenseSizeError, Grid
 from .params import PhysParams
 
 __all__ = ["SpectrumResult", "spectrum_dense", "spectral_abscissa",
@@ -92,10 +94,15 @@ def reduced_generator(gen: Generator) -> sp.csr_matrix:
     The full-space matrix conserves z(., 0) - u_x componentwise and (in
     Neumann mode) the theta mass, so it carries Nx + 1 (Neumann: Nx + 2)
     structural zero eigenvalues; the restriction removes exactly those, and
-    every spectrum in this module is taken on the reduced matrix.
+    every spectrum in this module is taken on the reduced matrix.  Raises
+    FloatingPointError if an entry is not finite (a coefficient overflowed
+    in assembly), before any eigensolver sees it.
     """
     E, P = restriction_maps(gen)
-    return (P @ (gen.matrix @ E)).tocsr()
+    R = (P @ (gen.matrix @ E)).tocsr()
+    if not np.isfinite(R.data).all():
+        raise FloatingPointError("the generator has a non-finite entry")
+    return R
 
 
 def _modal_blocks(grid: Grid, theta_bc: str) -> list[tuple[int | None, np.ndarray]]:
@@ -229,8 +236,9 @@ def _dirichlet_rightmost(gen: Generator) -> np.ndarray:
     """The rightmost eigenvalues of the reduced Dirichlet generator, per block.
 
     Each parity block is counted (_counted_rightmost); one whose count
-    fails is solved densely.  The mode-0 transport chain is the same as in
-    Neumann mode.
+    fails is solved densely, and its rightmost eigenvalue sharpened
+    (_sharpened).  The mode-0 transport chain is the same as in Neumann
+    mode.
     """
     chain, blocks = _parity_blocks(gen)
     out = [chain]
@@ -238,9 +246,42 @@ def _dirichlet_rightmost(gen: Generator) -> np.ndarray:
         lam = _counted_rightmost(M, theta, poles, gen.grid, gen.p)
         if lam is None:
             _check_dense_dim(M.shape[0])
-            lam = sla.eigvals(M.toarray())
+            lam = _sharpened(M, sla.eigvals(M.toarray()))
         out.append(np.atleast_1d(lam))
     return np.concatenate(out)
+
+
+def _sharpened(M: sp.spmatrix, w: np.ndarray) -> complex:
+    """The rightmost of the dense eigenvalues w of M, sharpened where QR
+    does not resolve it.
+
+    QR finds every eigenvalue, but only to about err = n eps ||M||_1.  At
+    a large beta, gamma, kappa or ell that may exceed 1e-9 of the rightmost
+    eigenvalue, often its size and the spacing of its cluster, which is
+    then too fine to count.  Shift-invert Arnoldi at the QR value then
+    finds the eigenvalues nearest it, mostly to about eps relative.  The
+    rightmost of those within err of it is kept if a second shift at
+    itself reproduces it to 1e-9, rounded to 2^-40 relative so that the
+    BLAS thread count does not show.  A Ritz value that is not reproduced
+    is an artefact of a spectrum beyond double precision, and QR's stands.
+    """
+    z0 = w[np.argmax(w.real)]
+    err = M.shape[0] * np.finfo(float).eps * spla.norm(M, 1)
+    if err <= 2.0**-30 * abs(z0):
+        return z0
+    try:
+        cand = _rightmost_candidates(M, [z0])
+        cand = cand[np.abs(cand - z0) <= err]
+        if cand.size == 0:
+            return z0
+        z = cand[np.argmax(cand.real)]
+        again = _rightmost_candidates(M, [z])
+    except RuntimeError:      # a singular shift or an ArpackError
+        return z0
+    if not np.abs(again - z).min() <= 2.0**-30 * abs(z):
+        return z0
+    h = math.ldexp(1.0, math.frexp(abs(z))[1] - 41)
+    return complex(round(z.real / h) * h, round(z.imag / h) * h)
 
 
 def _parity_blocks(gen: Generator):

@@ -228,21 +228,35 @@ def _dense_abscissa(gen) -> float:
 # the QR eigenvalue alone misses by 7.9e-10; refined, it agrees to 1e-15
 # with the counted one and with a 50-digit eigensolve of the parity block
 @example(nx=4, nrho=7, steps=1, name="kappa", values=["1e6"])
+# QR alone put these abscissae 4e-10 (a wrong sign) and 5e-9 off
+@example(nx=4, nrho=2, steps=1, name="gamma", values=["1e6"])
+@example(nx=5, nrho=2, steps=1, name="beta", values=["1e6"])
 def test_dirichlet_sweep_exits_cleanly_with_the_dense_abscissa(nx, nrho, steps,
                                                                name, values):
     # every abscissa in sweep.csv is the counted one; the oracle is the dense
-    # parity blocks of the same point, refined (_dense_abscissa)
-    with tempfile.TemporaryDirectory() as tmp, _printed() as printed:
-        cfg = Path(tmp) / "sweep.ini"
-        cfg.write_text(SWEEP_CONFIG)
-        out = Path(tmp) / "out"
-        code = main(["sweep", "--config", str(cfg), "--out", str(out),
-                     "--override", f"grid.nx={nx}", "--override", f"grid.nrho={nrho}",
-                     "--override", f"time.t_end={steps / nrho!r}",
-                     "--override", f"sweep.{name}={','.join(map(str, values))}"])
-        rows = _sweep_rows(out) if code == 0 else []
-    assert code in (0, 1, 2, 3)
-    assert printed.lines <= 1, printed
+    # parity blocks of the same point, refined (_dense_abscissa).  Each point
+    # runs `steps` steps of tau/nrho: a positive tau gets a sweep of its own
+    # with t_end = steps tau/nrho (and model.tau = tau, on whose step grid
+    # the config checks t_end); the other draws share t_end = steps/nrho.
+    runs = [(values, steps / nrho, [])]
+    if name == "tau":
+        rest = [v for v in values if float(v) <= 0.0]
+        runs = ([([v], steps * float(v) / nrho, ["--override", f"model.tau={v}"])
+                 for v in values if float(v) > 0.0]
+                + ([(rest, steps / nrho, [])] if rest else []))
+    rows = []
+    for swept, t_end, extra in runs:
+        with tempfile.TemporaryDirectory() as tmp, _printed() as printed:
+            cfg = Path(tmp) / "sweep.ini"
+            cfg.write_text(SWEEP_CONFIG)
+            out = Path(tmp) / "out"
+            code = main(["sweep", "--config", str(cfg), "--out", str(out),
+                         "--override", f"grid.nx={nx}", "--override", f"grid.nrho={nrho}",
+                         "--override", f"time.t_end={t_end!r}", *extra,
+                         "--override", f"sweep.{name}={','.join(map(str, swept))}"])
+            rows += _sweep_rows(out) if code == 0 else []
+        assert code in (0, 1, 2, 3)
+        assert printed.lines <= 1, printed
     base = load_config(text=SWEEP_CONFIG)
     for row in rows:
         if not row[6]:
@@ -305,6 +319,11 @@ def test_simulate_exits_cleanly_with_every_record(nx, nrho, steps, record_every,
                              max_size=len(MODEL_KEYS)))
 # the inverse iteration overflowed: two RuntimeWarnings, NaN in both files
 @example(nx=3, nrho=6, theta_bc="neumann", model={"beta": 1.0, "gamma": 1e300})
+# the generator overflowed, in assembly or in the modal symbol g^2 at a tiny
+# ell: RuntimeWarnings, then eigvals raised a ValueError
+@example(nx=3, nrho=4, theta_bc="neumann", model={"alpha": 1e308})
+@example(nx=3, nrho=4, theta_bc="dirichlet", model={"alpha": 1e308})
+@example(nx=3, nrho=4, theta_bc="neumann", model={"ell": 1e-160})
 def test_spectrum_exits_cleanly_with_every_eigenvalue(nx, nrho, theta_bc, model):
     # an accepted run lists every eigenvalue of the reduced generator, all
     # finite: 2 nx (u, v) + (nx + 1) nrho (z at rho > 0) + nx + 1 (theta),

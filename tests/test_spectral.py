@@ -338,6 +338,20 @@ def test_dirichlet_abscissa_falls_back_when_arpack_fails(monkeypatch):
     assert abs(spectral_abscissa(gen)[0] - ref) <= 1e-12
 
 
+@pytest.mark.parametrize("nx,beta,gamma,ref", [
+    # QR put the rightmost of a 6e-11 wide cluster at +3.1e-10: growth
+    (4, 0.0, 1e6, -3.4549150282366493e-11),
+    # and the rightmost of a cluster 2e-15 apart 4.6e-9 off
+    (5, 1e6, 1.0, -1.0000009722239433e-06),
+])
+def test_dirichlet_abscissa_at_a_large_parameter(nx, beta, gamma, ref):
+    # neither the count nor QR resolves these clusters (_sharpened); the
+    # references are 60-digit eigensolves of the reduced generator
+    p = PhysParams(**{**_dirichlet(beta).__dict__, "gamma": gamma})
+    gen = assemble_generator(Grid(Nx=nx, Nrho=2), p)
+    assert abs(spectral_abscissa(gen)[0] - ref) <= 1e-11 * abs(ref)
+
+
 def test_h_weight_matrix_spd():
     g = Grid(Nx=6, Nrho=4)
     W = h_weight_matrix(assemble_generator(g, UNIT), xi=1.3).toarray()
