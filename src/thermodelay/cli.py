@@ -207,7 +207,6 @@ def _sweep_variable(cfg: RunConfig):
 
 
 def _sweep_point(cfg: RunConfig, name: str, value: float, want_spectrum: bool):
-    from .discretization import assemble_generator
     from .spectral import spectral_abscissa
 
     row = {"param": name, "value": value, "certified": "", "a0": "", "r2": "",
@@ -223,8 +222,7 @@ def _sweep_point(cfg: RunConfig, name: str, value: float, want_spectrum: bool):
             if s[key] is not None:
                 row[key] = float(s[key])
         if want_spectrum:
-            gen = assemble_generator(sub.grid, params)
-            row["abscissa"] = float(spectral_abscissa(gen)[0])
+            row["abscissa"] = float(spectral_abscissa(sub.grid, params)[0])
     except (ConfigError, ValueError, NumericalBlowupError, ArithmeticError,
             np.linalg.LinAlgError) as exc:
         row["error"] = type(exc).__name__
@@ -247,11 +245,9 @@ def cmd_sweep(cfg: RunConfig, out: Path) -> int:
 
 
 def cmd_spectrum(cfg: RunConfig, out: Path) -> int:
-    from .discretization import assemble_generator
     from .spectral import spectrum_dense
 
-    gen = assemble_generator(cfg.grid, cfg.params)
-    res = spectrum_dense(gen)
+    res = spectrum_dense(cfg.grid, cfg.params)
     w = res.eigenvalues
     _write_csv(out / "spectrum.csv", ["re", "im"],
                ([float(z.real), float(z.imag)] for z in w))

@@ -23,9 +23,8 @@ class DenseSizeError(ValueError):
 
 
 class NumericalBlowupError(RuntimeError):
-    def __init__(self, message, t=None):
-        super().__init__(message)
-        self.t = t
+    """A time step or its factorization produced a singular or non-finite
+    result."""
 
 
 @dataclass(frozen=True)

@@ -93,7 +93,8 @@ def step_imex(state: State, dt: float, fac: ImplicitFactor,
 
     The delayed stress is read from z at both step endpoints, u_x(t_n - tau)
     = z(., 1) and u_x(t_{n+1} - tau) = z(., 1 - 1/Nrho), and combined with
-    the theta-method weights.
+    the theta-method weights.  A non-finite right-hand side, solution or
+    displacement raises NumericalBlowupError before buf is advanced.
     """
     grid, p, w = fac.grid, fac.p, fac.theta_weight
     Nx = grid.Nx
@@ -115,6 +116,8 @@ def step_imex(state: State, dt: float, fac: ImplicitFactor,
     v_new = y_new[:Nx]
     theta_new = y_new[Nx:]
     u_new = state.u + dt * ((1.0 - w) * state.v + w * v_new)
+    if not np.isfinite(u_new).all():
+        raise NumericalBlowupError("non-finite displacement")
     buf.push(grad_u(u_new, grid.dx))
     return State(u=u_new, v=v_new, z=buf.as_field(), theta=theta_new)
 
@@ -141,16 +144,14 @@ def simulate(
     t_end: float,
     record_every: int = 1,
     theta_weight: float = 0.5,
-    raise_on_blowup: bool = False,
 ) -> Trajectory:
     """Advance the system to t_end and record observables.
 
     Deterministic given its inputs.  The step is dt = tau/Nrho (an exact
     one-node shift of z); t_end must be a whole number of steps.  The first
     step uses backward Euler to damp the initial layer, then the theta-method
-    with the requested weight.  On numerical blow-up the trajectory is
-    truncated and blowup_time set (or the error re-raised when
-    raise_on_blowup).
+    with the requested weight.  On numerical blow-up (step_imex raises) the
+    trajectory is truncated and blowup_time set.
     """
     dt = p.tau / grid.Nrho
     nsteps = step_count(t_end, dt, record_every)
@@ -185,16 +186,8 @@ def simulate(
         t_next = (n + 1) * dt
         try:
             state = step_imex(state, dt, fac_be if n == 0 else fac, buf)
-        except NumericalBlowupError as exc:
-            if raise_on_blowup:
-                exc.t = t_next
-                raise
+        except NumericalBlowupError:
             blowup_time = t_next
-            break
-        if not np.all(np.isfinite(state.u)):
-            blowup_time = t_next
-            if raise_on_blowup:
-                raise NumericalBlowupError("non-finite displacement", t=t_next)
             break
         if (n + 1) % record_every == 0 or n + 1 == nsteps:
             record(t_next, state)

@@ -136,51 +136,50 @@ def _check_dense_dim(dim: int):
                              f"the limit {DENSE_MAX_DIM}")
 
 
-def reduced_eigvals(gen: Generator):
+def reduced_eigvals(grid: Grid, p: PhysParams):
     """Eigenvalues of the reduced generator, block by block (_modal_blocks).
 
     The largest block is checked against DENSE_MAX_DIM before anything is
     assembled; with Dirichlet theta the corner coupling alone has about
-    Nx^2/2 entries.  Returns the eigenvalues and the mode of each (None for
-    Dirichlet, whose parity blocks mix modes).
+    Nx^2/2 entries.  The generator is assembled in Fourier-mode coordinates.
+    Returns the eigenvalues and the mode of each (None for Dirichlet, whose
+    parity blocks mix modes).
     """
-    grid = gen.grid
-    blocks = _modal_blocks(grid, gen.p.theta_bc)
+    blocks = _modal_blocks(grid, p.theta_bc)
     _check_dense_dim(max(b.size for _, b in blocks))
-    if not gen.ops.modal:
-        gen = assemble_generator(grid, gen.p, modal_operators(grid, gen.p))
-    R = reduced_generator(gen)
+    R = reduced_generator(assemble_generator(grid, p, modal_operators(grid, p)))
     w = np.concatenate([sla.eigvals(R[b][:, b].toarray()) for _, b in blocks])
-    if gen.p.theta_bc == "dirichlet":
+    if p.theta_bc == "dirichlet":
         return w, None
     return w, np.repeat([k for k, _ in blocks], [b.size for _, b in blocks])
 
 
-def spectrum_dense(gen: Generator) -> SpectrumResult:
+def spectrum_dense(grid: Grid, p: PhysParams) -> SpectrumResult:
     """All eigenvalues of the generator on the constrained state space.
 
     Eigenvalues come from the QR algorithm (LAPACK) on the dense blocks of
     the reduced generator (see reduced_eigvals); the N_REFINE rightmost are
-    refined by shifted inverse iteration on the full sparse matrix of gen and
-    their residuals reported.  A refinement whose iterate, Rayleigh quotient
-    or final residual is not finite keeps the QR eigenvalue, unconverged
-    with residual inf, as does one whose shift cannot be factored.  Raises
+    refined by shifted inverse iteration on the sparse real-space generator,
+    assembled after reduced_eigvals' size check, and their residuals
+    reported.  A refined eigenvalue replaces its QR value only when its
+    residual is at most RESIDUAL_TOL; otherwise the QR value stands,
+    unconverged.  The residual is inf where the shift cannot be factored or
+    the iterate, Rayleigh quotient or residual is not finite.  Raises
     FloatingPointError if a QR eigenvalue is not finite.
     """
-    w, modes = reduced_eigvals(gen)
+    w, modes = reduced_eigvals(grid, p)
     if not np.isfinite(w).all():
         raise FloatingPointError("the spectrum has a non-finite eigenvalue")
     order = np.argsort(-w.real)
     w = w[order]
 
-    A = gen.matrix.tocsc().astype(complex)
-    n = gen.dim
+    A = assemble_generator(grid, p).matrix.tocsc().astype(complex)
+    n = grid.dim
     eye = sp.identity(n, format="csc", dtype=complex)
     rng = np.random.default_rng(1234)
 
     k = min(N_REFINE, n)
-    residuals = np.empty(k)
-    converged = np.zeros(k, dtype=bool)
+    residuals = np.full(k, np.inf)
     refined = w.copy()
     for i in range(k):
         lam = w[i]
@@ -188,7 +187,6 @@ def spectrum_dense(gen: Generator) -> SpectrumResult:
         try:
             lu = spla.splu((A - shift * eye).tocsc())
         except RuntimeError:
-            residuals[i] = np.inf
             continue
         x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         with np.errstate(all="ignore"):   # overflow is caught below
@@ -196,43 +194,40 @@ def spectrum_dense(gen: Generator) -> SpectrumResult:
                 x = lu.solve(x)
                 norm = np.linalg.norm(x)
                 if not 0.0 < norm < np.inf:
-                    lam_r = res = np.inf
+                    res = np.inf
                     break
                 x /= norm
                 Ax = A @ x
                 lam_r = np.vdot(x, Ax)
                 res = np.linalg.norm(Ax - lam_r * x)
                 if res <= RESIDUAL_TOL:
+                    refined[i] = lam_r
                     break
-        if not (np.isfinite(lam_r) and np.isfinite(res)):
-            residuals[i] = np.inf
-            continue
-        residuals[i] = res
-        converged[i] = res <= RESIDUAL_TOL
-        refined[i] = lam_r
+        if np.isfinite(res):
+            residuals[i] = res
     order2 = np.argsort(-refined.real)
     return SpectrumResult(eigenvalues=refined[order2],
                           rightmost_residuals=residuals,
-                          converged=converged,
+                          converged=residuals <= RESIDUAL_TOL,
                           modes=None if modes is None else modes[order][order2])
 
 
-def spectral_abscissa(gen: Generator):
+def spectral_abscissa(grid: Grid, p: PhysParams):
     """Maximum real part of the constrained-space spectrum and the achieving
     eigenvalue.
 
     Neumann theta takes every eigenvalue per Fourier mode (reduced_eigvals);
     Dirichlet theta counts instead of listing (_dirichlet_rightmost).
     """
-    if gen.p.theta_bc == "neumann":
-        w = reduced_eigvals(gen)[0]
+    if p.theta_bc == "neumann":
+        w = reduced_eigvals(grid, p)[0]
     else:
-        w = _dirichlet_rightmost(gen)
+        w = _dirichlet_rightmost(grid, p)
     idx = int(np.argmax(w.real))
     return float(w.real[idx]), complex(w[idx])
 
 
-def _dirichlet_rightmost(gen: Generator) -> np.ndarray:
+def _dirichlet_rightmost(grid: Grid, p: PhysParams) -> np.ndarray:
     """The rightmost eigenvalues of the reduced Dirichlet generator, per block.
 
     Each parity block is counted (_counted_rightmost); one whose count
@@ -240,10 +235,10 @@ def _dirichlet_rightmost(gen: Generator) -> np.ndarray:
     (_sharpened).  The mode-0 transport chain is the same as in Neumann
     mode.
     """
-    chain, blocks = _parity_blocks(gen)
+    chain, blocks = _parity_blocks(grid, p)
     out = [chain]
     for M, theta, poles in blocks:
-        lam = _counted_rightmost(M, theta, poles, gen.grid, gen.p)
+        lam = _counted_rightmost(M, theta, poles, grid, p)
         if lam is None:
             _check_dense_dim(M.shape[0])
             lam = _sharpened(M, sla.eigvals(M.toarray()))
@@ -263,28 +258,35 @@ def _sharpened(M: sp.spmatrix, w: np.ndarray) -> complex:
     rightmost of those within err of it is kept if a second shift at
     itself reproduces it to 1e-9, rounded to 2^-40 relative so that the
     BLAS thread count does not show.  A Ritz value that is not reproduced
-    is an artefact of a spectrum beyond double precision, and QR's stands.
+    is an artefact of a spectrum beyond double precision, and QR's stands,
+    unless err is at least its size: then not even its sign is known, and
+    FloatingPointError is raised.
     """
     z0 = w[np.argmax(w.real)]
     err = M.shape[0] * np.finfo(float).eps * spla.norm(M, 1)
     if err <= 2.0**-30 * abs(z0):
         return z0
+    z = None
     try:
         cand = _rightmost_candidates(M, [z0])
         cand = cand[np.abs(cand - z0) <= err]
-        if cand.size == 0:
-            return z0
-        z = cand[np.argmax(cand.real)]
-        again = _rightmost_candidates(M, [z])
+        if cand.size:
+            z = cand[np.argmax(cand.real)]
+            again = _rightmost_candidates(M, [z])
+            if not np.abs(again - z).min() <= 2.0**-30 * abs(z):
+                z = None
     except RuntimeError:      # a singular shift or an ArpackError
-        return z0
-    if not np.abs(again - z).min() <= 2.0**-30 * abs(z):
+        z = None
+    if z is None:
+        if err >= abs(z0):
+            raise FloatingPointError(f"the rightmost eigenvalue {z0} lies within "
+                                     f"the rounding error {err:.3g} of its block")
         return z0
     h = math.ldexp(1.0, math.frexp(abs(z))[1] - 41)
     return complex(round(z.real / h) * h, round(z.imag / h) * h)
 
 
-def _parity_blocks(gen: Generator):
+def _parity_blocks(grid: Grid, p: PhysParams):
     """The Dirichlet spectrum's pieces in Fourier-mode coordinates.
 
     Returns the eigenvalues of the mode-0 transport chain and, for the odd
@@ -296,12 +298,9 @@ def _parity_blocks(gen: Generator):
     with the scalar F of _secular.  The eigenvalues of D come per mode from
     the Neumann generator (reduced_eigvals).
     """
-    grid, p = gen.grid, gen.p
     # the theta coupling of the larger parity block is stored densely
     _check_dense_dim(grid.nflux - grid.nflux // 2)
-    pn = replace(p, theta_bc="neumann")
-    poles, modes = reduced_eigvals(
-        assemble_generator(grid, pn, modal_operators(grid, pn)))
+    poles, modes = reduced_eigvals(grid, replace(p, theta_bc="neumann"))
     R = reduced_generator(assemble_generator(grid, p, modal_operators(grid, p)))
     blocks = []
     for parity, (_, idx) in zip((1, 0), _modal_blocks(grid, "dirichlet")):

@@ -66,8 +66,7 @@ def _decay_run(p, c, theta_bc="neumann"):
     traj = simulate(g, p, c, u0, np.zeros(g.Nx), theta0, f0,
                     t_end=40.0, record_every=4)
     fit = decay_rate_fit(traj, (16.0, 40.0))
-    gen = assemble_generator(g, p)
-    abscissa, _ = spectral_abscissa(gen)
+    abscissa, _ = spectral_abscissa(g, p)
     return p, g, traj, fit, abscissa, time.time() - t0
 
 
@@ -299,8 +298,7 @@ def test_criterion_10_beta_zero_instability():
                     np.zeros(g.ntheta), f0, t_end=20.0, record_every=8)
     E1 = float(np.interp(1.0, traj.times, traj.E))
     E20 = float(traj.E[-1])
-    gen = assemble_generator(Grid(Nx=32, Nrho=32), p)
-    abscissa, _ = spectral_abscissa(gen)
+    abscissa, _ = spectral_abscissa(Grid(Nx=32, Nrho=32), p)
     dt = time.time() - t0
     growing = E20 > E1
     ok = (growing or abscissa > 0) and dt < 60.0

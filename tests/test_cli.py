@@ -14,6 +14,7 @@ import pytest
 import thermodelay
 from thermodelay import cli, spectral
 from thermodelay.cli import main
+from thermodelay.config import load_config
 
 BASE = """
 [model]
@@ -332,19 +333,59 @@ def test_numerical_failure_is_one_line_exit_3(tmp_path, cfgfile, capsys, overrid
 
 def test_spectrum_whose_refinement_overflows_writes_no_nan(tmp_path, capfd):
     # at gamma = 1e300 the inverse iteration overflows: it printed two
-    # RuntimeWarnings and wrote NaN eigenvalues and abscissa with exit 0
+    # RuntimeWarnings and wrote NaN eigenvalues and abscissa with exit 0.
+    # An unconverged refinement (residual above 1e-8; 5.5e120 here) writes
+    # the QR eigenvalue it started from, not its Rayleigh quotient.
     cfg = tmp_path / "run.ini"
     cfg.write_text("[model]\nbeta = 1.0\n")
     out = tmp_path / "spec"
-    code = _run(["spectrum", "--config", str(cfg), "--out", str(out),
-                 "--override", "grid.nx=3", "--override", "grid.nrho=6",
-                 "--override", "model.gamma=1e300"])
+    overrides = ["grid.nx=3", "grid.nrho=6", "model.gamma=1e300"]
+    code = _run(["spectrum", "--config", str(cfg), "--out", str(out)]
+                + [arg for o in overrides for arg in ("--override", o)])
     err = capfd.readouterr().err
     assert code in (0, 3)
     assert err.count("\n") <= 1, err
     for name in ("spectrum.csv", "summary.json"):
         if (out / name).exists():
             assert "nan" not in (out / name).read_text().lower(), name
+    if code == 0:
+        run = load_config(str(cfg), overrides=overrides)
+        w = spectral.reduced_eigvals(run.grid, run.params)[0]
+        w = w[np.argsort(-w.real)]              # the order spectrum_dense refines in
+        rows = np.loadtxt(out / "spectrum.csv", delimiter=",", skiprows=2)
+        residuals = json.loads((out / "summary.json").read_text())["rightmost_residuals"]
+        kept = [z for z, r in zip(w, residuals) if r > 1e-8]
+        assert kept
+        for z in kept:
+            assert ((rows[:, 0] == z.real) & (rows[:, 1] == z.imag)).any(), z
+
+
+@pytest.mark.parametrize("theta_bc", ["neumann", "dirichlet"])
+def test_sweep_point_assembles_one_real_space_generator(tmp_path, monkeypatch,
+                                                        theta_bc):
+    # simulate's is the only one: the abscissa assembles in Fourier-mode
+    # coordinates alone
+    from thermodelay import discretization, integrate
+
+    real_space = []
+    assemble = discretization.assemble_generator
+
+    def counted(grid, p, ops=None):
+        gen = assemble(grid, p, ops)
+        if not gen.ops.modal:
+            real_space.append(grid)
+        return gen
+
+    for module in (discretization, integrate, spectral):
+        monkeypatch.setattr(module, "assemble_generator", counted)
+    cfg2 = tmp_path / "sweep.ini"
+    cfg2.write_text(BASE + "\n[sweep]\nbeta = 4.6\nspectrum = true\n")
+    out = tmp_path / "sw"
+    assert _run(["sweep", "--config", str(cfg2), "--out", str(out),
+                 "--override", f"model.theta_bc={theta_bc}"]) == 0
+    row = (out / "sweep.csv").read_text().strip().split("\n")[2].split(",")
+    assert float(row[6]) < 0.0 and row[-1] == ""
+    assert len(real_space) == 1
 
 
 def test_sweep_point_with_singular_block_is_a_row_error(tmp_path, cfgfile):

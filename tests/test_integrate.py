@@ -303,8 +303,16 @@ def test_blowup_truncates_or_raises():
     traj = simulate(g, p, c, **kw)
     assert traj.blowup_time is not None
     assert traj.times[-1] <= traj.blowup_time
-    with pytest.raises(NumericalBlowupError):
-        simulate(g, p, c, raise_on_blowup=True, **kw)
+    # the step raises on a non-finite displacement, before the history moves
+    dt = p.tau / g.Nrho
+    buf = init_history(f0, g, p.tau, u0=u0)
+    z = buf.as_field().copy()
+    state = State(u=np.full(g.Nx, np.inf), v=np.zeros(g.Nx), z=z,
+                  theta=np.zeros(g.ntheta))
+    fac = factor_implicit(assemble_generator(g, p), dt)
+    with pytest.raises(NumericalBlowupError, match="non-finite displacement"):
+        step_imex(state, dt, fac, buf)
+    assert np.array_equal(buf.as_field(), z)
 
 
 class _ShiftedCopy:

@@ -202,7 +202,7 @@ def _dense_abscissa(gen) -> float:
     parameters the QR value alone is good only to about eps ||R||.  Where
     the quotient does not settle, the QR value is no eigenvalue to working
     precision and is kept as it is."""
-    w = spectral.reduced_eigvals(gen)[0]
+    w = spectral.reduced_eigvals(gen.grid, gen.p)[0]
     lam = w[np.argmax(w.real)]
     R = spectral.reduced_generator(gen).toarray()
     lu = sla.lu_factor(R - (lam + 1e-8 * (1.0 + abs(lam))) * np.eye(len(R)))
@@ -265,6 +265,36 @@ def test_dirichlet_sweep_exits_cleanly_with_the_dense_abscissa(nx, nrho, steps,
         gen = assemble_generator(Grid(Nx=nx, Nrho=nrho, ell=p.ell), p)
         ref = _dense_abscissa(gen)
         assert abs(float(row[6]) - ref) <= 1e-10 * (1.0 + abs(ref)), row
+
+
+coefficients = st.floats(0.1, 5.0)
+log_scales = st.floats(-2.0, 2.0)
+
+
+@settings(PROPERTY, max_examples=40)     # four spectra each; about 2 s
+@given(nx=st.integers(3, 10), nrho=st.integers(2, 10),
+       theta_bc=st.sampled_from(["neumann", "dirichlet"]), alpha=coefficients,
+       beta=coefficients, gamma=coefficients, kappa=coefficients,
+       log_tau=log_scales, log_ell=log_scales)
+def test_spectrum_obeys_the_scaling_law(nx, nrho, theta_bc, alpha, beta, gamma,
+                                        kappa, log_tau, log_ell):
+    # time scaled by tau and space by ell: the groups alpha tau^2/ell^2,
+    # beta tau/ell^2, gamma tau/ell and kappa tau/ell^2 at tau = ell = 1
+    # have the spectrum times tau, on the same nx x nrho grid
+    tau, ell = np.exp(log_tau), np.exp(log_ell)
+    p = PhysParams(alpha=alpha, beta=beta, gamma=gamma, kappa=kappa, tau=tau,
+                   ell=ell, theta_bc=theta_bc)
+    q = PhysParams(alpha=alpha * tau**2 / ell**2, beta=beta * tau / ell**2,
+                   gamma=gamma * tau / ell, kappa=kappa * tau / ell**2,
+                   theta_bc=theta_bc)
+    grid, unit = Grid(Nx=nx, Nrho=nrho, ell=ell), Grid(Nx=nx, Nrho=nrho)
+    w = np.sort_complex(spectral.reduced_eigvals(grid, p)[0])
+    w_scaled = np.sort_complex(spectral.reduced_eigvals(unit, q)[0]) / tau
+    radius = np.abs(w).max()
+    assert np.abs(w - w_scaled).max() <= 1e-12 * radius
+    a = spectral.spectral_abscissa(grid, p)[0]
+    a_scaled = spectral.spectral_abscissa(unit, q)[0] / tau
+    assert abs(a - a_scaled) <= max(1e-10 * abs(a), 1e-12 * radius)
 
 
 MODEL_KEYS = ("alpha", "beta", "gamma", "kappa", "tau", "ell")

@@ -49,9 +49,7 @@ def test_small_dense_solver_sanity():
 
 def test_spectrum_residuals_small(certified):
     p, c = certified
-    g = Grid(Nx=8, Nrho=8)
-    gen = assemble_generator(g, p)
-    res = spectrum_dense(gen)
+    res = spectrum_dense(Grid(Nx=8, Nrho=8), p)
     assert np.all(np.diff(res.eigenvalues.real) <= 1e-12)   # sorted descending
     assert np.all(res.rightmost_residuals <= 1e-8)
     assert np.all(res.converged)
@@ -105,25 +103,20 @@ def test_full_spectrum_has_spurious_zeros_reduced_does_not(certified):
         # conserved z(.,0) - u_x at the Nx+1 flux points, and the theta mass
         assert np.sum(zero) == g.Nx + 1 + (bc == "neumann"), (Nx, bc)
         assert np.sum(zero) == gen.dim - reduced_generator(gen).shape[0]
-        a_red, _ = spectral_abscissa(gen)
+        a_red, _ = spectral_abscissa(g, pb)
         assert a_red < -1e-3
         assert abs(a_red - w_full[~zero].real.max()) <= 1e-12, (Nx, bc)
 
 
 def test_certified_beta_negative_abscissa_32(certified):
     p, c = certified
-    g = Grid(Nx=32, Nrho=32)
-    gen = assemble_generator(g, p)
-    a, lam = spectral_abscissa(gen)
+    a, lam = spectral_abscissa(Grid(Nx=32, Nrho=32), p)
     assert a < 0.0
     assert a == pytest.approx(lam.real)
 
 
 def test_beta_zero_positive_abscissa():
-    p = UNIT.with_beta(0.0)
-    g = Grid(Nx=16, Nrho=16)
-    gen = assemble_generator(g, p)
-    a, _ = spectral_abscissa(gen)
+    a, _ = spectral_abscissa(Grid(Nx=16, Nrho=16), UNIT.with_beta(0.0))
     assert a > 0.0
 
 
@@ -138,18 +131,19 @@ def test_pure_heat_block_spectrum():
 
 def test_dense_size_guard(certified, monkeypatch):
     # the even Dirichlet parity block at 100x100 has 50*103 + 1 = 5151 > 5000
-    # rows; the traps keep the oversized solve, and the Nx^2 corner coupling
-    # before it, from running if the guard is missing or comes too late
+    # rows; the traps keep the oversized solve, the Nx^2 corner coupling and
+    # the real-space assembly before it from running if the guard is missing
+    # or comes too late
     def trap(*args):
         raise AssertionError("an oversized dense path ran")
 
     monkeypatch.setattr(spectral, "sla", SimpleNamespace(eigvals=trap))
     monkeypatch.setattr(spectral, "modal_operators", trap)
+    monkeypatch.setattr(spectral, "assemble_generator", trap)
     p, c = certified
     pd = PhysParams(**{**p.__dict__, "theta_bc": "dirichlet"})
-    gen = assemble_generator(Grid(Nx=100, Nrho=100), pd)
     with pytest.raises(ValueError, match="dimension 5151 exceeds"):
-        spectrum_dense(gen)
+        spectrum_dense(Grid(Nx=100, Nrho=100), pd)
 
 
 @pytest.mark.parametrize("theta_bc", ["neumann", "dirichlet"])
@@ -183,7 +177,7 @@ def test_neumann_spectrum_is_modal_past_the_dense_limit(certified):
     # Neumann blocks have Nrho + 3 rows, so 70x70 (reduced 5180) is accepted
     p, c = certified
     g = Grid(Nx=70, Nrho=70)
-    res = spectrum_dense(assemble_generator(g, p))
+    res = spectrum_dense(g, p)
     assert len(res.eigenvalues) == 70 * 73 + 70 == 5180
     assert np.all(res.converged)
     assert np.bincount(res.modes).tolist() == [70] + [73] * 70
@@ -202,7 +196,7 @@ def test_modal_spectrum_matches_dense(certified, theta_bc, damped, Nx, Nrho):
     g = Grid(Nx=Nx, Nrho=Nrho)
     gen = assemble_generator(g, p)
     w_dense = sla.eigvals(reduced_generator(gen).toarray())
-    w_modal, modes = spectral.reduced_eigvals(gen)
+    w_modal, modes = spectral.reduced_eigvals(g, p)
     assert len(w_modal) == len(w_dense)
     # the mode-0 transport chain is a block of its own, with eigenvalues
     # exactly -Nrho/tau
@@ -216,7 +210,7 @@ def test_modal_spectrum_matches_dense(certified, theta_bc, damped, Nx, Nrho):
         assert modes is None
         assert sizes == sorted([Nrho, Nx // 2 * (Nrho + 3) + 1,
                                 (Nx + 1) // 2 * (Nrho + 3)])
-    assert abs(spectral_abscissa(gen)[0] - w_dense.real.max()) <= 1e-10
+    assert abs(spectral_abscissa(g, p)[0] - w_dense.real.max()) <= 1e-10
     top_d = w_dense[np.argsort(-w_dense.real)[:20]]
     top_m = w_modal[np.argsort(-w_modal.real)[:20]]
     dist = np.abs(top_d[:, None] - top_m[None, :])
@@ -227,19 +221,17 @@ def test_modal_spectrum_matches_dense(certified, theta_bc, damped, Nx, Nrho):
 def test_rightmost_mode(beta, mode):
     # damped: the slowest decay is the lowest mode; undamped: the delay
     # destabilizes the highest mode Nx
-    res = spectrum_dense(assemble_generator(Grid(Nx=16, Nrho=16),
-                                            UNIT.with_beta(beta)))
+    res = spectrum_dense(Grid(Nx=16, Nrho=16), UNIT.with_beta(beta))
     assert res.modes[0] == mode
     assert (res.eigenvalues[0].real > 0) == (beta == 0.0)
     pd = PhysParams(**{**UNIT.__dict__, "beta": beta, "theta_bc": "dirichlet"})
-    assert spectrum_dense(assemble_generator(Grid(Nx=8, Nrho=8), pd)).modes is None
+    assert spectrum_dense(Grid(Nx=8, Nrho=8), pd).modes is None
 
 
 def test_benchmark_reference_abscissa():
     # the shipped 64x64 Neumann default at beta = 4.5, recorded from the
     # dense 4352 x 4352 eigensolve
-    gen = assemble_generator(Grid(Nx=64, Nrho=64), UNIT.with_beta(4.5))
-    res = spectrum_dense(gen)
+    res = spectrum_dense(Grid(Nx=64, Nrho=64), UNIT.with_beta(4.5))
     assert len(res.eigenvalues) == 4352
     assert abs(res.eigenvalues[0].real - -0.29329475221755485) <= 1e-10
     assert np.all(res.rightmost_residuals <= 1e-8)
@@ -267,12 +259,11 @@ DIRICHLET_64_ABSCISSA = -0.2985132626820507
 def test_dirichlet_abscissa_is_counted(monkeypatch, N, beta):
     # the count is accepted in every case: no dense block larger than one
     # mode's runs; the dense parity blocks are the oracle
-    g = Grid(Nx=N, Nrho=N)
-    gen = assemble_generator(g, _dirichlet(beta))
+    g, p = Grid(Nx=N, Nrho=N), _dirichlet(beta)
     ref = (DIRICHLET_64_ABSCISSA if N == 64
-           else spectral.reduced_eigvals(gen)[0].real.max())
+           else spectral.reduced_eigvals(g, p)[0].real.max())
     _mode_sized_eigvals_only(monkeypatch, g)
-    a, lam = spectral_abscissa(gen)
+    a, lam = spectral_abscissa(g, p)
     assert abs(a - ref) <= 1e-10
     assert lam.real == a and lam.imag >= 0.0
     if beta == 0.0:
@@ -290,7 +281,7 @@ def test_dirichlet_count_matches_dense_count(beta):
     # the edges only uniformly, bisected the same way, miscounts at beta = 0.
     g = Grid(Nx=32, Nrho=32)
     p = _dirichlet(beta)
-    M, theta, poles = spectral._parity_blocks(assemble_generator(g, p))[1][0]
+    M, theta, poles = spectral._parity_blocks(g, p)[1][0]
     w = sla.eigvals(M.toarray())
     a = w.real.max()
     near = np.r_[poles, w]
@@ -309,9 +300,8 @@ def test_dirichlet_count_matches_dense_count(beta):
 def test_dirichlet_abscissa_falls_back_when_candidates_miss(monkeypatch, beta,
                                                             miss):
     # the count then exceeds the candidates, and the dense block is solved
-    g = Grid(Nx=16, Nrho=16)
-    gen = assemble_generator(g, _dirichlet(beta))
-    ref = spectral.reduced_eigvals(gen)[0].real.max()
+    g, p = Grid(Nx=16, Nrho=16), _dirichlet(beta)
+    ref = spectral.reduced_eigvals(g, p)[0].real.max()
     found = spectral._rightmost_candidates
 
     def candidates(M, shifts):
@@ -321,21 +311,20 @@ def test_dirichlet_abscissa_falls_back_when_candidates_miss(monkeypatch, beta,
         return w[w.real < w.real.max() - 1e-9]
 
     monkeypatch.setattr(spectral, "_rightmost_candidates", candidates)
-    for M, theta, poles in spectral._parity_blocks(gen)[1]:
-        assert spectral._counted_rightmost(M, theta, poles, g, gen.p) is None
-    assert abs(spectral_abscissa(gen)[0] - ref) <= 1e-12
+    for M, theta, poles in spectral._parity_blocks(g, p)[1]:
+        assert spectral._counted_rightmost(M, theta, poles, g, p) is None
+    assert abs(spectral_abscissa(g, p)[0] - ref) <= 1e-12
 
 
 def test_dirichlet_abscissa_falls_back_when_arpack_fails(monkeypatch):
-    g = Grid(Nx=16, Nrho=16)
-    gen = assemble_generator(g, _dirichlet(4.5))
-    ref = spectral.reduced_eigvals(gen)[0].real.max()
+    g, p = Grid(Nx=16, Nrho=16), _dirichlet(4.5)
+    ref = spectral.reduced_eigvals(g, p)[0].real.max()
 
     def eigs(*args, **kwargs):
         raise spla.ArpackNoConvergence("no convergence", np.empty(0), None)
 
     monkeypatch.setattr(spectral.spla, "eigs", eigs)
-    assert abs(spectral_abscissa(gen)[0] - ref) <= 1e-12
+    assert abs(spectral_abscissa(g, p)[0] - ref) <= 1e-12
 
 
 @pytest.mark.parametrize("nx,beta,gamma,ref", [
@@ -348,8 +337,17 @@ def test_dirichlet_abscissa_at_a_large_parameter(nx, beta, gamma, ref):
     # neither the count nor QR resolves these clusters (_sharpened); the
     # references are 60-digit eigensolves of the reduced generator
     p = PhysParams(**{**_dirichlet(beta).__dict__, "gamma": gamma})
-    gen = assemble_generator(Grid(Nx=nx, Nrho=2), p)
-    assert abs(spectral_abscissa(gen)[0] - ref) <= 1e-11 * abs(ref)
+    assert abs(spectral_abscissa(Grid(Nx=nx, Nrho=2), p)[0] - ref) <= 1e-11 * abs(ref)
+
+
+def test_dirichlet_abscissa_beyond_double_precision_is_refused():
+    # at ell = 5.5e-30 the odd block's entries reach 2e60: QR's rightmost
+    # eigenvalue, 2.7e28, lies far inside its rounding error of 5.2e45, and
+    # sharpening cannot confirm it, so not even its sign is known
+    ell = 5.477282865432251e-30
+    p = PhysParams(**{**_dirichlet(0.0).__dict__, "ell": ell})
+    with pytest.raises(FloatingPointError, match="rounding error"):
+        spectral_abscissa(Grid(Nx=3, Nrho=2, ell=ell), p)
 
 
 def test_h_weight_matrix_spd():
