@@ -2,7 +2,7 @@
 with internally delayed stress and Kelvin-Voigt damping.
 
 The names below are loaded on first use (PEP 562), so `import thermodelay`
-and `import thermodelay.cli` import numpy but no scipy.
+and `import thermodelay.cli` import neither numpy nor scipy.
 """
 
 import importlib

@@ -5,9 +5,9 @@ sections), apply --override section.key=value pairs, and write CSV/JSON
 into --out.  Exit codes: 0 ok, 1 usage/parse or a grid too large for a
 dense solve, 2 certification failure, 3 numerical failure.
 
-Only numpy is imported up front: the commands that simulate or take a
-spectrum import their scipy-backed layers when they run, so `certify`
-and config loading import no scipy.
+Neither numpy nor scipy is imported up front: the commands that simulate
+or take a spectrum import numpy and their scipy-backed layers when they
+run, so `certify` and config loading import neither.
 """
 
 from __future__ import annotations
@@ -17,8 +17,6 @@ import json
 import sys
 from dataclasses import replace
 from pathlib import Path
-
-import numpy as np
 
 from .config import (SCHEMA_VERSION, ConfigError, RunConfig, load_config,
                      make_initial_data)
@@ -50,6 +48,7 @@ def _write_json(path: Path, payload: dict):
 
 
 def _jsonable(obj):
+    import numpy as np
     if isinstance(obj, (np.floating, np.integer)):
         return obj.item()
     if isinstance(obj, np.ndarray):
@@ -146,6 +145,8 @@ def _run_trajectory(cfg: RunConfig):
 
 
 def _summarize(cfg: RunConfig, traj) -> dict:
+    import numpy as np
+
     from .observables import decay_rate_fit
 
     t_hi = traj.times[-1]
@@ -223,8 +224,8 @@ def _sweep_point(cfg: RunConfig, name: str, value: float, want_spectrum: bool):
                 row[key] = float(s[key])
         if want_spectrum:
             row["abscissa"] = float(spectral_abscissa(sub.grid, params)[0])
-    except (ConfigError, ValueError, NumericalBlowupError, ArithmeticError,
-            np.linalg.LinAlgError) as exc:
+    # ValueError covers ConfigError and numpy's LinAlgError
+    except (ValueError, NumericalBlowupError, ArithmeticError) as exc:
         row["error"] = type(exc).__name__
     return row
 
@@ -282,6 +283,14 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _numerical_errors() -> tuple:
+    """What main maps to exit 3, numpy's LinAlgError included once numpy is
+    loaded: a command that never imported numpy cannot raise it."""
+    np = sys.modules.get("numpy")
+    linalg = (np.linalg.LinAlgError,) if np is not None else ()
+    return (NumericalBlowupError, ArithmeticError, *linalg)
+
+
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
@@ -301,7 +310,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"cannot write output: {exc}", file=sys.stderr)
         return 1
-    except (NumericalBlowupError, np.linalg.LinAlgError, ArithmeticError) as exc:
+    except _numerical_errors() as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

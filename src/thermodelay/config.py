@@ -6,11 +6,13 @@ import configparser
 import io
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .grid import Grid, grad_u, step_count
 from .params import PhysParams
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["ConfigError", "RunConfig", "load_config", "parse_range",
            "make_initial_data"]
@@ -67,14 +69,30 @@ def parse_range(text: str, name: str = "range") -> list[float]:
         raise ConfigError(f"{name} asks for {int(parts[2])} points, above the "
                           f"limit of {MAX_RANGE_POINTS}")
     else:
-        # Python floats; a step that overflows gives non-finite values,
-        # rejected below instead of warned about
-        with np.errstate(all="ignore"):
-            values = np.linspace(float(parts[0]), float(parts[1]),
-                                 int(parts[2])).tolist()
+        values = _linspace(float(parts[0]), float(parts[1]), int(parts[2]))
     if not values or not all(map(math.isfinite, values)):
         raise ConfigError(f"{name} needs at least one value, all finite, "
                           f"got {text!r}")
+    return values
+
+
+def _linspace(start: float, stop: float, num: int) -> list[float]:
+    """np.linspace(start, stop, num).tolist(), bit for bit, in Python floats.
+
+    The same operations in the same order as numpy's: a step that is zero
+    (a denormal difference) scales i/div by the difference instead.  A
+    difference that overflows gives non-finite values, not an exception.
+    """
+    div = num - 1
+    delta = stop - start
+    if div == 0:
+        return [0.0 * delta + start]
+    step = delta / div
+    if step == 0:
+        values = [i / div * delta + start for i in range(num)]
+    else:
+        values = [i * step + start for i in range(num)]
+    values[-1] = stop
     return values
 
 
@@ -218,6 +236,7 @@ def _preset(name: str, kinds: tuple, arg_type) -> tuple:
 def _profile(preset: tuple, x: np.ndarray, ell: float) -> np.ndarray:
     """Spatial preset (kind, n): sine:n, bump, zero (Dirichlet profiles);
     cosine:n, zero (theta profiles)."""
+    import numpy as np
     kind, n = preset
     n = 1 if n is None else n
     if kind == "zero":
@@ -231,6 +250,7 @@ def _profile(preset: tuple, x: np.ndarray, ell: float) -> np.ndarray:
 
 def make_initial_data(cfg: RunConfig):
     """Build (u0, u1, theta0, f0) from the preset names in the config."""
+    import numpy as np
     grid, ell = cfg.grid, cfg.params.ell
     u0 = _profile(cfg.init["u0"], grid.x_nodes, ell)
     u1 = _profile(cfg.init["u1"], grid.x_nodes, ell)

@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .params import PhysParams
 
 __all__ = [
@@ -45,6 +43,7 @@ def f_weight(rho, lam):
     the solution of (e^{-lam rho} f)' = -e^{-2 lam rho} with f(1) e^{-lam}
     equal to the tail weight Psi.  Accepts scalars or arrays.
     """
+    import numpy as np
     rho = np.asarray(rho, dtype=float)
     if not (lam > 0):
         raise ValueError(f"lam must be positive, got {lam}")

@@ -1,15 +1,19 @@
 """The grid, the step count and the errors the CLI maps to exit codes.
 
-Needs numpy only, so config loading and `certify` import no scipy.  The
-layout conventions are in discretization's docstring.
+Imports nothing outside the standard library at load time: the node
+arrays and `grad_u` import numpy when they are called, so config loading
+and `certify` import neither numpy nor scipy.  The layout conventions are
+in discretization's docstring.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["Grid", "grad_u", "step_count", "MAX_STEPS", "MAX_RECORDS",
            "DenseSizeError", "NumericalBlowupError"]
@@ -61,14 +65,17 @@ class Grid:
 
     @property
     def x_nodes(self) -> np.ndarray:
+        import numpy as np
         return self.dx * np.arange(1, self.Nx + 1)
 
     @property
     def x_flux(self) -> np.ndarray:
+        import numpy as np
         return self.dx * (np.arange(self.Nx + 1) + 0.5)
 
     @property
     def rho_nodes(self) -> np.ndarray:
+        import numpy as np
         return np.linspace(0.0, 1.0, self.Nrho + 1)
 
     @property
@@ -82,6 +89,7 @@ def grad_u(u: np.ndarray, dx: float) -> np.ndarray:
     Bitwise equal to np.diff(u, prepend=0.0, append=0.0) / dx, signed zeros
     included, without the padded copy.
     """
+    import numpy as np
     out = np.empty(len(u) + 1, dtype=np.result_type(u, 0.0))
     out[0] = u[0]
     np.subtract(u[1:], u[:-1], out=out[1:-1])

@@ -331,6 +331,50 @@ def test_numerical_failure_is_one_line_exit_3(tmp_path, cfgfile, capsys, overrid
     assert err.startswith("numerical failure:") and err.count("\n") == 1, err
 
 
+def test_blowup_whose_strain_overflows_is_one_line_exit_3(tmp_path, capfd):
+    # at beta = 0 the last finite displacement has a strain u/dx that
+    # overflows; it was a RuntimeWarning, a traceback under -W error
+    code = _run(["simulate", "--config", os.devnull, "--out", str(tmp_path / "b0"),
+                 "--override", "model.beta=0", "--override", "grid.nx=16",
+                 "--override", "grid.nrho=16", "--override", "time.t_end=200"])
+    out, err = capfd.readouterr()
+    assert (code, out, err) == (3, "", "numerical blow-up at t = 191.8125\n")
+    summary = json.loads((tmp_path / "b0" / "summary.json").read_text())
+    assert summary["blowup_time"] == 191.8125
+
+
+def test_linalg_error_in_a_command_is_one_line_exit_3(tmp_path, cfgfile, capsys,
+                                                       monkeypatch):
+    def fail(cfg, out):
+        raise np.linalg.LinAlgError("singular matrix")
+
+    monkeypatch.setitem(cli.COMMANDS, "simulate", fail)
+    code = _run(["simulate", "--config", cfgfile, "--out", str(tmp_path / "la")])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (3, "")
+    assert captured.err == "numerical failure: singular matrix\n"
+
+
+def test_sweep_point_with_linalg_error_is_a_row_error(tmp_path, cfgfile,
+                                                       monkeypatch):
+    run_trajectory = cli._run_trajectory
+
+    def fail_at_5(cfg):
+        if cfg.params.beta == 5.0:
+            raise np.linalg.LinAlgError("singular matrix")
+        return run_trajectory(cfg)
+
+    monkeypatch.setattr(cli, "_run_trajectory", fail_at_5)
+    cfg2 = tmp_path / "sweep_la.ini"
+    cfg2.write_text(BASE + "\n[sweep]\nbeta = 4.6,5\n")
+    out = tmp_path / "sw_la"
+    assert _run(["sweep", "--config", str(cfg2), "--out", str(out)]) == 0
+    rows = [r.split(",") for r in
+            (out / "sweep.csv").read_text().strip().split("\n")[2:]]
+    assert [r[-1] for r in rows] == ["", "LinAlgError"]
+    assert json.loads((out / "summary.json").read_text())["failed_points"] == 1
+
+
 def test_spectrum_whose_refinement_overflows_writes_no_nan(tmp_path, capfd):
     # at gamma = 1e300 the inverse iteration overflows: it printed two
     # RuntimeWarnings and wrote NaN eigenvalues and abscissa with exit 0.

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from thermodelay.config import (MAX_RANGE_POINTS, ConfigError, load_config,
                                 make_initial_data, parse_range)
@@ -77,6 +78,44 @@ def test_parse_range_forms():
     assert len(parse_range(f"1:2:{MAX_RANGE_POINTS}")) == MAX_RANGE_POINTS
     with pytest.raises(ConfigError, match="sweep.beta asks for 3000000 points"):
         parse_range("1:2:3000000", "sweep.beta")
+
+
+def _range_matches_linspace(start, stop, num):
+    """parse_range's start:stop:num is np.linspace's, bit for bit, or it is
+    refused exactly when np.linspace gives a non-finite value."""
+    with np.errstate(all="ignore"):
+        want = np.linspace(start, stop, num)
+    text = f"{start!r}:{stop!r}:{num}"
+    if not np.isfinite(want).all():
+        with pytest.raises(ConfigError, match="all finite"):
+            parse_range(text)
+        return
+    got = parse_range(text)
+    assert all(type(v) is float for v in got)
+    assert [v.hex() for v in got] == [float(v).hex() for v in want], text
+
+
+@pytest.mark.parametrize("start, stop, num", [
+    (2.5, 7.0, 1), (-0.0, 3.0, 1), (0.0, -0.0, 1),   # one value
+    (3.0, 3.0, 5), (-0.0, -0.0, 2),                  # start == stop
+    (5.0, -1.0, 7), (1.0, 0.0, 10), (0.3, -0.7, 4),  # negative steps
+    (0.1, 0.7, 1000), (1e-300, 3e-300, 9),
+    (0.0, 5e-324, 4), (1e-323, 0.0, 5),              # the step is 0.0
+    (-1e308, 1e308, 3), (1e308, -1e308, 1),          # the difference overflows
+    (1.7e308, -1.7e308, 2), (-1.7976931348623157e308, 1e300, 1000),
+])
+def test_parse_range_is_bit_equal_to_linspace(start, stop, num):
+    _range_matches_linspace(start, stop, num)
+
+
+finite_floats = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                          st.floats(-1e-300, 1e-300), st.floats(-10.0, 10.0))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(start=finite_floats, stop=finite_floats, num=st.integers(1, 50))
+def test_parse_range_is_bit_equal_to_linspace_everywhere(start, stop, num):
+    _range_matches_linspace(start, stop, num)
 
 
 def test_initial_data_presets():

@@ -1,4 +1,5 @@
-"""What importing the package loads: the CLI and certify need no scipy."""
+"""What importing the package loads: the CLI, config loading and certify
+need neither numpy nor scipy."""
 
 import importlib
 import json
@@ -35,6 +36,12 @@ MOVED = {
 }
 
 
+# numpy = None in sys.modules makes any import of numpy (and so of scipy)
+# raise ImportError
+MAIN_WITHOUT_NUMPY = ("import sys; sys.modules['numpy'] = None; "
+                      "from thermodelay.cli import main; sys.exit(main(sys.argv[1:]))")
+
+
 def _python(code, *args):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [SRC] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else []))}
@@ -45,6 +52,16 @@ def _python(code, *args):
 def test_importing_the_cli_loads_no_scipy():
     proc = _python("import sys, json, thermodelay.cli; print(json.dumps(sorted("
                    "m for m in sys.modules if m.split('.')[0] == 'scipy')))")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
+
+
+def test_importing_the_cli_and_loading_a_config_loads_no_numpy():
+    proc = _python("import sys, json, thermodelay.cli; "
+                   "from thermodelay.config import load_config; "
+                   "load_config(sys.argv[1]); print(json.dumps(sorted("
+                   "m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy'))))",
+                   os.devnull)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == []
 
@@ -87,3 +104,26 @@ def test_certify_without_scipy_writes_the_same_bytes(tmp_path, capsys, overrides
     assert (proc.returncode, proc.stdout) == (code, stdout)
     assert ((tmp_path / "without" / "summary.json").read_bytes()
             == (tmp_path / "with" / "summary.json").read_bytes())
+
+
+@pytest.mark.parametrize("overrides", [["--override", "model.beta=4.5"], []],
+                         ids=["beta-given", "beta0-search"])
+def test_certify_without_numpy_writes_the_same_bytes(tmp_path, capsys, overrides):
+    args = ["certify", "--config", os.devnull] + overrides
+    code = main(args + ["--out", str(tmp_path / "with")])
+    stdout = capsys.readouterr().out
+    proc = _python(MAIN_WITHOUT_NUMPY, *args, "--out", str(tmp_path / "without"))
+    assert proc.stderr == ""
+    assert (proc.returncode, proc.stdout) == (code, stdout)
+    assert ((tmp_path / "without" / "summary.json").read_bytes()
+            == (tmp_path / "with" / "summary.json").read_bytes())
+
+
+def test_config_error_without_numpy_is_one_line_exit_1(tmp_path):
+    proc = _python(MAIN_WITHOUT_NUMPY,
+                   "certify", "--config", os.devnull, "--out", str(tmp_path / "bad"),
+                   "--override", "lyapunov.lambda_grid=-1e308:1e308:3")
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("config error:"), proc.stderr
+    assert "lyapunov.lambda_grid needs" in proc.stderr
+    assert proc.stderr.count("\n") == 1, proc.stderr
