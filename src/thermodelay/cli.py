@@ -80,14 +80,17 @@ def _certification(cfg: RunConfig) -> dict:
     return out
 
 
-def _constants_for_run(cfg: RunConfig):
+def _constants_for_run(cfg: RunConfig, certified_lam: float | None = None):
     """Constants for observables; fall back to a unit-damping surrogate.
 
+    Given the lambda that certifies the run's beta, the weights and n0 are
+    the certificate's; otherwise they come from the first feasible lambda.
     The Lyapunov weights need beta > 0 and a feasible lambda.  Runs outside
     that regime (notably beta = 0 instability demonstrations) still record
     energy and functional indicators, computed with surrogate weights.
     """
-    for lam in _lambda_candidates(cfg):
+    lams = _lambda_candidates(cfg) if certified_lam is None else [certified_lam]
+    for lam in lams:
         p = cfg.params if cfg.params.beta > 0 else cfg.params.with_beta(1.0)
         try:
             consts = lyapunov_constants(p, lam, xi_factor=cfg.xi_factor,
@@ -131,10 +134,11 @@ def cmd_certify(cfg: RunConfig, out: Path) -> int:
     return 0
 
 
-def _run_trajectory(cfg: RunConfig):
+def _run_trajectory(cfg: RunConfig, cert: dict):
+    """Simulate cfg; cert is _certification(cfg), whose lambda sets the weights."""
     from .integrate import simulate
 
-    consts = _constants_for_run(cfg)
+    consts = _constants_for_run(cfg, cert["lambda"] if cert["certified"] else None)
     u0, u1, theta0, f0 = make_initial_data(cfg)
     traj = simulate(
         cfg.grid, cfg.params, consts, u0, u1, theta0, f0,
@@ -173,7 +177,8 @@ def _summarize(cfg: RunConfig, traj) -> dict:
 
 
 def cmd_simulate(cfg: RunConfig, out: Path) -> int:
-    consts, traj = _run_trajectory(cfg)
+    cert = _certification(cfg)
+    consts, traj = _run_trajectory(cfg, cert)
     header = ["t", "E", "V", "Vtilde"] + [f"V{i}" for i in range(1, 7)] + ["theta_mass"]
     rows = (
         [traj.times[i], traj.E[i], traj.V[i], traj.Vtilde[i]]
@@ -184,7 +189,7 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> int:
     _write_csv(out / "traj.csv", header, ([float(c) for c in r] for r in rows))
 
     summary = _summarize(cfg, traj)
-    summary["certification"] = _certification(cfg) if cfg.beta_given else None
+    summary["certification"] = cert if cfg.beta_given else None
     try:
         summary["n0"] = n0_from_constants(consts, cfg.params)
     except ValueError:
@@ -216,8 +221,9 @@ def _sweep_point(cfg: RunConfig, name: str, value: float, want_spectrum: bool):
         params = PhysParams(**{**cfg.params.__dict__, name: value})
         sub = RunConfig(**{**cfg.__dict__, "params": params, "beta_given": True,
                            "grid": replace(cfg.grid, ell=params.ell)})
-        row["certified"] = str(_certification(sub)["certified"]).lower()
-        _, traj = _run_trajectory(sub)
+        cert = _certification(sub)
+        row["certified"] = str(cert["certified"]).lower()
+        _, traj = _run_trajectory(sub, cert)
         s = _summarize(sub, traj)
         for key in ("a0", "r2", "final_E"):
             if s[key] is not None:

@@ -306,9 +306,11 @@ def find_beta0(
     """Search the smallest certified damping coefficient over a lambda grid.
 
     For each lambda the certified set in beta is an up-set, so a bisection on
-    [tiny, alpha tau e^{4 lam}] locates the per-lambda crossing; the returned
-    beta0 is the minimum over the grid (an upper bound for the true threshold,
-    since the conditions are sufficient only).  p.beta is ignored.
+    [tiny, hi] locates the per-lambda crossing, where hi is the witness
+    alpha tau e^{4 lam}, doubled until it certifies (a lambda is skipped only
+    when hi leaves the float range first); the returned beta0 is the minimum
+    over the grid (an upper bound for the true threshold, since the
+    conditions are sufficient only).  p.beta is ignored.
     """
     lambda_grid = list(lambda_grid)
     if not lambda_grid:
@@ -321,8 +323,11 @@ def find_beta0(
             hi = p.alpha * p.tau * math.exp(4.0 * lam)
         except OverflowError:
             continue  # witness past the float range: lambda not usable
-        if not (hi < math.inf and certify(p.with_beta(hi), lam, **kw).verdict):
-            continue  # witness fails or overflowed: lambda not usable
+        # a failing witness only means the crossing lies above it
+        while 0.0 < hi < math.inf and not certify(p.with_beta(hi), lam, **kw).verdict:
+            hi *= 2.0
+        if not 0.0 < hi < math.inf:
+            continue  # no certified beta in the float range: lambda not usable
         lo = 1e-300
         # bisect the crossing: certify fails at lo, passes at hi
         while (hi - lo) > rel_tol * hi:

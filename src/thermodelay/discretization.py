@@ -61,8 +61,17 @@ class Operators:
     modal: bool = False       # Fourier-mode coordinates (see modal_operators)
 
 
+def _check_length(grid: Grid, p: PhysParams):
+    """The grid's spacing and the model's Poincare constant must describe one
+    domain; a mismatch would silently give the spectrum of another length."""
+    if grid.ell != p.ell:
+        raise ValueError(f"grid length ell = {grid.ell} differs from the "
+                         f"model's ell = {p.ell}")
+
+
 def build_operators(grid: Grid, p: PhysParams) -> Operators:
     """Assemble the gradient and the theta Laplacian from one unit stencil."""
+    _check_length(grid, p)
     Nx, dx = grid.Nx, grid.dx
     # (G1 u)_j = u_{j+1} - u_j with zero boundary values of u
     G1 = sp.diags([np.ones(Nx), -np.ones(Nx)], [0, -1], shape=(Nx + 1, Nx),
@@ -106,6 +115,7 @@ def modal_operators(grid: Grid, p: PhysParams) -> Operators:
     generator splits into an odd and an even block (the latter with the
     theta mean).
     """
+    _check_length(grid, p)
     Nx, nf = grid.Nx, grid.nflux
     k = np.arange(1, Nx + 1)
     g, c = _fourier_symbols(grid)
@@ -140,15 +150,6 @@ class Generator:
         return self.matrix.toarray()
 
 
-def _slices(grid: Grid):
-    Nx, nf, nr = grid.Nx, grid.nflux, grid.Nrho + 1
-    su = slice(0, Nx)
-    sv = slice(Nx, 2 * Nx)
-    sz = slice(2 * Nx, 2 * Nx + nf * nr)
-    st = slice(2 * Nx + nf * nr, grid.dim)
-    return su, sv, sz, st
-
-
 def pack(state: State) -> np.ndarray:
     """Flatten a State into the fixed (u, v, z, theta) order."""
     return np.concatenate([state.u, state.v, state.z.ravel(), state.theta])
@@ -158,13 +159,18 @@ def unpack(vec: np.ndarray, grid: Grid) -> State:
     """Inverse of pack."""
     if vec.shape != (grid.dim,):
         raise ValueError(f"expected length {grid.dim}, got {vec.shape}")
-    su, sv, sz, st = _slices(grid)
-    return State(
-        u=vec[su].copy(),
-        v=vec[sv].copy(),
-        z=vec[sz].reshape(grid.nflux, grid.Nrho + 1).copy(),
-        theta=vec[st].copy(),
-    )
+    Nx, nz = grid.Nx, grid.nflux * (grid.Nrho + 1)
+    u, v, z, theta = (a.copy() for a in np.split(vec, [Nx, 2 * Nx, 2 * Nx + nz]))
+    return State(u=u, v=v, z=z.reshape(grid.nflux, grid.Nrho + 1), theta=theta)
+
+
+def _vtheta_blocks(ops: Operators, p: PhysParams) -> list:
+    """The generator's stiff (v, theta) rows and columns as 2 x 2 blocks,
+    [[beta D G, -gamma D], [-gamma G, kappa L_theta]] with D = -G^T."""
+    G = ops.G
+    D = -G.T
+    return [[p.beta * (D @ G), -p.gamma * D],
+            [-p.gamma * G, p.kappa * ops.L_theta]]
 
 
 def assemble_generator(grid: Grid, p: PhysParams,
@@ -176,8 +182,8 @@ def assemble_generator(grid: Grid, p: PhysParams,
     (grad v) so that z(.,0) tracks u_x; theta' = -gamma v_x + kappa L theta.
     `ops` defaults to the real-space build_operators; modal_operators gives
     the same generator in Fourier-mode coordinates.  A coefficient product
-    that overflows leaves inf in the matrix without a warning; its users
-    (factor_implicit, spectral.reduced_generator) check for it.
+    that overflows leaves inf in the matrix without a warning; its user
+    spectral.reduced_generator checks for it.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         ops = build_operators(grid, p) if ops is None else ops
@@ -192,11 +198,12 @@ def assemble_generator(grid: Grid, p: PhysParams,
         transport = sp.csr_matrix((np.r_[np.full(nr - 1, -c), np.full(nr - 1, c)],
                                    (np.r_[i, i], np.r_[i, i - 1])), shape=(nr, nr))
 
+        (vv, vth), (thv, thth) = _vtheta_blocks(ops, p)
         A = sp.bmat([
             [sp.csr_matrix((Nx, Nx)), sp.identity(Nx), None, None],
-            [None, p.beta * (D @ G), sp.kron(p.alpha * D, last), -p.gamma * D],
+            [None, vv, sp.kron(p.alpha * D, last), vth],
             [None, sp.kron(G, first), sp.kron(sp.identity(nf), transport), None],
-            [None, -p.gamma * G, None, p.kappa * ops.L_theta],
+            [None, thv, None, thth],
         ], format="csr")
         A.eliminate_zeros()     # a zero coefficient leaves no stored entries
     return Generator(grid=grid, p=p, matrix=A, ops=ops)

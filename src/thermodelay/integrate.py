@@ -2,12 +2,11 @@
 
 The stiff viscous and heat terms (and the skew thermo-mechanical coupling)
 are advanced by a theta-method on the coupled (v, theta) block, solved
-monolithically from one sparse LU factorization (SuperLU) per (dt, params)
-of the (v, theta) rows and columns of the assembled generator.  The block
-is banded, so factor, solve and the explicit matvec cost O(Nx) and no size
-limit applies.  The delayed stress alpha z(., 1)_x is the only explicit
-term.  The step is fixed at dt = tau/Nrho, so z holds it exactly at both
-endpoints of the step.
+monolithically from one sparse LU factorization (SuperLU) of that block,
+built from the operators alone.  It is banded, so factor, solve and the
+explicit matvec cost O(Nx) and no size limit applies.  The delayed stress
+alpha z(., 1)_x is the only explicit term.  The step is fixed at
+dt = tau/Nrho, so z holds it exactly at both endpoints of the step.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ import scipy.sparse.linalg as spla
 
 from .constants import LyapunovConstants
 from .delay import HistoryBuffer, init_history
-from .discretization import (Generator, State, _slices, assemble_generator,
+from .discretization import (Generator, State, _vtheta_blocks, build_operators,
                              pack, unpack)
 from .grid import (MAX_RECORDS, MAX_STEPS, DenseSizeError, Grid,  # noqa: F401
                    NumericalBlowupError, grad_u, step_count)
@@ -36,11 +35,12 @@ EXPM_MAX_DIM = 4000
 
 @dataclass
 class ImplicitFactor:
-    """Sparse LU of the implicit (v, theta) block for one (dt, weight)."""
+    """Sparse LU of the implicit (v, theta) block for one weight."""
 
     grid: Grid
     p: PhysParams
     theta_weight: float
+    dt: float                                             # tau/Nrho
     implicit: sp.csc_matrix = field(repr=False, default=None)  # I - w dt M
     lu: spla.SuperLU = field(repr=False, default=None)    # splu of implicit
     explicit_mat: sp.csr_matrix = field(repr=False, default=None)  # I + (1-w) dt M
@@ -50,26 +50,25 @@ class ImplicitFactor:
         return self.lu.solve(rhs)
 
 
-def factor_implicit(gen: Generator, dt: float,
+def factor_implicit(grid: Grid, p: PhysParams,
                     theta_weight: float = 0.5) -> ImplicitFactor:
-    """Factor the coupled implicit block once; reusable across steps.
+    """Factor the coupled implicit block at dt = tau/Nrho once; reusable across steps.
 
-    M is the (v, theta) block of the real-space generator gen: the
-    Kelvin-Voigt damping, the heat operator and the thermo-mechanical
-    coupling, all treated implicitly.  Without damping, conduction and
-    coupling it reduces to the identity.  M is banded and stays sparse; a
-    singular or non-finite block raises NumericalBlowupError.
+    M is the (v, theta) block of the real-space generator, built from the
+    operators alone: the Kelvin-Voigt damping, the heat operator and the
+    thermo-mechanical coupling, all treated implicitly.  Without damping,
+    conduction and coupling it reduces to the identity.  M is banded and
+    stays sparse; a singular or non-finite block raises NumericalBlowupError.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
     if not (0.5 <= theta_weight <= 1.0):
         raise ValueError("theta_weight must lie in [1/2, 1]")
-    _, sv, _, st = _slices(gen.grid)
-    vt = np.r_[sv, st]
+    ops = build_operators(grid, p)
+    dt = p.tau / grid.Nrho
     w = theta_weight
-    # a block that overflowed in assembly holds inf; the checks below see it
+    # an overflowing coefficient leaves inf in M; the checks below see it
     with np.errstate(over="ignore", invalid="ignore"):
-        M = gen.matrix[vt][:, vt]
+        M = sp.bmat(_vtheta_blocks(ops, p), format="csr")
+        M.eliminate_zeros()     # stored as in the generator: no zero coefficients
         eye = sp.identity(M.shape[0], format="csr")
         implicit = (eye - w * dt * M).tocsc()
         explicit = (eye + (1.0 - w) * dt * M).tocsr()
@@ -82,23 +81,23 @@ def factor_implicit(gen: Generator, dt: float,
     if not (np.all(np.isfinite(lu.L.data)) and np.all(np.isfinite(lu.U.data))):
         raise NumericalBlowupError("implicit factorization produced non-finite factors")
     return ImplicitFactor(
-        grid=gen.grid, p=gen.p, theta_weight=w, implicit=implicit, lu=lu,
-        explicit_mat=explicit, D=(-gen.ops.G.T).tocsr(),
+        grid=grid, p=p, theta_weight=w, dt=dt, implicit=implicit, lu=lu,
+        explicit_mat=explicit, D=(-ops.G.T).tocsr(),
     )
 
 
-def step_imex(state: State, dt: float, fac: ImplicitFactor,
-              buf: HistoryBuffer) -> State:
-    """One IMEX step of length dt = tau/Nrho; advances (u, v, theta) and buf.
+def step_imex(state: State, fac: ImplicitFactor, buf: HistoryBuffer) -> State:
+    """One IMEX step of fac.dt = tau/Nrho, the only length at which z holds
+    the delayed stress; advances (u, v, theta) and buf.
 
-    The delayed stress is read from z at both step endpoints, u_x(t_n - tau)
-    = z(., 1) and u_x(t_{n+1} - tau) = z(., 1 - 1/Nrho), and combined with
-    the theta-method weights.  A non-finite right-hand side, solution or
+    It is read from z at both step endpoints, u_x(t_n - tau) = z(., 1) and
+    u_x(t_{n+1} - tau) = z(., 1 - 1/Nrho), and combined with the
+    theta-method weights.  A non-finite right-hand side, solution or
     displacement raises NumericalBlowupError before buf is advanced.  The
     strain of a finite displacement may still overflow; it is pushed as inf,
     silently.
     """
-    grid, p, w = fac.grid, fac.p, fac.theta_weight
+    grid, p, w, dt = fac.grid, fac.p, fac.theta_weight, fac.dt
     Nx = grid.Nx
 
     z1_eff = (1.0 - w) * buf.tail() + w * buf.z[:, -2]
@@ -163,9 +162,8 @@ def simulate(
     if p.theta_bc == "neumann":
         theta0 -= theta0.mean()
 
-    gen = assemble_generator(grid, p)      # factor_implicit reports an overflow
-    fac_be = factor_implicit(gen, dt, theta_weight=1.0)
-    fac = factor_implicit(gen, dt, theta_weight=theta_weight)
+    fac_be = factor_implicit(grid, p, theta_weight=1.0)
+    fac = factor_implicit(grid, p, theta_weight=theta_weight)
 
     buf = init_history(f0, grid, p.tau, u0=u0)
     state = State(u=np.asarray(u0, float).copy(), v=np.asarray(u1, float).copy(),
@@ -189,7 +187,7 @@ def simulate(
     for n in range(nsteps):
         t_next = (n + 1) * dt
         try:
-            state = step_imex(state, dt, fac_be if n == 0 else fac, buf)
+            state = step_imex(state, fac_be if n == 0 else fac, buf)
         except NumericalBlowupError:
             blowup_time = t_next
             break

@@ -195,11 +195,10 @@ def test_criterion_6_imex_vs_expm_oracle():
         s = State(u=u0.copy(), v=np.zeros(g.Nx), z=buf.as_field(),
                   theta=np.zeros(g.ntheta))
         ref = pack(expm_oracle(gen, s, 1.0))
-        h = p.tau / N
-        fac_be = factor_implicit(gen, h, theta_weight=1.0)
-        fac = factor_implicit(gen, h)
+        fac_be = factor_implicit(g, p, theta_weight=1.0)
+        fac = factor_implicit(g, p)
         for n in range(N):
-            s = step_imex(s, h, fac_be if n == 0 else fac, buf)
+            s = step_imex(s, fac_be if n == 0 else fac, buf)
         errs.append(np.linalg.norm(pack(s) - ref) / np.linalg.norm(ref))
     ratio = errs[0] / errs[1]
     dt = time.time() - t0
@@ -216,7 +215,6 @@ def test_criterion_7_theta_mass_conservation():
     t0 = time.time()
     p = UNIT.with_beta(2.0)
     g = Grid(Nx=8, Nrho=8)
-    h = p.tau / g.Nrho
     u0 = np.sin(math.pi * g.x_nodes)
     ux0 = grad_u(u0, g.dx)
     buf = init_history(lambda x, s: np.interp(x, g.x_flux, ux0),
@@ -225,13 +223,12 @@ def test_criterion_7_theta_mass_conservation():
     theta0 -= theta0.mean()
     theta0 += 1.0 / p.ell          # nonzero mass, conserved
     s = State(u=u0.copy(), v=np.zeros(g.Nx), z=buf.as_field(), theta=theta0)
-    gen = assemble_generator(g, p)
-    fac_be = factor_implicit(gen, h, theta_weight=1.0)
-    fac = factor_implicit(gen, h)
+    fac_be = factor_implicit(g, p, theta_weight=1.0)
+    fac = factor_implicit(g, p)
     mass0 = np.sum(s.theta) * g.dx
     drift = 0.0
     for n in range(10**5):
-        s = step_imex(s, h, fac_be if n == 0 else fac, buf)
+        s = step_imex(s, fac_be if n == 0 else fac, buf)
         if (n + 1) % 500 == 0:
             drift = max(drift, abs(np.sum(s.theta) * g.dx - mass0))
     drift = max(drift, abs(np.sum(s.theta) * g.dx - mass0)) / abs(mass0)
@@ -321,19 +318,17 @@ def test_criterion_11_dirichlet_variant(decay_dirichlet):
 
     # criterion 7 analogue: theta mass decays instead of being conserved
     g7 = Grid(Nx=8, Nrho=8)
-    h = pd.tau / g7.Nrho
     u0 = np.sin(math.pi * g7.x_nodes)
     ux0 = grad_u(u0, g7.dx)
     buf = init_history(lambda x, s: np.interp(x, g7.x_flux, ux0),
                        g7, pd.tau, u0=u0)
     s = State(u=u0.copy(), v=np.zeros(g7.Nx), z=buf.as_field(),
               theta=np.ones(g7.ntheta))
-    gen7 = assemble_generator(g7, pd)
-    fac_be = factor_implicit(gen7, h, theta_weight=1.0)
-    fac = factor_implicit(gen7, h)
+    fac_be = factor_implicit(g7, pd, theta_weight=1.0)
+    fac = factor_implicit(g7, pd)
     mass0 = abs(np.sum(s.theta) * g7.dx)
     for n in range(10**4):
-        s = step_imex(s, h, fac_be if n == 0 else fac, buf)
+        s = step_imex(s, fac_be if n == 0 else fac, buf)
     mass_end = abs(np.sum(s.theta) * g7.dx)
 
     dt = time.time() - t0 + elapsed   # include the shared decay run

@@ -103,6 +103,25 @@ def test_simulate_outputs(tmp_path, cfgfile):
     assert summary["non_decaying_energy"] is False
 
 
+def test_simulate_weights_come_from_the_certifying_lambda(tmp_path, cfgfile):
+    # lambda = 0.5 has feasible constants but does not certify beta = 0.6;
+    # lambda = 0.75 does, so V, Vtilde and n0 are the ones of lambda = 0.75
+    model = ["--override", "model.alpha=0.2", "--override", "model.tau=0.1",
+             "--override", "model.beta=0.6", "--override", "time.t_end=1"]
+    outs = {}
+    for lam in ("", "0.75"):
+        outs[lam] = tmp_path / f"sim{lam}"
+        assert _run(["simulate", "--config", cfgfile, "--out", str(outs[lam]),
+                     *model, "--override", f"lyapunov.lambda={lam}"]) == 0
+    grid, only = (json.loads((outs[k] / "summary.json").read_text())
+                  for k in ("", "0.75"))
+    assert grid["certification"]["certified"] is True
+    assert grid["certification"]["lambda"] == 0.75
+    assert grid["n0"] == only["n0"] == pytest.approx(0.03718, rel=1e-3)
+    assert ((outs[""] / "traj.csv").read_bytes()
+            == (outs["0.75"] / "traj.csv").read_bytes())
+
+
 def test_simulate_beta_zero_flags_growth(tmp_path, cfgfile):
     out = tmp_path / "sim0"
     code = _run(["simulate", "--config", cfgfile, "--out", str(out),
@@ -359,10 +378,10 @@ def test_sweep_point_with_linalg_error_is_a_row_error(tmp_path, cfgfile,
                                                        monkeypatch):
     run_trajectory = cli._run_trajectory
 
-    def fail_at_5(cfg):
+    def fail_at_5(cfg, cert):
         if cfg.params.beta == 5.0:
             raise np.linalg.LinAlgError("singular matrix")
-        return run_trajectory(cfg)
+        return run_trajectory(cfg, cert)
 
     monkeypatch.setattr(cli, "_run_trajectory", fail_at_5)
     cfg2 = tmp_path / "sweep_la.ini"
@@ -405,10 +424,10 @@ def test_spectrum_whose_refinement_overflows_writes_no_nan(tmp_path, capfd):
 
 
 @pytest.mark.parametrize("theta_bc", ["neumann", "dirichlet"])
-def test_sweep_point_assembles_one_real_space_generator(tmp_path, monkeypatch,
-                                                        theta_bc):
-    # simulate's is the only one: the abscissa assembles in Fourier-mode
-    # coordinates alone
+def test_sweep_point_assembles_no_real_space_generator(tmp_path, monkeypatch,
+                                                       theta_bc):
+    # simulate factors the (v, theta) block from the operators and the
+    # abscissa assembles in Fourier-mode coordinates alone
     from thermodelay import discretization, integrate
 
     real_space = []
@@ -421,7 +440,8 @@ def test_sweep_point_assembles_one_real_space_generator(tmp_path, monkeypatch,
         return gen
 
     for module in (discretization, integrate, spectral):
-        monkeypatch.setattr(module, "assemble_generator", counted)
+        # integrate imports none; patched anyway, so an import would count
+        monkeypatch.setattr(module, "assemble_generator", counted, raising=False)
     cfg2 = tmp_path / "sweep.ini"
     cfg2.write_text(BASE + "\n[sweep]\nbeta = 4.6\nspectrum = true\n")
     out = tmp_path / "sw"
@@ -429,7 +449,7 @@ def test_sweep_point_assembles_one_real_space_generator(tmp_path, monkeypatch,
                  "--override", f"model.theta_bc={theta_bc}"]) == 0
     row = (out / "sweep.csv").read_text().strip().split("\n")[2].split(",")
     assert float(row[6]) < 0.0 and row[-1] == ""
-    assert len(real_space) == 1
+    assert real_space == []
 
 
 def test_sweep_point_with_singular_block_is_a_row_error(tmp_path, cfgfile):

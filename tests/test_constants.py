@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from thermodelay.constants import (InfeasibleLambdaError, NoFeasibleLambdaError,
@@ -14,6 +15,7 @@ from thermodelay.constants import n1_equality_residual
 from thermodelay.params import PhysParams
 
 UNIT = PhysParams(alpha=1.0, beta=1.0, gamma=1.0, kappa=1.0, tau=1.0, ell=1.0)
+LAMBDA_GRID = list(np.linspace(0.5, 3.0, 11))     # the config default
 
 
 def _consts(lam, beta=None):
@@ -120,6 +122,49 @@ def test_find_beta0_crossing():
     assert b0 > 0
     assert any(certify(UNIT.with_beta(1.001 * b0), lam).verdict for lam in grid)
     assert not any(certify(UNIT.with_beta(0.999 * b0), lam).verdict for lam in grid)
+
+
+def _assert_crossing(p, grid, res, rel_tol=1e-6):
+    """beta0 certifies at its lambda, and no lambda on the grid certifies
+    beta0 (1 - rel_tol): the bisection's failing end lies above it."""
+    b0 = res["beta0"]
+    assert certify(p.with_beta(b0), res["lambda_star"]).verdict
+    assert not any(certify(p.with_beta(b0 * (1.0 - rel_tol)), lam).verdict
+                   for lam in grid)
+
+
+@pytest.mark.parametrize("p, beta0", [
+    # the witness alpha tau e^{4 lam} fails at lambda = 0.5 in both: the
+    # crossing lies above it (1.0819 > 0.1 e^2, 0.4379 > 0.025 e^2)
+    (PhysParams(tau=0.1), 1.0819056),
+    (PhysParams(alpha=0.05, gamma=0.3, tau=0.5, ell=2.0), 0.4378535),
+])
+def test_find_beta0_crossing_above_a_failing_witness(p, beta0):
+    res = find_beta0(p, LAMBDA_GRID)
+    assert res["lambda_star"] == 0.5
+    assert res["beta0"] == pytest.approx(beta0, rel=1e-6)
+    assert not certify(p.with_beta(p.alpha * p.tau * math.exp(2.0)), 0.5).verdict
+    _assert_crossing(p, LAMBDA_GRID, res)
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(alpha=_log_uniform(0.05, 5.0), tau=_log_uniform(0.05, 5.0),
+       gamma=_log_uniform(0.3, 3.0), kappa=_log_uniform(0.3, 3.0),
+       ell=_log_uniform(0.5, 2.0))
+def test_find_beta0_crossing_everywhere(alpha, tau, gamma, kappa, ell):
+    # test_find_beta0_crossing over drawn parameters: no lambda on the grid
+    # certifies 0.999 beta0, and some lambda certifies 1.001 beta0
+    p = PhysParams(alpha=alpha, gamma=gamma, kappa=kappa, tau=tau, ell=ell)
+    res = find_beta0(p, LAMBDA_GRID)
+    b0 = res["beta0"]
+    assert any(certify(p.with_beta(1.001 * b0), lam).verdict for lam in LAMBDA_GRID)
+    assert not any(certify(p.with_beta(0.999 * b0), lam).verdict
+                   for lam in LAMBDA_GRID)
+    _assert_crossing(p, LAMBDA_GRID, res)
 
 
 def test_find_beta0_monotone_in_alpha():

@@ -11,7 +11,10 @@ from thermodelay.discretization import (Grid, State, apply_rhs,
                                         assemble_generator, build_operators,
                                         grad_u, inner_product_H, modal_operators,
                                         pack, random_state, unpack)
+from thermodelay.integrate import factor_implicit
 from thermodelay.params import PhysParams
+from thermodelay.spectral import (dissipativity_test, reduced_eigvals,
+                                  spectral_abscissa, spectrum_dense)
 
 P = PhysParams(alpha=1.0, beta=2.0, gamma=1.0, kappa=1.0, tau=1.0, ell=1.0)
 
@@ -27,6 +30,21 @@ def test_grid_validation():
     assert g.dx * (g.Nx + 1) == pytest.approx(g.ell, rel=1e-15)
     assert g.drho * g.Nrho == 1.0
     assert g.dim == 2 * 7 + 8 * 6 + 8
+
+
+@pytest.mark.parametrize("build", [
+    build_operators, modal_operators, assemble_generator, factor_implicit,
+    spectral_abscissa, spectrum_dense, reduced_eigvals,
+    lambda g, p: dissipativity_test(g, p, xi=1.0),
+])
+@pytest.mark.parametrize("theta_bc", ["neumann", "dirichlet"])
+def test_grid_length_must_be_the_models(build, theta_bc):
+    # the grid's ell sets dx, the model's sets the Poincare constant and the
+    # initial data: a mismatch is refused, not solved on the grid's length
+    p = PhysParams(beta=4.5, ell=2.0, theta_bc=theta_bc)
+    with pytest.raises(ValueError, match=r"grid length ell = 1\.0 .* ell = 2\.0"):
+        build(Grid(Nx=8, Nrho=8), p)
+    build(Grid(Nx=8, Nrho=8, ell=2.0), p)
 
 
 def test_dirichlet_laplacian_sine_eigenvector():

@@ -11,9 +11,9 @@ import scipy.sparse.linalg as spla
 
 from thermodelay.constants import f_weight, lyapunov_constants
 from thermodelay.delay import HistoryBuffer, init_history
-from thermodelay.discretization import (Grid, State, _slices, assemble_generator,
-                                        build_operators, grad_u, pack,
-                                        random_state, unpack)
+from thermodelay.discretization import (Grid, State, _vtheta_blocks,
+                                        assemble_generator, build_operators,
+                                        grad_u, pack, random_state, unpack)
 from thermodelay.integrate import (NumericalBlowupError, expm_oracle,
                                    factor_implicit, simulate, step_imex)
 from thermodelay.params import PhysParams
@@ -24,7 +24,7 @@ P = PhysParams(alpha=1.0, beta=2.0, gamma=1.0, kappa=1.0, tau=1.0, ell=1.0)
 def test_factor_identity_when_unstiff():
     p = PhysParams(alpha=1.0, beta=0.0, gamma=0.0, kappa=1e-300)
     g = Grid(Nx=6, Nrho=4)
-    fac = factor_implicit(assemble_generator(g, p), dt=0.1)
+    fac = factor_implicit(g, p)
     rng = np.random.default_rng(0)
     rhs = rng.standard_normal(g.Nx + g.ntheta)
     # kappa ~ 0, beta = gamma = 0: the block is the identity up to kappa*dt
@@ -33,7 +33,7 @@ def test_factor_identity_when_unstiff():
 
 def test_factor_solve_residual():
     g = Grid(Nx=8, Nrho=4)
-    fac = factor_implicit(assemble_generator(g, P), dt=0.05)
+    fac = factor_implicit(g, P)
     rng = np.random.default_rng(1)
     n = g.Nx + g.ntheta
     # at theta_weight = 1/2 the implicit matrix is 2 I - explicit_mat
@@ -48,8 +48,8 @@ def test_factor_determinism():
     g = Grid(Nx=8, Nrho=4)
     rng = np.random.default_rng(2)
     rhs = rng.standard_normal(g.Nx + g.ntheta)
-    x1 = factor_implicit(assemble_generator(g, P), dt=0.05).solve(rhs)
-    x2 = factor_implicit(assemble_generator(g, P), dt=0.05).solve(rhs)
+    x1 = factor_implicit(g, P).solve(rhs)
+    x2 = factor_implicit(g, P).solve(rhs)
     assert np.array_equal(x1, x2)
 
 
@@ -77,7 +77,8 @@ def test_factor_matrices_match_per_block_formula(theta_bc, beta, gamma, kappa):
         M[Nx:, Nx:] = kappa * ops.L_theta.toarray()
         dt = p.tau / g.Nrho
         for w in (0.5, 1.0):
-            fac = factor_implicit(assemble_generator(g, p), dt, theta_weight=w)
+            fac = factor_implicit(g, p, theta_weight=w)
+            assert fac.dt == dt
             implicit = np.eye(n) - w * dt * M
             assert fac.implicit.format == "csc"
             assert fac.explicit_mat.format == "csr" and fac.D.format == "csr"
@@ -92,11 +93,8 @@ def test_factor_matrices_match_per_block_formula(theta_bc, beta, gamma, kappa):
 
 
 def test_factor_validation():
-    g = Grid(Nx=6, Nrho=4)
     with pytest.raises(ValueError):
-        factor_implicit(assemble_generator(g, P), dt=0.0)
-    with pytest.raises(ValueError):
-        factor_implicit(assemble_generator(g, P), dt=0.1, theta_weight=0.25)
+        factor_implicit(Grid(Nx=6, Nrho=4), P, theta_weight=0.25)
 
 
 def test_factor_fill_is_linear_past_the_old_dense_limit():
@@ -105,9 +103,7 @@ def test_factor_fill_is_linear_past_the_old_dense_limit():
     rng = np.random.default_rng(6)
     for theta_bc in ("neumann", "dirichlet"):
         for Nx in (1024, 4096):
-            fac = factor_implicit(
-                assemble_generator(Grid(Nx=Nx, Nrho=2), replace(P, theta_bc=theta_bc)),
-                dt=0.5)
+            fac = factor_implicit(Grid(Nx=Nx, Nrho=2), replace(P, theta_bc=theta_bc))
             n = Nx + Nx + 1
             assert fac.implicit.shape == (n, n)
             assert fac.lu.L.nnz + fac.lu.U.nnz <= 6 * n
@@ -124,25 +120,60 @@ def test_factor_fill_is_linear_past_the_old_dense_limit():
     ({"beta": 1e308}, "non-finite implicit"),     # beta dt G^T G overflows
 ])
 def test_factor_failure_is_numerical_blowup(override, match):
-    p = replace(P, **override)
-    with np.errstate(over="ignore"):
-        gen = assemble_generator(Grid(Nx=8, Nrho=8), p)
     with pytest.raises(NumericalBlowupError, match=match):
-        factor_implicit(gen, dt=0.125)
+        factor_implicit(Grid(Nx=8, Nrho=8), replace(P, **override))
+
+
+def _generator_slice(grid, p):
+    """The former path to the implicit block: the (v, theta) rows and
+    columns sliced from the assembled real-space generator."""
+    vt = np.r_[grid.Nx:2 * grid.Nx, grid.dim - grid.ntheta:grid.dim]
+    return assemble_generator(grid, p).matrix[vt][:, vt]
+
+
+@pytest.mark.parametrize("theta_bc", ["neumann", "dirichlet"])
+@pytest.mark.parametrize("beta, gamma, kappa", [
+    (4.5, 1.0, 1.0), (0.0, 0.0, 1e-300), (0.0, 1.3, 0.0), (5.0, 0.0, 2.0),
+    (2.0, 1.0, 1e300),
+])
+def test_factored_block_is_the_generator_slice(theta_bc, beta, gamma, kappa):
+    # the block built from the operators is stored exactly like the slice
+    # of the generator (same data, indices and indptr), so the factor, the
+    # solve and every step are bit-equal to the former path's
+    p = PhysParams(alpha=1.0, beta=beta, gamma=gamma, kappa=kappa, tau=1.0,
+                   theta_bc=theta_bc)
+    for g in (Grid(Nx=8, Nrho=4), Grid(Nx=33, Nrho=7), Grid(Nx=256, Nrho=16)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = _generator_slice(g, p)
+            got = sp.bmat(_vtheta_blocks(build_operators(g, p), p), format="csr")
+            got.eliminate_zeros()
+        for name in ("data", "indices", "indptr"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (g, name)
+        try:
+            fac = factor_implicit(g, p)
+        except NumericalBlowupError:
+            assert kappa == 1e300           # 1 + kappa dt L_theta loses the 1
+            continue
+        n, dt = want.shape[0], p.tau / g.Nrho
+        eye = sp.identity(n, format="csr")
+        for mat, ref in ((fac.implicit, (eye - 0.5 * dt * want).tocsc()),
+                         (fac.explicit_mat, (eye + 0.5 * dt * want).tocsr())):
+            for name in ("data", "indices", "indptr"):
+                assert getattr(mat, name).tobytes() == getattr(ref, name).tobytes()
 
 
 class _DenseFactor:
-    """The dense stepper: lu_factor of the same (v, theta) slice, for reference."""
+    """The dense stepper: lu_factor of the generator's (v, theta) slice, for reference."""
 
-    def __init__(self, gen, dt, theta_weight):
-        _, sv, _, st = _slices(gen.grid)
-        vt = np.r_[sv, st]
-        M = gen.matrix[vt][:, vt].toarray()
+    def __init__(self, grid, p, theta_weight):
+        M = _generator_slice(grid, p).toarray()
         n = M.shape[0]
-        self.grid, self.p, self.theta_weight = gen.grid, gen.p, theta_weight
+        dt = p.tau / grid.Nrho
+        self.grid, self.p, self.theta_weight, self.dt = grid, p, theta_weight, dt
         self.lu = sla.lu_factor(np.eye(n) - theta_weight * dt * M)
         self.explicit_mat = np.eye(n) + (1.0 - theta_weight) * dt * M
-        self.D = (-gen.ops.G.T).toarray(order="C")
+        self.D = (-build_operators(grid, p).G.T).toarray(order="C")
 
     def solve(self, rhs):
         return sla.lu_solve(self.lu, rhs)
@@ -156,16 +187,14 @@ def test_sparse_step_matches_dense_lu_reference(theta_bc, Nx, Nrho):
     p = PhysParams(alpha=1.0, beta=4.5, gamma=1.0, kappa=1.0, tau=1.0,
                    theta_bc=theta_bc)
     g = Grid(Nx=Nx, Nrho=Nrho)
-    dt = p.tau / Nrho
     s0 = random_state(g, p, np.random.default_rng(7))
-    gen = assemble_generator(g, p)
     finals = []
     for make in (factor_implicit, _DenseFactor):
-        fac_be, fac = make(gen, dt, theta_weight=1.0), make(gen, dt, theta_weight=0.5)
+        fac_be, fac = make(g, p, theta_weight=1.0), make(g, p, theta_weight=0.5)
         buf = HistoryBuffer(s0.z.copy())
         s = unpack(pack(s0), g)
         for n in range(3 * Nrho):
-            s = step_imex(s, dt, fac_be if n == 0 else fac, buf)
+            s = step_imex(s, fac_be if n == 0 else fac, buf)
         finals.append(pack(s))
     scale = np.linalg.norm(pack(s0))
     assert np.linalg.norm(finals[0] - finals[1]) <= 1e-12 * scale
@@ -174,27 +203,25 @@ def test_sparse_step_matches_dense_lu_reference(theta_bc, Nx, Nrho):
 
 def test_zero_state_is_equilibrium():
     g = Grid(Nx=6, Nrho=6)
-    dt = P.tau / g.Nrho
-    fac = factor_implicit(assemble_generator(g, P), dt)
+    fac = factor_implicit(g, P)
     buf = init_history(lambda x, s: np.zeros_like(x), g, P.tau)
     s = State.zeros(g)
     for _ in range(3 * g.Nrho):
-        s = step_imex(s, dt, fac, buf)
+        s = step_imex(s, fac, buf)
     assert np.max(np.abs(pack(s))) == 0.0
 
 
 def test_gamma_zero_decouples_theta_pure_heat():
     p = PhysParams(alpha=1.0, beta=1.0, gamma=0.0, kappa=1.0, tau=1.0)
     g = Grid(Nx=10, Nrho=5)
-    dt = p.tau / g.Nrho
-    fac = factor_implicit(assemble_generator(g, p), dt)
+    fac = factor_implicit(g, p)
     buf = init_history(lambda x, s: np.zeros_like(x), g, p.tau)
     s = State.zeros(g)
     s.theta = np.cos(math.pi * g.x_flux)
     mass0 = np.sum(s.theta) * g.dx
     norm0 = np.dot(s.theta, s.theta)
     for _ in range(20):
-        s = step_imex(s, dt, fac, buf)
+        s = step_imex(s, fac, buf)
     assert np.max(np.abs(s.u)) == 0.0 and np.max(np.abs(s.v)) == 0.0
     assert abs(np.sum(s.theta) * g.dx - mass0) <= 1e-13
     assert np.dot(s.theta, s.theta) < norm0   # heat dissipates
@@ -235,11 +262,10 @@ def test_imex_matches_expm_and_converges():
                            g, p.tau, u0=u0)
         s = State(u=u0.copy(), v=np.zeros(g.Nx), z=buf.as_field(), theta=np.zeros(g.ntheta))
         ref = pack(expm_oracle(gen, s, 1.0))
-        dt = p.tau / N
-        fac_be = factor_implicit(assemble_generator(g, p), dt, theta_weight=1.0)
-        fac = factor_implicit(assemble_generator(g, p), dt)
+        fac_be = factor_implicit(g, p, theta_weight=1.0)
+        fac = factor_implicit(g, p)
         for n in range(N):
-            s = step_imex(s, dt, fac_be if n == 0 else fac, buf)
+            s = step_imex(s, fac_be if n == 0 else fac, buf)
         errs.append(np.linalg.norm(pack(s) - ref) / np.linalg.norm(ref))
     assert errs[0] < 1e-2
     assert errs[0] > errs[1] > errs[2]
@@ -304,14 +330,13 @@ def test_blowup_truncates_or_raises():
     assert traj.blowup_time is not None
     assert traj.times[-1] <= traj.blowup_time
     # the step raises on a non-finite displacement, before the history moves
-    dt = p.tau / g.Nrho
     buf = init_history(f0, g, p.tau, u0=u0)
     z = buf.as_field().copy()
     state = State(u=np.full(g.Nx, np.inf), v=np.zeros(g.Nx), z=z,
                   theta=np.zeros(g.ntheta))
-    fac = factor_implicit(assemble_generator(g, p), dt)
+    fac = factor_implicit(g, p)
     with pytest.raises(NumericalBlowupError, match="non-finite displacement"):
-        step_imex(state, dt, fac, buf)
+        step_imex(state, fac, buf)
     assert np.array_equal(buf.as_field(), z)
 
 
@@ -377,9 +402,8 @@ def test_simulate_matches_the_former_recording_path(theta_bc, record_every):
     traj = simulate(g, p, c, u0, u1, theta0, f0, t_end=6.0,
                     record_every=record_every)
 
-    gen = assemble_generator(g, p)
-    fac_be = factor_implicit(gen, dt, theta_weight=1.0)
-    fac = factor_implicit(gen, dt)
+    fac_be = factor_implicit(g, p, theta_weight=1.0)
+    fac = factor_implicit(g, p)
     z0 = init_history(f0, g, p.tau).as_field().copy()
     buf = _ShiftedCopy(z0)
     th = theta0 - theta0.mean() if theta_bc == "neumann" else theta0.copy()
@@ -387,7 +411,7 @@ def test_simulate_matches_the_former_recording_path(theta_bc, record_every):
     times, rows = [0.0], [_former_record(s, g, p, c)]
     nsteps = 48
     for n in range(nsteps):
-        s = step_imex(s, dt, fac_be if n == 0 else fac, buf)
+        s = step_imex(s, fac_be if n == 0 else fac, buf)
         if (n + 1) % record_every == 0 or n + 1 == nsteps:
             times.append((n + 1) * dt)
             rows.append(_former_record(s, g, p, c))
