@@ -72,9 +72,9 @@ def _certification(cfg: RunConfig) -> dict:
     for lam in _lambda_candidates(cfg):
         rep = certify(cfg.params, lam, xi_factor=cfg.xi_factor,
                       sharp_poincare=cfg.sharp_poincare)
-        if out["conditions"] is None or rep.verdict:
-            out.update({"lambda": lam, "conditions": rep.as_dict()})
-        if rep.verdict:
+        if out["conditions"] is None or rep["verdict"]:
+            out.update({"lambda": lam, "conditions": rep})
+        if rep["verdict"]:
             out["certified"] = True
             break
     return out

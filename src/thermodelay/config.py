@@ -209,6 +209,8 @@ def load_config(path: str | None = None, overrides: list[str] = (),
         (0.0 <= cfg.fit_start_fraction < 1.0,
          f"output.fit_start_fraction must lie in [0, 1), got {cfg.fit_start_fraction}"),
         (cfg.sweep["workers"] >= 1, f"sweep.workers must be >= 1, got {cfg.sweep['workers']}"),
+        (cfg.init["f0"][1] is None or math.isfinite(cfg.init["f0"][1]),
+         f"init.f0 rate must be finite, got {cfg.init['f0'][1]}"),
     ]
     for ok, message in checks:
         if not ok:

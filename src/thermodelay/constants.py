@@ -3,20 +3,19 @@
 Everything here is an exact scalar computation: given the physical parameters
 and the exponent parameter `lam`, all auxiliary constants of the decay
 estimate follow from closed formulas, and the sufficient stability conditions
-are evaluated as exact inequalities (no asymptotic truncation).
+are evaluated as exact inequalities (no asymptotic truncation).  The
+certificate is a plain record, the dict that a run's summary.json stores.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .params import PhysParams
 
 __all__ = [
     "LyapunovConstants",
-    "ConditionRecord",
-    "ConditionReport",
     "InfeasibleLambdaError",
     "NoFeasibleLambdaError",
     "f_weight",
@@ -180,50 +179,26 @@ def lyapunov_constants(
     )
 
 
-@dataclass(frozen=True)
-class ConditionRecord:
-    name: str
-    lhs: float
-    rhs: float
-    satisfied: bool
+def _certificate(rows, eps4: float = math.nan) -> dict:
+    """The certificate record from (name, lhs, rhs, satisfied) rows.
+
+    satisfied None means lhs < rhs; the verdict is that every row holds.
+    """
+    conditions = [
+        {"name": name, "lhs": float(lhs), "rhs": float(rhs),
+         "satisfied": bool(lhs < rhs if ok is None else ok)}
+        for name, lhs, rhs, ok in rows
+    ]
+    return {"conditions": conditions, "eps4": eps4,
+            "verdict": all(r["satisfied"] for r in conditions)}
 
 
-@dataclass
-class ConditionReport:
-    records: list[ConditionRecord] = field(default_factory=list)
-    eps4: float = math.nan
-    verdict: bool = False
-
-    def add(self, name, lhs, rhs, satisfied=None):
-        if satisfied is None:
-            satisfied = bool(lhs < rhs)
-        self.records.append(ConditionRecord(name, float(lhs), float(rhs), bool(satisfied)))
-
-    def record(self, name) -> ConditionRecord:
-        for r in self.records:
-            if r.name == name:
-                return r
-        raise KeyError(name)
-
-    def finalize(self):
-        self.verdict = all(r.satisfied for r in self.records)
-        return self
-
-    def as_dict(self):
-        return {
-            "conditions": [
-                {"name": r.name, "lhs": r.lhs, "rhs": r.rhs, "satisfied": r.satisfied}
-                for r in self.records
-            ],
-            "eps4": self.eps4,
-            "verdict": self.verdict,
-        }
-
-
-def check_conditions(c: LyapunovConstants, p: PhysParams) -> ConditionReport:
+def check_conditions(c: LyapunovConstants, p: PhysParams) -> dict:
     """Evaluate the exact sufficient stability inequalities for constants `c`.
 
-    The report contains one record per inequality (lhs < rhs convention):
+    Returns the certificate record {"conditions", "eps4", "verdict"}, with
+    one {"name", "lhs", "rhs", "satisfied"} row per inequality (lhs < rhs
+    convention) and verdict true when every row holds:
       xi-bound      xi > 2 tau alpha^2 / beta
       eqfond0       1 < A/k < (1 - e^{-2 lam})(1 + h)^2
       eqfond2       b Psi alpha e^{2 lam} c_p + tau b Phi eps3 alpha^2 e^{2 lam}/2 < beta^2
@@ -233,40 +208,30 @@ def check_conditions(c: LyapunovConstants, p: PhysParams) -> ConditionReport:
       eqfond3       b Psi^2 c_p/(beta tau) + Phi b < beta Psi/(alpha tau)
     """
     alpha, beta, tau = p.alpha, p.beta, p.tau
-    rep = ConditionReport()
-
-    rep.add("xi-bound", 2.0 * tau * alpha**2 / beta, c.xi)
-
-    ak = c.A / c.k
-    ak_hi = (1.0 - math.exp(-2.0 * c.lam)) * (1.0 + c.h) ** 2
-    # both margins in cancellation-free polynomial form (the float quotient
-    # A/k loses the h^3-size gap to the upper bound for large lam)
     h = c.h
+    # both eqfond0 margins in cancellation-free polynomial form (the float
+    # quotient A/k loses the h^3-size gap to the upper bound for large lam)
     lo_ok = h * (1.0 - h - 2.0 * h**2 - 3.0 * h**3) > 0.0          # A/k > 1
     hi_ok = h**3 * (1.0 + 3.0 * h - h**2 + h**3 + h**4) > 0.0      # A/k < bound
-    rep.add("eqfond0", ak, ak_hi, satisfied=(lo_ok and hi_ok))
-
     lhs2 = (
         c.b * c.Psi * alpha * math.exp(2.0 * c.lam) * c.c_p
         + 0.5 * tau * c.b * c.Phi * c.eps3 * alpha**2 * math.exp(2.0 * c.lam)
     )
-    rep.add("eqfond2", lhs2, beta**2)
-
     e4_lo = alpha * p.gamma * c.b * c.Psi * math.exp(2.0 * c.lam) / (4.0 * beta * p.kappa)
     e4_hi = 2.0 * alpha * (c.A - 1.0) / (p.gamma * c.b * c.Psi * c.c_p)
-    rep.add("eqfond1", e4_lo, e4_hi)
-
-    pair_ok = (c.eps6 > c.a * c.b * c.Psi / (tau * alpha)) and (c.eps5 > 0.5 * c.b)
-    rep.add("ep67-pair", c.a * c.b * c.Psi / (tau * alpha), c.eps6, satisfied=pair_ok)
-
+    pair_lhs = c.a * c.b * c.Psi / (tau * alpha)
     lhs_ep = 0.5 * c.N6 * c.eps6 * c.c_p + 0.5 * c.N5 * c.Phi * c.eps5
-    rep.add("ep67prime", lhs_ep, 0.5 * c.N2 * alpha)
-
     lhs3 = c.b * c.Psi**2 * c.c_p / (beta * tau) + c.Phi * c.b
-    rep.add("eqfond3", lhs3, beta * c.Psi / (alpha * tau))
-
-    rep.eps4 = c.eps4
-    return rep.finalize()
+    return _certificate([
+        ("xi-bound", 2.0 * tau * alpha**2 / beta, c.xi, None),
+        ("eqfond0", c.A / c.k, (1.0 - math.exp(-2.0 * c.lam)) * (1.0 + h) ** 2,
+         lo_ok and hi_ok),
+        ("eqfond2", lhs2, beta**2, None),
+        ("eqfond1", e4_lo, e4_hi, None),
+        ("ep67-pair", pair_lhs, c.eps6, c.eps6 > pair_lhs and c.eps5 > 0.5 * c.b),
+        ("ep67prime", lhs_ep, 0.5 * c.N2 * alpha, None),
+        ("eqfond3", lhs3, beta * c.Psi / (alpha * tau), None),
+    ], eps4=c.eps4)
 
 
 def certify(
@@ -274,26 +239,29 @@ def certify(
     lam: float,
     xi_factor: float = 2.0,
     sharp_poincare: bool = False,
-) -> ConditionReport:
-    """Build the constants for (p, lam) and evaluate all conditions.
+) -> dict:
+    """Build the constants for (p, lam) and return check_conditions' record.
 
     Unlike lyapunov_constants this never raises on a bad (beta, lam) pair:
-    beta = 0, infeasible lambdas and constants that overflow or divide by
-    zero in floating point yield a failed report.
+    each of beta <= 0, an infeasible lambda and constants that overflow or
+    divide by zero in floating point yields a failed record of its own.
     """
-    rep = ConditionReport()
     if p.beta <= 0.0:
-        rep.add("xi-bound", math.inf, math.inf, satisfied=False)
-        rep.add("eqfond2", math.inf, 0.0, satisfied=False)
-        return rep.finalize()
+        return _certificate([("xi-bound", math.inf, math.inf, False),
+                             ("eqfond2", math.inf, 0.0, False)])
     try:
         c = lyapunov_constants(p, lam, xi_factor=xi_factor, sharp_poincare=sharp_poincare)
         return check_conditions(c, p)
     except InfeasibleLambdaError:
-        rep.add("eqfond0", math.inf, 0.0, satisfied=False)
+        return _certificate([("eqfond0", math.inf, 0.0, False)])
     except ArithmeticError:
-        rep.add("float-range", math.inf, math.inf, satisfied=False)
-    return rep.finalize()
+        return _certificate([("float-range", math.inf, math.inf, False)])
+
+
+# failures no larger beta repairs: eqfond0 depends on lambda alone (both its
+# margins, and certify's infeasible-lambda row), and with xi_factor > 1 the
+# xi-bound fails only once 2 tau alpha^2 / beta underflows
+_UNREPAIRABLE = ("eqfond0", "xi-bound")
 
 
 def find_beta0(
@@ -307,9 +275,10 @@ def find_beta0(
 
     For each lambda the certified set in beta is an up-set, so a bisection on
     [tiny, hi] locates the per-lambda crossing, where hi is the witness
-    alpha tau e^{4 lam}, doubled until it certifies (a lambda is skipped only
-    when hi leaves the float range first); the returned beta0 is the minimum
-    over the grid (an upper bound for the true threshold, since the
+    alpha tau e^{4 lam}, doubled until it certifies, or until it fails a
+    condition no larger beta can repair (eqfond0 or the xi-bound) or leaves
+    the float range, which skips the lambda; the returned beta0 is the
+    minimum over the grid (an upper bound for the true threshold, since the
     conditions are sufficient only).  p.beta is ignored.
     """
     lambda_grid = list(lambda_grid)
@@ -323,16 +292,22 @@ def find_beta0(
             hi = p.alpha * p.tau * math.exp(4.0 * lam)
         except OverflowError:
             continue  # witness past the float range: lambda not usable
-        # a failing witness only means the crossing lies above it
-        while 0.0 < hi < math.inf and not certify(p.with_beta(hi), lam, **kw).verdict:
+        # a failing witness only means the crossing lies above it, unless
+        # it fails a condition that no larger beta repairs
+        rep = {"verdict": False}
+        while 0.0 < hi < math.inf:
+            rep = certify(p.with_beta(hi), lam, **kw)
+            if rep["verdict"] or any(r["name"] in _UNREPAIRABLE and not r["satisfied"]
+                                     for r in rep["conditions"]):
+                break
             hi *= 2.0
-        if not 0.0 < hi < math.inf:
+        if not rep["verdict"]:
             continue  # no certified beta in the float range: lambda not usable
         lo = 1e-300
         # bisect the crossing: certify fails at lo, passes at hi
         while (hi - lo) > rel_tol * hi:
             mid = 0.5 * (lo + hi)
-            if certify(p.with_beta(mid), lam, **kw).verdict:
+            if certify(p.with_beta(mid), lam, **kw)["verdict"]:
                 hi = mid
             else:
                 lo = mid

@@ -75,6 +75,8 @@ def init_history(f0, grid: Grid, tau: float, u0=None,
         z = np.empty((grid.nflux, grid.Nrho + 1))
         for i, r in enumerate(rho):
             z[:, i] = np.asarray(f0(xf, -tau * r), dtype=float)
+    except ArithmeticError as exc:          # a numerical failure, not a bad datum
+        raise FloatingPointError(f"history datum f0 overflows: {exc}") from exc
     except Exception as exc:
         raise ValueError(f"history datum f0 is not sampleable: {exc}") from exc
 

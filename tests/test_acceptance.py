@@ -123,7 +123,7 @@ def test_criterion_2_f_ode_residual_order():
 def test_criterion_3_large_beta_witness():
     t0 = time.time()
     hits = [lam for lam in range(1, 11)
-            if certify(UNIT.with_beta(math.exp(4.0 * lam)), float(lam)).verdict]
+            if certify(UNIT.with_beta(math.exp(4.0 * lam)), float(lam))["verdict"]]
     dt = time.time() - t0
     ok = bool(hits) and dt < 1.0
     _verdict(3, ok, f"beta = e^{{4 lam}} certified for lam in {hits}, {dt:.2f} s")
@@ -134,9 +134,9 @@ def test_criterion_3_large_beta_witness():
 def test_criterion_4_beta0_crossing(threshold):
     t0 = time.time()
     b0 = threshold["beta0"]
-    above = any(certify(UNIT.with_beta(1.001 * b0), lam).verdict
+    above = any(certify(UNIT.with_beta(1.001 * b0), lam)["verdict"]
                 for lam in LAMBDA_GRID)
-    below = any(certify(UNIT.with_beta(0.999 * b0), lam).verdict
+    below = any(certify(UNIT.with_beta(0.999 * b0), lam)["verdict"]
                 for lam in LAMBDA_GRID)
     dt = time.time() - t0
     ok = above and not below and dt < 5.0

@@ -72,6 +72,32 @@ def test_certify_beta_zero_exit_2(tmp_path, cfgfile, capsys):
     assert "xi-bound failed" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("overrides, built", [
+    (["model.beta=4.6"], True),                           # certified
+    (["model.beta=4.0"], True),                           # fails eqfond2
+    (["model.beta=0"], False),                            # beta <= 0
+    (["model.beta=4.6", "lyapunov.lambda=0.05"], False),  # infeasible lambda
+    (["model.beta=4.6", "model.alpha=1e300"], False),     # past the float range
+])
+def test_certify_returns_the_record_summary_json_stores(tmp_path, cfgfile, overrides,
+                                                        built):
+    out = tmp_path / "rec"
+    argv = ["certify", "--config", cfgfile, "--out", str(out)]
+    for ov in overrides:
+        argv += ["--override", ov]
+    _run(argv)
+    stored = json.loads((out / "summary.json").read_text())["certification"]
+    p, lam = load_config(cfgfile, overrides=overrides).params, stored["lambda"]
+    rep = thermodelay.certify(p, lam)
+    # compared as JSON text: a failed record's eps4 is NaN
+    assert json.dumps(rep, sort_keys=True) == json.dumps(stored["conditions"], sort_keys=True)
+    assert rep["verdict"] == all(r["satisfied"] for r in rep["conditions"])
+    assert rep["verdict"] == stored["certified"]
+    if built:
+        consts = thermodelay.lyapunov_constants(p, lam)
+        assert thermodelay.check_conditions(consts, p) == rep
+
+
 def test_certify_threshold_search(tmp_path, cfgfile):
     out = tmp_path / "certb"
     code = _run(["certify", "--config", cfgfile, "--out", str(out),
@@ -360,6 +386,27 @@ def test_blowup_whose_strain_overflows_is_one_line_exit_3(tmp_path, capfd):
     assert (code, out, err) == (3, "", "numerical blow-up at t = 191.8125\n")
     summary = json.loads((tmp_path / "b0" / "summary.json").read_text())
     assert summary["blowup_time"] == 191.8125
+
+
+def test_history_datum_overflow_is_one_line_exit_3(tmp_path, capfd):
+    # e^{-800 s} on s in [-tau, 0] overflows while the history is sampled
+    code = _run(["simulate", "--config", os.devnull, "--out", str(tmp_path / "h"),
+                 "--override", "grid.nx=8", "--override", "grid.nrho=4",
+                 "--override", "time.t_end=1", "--override", "model.beta=4.5",
+                 "--override", "init.f0=decaying_exponential:-800"])
+    out, err = capfd.readouterr()
+    assert (code, out) == (3, "")
+    assert err == "numerical failure: history datum f0 overflows: math range error\n"
+
+
+def test_sweep_point_with_overflowing_history_is_a_row_error(tmp_path, cfgfile):
+    cfg2 = tmp_path / "sweep_f0.ini"
+    cfg2.write_text(BASE + "\n[sweep]\nbeta = 4.5\n[init]\nf0 = decaying_exponential:-800\n")
+    out = tmp_path / "sw_f0"
+    assert _run(["sweep", "--config", str(cfg2), "--out", str(out)]) == 0
+    rows = [r.split(",") for r in
+            (out / "sweep.csv").read_text().strip().split("\n")[2:]]
+    assert [r[-1] for r in rows] == ["FloatingPointError"]
 
 
 def test_linalg_error_in_a_command_is_one_line_exit_3(tmp_path, cfgfile, capsys,

@@ -147,6 +147,12 @@ def test_unknown_presets_rejected():
             load_config(text=BASE, overrides=[bad])
 
 
+def test_history_rate_must_be_finite():
+    for rate in ("nan", "inf", "-inf"):
+        with pytest.raises(ConfigError, match="init.f0 rate must be finite"):
+            load_config(text=BASE, overrides=[f"init.f0=decaying_exponential:{rate}"])
+
+
 def test_higher_mode_presets():
     cfg = load_config(text=BASE, overrides=["init.u0=sine:3", "init.theta0=cosine:2"])
     u0, _, theta0, _ = make_initial_data(cfg)

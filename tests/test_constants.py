@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
+from thermodelay import constants
 from thermodelay.constants import (InfeasibleLambdaError, NoFeasibleLambdaError,
                                    certify, check_conditions, f_weight,
                                    find_beta0, lyapunov_constants,
@@ -16,6 +17,10 @@ from thermodelay.params import PhysParams
 
 UNIT = PhysParams(alpha=1.0, beta=1.0, gamma=1.0, kappa=1.0, tau=1.0, ell=1.0)
 LAMBDA_GRID = list(np.linspace(0.5, 3.0, 11))     # the config default
+
+
+def _row(rep, name):
+    return next(r for r in rep["conditions"] if r["name"] == name)
 
 
 def _consts(lam, beta=None):
@@ -79,8 +84,8 @@ def test_extreme_lambdas_infeasible_before_any_division():
 def test_certify_fails_past_the_float_range():
     # alpha**2 overflows: no certificate, and no OverflowError either
     rep = certify(PhysParams(alpha=1e300, beta=1.0), 0.5)
-    assert not rep.verdict
-    assert rep.record("float-range").lhs == math.inf
+    assert not rep["verdict"]
+    assert _row(rep, "float-range")["lhs"] == math.inf
     # the witness beta alpha tau e^{4 lam} is past the float range
     with pytest.raises(NoFeasibleLambdaError):
         find_beta0(UNIT, [300.0, 1e308])
@@ -90,14 +95,14 @@ def test_certify_fails_past_the_float_range():
 
 def test_large_beta_witness_passes():
     hits = [lam for lam in range(1, 11)
-            if certify(UNIT.with_beta(math.exp(4.0 * lam)), float(lam)).verdict]
+            if certify(UNIT.with_beta(math.exp(4.0 * lam)), float(lam))["verdict"]]
     assert hits, "no lambda on [1,10] certifies beta = e^{4 lam}"
 
 
 def test_beta_zero_fails_xi_bound():
     rep = certify(UNIT.with_beta(0.0), 1.0)
-    assert not rep.verdict
-    assert not rep.record("xi-bound").satisfied
+    assert not rep["verdict"]
+    assert not _row(rep, "xi-bound")["satisfied"]
 
 
 def test_xi_factor_below_bound_rejected():
@@ -108,11 +113,11 @@ def test_xi_factor_below_bound_rejected():
 def test_condition_report_records_all_inequalities():
     c, p = _consts(0.5, beta=5.0)
     rep = check_conditions(c, p)
-    names = [r.name for r in rep.records]
+    names = [r["name"] for r in rep["conditions"]]
     assert names == ["xi-bound", "eqfond0", "eqfond2", "eqfond1", "ep67-pair",
                      "ep67prime", "eqfond3"]
-    assert rep.verdict == all(r.satisfied for r in rep.records)
-    assert math.isfinite(rep.eps4)
+    assert rep["verdict"] == all(r["satisfied"] for r in rep["conditions"])
+    assert math.isfinite(rep["eps4"])
 
 
 def test_find_beta0_crossing():
@@ -120,16 +125,16 @@ def test_find_beta0_crossing():
     res = find_beta0(UNIT, grid)
     b0 = res["beta0"]
     assert b0 > 0
-    assert any(certify(UNIT.with_beta(1.001 * b0), lam).verdict for lam in grid)
-    assert not any(certify(UNIT.with_beta(0.999 * b0), lam).verdict for lam in grid)
+    assert any(certify(UNIT.with_beta(1.001 * b0), lam)["verdict"] for lam in grid)
+    assert not any(certify(UNIT.with_beta(0.999 * b0), lam)["verdict"] for lam in grid)
 
 
 def _assert_crossing(p, grid, res, rel_tol=1e-6):
     """beta0 certifies at its lambda, and no lambda on the grid certifies
     beta0 (1 - rel_tol): the bisection's failing end lies above it."""
     b0 = res["beta0"]
-    assert certify(p.with_beta(b0), res["lambda_star"]).verdict
-    assert not any(certify(p.with_beta(b0 * (1.0 - rel_tol)), lam).verdict
+    assert certify(p.with_beta(b0), res["lambda_star"])["verdict"]
+    assert not any(certify(p.with_beta(b0 * (1.0 - rel_tol)), lam)["verdict"]
                    for lam in grid)
 
 
@@ -143,7 +148,7 @@ def test_find_beta0_crossing_above_a_failing_witness(p, beta0):
     res = find_beta0(p, LAMBDA_GRID)
     assert res["lambda_star"] == 0.5
     assert res["beta0"] == pytest.approx(beta0, rel=1e-6)
-    assert not certify(p.with_beta(p.alpha * p.tau * math.exp(2.0)), 0.5).verdict
+    assert not certify(p.with_beta(p.alpha * p.tau * math.exp(2.0)), 0.5)["verdict"]
     _assert_crossing(p, LAMBDA_GRID, res)
 
 
@@ -161,8 +166,8 @@ def test_find_beta0_crossing_everywhere(alpha, tau, gamma, kappa, ell):
     p = PhysParams(alpha=alpha, gamma=gamma, kappa=kappa, tau=tau, ell=ell)
     res = find_beta0(p, LAMBDA_GRID)
     b0 = res["beta0"]
-    assert any(certify(p.with_beta(1.001 * b0), lam).verdict for lam in LAMBDA_GRID)
-    assert not any(certify(p.with_beta(0.999 * b0), lam).verdict
+    assert any(certify(p.with_beta(1.001 * b0), lam)["verdict"] for lam in LAMBDA_GRID)
+    assert not any(certify(p.with_beta(0.999 * b0), lam)["verdict"]
                    for lam in LAMBDA_GRID)
     _assert_crossing(p, LAMBDA_GRID, res)
 
@@ -179,6 +184,27 @@ def test_find_beta0_empty_or_infeasible_grid():
         find_beta0(UNIT, [])
     with pytest.raises(NoFeasibleLambdaError):
         find_beta0(UNIT, [0.05])    # below the feasibility knee
+
+
+@pytest.mark.parametrize("p, grid, calls", [
+    (UNIT, [0.05], 1),                               # eqfond0 fails at every beta
+    (PhysParams(alpha=1e-300), LAMBDA_GRID, 11),     # 2 tau alpha^2 / beta underflows
+    (UNIT, list(np.linspace(0.05, 3.0, 11)), 212),   # two infeasible lambdas, then 0.64
+    (UNIT, LAMBDA_GRID, 255),
+])
+def test_find_beta0_skips_a_witness_no_larger_beta_repairs(monkeypatch, p, grid, calls):
+    seen = []
+
+    def counting(*args, **kwargs):
+        seen.append(args)
+        return certify(*args, **kwargs)
+
+    monkeypatch.setattr(constants, "certify", counting)
+    try:
+        find_beta0(p, grid)
+    except NoFeasibleLambdaError:
+        pass
+    assert len(seen) == calls
 
 
 def test_n0_positive_and_balanced_row():

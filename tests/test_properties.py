@@ -298,6 +298,8 @@ def test_spectrum_obeys_the_scaling_law(nx, nrho, theta_bc, alpha, beta, gamma,
 
 MODEL_KEYS = ("alpha", "beta", "gamma", "kappa", "tau", "ell")
 model_values = st.floats(0.0, 8.0) | st.sampled_from([0.0, -1.0, 1e6])
+histories = (st.sampled_from(["constant_history", "zero"])
+             | st.floats().map(lambda rate: f"decaying_exponential:{rate!r}"))
 
 
 @PROPERTY
@@ -305,16 +307,21 @@ model_values = st.floats(0.0, 8.0) | st.sampled_from([0.0, -1.0, 1e6])
        record_every=st.integers(1, 5),
        theta_bc=st.sampled_from(["neumann", "dirichlet"]),
        model=st.dictionaries(st.sampled_from(MODEL_KEYS), model_values,
-                             max_size=len(MODEL_KEYS)))
+                             max_size=len(MODEL_KEYS)),
+       f0=histories)
 # xi = 2 tau alpha^2 / beta underflowed to 0: energy raised a ValueError
 @example(nx=3, nrho=2, steps=1, record_every=1, theta_bc="neumann",
-         model={"alpha": 2.2250738585072014e-308, "beta": 0.0})
+         model={"alpha": 2.2250738585072014e-308, "beta": 0.0},
+         f0="constant_history")
 # times of order 1e-300: polyfit divided by zero, then LAPACK printed errors
 @example(nx=10, nrho=2, steps=1, record_every=1, theta_bc="neumann",
          model={"alpha": 1.66, "beta": 1.9, "gamma": 1e-300, "kappa": 1e-300,
-                "tau": 1e-300, "ell": 1.99})
+                "tau": 1e-300, "ell": 1.99}, f0="constant_history")
+# e^{800 tau} overflowed while sampling the history: a traceback, exit 1
+@example(nx=8, nrho=4, steps=4, record_every=1, theta_bc="neumann",
+         model={"beta": 4.5}, f0="decaying_exponential:-800")
 def test_simulate_exits_cleanly_with_every_record(nx, nrho, steps, record_every,
-                                                  theta_bc, model):
+                                                  theta_bc, model, f0):
     # model keys not drawn keep CONFIG's values; t_end is steps whole steps
     # of tau/nrho, so an accepted run records the initial state, every
     # record_every-th step and the last one
@@ -325,7 +332,7 @@ def test_simulate_exits_cleanly_with_every_record(nx, nrho, steps, record_every,
         overrides = {"grid.nx": nx, "grid.nrho": nrho,
                      "time.t_end": repr(steps * model.get("tau", 1.0) / nrho),
                      "time.record_every": record_every,
-                     "model.theta_bc": theta_bc,
+                     "model.theta_bc": theta_bc, "init.f0": f0,
                      **{f"model.{k}": repr(v) for k, v in model.items()}}
         argv = ["simulate", "--config", str(cfg), "--out", str(out)]
         for key, value in overrides.items():
