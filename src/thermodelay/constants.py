@@ -258,16 +258,33 @@ def certify(
         return _certificate([("float-range", math.inf, math.inf, False)])
 
 
+BETA0_REL_TOL = 1e-6    # relative width at which find_beta0's bisection stops
+
 # failures no larger beta repairs: eqfond0 depends on lambda alone (both its
 # margins, and certify's infeasible-lambda row), and with xi_factor > 1 the
 # xi-bound fails only once 2 tau alpha^2 / beta underflows
 _UNREPAIRABLE = ("eqfond0", "xi-bound")
 
 
+def _doubling(rep: dict) -> float:
+    """The factor by which find_beta0 raises a failing witness: 2, or a
+    power of 2 past the doublings that still fail eqfond1.
+
+    eqfond1's lhs scales exactly as 1/beta and its rhs depends on lambda
+    alone, so every doubling below lhs/rhs fails it; the jump stops one
+    doubling short of that, so rounding never skips a doubling that passes.
+    """
+    for r in rep["conditions"]:
+        if r["name"] == "eqfond1" and not r["satisfied"] and r["rhs"] > 0.0:
+            ratio = r["lhs"] / r["rhs"]
+            if ratio < math.inf:
+                return 2.0 ** max(1, math.ceil(math.log2(ratio)) - 1)
+    return 2.0
+
+
 def find_beta0(
     p: PhysParams,
     lambda_grid,
-    rel_tol: float = 1e-6,
     xi_factor: float = 2.0,
     sharp_poincare: bool = False,
 ) -> dict:
@@ -275,7 +292,8 @@ def find_beta0(
 
     For each lambda the certified set in beta is an up-set, so a bisection on
     [tiny, hi] locates the per-lambda crossing, where hi is the witness
-    alpha tau e^{4 lam}, doubled until it certifies, or until it fails a
+    alpha tau e^{4 lam}, doubled (past the doublings that must still fail
+    eqfond1, see _doubling) until it certifies, or until it fails a
     condition no larger beta can repair (eqfond0 or the xi-bound) or leaves
     the float range, which skips the lambda; the returned beta0 is the
     minimum over the grid (an upper bound for the true threshold, since the
@@ -300,12 +318,12 @@ def find_beta0(
             if rep["verdict"] or any(r["name"] in _UNREPAIRABLE and not r["satisfied"]
                                      for r in rep["conditions"]):
                 break
-            hi *= 2.0
+            hi *= _doubling(rep)
         if not rep["verdict"]:
             continue  # no certified beta in the float range: lambda not usable
         lo = 1e-300
         # bisect the crossing: certify fails at lo, passes at hi
-        while (hi - lo) > rel_tol * hi:
+        while (hi - lo) > BETA0_REL_TOL * hi:
             mid = 0.5 * (lo + hi)
             if certify(p.with_beta(mid), lam, **kw)["verdict"]:
                 hi = mid
@@ -353,7 +371,3 @@ def n0_from_constants(c: LyapunovConstants, p: PhysParams) -> float:
         2.0 * abs(n4) / (c.c_p * c.N3),
     )
 
-
-def n1_equality_residual(c: LyapunovConstants, p: PhysParams) -> float:
-    """Residual of the balanced row -N4 e^{-2 lam}/tau + N1 alpha eps1/2 (zero by construction)."""
-    return -c.N4 * math.exp(-2.0 * c.lam) / p.tau + 0.5 * c.N1 * p.alpha * c.eps1

@@ -61,13 +61,12 @@ class HistoryBuffer:
         return self.z
 
 
-def init_history(f0, grid: Grid, tau: float, u0=None,
-                 tol: float = 1e-8) -> HistoryBuffer:
+def init_history(f0, grid: Grid, tau: float, u0=None) -> HistoryBuffer:
     """Sample the history datum f0(x, s), s in [-tau, 0], into a HistoryBuffer.
 
     z[j, i] = f0(x_flux_j, -tau * rho_i).  When u0 is supplied, the rho = 0
     slice is compared against the discrete u_x of u0 and a warning is issued
-    on mismatch (the caller's data are kept unchanged).
+    on a mismatch above 1e-8 relative (the caller's data are kept unchanged).
     """
     xf = grid.x_flux
     rho = grid.rho_nodes
@@ -83,7 +82,7 @@ def init_history(f0, grid: Grid, tau: float, u0=None,
     if u0 is not None:
         ux0 = grad_u(np.asarray(u0, dtype=float), grid.dx)
         mismatch = np.max(np.abs(z[:, 0] - ux0))
-        if mismatch > tol * max(1.0, np.max(np.abs(ux0))):
+        if mismatch > 1e-8 * max(1.0, np.max(np.abs(ux0))):
             warnings.warn(
                 f"history datum at s=0 differs from u0_x by {mismatch:.3e}; "
                 "keeping the supplied history", stacklevel=2)

@@ -130,9 +130,9 @@ def expm_oracle(gen: Generator, state: State, t: float) -> State:
 
     Dense only; refuses dimensions above EXPM_MAX_DIM.
     """
-    if gen.dim > EXPM_MAX_DIM:
-        raise DenseSizeError(f"generator dimension {gen.dim} exceeds dense limit")
-    phi = sla.expm(t * gen.dense())
+    if gen.grid.dim > EXPM_MAX_DIM:
+        raise DenseSizeError(f"generator dimension {gen.grid.dim} exceeds dense limit")
+    phi = sla.expm(t * gen.matrix.toarray())
     return unpack(phi @ pack(state), gen.grid)
 
 

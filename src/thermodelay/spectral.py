@@ -38,7 +38,6 @@ DENSE_MAX_DIM = 5000     # largest block handed to the dense eigensolver
 N_REFINE = 10            # rightmost eigenvalues refined by inverse iteration
 RESIDUAL_TOL = 1e-8      # residual below which a refinement has converged
 N_CANDIDATES = 6         # eigenvalues per shift in the Dirichlet abscissa
-BALANCE_SWEEPS = 10      # Osborne sweeps before the Gershgorin bounds
 WINDING_ROUNDS = 60      # bisection rounds of the winding-number contour
 WINDING_MAX_SAMPLES = 200_000
 SECANT_STEPS = 20        # polishing steps of the counted Dirichlet eigenvalue
@@ -333,13 +332,15 @@ def _secular(s: np.ndarray, grid: Grid, p: PhysParams,
         return 1.0 + 4.0 * p.kappa / grid.dx**2 * acc
 
 
-def _rightmost_candidates(M: sp.spmatrix, shifts) -> np.ndarray:
-    """Eigenvalues of M nearest each shift, by sparse shift-invert Arnoldi
-    (ARPACK) from a fixed start vector, with their conjugates (M is real)."""
+def _rightmost_candidates(M: sp.spmatrix, shifts,
+                          k: int = N_CANDIDATES) -> np.ndarray:
+    """The k eigenvalues of M nearest each shift, by sparse shift-invert
+    Arnoldi (ARPACK) from a fixed start vector, with their conjugates (M is
+    real)."""
     A = M.astype(complex).tocsc()
     n = A.shape[0]
     w = np.concatenate([
-        spla.eigs(A, k=min(N_CANDIDATES, n - 2), sigma=sigma,
+        spla.eigs(A, k=min(k, n - 2), sigma=sigma,
                   v0=np.ones(n, complex), return_eigenvectors=False)
         for sigma in shifts])
     return np.r_[w, w.conj()]
@@ -347,17 +348,11 @@ def _rightmost_candidates(M: sp.spmatrix, shifts) -> np.ndarray:
 
 def _gershgorin_box(M: sp.spmatrix):
     """X >= Re(lambda) and Y >= |Im(lambda)| for every eigenvalue of the real
-    sparse M, from the Gershgorin discs (by rows and by columns) of S M S^-1,
-    with the diagonal S balancing off-diagonal row and column sums
-    (Osborne's iteration)."""
+    sparse M, from its Gershgorin discs by rows and by columns."""
     d = M.diagonal()
     A = abs(M - sp.diags(d)).tocsr()
-    s = np.ones(A.shape[0])
-    for _ in range(BALANCE_SWEEPS):
-        rows, cols = s * (A @ (1.0 / s)), (A.T @ s) / s
-        ok = (rows > 0.0) & (cols > 0.0)
-        s[ok] *= np.sqrt(cols[ok] / rows[ok])
-    rows, cols = s * (A @ (1.0 / s)), (A.T @ s) / s
+    one = np.ones(A.shape[0])
+    rows, cols = A @ one, A.T @ one
     return (min(np.max(d + rows), np.max(d + cols)),
             min(np.max(rows), np.max(cols)))
 
@@ -418,7 +413,7 @@ def _count_right_of(x0: float, M: sp.spmatrix, theta: np.ndarray,
     with real part above x0, or None when the winding number is not settled.
 
     The box x0 < Re s < X, |Im s| < Y holds all of them: X and Y are the
-    balanced Gershgorin bounds of M plus a margin, which keeps every
+    Gershgorin bounds of M plus a margin, which keeps every
     eigenvalue off its right, top and bottom edges.  The count is the poles
     (eigenvalues of D) in the box plus the winding number of F (_secular)
     around it, sampled also at the poles and the other `known` points.
@@ -448,27 +443,32 @@ def _counted_rightmost(M: sp.spmatrix, theta: np.ndarray, poles: np.ndarray,
        above the next candidate.
     3. The eigenvalues right of x0 are counted (_count_right_of).
     4. The candidate is accepted if the count equals the number of distinct
-       candidates right of x0.
+       candidates right of x0.  A count above it means candidates were
+       missed: steps 1-3 are redone once with 4 N_CANDIDATES per shift.
     """
     top = poles[np.argmax(poles.real)]
     shifts = dict.fromkeys([0j, complex(top.real, abs(top.imag))])
-    try:
-        cand = _rightmost_candidates(M, shifts)
-    except RuntimeError:      # a singular shift or an ArpackError
-        return None
-    a = cand.real.max()
-    tol = 1e-8 * (1.0 + abs(a))
-    lo = max(a - 1e-3 * (1.0 + abs(a)),
-             cand.real[cand.real < a - tol].max(initial=-np.inf))
-    cuts = np.sort(np.r_[lo, a, poles.real[(poles.real > lo) & (poles.real < a)]])
-    i = int(np.argmax(np.diff(cuts)))
-    x0 = 0.5 * (cuts[i] + cuts[i + 1])
+    for k in (N_CANDIDATES, 4 * N_CANDIDATES):
+        try:
+            cand = _rightmost_candidates(M, shifts, k)
+        except RuntimeError:      # a singular shift or an ArpackError
+            return None
+        a = cand.real.max()
+        tol = 1e-8 * (1.0 + abs(a))
+        lo = max(a - 1e-3 * (1.0 + abs(a)),
+                 cand.real[cand.real < a - tol].max(initial=-np.inf))
+        cuts = np.sort(np.r_[lo, a, poles.real[(poles.real > lo) & (poles.real < a)]])
+        i = int(np.argmax(np.diff(cuts)))
+        x0 = 0.5 * (cuts[i] + cuts[i + 1])
 
-    distinct = []
-    for z in sorted(cand[cand.real > x0], key=lambda z: (-z.real, -z.imag)):
-        if all(abs(z - d) > tol for d in distinct):
-            distinct.append(z)
-    if _count_right_of(x0, M, theta, poles, cand, grid, p) != len(distinct):
+        distinct = []
+        for z in sorted(cand[cand.real > x0], key=lambda z: (-z.real, -z.imag)):
+            if all(abs(z - d) > tol for d in distinct):
+                distinct.append(z)
+        count = _count_right_of(x0, M, theta, poles, cand, grid, p)
+        if count is None or count <= len(distinct):
+            break
+    if count != len(distinct):
         return None
     lam = complex(distinct[0].real,
                   abs(distinct[0].imag) if abs(distinct[0].imag) > tol else 0.0)
@@ -544,7 +544,7 @@ def dissipativity_test(grid: Grid, p: PhysParams, xi: float,
     # reduced (u, v, z at rho > 0) coordinates; the theta ones follow them
     E = restriction_maps(gen)[0][:, :2 * grid.Nx + grid.nflux * grid.Nrho]
     W = h_weight_matrix(gen, xi)
-    WA = W @ (gen.matrix - m * sp.identity(gen.dim))
+    WA = W @ (gen.matrix - m * sp.identity(grid.dim))
     S, B = E.T @ (0.5 * (WA + WA.T)) @ E, E.T @ W @ E
     sup = max(sla.eigh(S[b][:, b].toarray(), B[b][:, b].toarray(),
                        eigvals_only=True)[-1] for b in blocks)

@@ -343,7 +343,7 @@ def test_dirichlet_abscissa_past_the_dense_limit(tmp_path, cfgfile, capsys,
     err = capsys.readouterr().err
     assert err.startswith("size error:") and err.count("\n") == 1, err
     # a count that fails falls back to the dense block, refused per point
-    def no_candidates(M, shifts):
+    def no_candidates(M, shifts, k=None):
         raise RuntimeError("no candidates")
 
     monkeypatch.setattr(spectral, "_rightmost_candidates", no_candidates)

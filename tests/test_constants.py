@@ -12,8 +12,9 @@ from thermodelay.constants import (InfeasibleLambdaError, NoFeasibleLambdaError,
                                    certify, check_conditions, f_weight,
                                    find_beta0, lyapunov_constants,
                                    n0_from_constants)
-from thermodelay.constants import n1_equality_residual
 from thermodelay.params import PhysParams
+
+from oracles import n1_equality_residual
 
 UNIT = PhysParams(alpha=1.0, beta=1.0, gamma=1.0, kappa=1.0, tau=1.0, ell=1.0)
 LAMBDA_GRID = list(np.linspace(0.5, 3.0, 11))     # the config default
@@ -193,6 +194,12 @@ def test_find_beta0_empty_or_infeasible_grid():
     (UNIT, LAMBDA_GRID, 255),
 ])
 def test_find_beta0_skips_a_witness_no_larger_beta_repairs(monkeypatch, p, grid, calls):
+    assert _find_beta0_counted(monkeypatch, p, grid)[1] == calls
+
+
+def _find_beta0_counted(monkeypatch, p, grid):
+    """find_beta0's result (None if no lambda is feasible) and the number
+    of certify calls it made."""
     seen = []
 
     def counting(*args, **kwargs):
@@ -201,10 +208,26 @@ def test_find_beta0_skips_a_witness_no_larger_beta_repairs(monkeypatch, p, grid,
 
     monkeypatch.setattr(constants, "certify", counting)
     try:
-        find_beta0(p, grid)
+        res = find_beta0(p, grid)
     except NoFeasibleLambdaError:
-        pass
-    assert len(seen) == calls
+        res = None
+    return res, len(seen)
+
+
+@pytest.mark.parametrize("kappa, calls, beta0", [
+    (1e-300, 343, None),     # eqfond1 fails on every lambda until beta^2 overflows
+    (1e-100, 264, "0x1.2554f87771e4fp+330"),
+])
+def test_find_beta0_jumps_past_eqfond1_failures(monkeypatch, kappa, calls, beta0):
+    # eqfond1's lhs scales as 1/beta: the doublings it still fails are
+    # skipped (11,159 and 3,772 certify calls without the jump), and the
+    # crossing found is the one the doubling finds
+    res, seen = _find_beta0_counted(monkeypatch, PhysParams(kappa=kappa), LAMBDA_GRID)
+    assert seen == calls
+    if beta0 is None:
+        assert res is None
+    else:
+        assert res["beta0"].hex() == beta0 and res["lambda_star"] == 3.0
 
 
 def test_n0_positive_and_balanced_row():

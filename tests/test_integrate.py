@@ -13,10 +13,12 @@ from thermodelay.constants import f_weight, lyapunov_constants
 from thermodelay.delay import HistoryBuffer, init_history
 from thermodelay.discretization import (Grid, State, _vtheta_blocks,
                                         assemble_generator, build_operators,
-                                        grad_u, pack, random_state, unpack)
+                                        grad_u, pack, unpack)
 from thermodelay.integrate import (NumericalBlowupError, expm_oracle,
                                    factor_implicit, simulate, step_imex)
 from thermodelay.params import PhysParams
+
+from oracles import random_state
 
 P = PhysParams(alpha=1.0, beta=2.0, gamma=1.0, kappa=1.0, tau=1.0, ell=1.0)
 

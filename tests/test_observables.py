@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 from thermodelay.constants import f_weight, find_beta0, lyapunov_constants
-from thermodelay.discretization import (Grid, State, inner_product_H,
-                                        random_state)
+from thermodelay.discretization import Grid, State
 from thermodelay.observables import (Trajectory, check_decay_inequality,
                                      decay_rate_fit, energy,
                                      lyapunov_components, theta_mass)
 from thermodelay.params import PhysParams
+
+from oracles import inner_product_H, random_state
 
 P = PhysParams(alpha=1.0, beta=2.0, gamma=1.0, kappa=1.0, tau=1.0, ell=1.0)
 G = Grid(Nx=10, Nrho=8)

@@ -22,11 +22,12 @@ from thermodelay.cli import main
 from thermodelay.config import (DEFAULTS, SWEEPABLE, ConfigError, RunConfig,
                                 load_config)
 from thermodelay.delay import HistoryBuffer
-from thermodelay.discretization import (Grid, assemble_generator, pack,
-                                        random_state, unpack)
+from thermodelay.discretization import Grid, assemble_generator, pack, unpack
 from thermodelay.integrate import factor_implicit, step_imex
 from thermodelay.observables import theta_mass
 from thermodelay.params import PhysParams
+
+from oracles import random_state
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=60)
 
