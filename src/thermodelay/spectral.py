@@ -12,7 +12,11 @@ even block of about half the reduced dimension each.  The Dirichlet
 abscissa alone needs no dense parity block: each block is the Neumann
 per-mode matrix plus a rank-1 theta coupling, so its rightmost eigenvalue
 is found by sparse shift-invert and confirmed by counting eigenvalues in a
-box (_counted_rightmost), with the dense block as the fallback.
+box (_counted_rightmost), with the dense block as the fallback.  The
+count's candidates come in real arithmetic at a real shift (0, and the
+rightmost pole on the over-damped branch) and in complex arithmetic only
+at a complex one.  Dense blocks are cut from one permuted copy of their
+sparse matrix (_dense_blocks).
 """
 
 from __future__ import annotations
@@ -129,6 +133,18 @@ def _modal_blocks(grid: Grid, theta_bc: str) -> list[tuple[int | None, np.ndarra
     return [(None, block(odd, odd)), (None, block(even, np.r_[0, even])), chain]
 
 
+def _dense_blocks(A: sp.spmatrix, blocks: list[np.ndarray]) -> list[np.ndarray]:
+    """The dense submatrices A[b][:, b] for the index sets b in blocks.
+
+    A is permuted once so that the blocks follow each other on its
+    diagonal; each is then one contiguous slice of the permuted matrix.
+    """
+    perm = np.concatenate(blocks)
+    Ap = A.tocsr()[perm][:, perm]
+    ends = np.cumsum([b.size for b in blocks])
+    return [Ap[e - b.size:e, e - b.size:e].toarray() for b, e in zip(blocks, ends)]
+
+
 def _check_dense_dim(dim: int):
     if dim > DENSE_MAX_DIM:
         raise DenseSizeError(f"dense block of dimension {dim} exceeds "
@@ -147,7 +163,8 @@ def reduced_eigvals(grid: Grid, p: PhysParams):
     blocks = _modal_blocks(grid, p.theta_bc)
     _check_dense_dim(max(b.size for _, b in blocks))
     R = reduced_generator(assemble_generator(grid, p, modal_operators(grid, p)))
-    w = np.concatenate([sla.eigvals(R[b][:, b].toarray()) for _, b in blocks])
+    w = np.concatenate([sla.eigvals(a)
+                        for a in _dense_blocks(R, [b for _, b in blocks])])
     if p.theta_bc == "dirichlet":
         return w, None
     return w, np.repeat([k for k, _ in blocks], [b.size for _, b in blocks])
@@ -256,7 +273,13 @@ def _sharpened(M: sp.spmatrix, w: np.ndarray) -> complex:
     finds the eigenvalues nearest it, mostly to about eps relative.  The
     rightmost of those within err of it is kept if a second shift at
     itself reproduces it to 1e-9, rounded to 2^-40 relative so that the
-    BLAS thread count does not show.  A Ritz value that is not reproduced
+    BLAS thread count does not show.  The second shift sits that rounding
+    unit above it, off the real axis: a real eigenvalue found to the last
+    bit would make the shifted matrix exactly singular.  Both runs iterate
+    in complex arithmetic, even at a real shift: at the edge of double
+    precision the rounding decides the last bits and whether the
+    confirmation holds, and the complex runs are the ones checked against
+    60-digit references.  A Ritz value that is not reproduced
     is an artefact of a spectrum beyond double precision, and QR's stands,
     unless err is at least its size: then not even its sign is known, and
     FloatingPointError is raised.
@@ -267,11 +290,13 @@ def _sharpened(M: sp.spmatrix, w: np.ndarray) -> complex:
         return z0
     z = None
     try:
-        cand = _rightmost_candidates(M, [z0])
+        C = M.astype(complex)
+        cand = _rightmost_candidates(C, [z0])
         cand = cand[np.abs(cand - z0) <= err]
         if cand.size:
             z = cand[np.argmax(cand.real)]
-            again = _rightmost_candidates(M, [z])
+            h = math.ldexp(1.0, math.frexp(abs(z))[1] - 41)
+            again = _rightmost_candidates(C, [z + 1j * h])
             if not np.abs(again - z).min() <= 2.0**-30 * abs(z):
                 z = None
     except RuntimeError:      # a singular shift or an ArpackError
@@ -281,7 +306,6 @@ def _sharpened(M: sp.spmatrix, w: np.ndarray) -> complex:
             raise FloatingPointError(f"the rightmost eigenvalue {z0} lies within "
                                      f"the rounding error {err:.3g} of its block")
         return z0
-    h = math.ldexp(1.0, math.frexp(abs(z))[1] - 41)
     return complex(round(z.real / h) * h, round(z.imag / h) * h)
 
 
@@ -335,14 +359,21 @@ def _secular(s: np.ndarray, grid: Grid, p: PhysParams,
 def _rightmost_candidates(M: sp.spmatrix, shifts,
                           k: int = N_CANDIDATES) -> np.ndarray:
     """The k eigenvalues of M nearest each shift, by sparse shift-invert
-    Arnoldi (ARPACK) from a fixed start vector, with their conjugates (M is
-    real)."""
-    A = M.astype(complex).tocsc()
+    Arnoldi (ARPACK) from a fixed start vector of ones, with their
+    conjugates (M is real, or the complex copy of a real matrix).  A real
+    shift iterates in M's own arithmetic, real for a real M; only a complex
+    shift needs the complex copy."""
+    A = M.tocsc()
     n = A.shape[0]
-    w = np.concatenate([
-        spla.eigs(A, k=min(k, n - 2), sigma=sigma,
-                  v0=np.ones(n, complex), return_eigenvectors=False)
-        for sigma in shifts])
+    w = []
+    for sigma in map(complex, shifts):
+        if sigma.imag == 0.0:
+            B, sigma = A, sigma.real
+        else:
+            B = A.astype(complex)
+        w.append(spla.eigs(B, k=min(k, n - 2), sigma=sigma,
+                           v0=np.ones(n, B.dtype), return_eigenvectors=False))
+    w = np.concatenate(w)
     return np.r_[w, w.conj()]
 
 
@@ -417,11 +448,14 @@ def _count_right_of(x0: float, M: sp.spmatrix, theta: np.ndarray,
     eigenvalue off its right, top and bottom edges.  The count is the poles
     (eigenvalues of D) in the box plus the winding number of F (_secular)
     around it, sampled also at the poles and the other `known` points.
-    None also when the bounds overflow.
+    None also when the bounds overflow, and 0 when x0 is not left of X (a
+    spurious candidate put it there): no eigenvalue lies right of X.
     """
     X, Y = _gershgorin_box(M)
     if not np.isfinite(X + Y):
         return None
+    if x0 >= X:
+        return 0
     margin = (X - x0 + Y) / 8.0
     X, Y = X + margin, Y + margin
     winding = _winding(lambda s: _secular(s, grid, p, theta), x0, X, Y,
@@ -546,6 +580,6 @@ def dissipativity_test(grid: Grid, p: PhysParams, xi: float,
     W = h_weight_matrix(gen, xi)
     WA = W @ (gen.matrix - m * sp.identity(grid.dim))
     S, B = E.T @ (0.5 * (WA + WA.T)) @ E, E.T @ W @ E
-    sup = max(sla.eigh(S[b][:, b].toarray(), B[b][:, b].toarray(),
-                       eigvals_only=True)[-1] for b in blocks)
+    sup = max(sla.eigh(s, b, eigvals_only=True)[-1]
+              for s, b in zip(_dense_blocks(S, blocks), _dense_blocks(B, blocks)))
     return {"max_rayleigh": float(sup), "m_used": float(m), "trials": trials}

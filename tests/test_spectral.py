@@ -168,6 +168,37 @@ def test_modal_blocks_are_the_connected_components(theta_bc, Nx, Nrho):
         assert modes == [None, None, 0]
 
 
+@pytest.mark.parametrize("theta_bc", ["neumann", "dirichlet"])
+@pytest.mark.parametrize("Nx,Nrho", [(3, 2), (8, 8), (17, 5), (32, 32)])
+def test_dense_blocks_equal_the_fancy_slices(theta_bc, Nx, Nrho):
+    # the one-pass cut gives each block's bytes, for the modal blocks and
+    # for index sets that are neither contiguous nor sorted
+    g = Grid(Nx=Nx, Nrho=Nrho)
+    p = PhysParams(**{**UNIT.__dict__, "beta": 4.5, "theta_bc": theta_bc})
+    R = reduced_generator(assemble_generator(g, p, modal_operators(g, p)))
+    rng = np.random.default_rng(Nx * Nrho)
+    n = R.shape[0]
+    scattered = [rng.permutation(n)[:size] for size in (1, 5, n // 3)]
+    for blocks in ([b for _, b in spectral._modal_blocks(g, theta_bc)],
+                   scattered, [np.arange(n)[::-2], np.array([n - 1, 0])]):
+        cut = spectral._dense_blocks(R, blocks)
+        assert len(cut) == len(blocks)
+        for a, b in zip(cut, blocks):
+            ref = R[b][:, b].toarray()
+            assert a.dtype == ref.dtype and a.shape == ref.shape
+            assert a.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("theta_bc,N,ref", [("neumann", 64, -0.2140881138550164),
+                                            ("dirichlet", 32, -0.2359160740670643)])
+def test_dissipativity_supremum_is_pinned(theta_bc, N, ref):
+    # beta = 4.5 and the paper's xi = 4 tau alpha^2/beta; the values of the
+    # per-block fancy-index cut
+    p = PhysParams(**{**UNIT.__dict__, "beta": 4.5, "theta_bc": theta_bc})
+    xi = 4.0 * p.tau * p.alpha**2 / p.beta
+    assert dissipativity_test(Grid(Nx=N, Nrho=N), p, xi)["max_rayleigh"] == ref
+
+
 def test_dissipativity_refuses_an_oversized_block():
     # one mode's (u, v, z) block at Nrho = 4999 has 5001 rows
     p = UNIT.with_beta(2.0)
@@ -302,10 +333,14 @@ def test_dirichlet_count_matches_dense_count(beta):
 
 
 @pytest.mark.parametrize("beta,miss", [(4.5, "drop the rightmost"),
-                                       (0.0, "shift at 0 only")])
+                                       (0.0, "shift at 0 only"),
+                                       (4.5, "one past the box")])
 def test_dirichlet_abscissa_falls_back_when_candidates_miss(monkeypatch, beta,
                                                             miss):
-    # the count then exceeds the candidates, and the dense block is solved
+    # the count then differs from the candidates, and the dense block is
+    # solved.  A spurious Ritz value past X + Y of the Gershgorin box puts
+    # the left edge there: the count right of it is 0, not a box of
+    # negative width
     g, p = Grid(Nx=16, Nrho=16), _dirichlet(beta)
     ref = spectral.reduced_eigvals(g, p)[0].real.max()
     found = spectral._rightmost_candidates
@@ -314,6 +349,9 @@ def test_dirichlet_abscissa_falls_back_when_candidates_miss(monkeypatch, beta,
         if miss == "shift at 0 only":
             return found(M, [0.0])
         w = found(M, shifts)
+        if miss == "one past the box":
+            X, Y = spectral._gershgorin_box(M)
+            return np.r_[w, 2.0 * (abs(X) + Y) + 1.0]
         return w[w.real < w.real.max() - 1e-9]
 
     monkeypatch.setattr(spectral, "_rightmost_candidates", candidates)
@@ -344,6 +382,52 @@ def test_dirichlet_abscissa_at_a_large_parameter(nx, beta, gamma, ref):
     # references are 60-digit eigensolves of the reduced generator
     p = PhysParams(**{**_dirichlet(beta).__dict__, "gamma": gamma})
     assert abs(spectral_abscissa(Grid(Nx=nx, Nrho=2), p)[0] - ref) <= 1e-11 * abs(ref)
+
+
+@pytest.mark.parametrize("nx,nrho,beta,large,ref", [
+    # the rightmost of this cluster is real and found to the last bit, so a
+    # confirming shift exactly at it factors as singular; QR's value, 3e-6
+    # relative off, had stood
+    (3, 3, 2.2172178636132402, "ell", -7.999999999989681e-12),
+    (7, 10, 2.0763686346748704, "gamma", -3.749033200650757e-11),
+])
+def test_dirichlet_abscissa_of_a_sharpened_cluster(nx, nrho, beta, large, ref):
+    # the references are 60-digit eigensolves of the reduced generator, the
+    # same at 100 digits
+    p = PhysParams(**{**_dirichlet(beta).__dict__, large: 1e6})
+    g = Grid(Nx=nx, Nrho=nrho, ell=p.ell)
+    assert abs(spectral_abscissa(g, p)[0] - ref) <= 1e-11 * abs(ref)
+
+
+@pytest.mark.parametrize("beta,abscissa,complex_shifts", [
+    (4.5, "-0x1.31fb67cfe55f1p-2", False),
+    # the top pole (about 5.03 + 2.61i) is a complex shift
+    (0.0, "0x1.426016bf578edp+2", True),
+])
+def test_candidate_arithmetic_follows_the_shift(monkeypatch, beta, abscissa,
+                                                complex_shifts):
+    # a real shift runs ARPACK on the float64 block, a complex shift on its
+    # complex copy; the abscissa keeps its bits either way
+    calls = []
+    eigs = spectral.spla.eigs
+
+    def recorded(A, **kwargs):
+        calls.append((A.dtype, kwargs["sigma"], kwargs["v0"].dtype))
+        return eigs(A, **kwargs)
+
+    monkeypatch.setattr(spectral.spla, "eigs", recorded)
+    a, _ = spectral_abscissa(Grid(Nx=32, Nrho=32), _dirichlet(beta))
+    assert a.hex() == abscissa
+    assert calls
+    real = [c for c in calls if isinstance(c[1], float)]
+    assert all(A == v0 == np.float64 for A, _, v0 in real)
+    assert [s for _, s, _ in real].count(0.0) >= 2      # sigma = 0 per block
+    cplx = [c for c in calls if not isinstance(c[1], float)]
+    assert all(A == v0 == np.complex128 and isinstance(s, complex)
+               and s.imag != 0.0 for A, s, v0 in cplx)
+    assert bool(cplx) == complex_shifts
+    if complex_shifts:
+        assert any(abs(s - (5.03 + 2.61j)) < 0.05 for _, s, _ in cplx)
 
 
 def test_dirichlet_abscissa_beyond_double_precision_is_refused():
