@@ -22,6 +22,7 @@ sparse matrix (_dense_blocks).
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -133,16 +134,19 @@ def _modal_blocks(grid: Grid, theta_bc: str) -> list[tuple[int | None, np.ndarra
     return [(None, block(odd, odd)), (None, block(even, np.r_[0, even])), chain]
 
 
-def _dense_blocks(A: sp.spmatrix, blocks: list[np.ndarray]) -> list[np.ndarray]:
-    """The dense submatrices A[b][:, b] for the index sets b in blocks.
+def _dense_blocks(A: sp.spmatrix, blocks: list[np.ndarray]) -> Iterator[np.ndarray]:
+    """The dense submatrices A[b][:, b] for the index sets b in blocks, one
+    at a time.
 
     A is permuted once so that the blocks follow each other on its
-    diagonal; each is then one contiguous slice of the permuted matrix.
+    diagonal; each is then one contiguous slice of the permuted matrix,
+    made dense only when it is reached, so that no more than one dense
+    block is held.
     """
     perm = np.concatenate(blocks)
     Ap = A.tocsr()[perm][:, perm]
     ends = np.cumsum([b.size for b in blocks])
-    return [Ap[e - b.size:e, e - b.size:e].toarray() for b, e in zip(blocks, ends)]
+    return (Ap[e - b.size:e, e - b.size:e].toarray() for b, e in zip(blocks, ends))
 
 
 def _check_dense_dim(dim: int):
@@ -361,8 +365,8 @@ def _rightmost_candidates(M: sp.spmatrix, shifts,
     """The k eigenvalues of M nearest each shift, by sparse shift-invert
     Arnoldi (ARPACK) from a fixed start vector of ones, with their
     conjugates (M is real, or the complex copy of a real matrix).  A real
-    shift iterates in M's own arithmetic, real for a real M; only a complex
-    shift needs the complex copy."""
+    shift iterates in M's own arithmetic, real for a real M; a complex
+    shift, in complex arithmetic."""
     A = M.tocsc()
     n = A.shape[0]
     w = []
@@ -370,7 +374,7 @@ def _rightmost_candidates(M: sp.spmatrix, shifts,
         if sigma.imag == 0.0:
             B, sigma = A, sigma.real
         else:
-            B = A.astype(complex)
+            B = A.astype(complex, copy=False)
         w.append(spla.eigs(B, k=min(k, n - 2), sigma=sigma,
                            v0=np.ones(n, B.dtype), return_eigenvectors=False))
     w = np.concatenate(w)

@@ -1,6 +1,7 @@
 """Spectrum, abscissa, dissipativity and the resolvent smoke test."""
 
 import itertools
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -181,7 +182,7 @@ def test_dense_blocks_equal_the_fancy_slices(theta_bc, Nx, Nrho):
     scattered = [rng.permutation(n)[:size] for size in (1, 5, n // 3)]
     for blocks in ([b for _, b in spectral._modal_blocks(g, theta_bc)],
                    scattered, [np.arange(n)[::-2], np.array([n - 1, 0])]):
-        cut = spectral._dense_blocks(R, blocks)
+        cut = list(spectral._dense_blocks(R, blocks))
         assert len(cut) == len(blocks)
         for a, b in zip(cut, blocks):
             ref = R[b][:, b].toarray()
@@ -196,7 +197,26 @@ def test_dissipativity_supremum_is_pinned(theta_bc, N, ref):
     # per-block fancy-index cut
     p = PhysParams(**{**UNIT.__dict__, "beta": 4.5, "theta_bc": theta_bc})
     xi = 4.0 * p.tau * p.alpha**2 / p.beta
-    assert dissipativity_test(Grid(Nx=N, Nrho=N), p, xi)["max_rayleigh"] == ref
+    sup = dissipativity_test(Grid(Nx=N, Nrho=N), p, xi)["max_rayleigh"]
+    assert abs(sup - ref) <= 1e-13 * abs(ref)
+
+
+def test_dense_blocks_hold_one_block_at_a_time():
+    # 128 modes of 67 (eigenvalues) and of 66 (pencil) rows: holding every
+    # dense block at once would take their total, about 4.6 and 8.9 MB;
+    # one block at a time peaks at about a quarter of that
+    g = Grid(Nx=128, Nrho=64)
+    p = PhysParams(**{**UNIT.__dict__, "beta": 4.5})
+    n = g.Nx * 8
+    for run, n_dense in [(lambda: spectral.reduced_eigvals(g, p), n * (g.Nrho + 3)**2),
+                         (lambda: dissipativity_test(g, p, 1.0), 2 * n * (g.Nrho + 2)**2)]:
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n_dense / 2
 
 
 def test_dissipativity_refuses_an_oversized_block():
