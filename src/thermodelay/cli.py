@@ -2,8 +2,14 @@
 
 All commands read one flat key=value config (see config.DEFAULTS for the
 sections), apply --override section.key=value pairs, and write CSV/JSON
-into --out.  Exit codes: 0 ok, 1 usage/parse or a grid too large for a
-dense solve, 2 certification failure, 3 numerical failure.
+into --out.  Exit codes: 0 ok, 1 usage/parse, a grid too large for a dense
+solve or a sweep helper that ended without reporting, 2 certification
+failure, 3 numerical failure.
+
+`sweep` runs its points on every CPU the process may use: it forks a
+helper per CPU but one, and runs a share of the points itself
+(_forked_rows).  Its outputs are those of the inline loop that runs on one
+CPU.
 
 Neither numpy nor scipy is imported up front: the commands that simulate
 or take a spectrum import numpy and their scipy-backed layers when they
@@ -14,7 +20,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -213,8 +221,6 @@ def _sweep_variable(cfg: RunConfig):
 
 
 def _sweep_point(cfg: RunConfig, name: str, value: float, want_spectrum: bool):
-    from .spectral import spectral_abscissa
-
     row = {"param": name, "value": value, "certified": "", "a0": "", "r2": "",
            "final_E": "", "abscissa": "", "error": ""}
     try:
@@ -229,6 +235,7 @@ def _sweep_point(cfg: RunConfig, name: str, value: float, want_spectrum: bool):
             if s[key] is not None:
                 row[key] = float(s[key])
         if want_spectrum:
+            from .spectral import spectral_abscissa
             row["abscissa"] = float(spectral_abscissa(sub.grid, params)[0])
     # ValueError covers ConfigError and numpy's LinAlgError
     except (ValueError, NumericalBlowupError, ArithmeticError) as exc:
@@ -236,9 +243,134 @@ def _sweep_point(cfg: RunConfig, name: str, value: float, want_spectrum: bool):
     return row
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:      # no affinity call on this platform
+        return 1
+
+
+def _share(cfg: RunConfig, name: str, values, want_spectrum: bool) -> list:
+    """(warnings, row, exception) per point of `values`, in order.
+
+    A point's warnings pass the active filters and are recorded, not shown.
+    An exception that escapes a point ends the share, as it ends the
+    inline loop.
+    """
+    outcomes = []
+    for value in values:
+        row = exc = None
+        with warnings.catch_warnings(record=True) as caught:
+            try:
+                row = _sweep_point(cfg, name, value, want_spectrum)
+            except Exception as e:      # raised again in the caller, in order
+                exc = e
+        outcomes.append(([(w.message, w.category, w.filename, w.lineno)
+                          for w in caught], row, exc))
+        if exc is not None:
+            break
+    return outcomes
+
+
+def _reissue(caught):
+    """Issue recorded warnings again, each as its defining module would:
+    same filters, same once-per-location registry, same source line."""
+    for message, category, filename, lineno in caught:
+        module = next((m for m in list(sys.modules.values())
+                       if getattr(m, "__file__", None) == filename), None)
+        if module is None:
+            warnings.warn_explicit(message, category, filename, lineno)
+            continue
+        g = vars(module)
+        warnings.warn_explicit(message, category, filename, lineno,
+                               module=g["__name__"],
+                               registry=g.setdefault("__warningregistry__", {}),
+                               module_globals=g)
+
+
+def _forked_rows(cfg: RunConfig, name: str, values, want_spectrum: bool,
+                 n: int) -> list:
+    """The sweep rows of `values`, the points run on n CPUs.
+
+    Helper i = 1..n-1, forked from this process, runs values[i::n] and
+    sends its share's outcomes back over a pipe; this process runs
+    values[0::n] itself.  Every helper is reaped before this returns or
+    raises, and killed first if this process fails.  The outcomes are then
+    taken in range order, as the inline loop gives them: each point's
+    warnings are issued, and the exception of the first point that raised
+    is raised here.  A helper that ends without reporting raises
+    ChildProcessError.
+    """
+    import pickle
+    import signal
+
+    from . import integrate  # noqa: F401  -- imported once, before the fork
+    if want_spectrum:
+        from . import spectral  # noqa: F401
+
+    sys.stdout.flush()
+    sys.stderr.flush()
+    helpers, reports, codes = [], [], []    # (pid, read end); per helper
+    try:
+        for i in range(1, n):
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read)
+                os.close(write)
+                raise
+            if pid == 0:
+                code = 1
+                try:
+                    os.close(read)
+                    data = pickle.dumps(_share(cfg, name, values[i::n], want_spectrum))
+                    with open(write, "wb") as fh:
+                        fh.write(data)
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(write)
+            helpers.append((pid, read))
+        shares = [_share(cfg, name, values[0::n], want_spectrum)]
+        for _, read in helpers:
+            with open(read, "rb", closefd=False) as fh:
+                reports.append(fh.read())
+    except BaseException:
+        for pid, _ in helpers:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid, read in helpers:
+            os.close(read)
+            codes.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+    for i, (code, data) in enumerate(zip(codes, reports), start=1):
+        if code != 0:
+            how = f"was killed by signal {-code}" if code < 0 else f"exited with {code}"
+            raise ChildProcessError(f"the sweep helper for {name} = "
+                                    f"{', '.join(map(repr, values[i::n]))} {how} "
+                                    "without reporting")
+        shares.append(pickle.loads(data))
+
+    rows = []
+    for i in range(len(values)):
+        # share i % n ends at its first exception, which comes before any
+        # point it did not run
+        caught, row, exc = shares[i % n][i // n]
+        _reissue(caught)
+        if exc is not None:
+            raise exc
+        rows.append(row)
+    return rows
+
+
 def cmd_sweep(cfg: RunConfig, out: Path) -> int:
     name, values = _sweep_variable(cfg)
-    rows = [_sweep_point(cfg, name, v, cfg.sweep["spectrum"]) for v in values]
+    n = min(len(values), _usable_cpus())
+    if n > 1 and hasattr(os, "fork"):
+        rows = _forked_rows(cfg, name, values, cfg.sweep["spectrum"], n)
+    else:
+        rows = [_sweep_point(cfg, name, v, cfg.sweep["spectrum"]) for v in values]
 
     header = ["param", "value", "certified", "a0", "r2", "final_E", "abscissa",
               "error"]
@@ -312,6 +444,9 @@ def main(argv=None) -> int:
         return 1
     except DenseSizeError as exc:
         print(f"size error: {exc}", file=sys.stderr)
+        return 1
+    except ChildProcessError as exc:
+        print(f"sweep failed: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"cannot write output: {exc}", file=sys.stderr)

@@ -3,9 +3,10 @@
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
-import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,8 @@ import thermodelay
 from thermodelay import cli, spectral
 from thermodelay.cli import main
 from thermodelay.config import load_config
+from thermodelay.grid import Grid
+from thermodelay.params import PhysParams
 
 BASE = """
 [model]
@@ -172,26 +175,151 @@ def test_sweep_crossing_and_determinism(tmp_path, cfgfile):
     assert flips == 1 and certified[0] == "false" and certified[-1] == "true"
 
 
-def test_sweep_runs_its_points_in_order_on_the_calling_thread(tmp_path, cfgfile,
-                                                              monkeypatch):
-    # sweep.workers is accepted and checked, and changes nothing
-    calls = []
+# Runs `main` with every _sweep_point logged (its value and whether the main
+# process ran it) and announced by a warning of its own.  argv[1] = "one"
+# pins the process to one CPU first, which gives the inline loop.  Exit code
+# 99 means a sweep helper outlived `main`.
+SWEEP_MAIN = """
+import os, sys, warnings
+from thermodelay import cli
+
+cpus, log = sys.argv[1], open(sys.argv[2], "a")
+if cpus == "one":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+main_pid, point = os.getpid(), cli._sweep_point
+
+def logged(cfg, name, value, want_spectrum):
+    log.write(f"{value} {os.getpid() == main_pid}\\n")
+    log.flush()
+    warnings.warn(f"point {value}")
+    return point(cfg, name, value, want_spectrum)
+
+cli._sweep_point = logged
+code = cli.main(sys.argv[3:])
+try:
+    os.waitpid(-1, os.WNOHANG)
+    code = 99
+except ChildProcessError:       # no child is left
+    pass
+sys.exit(code)
+"""
+
+
+@pytest.mark.skipif(cli._usable_cpus() < 2 or not hasattr(os, "fork"),
+                    reason="a sweep forks helpers only on two or more CPUs")
+def test_sweep_on_every_cpu_writes_what_one_cpu_writes(tmp_path, cfgfile):
+    # tau = 4.5 is off the step grid of t_end = 6: a row error.  f0 = zero
+    # differs from u0_x, so the history warns at the other points, by the
+    # same text: shown once.  sweep.workers is accepted and changes nothing.
+    cfg2 = tmp_path / "sweep.ini"
+    cfg2.write_text(BASE + "\n[init]\nf0 = zero\n"
+                    "[sweep]\ntau = 6.0,3.0,4.5\nworkers = 1\n")
+    src = str(Path(thermodelay.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    runs, logs = {}, {}
+    for cpus in ("one", "all"):
+        out, log = tmp_path / cpus, tmp_path / f"{cpus}.log"
+        proc = subprocess.run([sys.executable, "-c", SWEEP_MAIN, cpus, str(log),
+                               "sweep", "--config", str(cfg2), "--out", str(out)],
+                              env=env, capture_output=True, text=True, timeout=300)
+        runs[cpus] = (proc.returncode, proc.stdout, proc.stderr,
+                      (out / "sweep.csv").read_bytes(),
+                      (out / "summary.json").read_bytes())
+        logs[cpus] = sorted(log.read_text().splitlines())
+    assert runs["one"] == runs["all"]
+    code, _, err, csv_bytes, _ = runs["all"]
+    assert code == 0
+    assert [r.split(",")[-1] for r in csv_bytes.decode().split("\n")[2:-1]] == [
+        "", "", "ValueError"]
+    assert [line.split(": ", 2)[-1] for line in err.split("\n")
+            if "UserWarning" in line] == [
+        "point 6.0", "history datum at s=0 differs from u0_x by 3.078e+00; "
+        "keeping the supplied history", "point 3.0", "point 4.5"]
+    # the main process ran 6 and 4.5, a helper 3, and one CPU ran all three
+    assert logs == {"one": ["3.0 True", "4.5 True", "6.0 True"],
+                    "all": ["3.0 False", "4.5 True", "6.0 True"]}
+
+
+def _sweep_with_failures(tmp_path, monkeypatch, capsys, cpus, fail):
+    """main's exit code, stdout and stderr for a sweep over beta = 6, 3, 4.5 on
+    `cpus` CPUs, whose point at value v raises fail[v] (a callable) instead
+    of running; afterwards no child may be left."""
     point = cli._sweep_point
 
-    def recorded(cfg, name, value, want_spectrum):
-        calls.append((value, threading.get_ident()))
+    def failing(cfg, name, value, want_spectrum):
+        if value in fail:
+            fail[value]()
         return point(cfg, name, value, want_spectrum)
 
-    monkeypatch.setattr(cli, "_sweep_point", recorded)
-    data = []
-    for workers in (1, 4):
-        cfg2 = tmp_path / f"sweep_workers{workers}.ini"
-        cfg2.write_text(BASE + f"\n[sweep]\nbeta = 6.0,3.0,4.5\nworkers = {workers}\n")
-        out = tmp_path / f"sw_workers{workers}"
-        assert _run(["sweep", "--config", str(cfg2), "--out", str(out)]) == 0
-        data.append((out / "sweep.csv").read_bytes())
-    assert calls == [(v, threading.get_ident()) for v in (6.0, 3.0, 4.5)] * 2
-    assert data[0] == data[1]
+    monkeypatch.setattr(cli, "_sweep_point", failing)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+    cfg2 = tmp_path / "sweep.ini"
+    cfg2.write_text(BASE + "\n[sweep]\nbeta = 6.0,3.0,4.5\n")
+    capsys.readouterr()
+    code = _run(["sweep", "--config", str(cfg2), "--out", str(tmp_path / f"sw{cpus}")])
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return code, *capsys.readouterr()
+
+
+def _raise(exc):
+    def go():
+        raise exc
+    return go
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+@pytest.mark.parametrize("fail,code", [
+    # the helper runs 3, the main process 6 and 4.5
+    ({3.0: _raise(OSError("disk full"))}, 1),
+    ({6.0: _raise(FloatingPointError("overflow"))}, 3),
+    # the inline loop stops at 3 and never reaches 4.5
+    ({3.0: _raise(FloatingPointError("overflow")), 4.5: _raise(OSError("disk full"))}, 3),
+    ({3.0: _raise(OSError("disk full")), 6.0: _raise(FloatingPointError("overflow"))}, 3),
+], ids=["helper", "caller", "helper-first", "caller-first"])
+def test_sweep_raises_what_the_inline_loop_raises(tmp_path, monkeypatch, capsys,
+                                                  fail, code):
+    inline = _sweep_with_failures(tmp_path, monkeypatch, capsys, 1, fail)
+    forked = _sweep_with_failures(tmp_path, monkeypatch, capsys, 2, fail)
+    assert forked == inline
+    assert forked[0] == code and forked[2].count("\n") == 1, forked
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+@pytest.mark.parametrize("end,message", [
+    (lambda: os._exit(7), "exited with 7"),
+    (lambda: os.kill(os.getpid(), signal.SIGKILL), "was killed by signal 9"),
+])
+def test_sweep_helper_that_dies_is_one_line_exit_1(tmp_path, monkeypatch, capsys,
+                                                   end, message):
+    main_pid = os.getpid()
+
+    def die():      # only ever in the helper, which runs beta = 3
+        if os.getpid() != main_pid:
+            end()
+
+    code, out, err = _sweep_with_failures(tmp_path, monkeypatch, capsys, 2, {3.0: die})
+    assert (code, out) == (1, "")
+    assert err == (f"sweep failed: the sweep helper for beta = 3.0 {message} "
+                   "without reporting\n")
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+def test_sweep_helper_is_killed_when_the_main_process_fails(tmp_path, monkeypatch,
+                                                            capsys):
+    main_pid = os.getpid()
+
+    def stall():
+        if os.getpid() != main_pid:
+            time.sleep(60)
+
+    t0 = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        _sweep_with_failures(tmp_path, monkeypatch, capsys, 2,
+                             {3.0: stall, 6.0: _raise(KeyboardInterrupt())})
+    assert time.perf_counter() - t0 < 30
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_sweep_single_point_matches_simulate(tmp_path, cfgfile):
@@ -276,6 +404,26 @@ def test_sweep_point_off_the_step_grid_is_a_row_error(tmp_path, cfgfile):
             (out / "sweep.csv").read_text().strip().split("\n")[2:]]
     assert [r[-1] for r in rows] == ["", "ValueError"]
     assert json.loads((out / "summary.json").read_text())["failed_points"] == 1
+
+
+def test_abscissa_that_shift_invert_contradicts_is_refused(tmp_path, cfgfile):
+    # the even parity block falls back to QR, whose rightmost eigenvalue +1.708
+    # has no Ritz value within its rounding error 0.40; shift-invert at it finds
+    # -0.0384 and -2.236, and a 60-digit eigensolve gives the abscissa
+    # -0.038384388433287654.  It was written as growth.
+    ell, beta = 7.265097614332945e-06, 27.07840418942574
+    p = PhysParams(alpha=1.0, beta=beta, gamma=1.0, kappa=1.0, tau=1.0, ell=ell,
+                   theta_bc="dirichlet")
+    with pytest.raises(FloatingPointError, match="shift-invert finds no eigenvalue"):
+        spectral.spectral_abscissa(Grid(Nx=6, Nrho=3, ell=ell), p)
+    cfg2 = tmp_path / "sweep_ell.ini"
+    cfg2.write_text(BASE + f"\n[sweep]\nbeta = {beta!r}\nspectrum = true\n")
+    out = tmp_path / "sw_ell"
+    assert _run(["sweep", "--config", str(cfg2), "--out", str(out),
+                 "--override", "model.theta_bc=dirichlet", "--override", f"model.ell={ell!r}",
+                 "--override", "grid.nx=6", "--override", "grid.nrho=3"]) == 0
+    row = (out / "sweep.csv").read_text().strip().split("\n")[2].split(",")
+    assert (row[2], row[6], row[7]) == ("true", "", "FloatingPointError")
 
 
 def test_sweep_requires_exactly_one_range(tmp_path, cfgfile):

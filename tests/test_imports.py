@@ -127,3 +127,16 @@ def test_config_error_without_numpy_is_one_line_exit_1(tmp_path):
     assert proc.stderr.startswith("config error:"), proc.stderr
     assert "lyapunov.lambda_grid needs" in proc.stderr
     assert proc.stderr.count("\n") == 1, proc.stderr
+
+
+def test_the_cli_and_certify_load_no_multiprocessing_or_pickle(tmp_path):
+    # only a sweep forks helpers, and it pickles their reports
+    listed = ("json.dumps(sorted(m for m in sys.modules if m.split('.')[0] in "
+              "('multiprocessing', 'pickle', '_pickle')))")
+    proc = _python(f"import sys, json, thermodelay.cli; print({listed}); "
+                   f"thermodelay.cli.main(sys.argv[1:]); print({listed})",
+                   "certify", "--config", os.devnull, "--out", str(tmp_path / "c"))
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[1].startswith("beta0 = "), lines
+    assert (json.loads(lines[0]), json.loads(lines[-1])) == ([], [])
