@@ -11,9 +11,10 @@ helper per CPU but one, and runs a share of the points itself
 (_forked_rows).  Its outputs are those of the inline loop that runs on one
 CPU.
 
-Neither numpy nor scipy is imported up front: the commands that simulate
-or take a spectrum import numpy and their scipy-backed layers when they
-run, so `certify` and config loading import neither.
+Neither numpy nor scipy is imported up front: the commands import their
+layers when they run.  `certify` and config loading import neither,
+`simulate` imports numpy alone (its stepper works per Fourier mode), and
+`spectrum` and a sweep with spectra import scipy as well.
 """
 
 from __future__ import annotations

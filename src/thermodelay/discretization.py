@@ -11,31 +11,42 @@ Layout conventions (fixed; pack order is u, v, z row-major in x then rho, theta)
     v_x <-> theta_x pair up without interpolation and the flux form of the
     heat row conserves the discrete theta mass exactly in Neumann mode.
   * z has Nrho+1 rho-nodes rho_i = i/Nrho; the rho = 0 column is tied to u_x.
+
+The module imports numpy only: the sparse matrices are assembled, and
+scipy.sparse imported, when an Operators' G or L_theta is first read or a
+generator is assembled.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .grid import DenseSizeError, Grid, grad_u
 from .params import PhysParams
 
+if TYPE_CHECKING:
+    import scipy.sparse as sp
+
 __all__ = ["Grid", "State", "Operators", "Generator", "DenseSizeError",
-           "build_operators", "modal_operators", "assemble_generator", "pack",
-           "unpack", "grad_u"]
+           "build_operators", "modal_operators", "modal_state", "strain",
+           "assemble_generator", "pack", "unpack", "grad_u"]
 
 
 @dataclass
 class State:
-    """Discrete state (u, v, z, theta) on a Grid."""
+    """Discrete state (u, v, z, theta) on a Grid; with modal=True, in the
+    Fourier-mode coordinates of modal_operators (see modal_state)."""
 
     u: np.ndarray      # (Nx,)
     v: np.ndarray      # (Nx,)
     z: np.ndarray      # (Nx+1, Nrho+1)
     theta: np.ndarray  # (Nx+1,)
+    modal: bool = False
 
     @classmethod
     def zeros(cls, grid: Grid) -> "State":
@@ -47,18 +58,31 @@ class State:
         )
 
 
-@dataclass
 class Operators:
     """Sparse finite-difference operators for one (grid, theta_bc).
 
     Every stencil derives from the gradient G: the divergence (also theta_x
     at the interior faces) is -G^T and the Dirichlet Laplacian of u is
-    -G^T G.
+    -G^T G.  G (interior nodes -> flux points) and L_theta (cell-centered,
+    with theta_bc fluxes) are assembled by `assemble` when first read.
+    `modal` marks the Fourier-mode coordinates of modal_operators.
     """
 
-    G: sp.csr_matrix          # gradient, interior nodes -> flux points
-    L_theta: sp.csr_matrix    # cell-centered Laplacian with theta_bc fluxes
-    modal: bool = False       # Fourier-mode coordinates (see modal_operators)
+    def __init__(self, assemble, modal: bool = False):
+        self._assemble = assemble       # () -> (G, L_theta), CSR
+        self.modal = modal
+
+    @functools.cached_property
+    def _matrices(self) -> tuple:
+        return self._assemble()
+
+    @property
+    def G(self) -> sp.csr_matrix:
+        return self._matrices[0]
+
+    @property
+    def L_theta(self) -> sp.csr_matrix:
+        return self._matrices[1]
 
 
 def _check_length(grid: Grid, p: PhysParams):
@@ -70,8 +94,14 @@ def _check_length(grid: Grid, p: PhysParams):
 
 
 def build_operators(grid: Grid, p: PhysParams) -> Operators:
-    """Assemble the gradient and the theta Laplacian from one unit stencil."""
+    """The gradient and the theta Laplacian from one unit stencil, assembled
+    when first read; the grid and the model's length are checked here."""
     _check_length(grid, p)
+    return Operators(functools.partial(_real_space_matrices, grid, p.theta_bc))
+
+
+def _real_space_matrices(grid: Grid, theta_bc: str) -> tuple:
+    import scipy.sparse as sp
     Nx, dx = grid.Nx, grid.dx
     # (G1 u)_j = u_{j+1} - u_j with zero boundary values of u
     G1 = sp.diags([np.ones(Nx), -np.ones(Nx)], [0, -1], shape=(Nx + 1, Nx),
@@ -79,13 +109,15 @@ def build_operators(grid: Grid, p: PhysParams) -> Operators:
     # flux form: -G1 G1^T is the zero-flux (Neumann) cell-centered Laplacian;
     # a Dirichlet boundary value sits dx/2 from the outermost centers
     L = -(G1 @ G1.T) / dx**2
-    if p.theta_bc == "dirichlet":
+    if theta_bc == "dirichlet":
         L = L - sp.diags(np.r_[2.0, np.zeros(Nx - 1), 2.0] / dx**2)
-    return Operators(G=G1 / dx, L_theta=L.tocsr())
+    return G1 / dx, L.tocsr()
 
 
+@functools.lru_cache(maxsize=64)
 def _fourier_symbols(grid: Grid):
-    """Per-mode symbols of the Fourier-mode coordinates (see modal_operators).
+    """Per-mode symbols of the Fourier-mode coordinates (see modal_operators),
+    read-only.
 
     Returns g, with g[k] = 2 sin(k pi / (2 (Nx+1))) / dx the symbol of G on
     mode k and g[0] = 0, and c = C[0], the first row of the orthonormal
@@ -96,6 +128,7 @@ def _fourier_symbols(grid: Grid):
     g = 2.0 * np.sin(j * np.pi / (2 * grid.nflux)) / grid.dx
     c = (np.sqrt(np.where(j == 0, 1.0, 2.0) / grid.nflux)
          * np.cos(j * np.pi / (2 * grid.nflux)))
+    g.flags.writeable = c.flags.writeable = False
     return g, c
 
 
@@ -116,18 +149,65 @@ def modal_operators(grid: Grid, p: PhysParams) -> Operators:
     theta mean).
     """
     _check_length(grid, p)
+    return Operators(functools.partial(_modal_matrices, grid, p.theta_bc),
+                     modal=True)
+
+
+def _modal_matrices(grid: Grid, theta_bc: str) -> tuple:
+    import scipy.sparse as sp
     Nx, nf = grid.Nx, grid.nflux
     k = np.arange(1, Nx + 1)
     g, c = _fourier_symbols(grid)
     G = sp.csr_matrix((g[1:], (k, k - 1)), shape=(Nx + 1, Nx))
     with np.errstate(over="ignore"):     # inf; spectral.reduced_generator reports it
         L = sp.diags(-g ** 2, format="csr")
-    if p.theta_bc == "dirichlet":
+    if theta_bc == "dirichlet":
         j = np.arange(nf)
         row, col = np.nonzero(np.add.outer(j, j) % 2 == 0)
         L = L - sp.csr_matrix((4.0 / grid.dx**2 * c[row] * c[col], (row, col)),
                               shape=(nf, nf))
-    return Operators(G=G, L_theta=L, modal=True)
+    return G, L
+
+
+def _dst1(x: np.ndarray) -> np.ndarray:
+    """Orthonormal DST-I along the last axis (its own inverse), by one FFT."""
+    n = x.shape[-1]
+    ext = np.zeros(x.shape[:-1] + (2 * (n + 1),))
+    ext[..., 1:n + 1] = x
+    return np.fft.rfft(ext)[..., 1:n + 1].imag * -math.sqrt(2.0 / (n + 1))
+
+
+def _dct2(x: np.ndarray) -> np.ndarray:
+    """Orthonormal DCT-II along the last axis, the coefficients C^T x, by
+    one FFT of the even extension."""
+    n = x.shape[-1]
+    k = np.arange(n)
+    y = np.fft.rfft(np.concatenate([x, x[..., ::-1]], axis=-1))[..., :n]
+    return ((y * np.exp(-0.5j * np.pi * k / n)).real
+            * np.where(k == 0, math.sqrt(0.25 / n), math.sqrt(0.5 / n)))
+
+
+def modal_state(state: State) -> State:
+    """state in the Fourier-mode coordinates of modal_operators: u and v by
+    the orthonormal DST-I, theta and every rho column of z by the
+    orthonormal DCT-II.  The transforms are orthogonal, so norms and inner
+    products are those of the real-space state."""
+    if state.modal:
+        raise ValueError("the state is modal already")
+    return State(u=_dst1(state.u), v=_dst1(state.v), z=_dct2(state.z.T).T,
+                 theta=_dct2(state.theta), modal=True)
+
+
+def strain(state: State, grid: Grid) -> np.ndarray:
+    """u_x at the flux points; for a modal state, its cosine coefficients
+    g_k u_k, with 0 for the constant mode."""
+    if not state.modal:
+        return grad_u(state.u, grid.dx)
+    g = _fourier_symbols(grid)[0]
+    out = np.empty(grid.nflux)
+    out[0] = 0.0
+    np.multiply(g[1:], state.u, out=out[1:])
+    return out
 
 
 @dataclass
@@ -175,6 +255,7 @@ def assemble_generator(grid: Grid, p: PhysParams,
     that overflows leaves inf in the matrix without a warning; its user
     spectral.reduced_generator checks for it.
     """
+    import scipy.sparse as sp
     with np.errstate(over="ignore", invalid="ignore"):
         ops = build_operators(grid, p) if ops is None else ops
         Nx, nf, nr = grid.Nx, grid.nflux, grid.Nrho + 1

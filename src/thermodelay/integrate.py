@@ -1,27 +1,34 @@
-"""IMEX time stepping and a dense matrix-exponential oracle.
+"""Theta-method time stepping per Fourier mode, and a dense matrix-exponential oracle.
 
-The stiff viscous and heat terms (and the skew thermo-mechanical coupling)
-are advanced by a theta-method on the coupled (v, theta) block, solved
-monolithically from one sparse LU factorization (SuperLU) of that block,
-built from the operators alone.  It is banded, so factor, solve and the
-explicit matvec cost O(Nx) and no size limit applies.  The delayed stress
-alpha z(., 1)_x is the only explicit term.  The step is fixed at
-dt = tau/Nrho, so z holds it exactly at both endpoints of the step.
+simulate advances (u, v, theta) and the strain history in the Fourier-mode
+coordinates of discretization.modal_operators: the orthonormal DST-I on the
+nodes and the orthonormal DCT-II on the cells.  There the stiff (v, theta)
+block (the Kelvin-Voigt damping, the heat operator and the
+thermo-mechanical coupling) is one 2 x 2 block per mode, so the
+theta-method's explicit product and implicit solve are elementwise updates
+whose coefficients are computed once per weight.  With Dirichlet theta the
+corner term adds one rank-one term per parity of the cosine modes; it
+enters the product as it is and the solve as one Sherman-Morrison
+correction per parity.  The delayed stress alpha z(., 1)_x is the only
+explicit term.  The step is fixed at dt = tau/Nrho, so z holds it exactly
+at both endpoints of the step.
+
+Only the initial data are transformed (modal_state), and the recorded
+observables are orthogonally invariant, so they read the modal state as it
+is.  The module imports numpy only; expm_oracle imports scipy.linalg when
+it is called.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.linalg as sla
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .constants import LyapunovConstants
 from .delay import HistoryBuffer, init_history
-from .discretization import (Generator, State, _vtheta_blocks, build_operators,
-                             pack, unpack)
+from .discretization import (Generator, State, _fourier_symbols, build_operators,
+                             modal_state, pack, unpack)
 from .grid import (MAX_RECORDS, MAX_STEPS, DenseSizeError, Grid,  # noqa: F401
                    NumericalBlowupError, grad_u, step_count)
 from .observables import Trajectory, energy, lyapunov_components, theta_mass
@@ -35,94 +42,146 @@ EXPM_MAX_DIM = 4000
 
 @dataclass
 class ImplicitFactor:
-    """Sparse LU of the implicit (v, theta) block for one weight."""
+    """The theta-method on the (v, theta) block for one weight w, per mode.
+
+    Mode k = 1..Nx pairs sine mode k of v with cosine mode k of theta; its
+    block is M_k = [[-beta g^2, gamma g], [-gamma g, -kappa g^2]] with
+    g = g_k.  The theta mean (cosine mode 0) has M_0 = 0.  With Dirichlet
+    theta, M also has the corner term -K a_p a_p^T per parity p, where
+    K = 4 kappa/dx^2 and a_p holds c_j = C[0, j] on the theta modes
+    j = p (mod 2).
+    """
 
     grid: Grid
     p: PhysParams
     theta_weight: float
-    dt: float                                             # tau/Nrho
-    implicit: sp.csc_matrix = field(repr=False, default=None)  # I - w dt M
-    lu: spla.SuperLU = field(repr=False, default=None)    # splu of implicit
-    explicit_mat: sp.csr_matrix = field(repr=False, default=None)  # I + (1-w) dt M
-    D: sp.csr_matrix = field(repr=False, default=None)    # alpha-stress divergence
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        return self.lu.solve(rhs)
+    dt: float                                   # tau/Nrho
+    g: np.ndarray = field(repr=False, default=None)         # symbols of G, g_0 = 0
+    # [row, column, k - 1]: I + (1-w) dt M_k and (I - w dt M_k)^-1, rows and
+    # columns in the order v, theta
+    explicit: np.ndarray = field(repr=False, default=None)  # (2, 2, Nx)
+    inverse: np.ndarray = field(repr=False, default=None)   # (2, 2, Nx)
+    # the delayed stress on v from z(., 1) and z(., 1 - 1/Nrho):
+    # (1 - w) and w times -alpha dt g_k
+    force: np.ndarray = field(repr=False, default=None)     # (2, Nx)
+    # Dirichlet only, one row per parity p: a_p on the theta modes and h_p =
+    # (I - w dt M_N)^-1 a_p on (v, theta); then rho/d_p and sigma/d_p (see
+    # factor_implicit)
+    corner: tuple | None = field(repr=False, default=None)
 
 
 def factor_implicit(grid: Grid, p: PhysParams,
                     theta_weight: float = 0.5) -> ImplicitFactor:
-    """Factor the coupled implicit block at dt = tau/Nrho once; reusable across steps.
+    """The per-mode coefficients of the theta-method at dt = tau/Nrho, once
+    per weight; reusable across steps.
 
-    M is the (v, theta) block of the real-space generator, built from the
-    operators alone: the Kelvin-Voigt damping, the heat operator and the
-    thermo-mechanical coupling, all treated implicitly.  Without damping,
-    conduction and coupling it reduces to the identity.  M is banded and
-    stays sparse; a singular or non-finite block raises NumericalBlowupError.
+    The implicit block I - w dt M_k = [[P, -Q], [Q, R]] has P, R >= 1, so it
+    is never singular; its inverse is taken in a form in which P R cannot
+    overflow.  With Dirichlet theta, I - w dt M adds sigma a_p a_p^T per
+    parity (sigma = w dt K) and I + (1 - w) dt M subtracts rho a_p a_p^T
+    (rho = (1 - w) dt K).  Each parity is an invariant subspace of the
+    per-mode blocks, so Sherman-Morrison per parity gives
+    x_new = y - sum_p h_p (rho a_p^T x + sigma a_p^T y) / d_p, where y is
+    the per-mode update of x and d_p = 1 + sigma a_p^T h_p.  A coefficient
+    that overflows raises NumericalBlowupError.
     """
     if not (0.5 <= theta_weight <= 1.0):
         raise ValueError("theta_weight must lie in [1/2, 1]")
-    ops = build_operators(grid, p)
+    build_operators(grid, p)     # checks grid against model; its matrices stay unbuilt
     dt = p.tau / grid.Nrho
     w = theta_weight
-    # an overflowing coefficient leaves inf in M; the checks below see it
+    Nx, nf = grid.Nx, grid.nflux
+    g, c = _fourier_symbols(grid)
+    gk = g[1:]
+    # an overflowing coefficient leaves inf or nan; the checks below see it
     with np.errstate(over="ignore", invalid="ignore"):
-        M = sp.bmat(_vtheta_blocks(ops, p), format="csr")
-        M.eliminate_zeros()     # stored as in the generator: no zero coefficients
-        eye = sp.identity(M.shape[0], format="csr")
-        implicit = (eye - w * dt * M).tocsc()
-        explicit = (eye + (1.0 - w) * dt * M).tocsr()
-    if not np.all(np.isfinite(implicit.data)):
-        raise NumericalBlowupError("non-finite implicit (v, theta) block")
-    try:
-        lu = spla.splu(implicit)
-    except RuntimeError as exc:     # SuperLU: "Factor is exactly singular"
-        raise NumericalBlowupError(f"implicit factorization failed: {exc}") from None
-    if not (np.all(np.isfinite(lu.L.data)) and np.all(np.isfinite(lu.U.data))):
+        mu = gk * gk
+        a, b = (1.0 - w) * dt, w * dt
+        explicit = np.array([[1.0 - a * p.beta * mu, a * p.gamma * gk],
+                             [-a * p.gamma * gk, 1.0 - a * p.kappa * mu]])
+        P = 1.0 + b * p.beta * mu
+        Q = b * p.gamma * gk
+        R = 1.0 + b * p.kappa * mu
+        K = 4.0 * p.kappa / grid.dx**2 if p.theta_bc == "dirichlet" else 0.0
+        if not (np.isfinite(P).all() and np.isfinite(Q).all()
+                and np.isfinite(R).all() and np.isfinite(b * K)):
+            raise NumericalBlowupError("non-finite implicit (v, theta) block")
+        i11 = 1.0 / (P + Q * (Q / R))
+        i22 = 1.0 / (R + Q * (Q / P))
+        inverse = np.array([[i11, (Q / R) * i11], [-(Q / P) * i22, i22]])
+        factors = [inverse]
+        corner = None
+        if p.theta_bc == "dirichlet":
+            parity = np.arange(nf) % 2 == np.arange(2)[:, None]
+            ca = np.where(parity, c, 0.0)                       # a_p
+            h = np.hstack([inverse[0, 1] * ca[:, 1:],           # v, modes 1..Nx
+                           np.c_[ca[:, :1], inverse[1, 1] * ca[:, 1:]]])
+            d = 1.0 + b * K * np.einsum("pj,pj->p", ca, h[:, Nx:])
+            corner = (ca, h, tuple(a * K / d), tuple(b * K / d))
+            factors += corner[1:]
+    if not all(np.isfinite(f).all() for f in factors):
         raise NumericalBlowupError("implicit factorization produced non-finite factors")
-    return ImplicitFactor(
-        grid=grid, p=p, theta_weight=w, dt=dt, implicit=implicit, lu=lu,
-        explicit_mat=explicit, D=(-ops.G.T).tocsr(),
-    )
+    force = -p.alpha * dt * gk
+    return ImplicitFactor(grid=grid, p=p, theta_weight=w, dt=dt, g=g,
+                          explicit=explicit, inverse=inverse,
+                          force=np.array([(1.0 - w) * force, w * force]),
+                          corner=corner)
 
 
 def step_imex(state: State, fac: ImplicitFactor, buf: HistoryBuffer) -> State:
     """One IMEX step of fac.dt = tau/Nrho, the only length at which z holds
-    the delayed stress; advances (u, v, theta) and buf.
+    the delayed stress; advances the modal state (see modal_state) and buf,
+    which holds the modal strain rows.
 
-    It is read from z at both step endpoints, u_x(t_n - tau) = z(., 1) and
-    u_x(t_{n+1} - tau) = z(., 1 - 1/Nrho), and combined with the
-    theta-method weights.  A non-finite right-hand side, solution or
-    displacement raises NumericalBlowupError before buf is advanced.  The
-    strain of a finite displacement may still overflow; it is pushed as inf,
-    silently.
+    The stress is read from z at both step endpoints, u_x(t_n - tau) =
+    z(., 1) and u_x(t_{n+1} - tau) = z(., 1 - 1/Nrho), and combined with the
+    theta-method weights.  A non-finite solution or displacement raises
+    NumericalBlowupError before buf is advanced.  The strain of a finite
+    displacement may still overflow; it is pushed as inf, silently.
     """
-    grid, p, w, dt = fac.grid, fac.p, fac.theta_weight, fac.dt
-    Nx = grid.Nx
-
-    z1_eff = (1.0 - w) * buf.tail() + w * buf.z[:, -2]
+    if not state.modal:
+        raise ValueError("step_imex advances a modal state (see modal_state)")
+    w, dt = fac.theta_weight, fac.dt
+    e, inv, force = fac.explicit, fac.inverse, fac.force
+    Nx, nf = fac.grid.Nx, fac.grid.nflux
+    v, theta = state.v, state.theta
+    th = theta[1:]
 
     # near blow-up these products, the displacement and its strain may
-    # overflow; the finite checks below handle all but the strain
+    # overflow; the finite check below handles all but the strain
     with np.errstate(over="ignore", invalid="ignore"):
-        force_v = p.alpha * (fac.D @ z1_eff)
-        y = np.concatenate([state.v, state.theta])
-        rhs = fac.explicit_mat @ y
-        rhs[:Nx] += dt * force_v
-        if not np.isfinite(rhs).all():
-            raise NumericalBlowupError("non-finite right-hand side before solve")
-        y_new = fac.solve(rhs)
-        if not np.isfinite(y_new).all():
-            raise NumericalBlowupError("non-finite state after implicit solve")
-
-        v_new = y_new[:Nx]
-        theta_new = y_new[Nx:]
-        u_new = state.u + dt * ((1.0 - w) * state.v + w * v_new)
-        if not np.isfinite(u_new).all():
-            raise NumericalBlowupError("non-finite displacement")
-        ux_new = grad_u(u_new, grid.dx)
+        # the explicit product, per mode; the theta mean passes unchanged
+        rv = e[0, 0] * v
+        rv += e[0, 1] * th
+        rv += force[0] * buf.tail()[1:]
+        rv += force[1] * buf.z[1:, -2]
+        rth = e[1, 0] * v
+        rth += e[1, 1] * th
+        # the solve, into one array so that one check covers v, theta and u
+        y = np.empty(2 * Nx + nf)
+        v_new, theta_new, u_new = y[:Nx], y[Nx:Nx + nf], y[Nx + nf:]
+        np.multiply(inv[0, 0], rv, out=v_new)
+        v_new += inv[0, 1] * rth
+        theta_new[0] = theta[0]
+        np.multiply(inv[1, 1], rth, out=theta_new[1:])
+        theta_new[1:] += inv[1, 0] * rv
+        if fac.corner is not None:
+            ca, h, rho, sigma = fac.corner
+            s, t = ca @ theta, ca @ theta_new
+            y[:Nx + nf] -= ((rho[0] * s[0] + sigma[0] * t[0]) * h[0]
+                            + (rho[1] * s[1] + sigma[1] * t[1]) * h[1])
+        np.multiply((1.0 - w) * dt, v, out=u_new)
+        u_new += (w * dt) * v_new
+        u_new += state.u
+        if not np.isfinite(y).all():
+            raise NumericalBlowupError(
+                "non-finite displacement" if np.isfinite(y[:Nx + nf]).all()
+                else "non-finite state after implicit solve")
+        ux_new = np.empty(nf)
+        ux_new[0] = 0.0
+        np.multiply(fac.g[1:], u_new, out=ux_new[1:])
     buf.push(ux_new)
-    return State(u=u_new, v=v_new, z=buf.as_field(), theta=theta_new)
+    return State(u=u_new, v=v_new, z=buf.as_field(), theta=theta_new, modal=True)
 
 
 def expm_oracle(gen: Generator, state: State, t: float) -> State:
@@ -130,6 +189,7 @@ def expm_oracle(gen: Generator, state: State, t: float) -> State:
 
     Dense only; refuses dimensions above EXPM_MAX_DIM.
     """
+    import scipy.linalg as sla
     if gen.grid.dim > EXPM_MAX_DIM:
         raise DenseSizeError(f"generator dimension {gen.grid.dim} exceeds dense limit")
     phi = sla.expm(t * gen.matrix.toarray())
@@ -153,8 +213,10 @@ def simulate(
     Deterministic given its inputs.  The step is dt = tau/Nrho (an exact
     one-node shift of z); t_end must be a whole number of steps.  The first
     step uses backward Euler to damp the initial layer, then the theta-method
-    with the requested weight.  On numerical blow-up (step_imex raises) the
-    trajectory is truncated and blowup_time set.
+    with the requested weight.  The initial data are transformed to the
+    Fourier modes once; every step and record works on the modal state.  On
+    numerical blow-up (step_imex raises) the trajectory is truncated and
+    blowup_time set.
     """
     dt = p.tau / grid.Nrho
     nsteps = step_count(t_end, dt, record_every)
@@ -165,9 +227,11 @@ def simulate(
     fac_be = factor_implicit(grid, p, theta_weight=1.0)
     fac = factor_implicit(grid, p, theta_weight=theta_weight)
 
-    buf = init_history(f0, grid, p.tau, u0=u0)
-    state = State(u=np.asarray(u0, float).copy(), v=np.asarray(u1, float).copy(),
-                  z=buf.as_field(), theta=theta0)
+    z0 = init_history(f0, grid, p.tau, u0=u0).as_field()
+    state = modal_state(State(u=np.asarray(u0, float), v=np.asarray(u1, float),
+                              z=z0, theta=theta0))
+    buf = HistoryBuffer(state.z)
+    state = replace(state, z=buf.as_field())
 
     times, Es, Vs, Vts, terms, masses = [], [], [], [], [], []
     blowup_time = None

@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .constants import LyapunovConstants, f_weight
-from .discretization import State
-from .grid import Grid, grad_u
+from .discretization import State, strain
+from .grid import Grid
 from .params import PhysParams
 
 __all__ = ["Trajectory", "energy", "lyapunov_components", "decay_rate_fit",
@@ -39,11 +40,12 @@ class Trajectory:
 
 def energy(state: State, grid: Grid, p: PhysParams, xi: float) -> float:
     """Discrete energy: 1/2 (||u_t||^2 + alpha ||u_x||^2 + ||theta||^2)
-    plus xi times the history integral of the past strain."""
+    plus xi times the history integral of the past strain.  A modal state
+    gives the same value up to rounding: every term is a norm."""
     if xi <= 0:
         raise ValueError("xi must be positive")
     dx, drho = grid.dx, grid.drho
-    ux = grad_u(state.u, dx)
+    ux = strain(state, grid)
     quad = 0.5 * (
         np.dot(state.v, state.v) + p.alpha * np.dot(ux, ux)
         + np.dot(state.theta, state.theta)
@@ -74,12 +76,14 @@ def lyapunov_components(state: State, grid: Grid, consts: LyapunovConstants,
     rho-integrals use the trapezoid rule on the rho grid, with weights
     e^{-2 lam rho} (history norm) and e^{-lam rho} f(rho) (cross term).
     Both weight vectors are computed once per (Nrho, lam), so V4 is one
-    dot with the column norms of z and V5 one dot with u_x^T z.
+    dot with the column norms of z and V5 one dot with u_x^T z.  Every term
+    is a norm or an inner product, so a modal state gives the same values
+    up to rounding.
     """
     dx = grid.dx
     z = state.z
     w4, w5 = _rho_weights(grid.Nrho, consts.lam)
-    ux = grad_u(state.u, dx)
+    ux = strain(state, grid)
 
     V1 = 0.5 * np.dot(state.v, state.v) * dx
     V2 = 0.5 * np.dot(ux, ux) * dx
@@ -157,5 +161,8 @@ def check_decay_inequality(traj: Trajectory, n0: float) -> dict:
 
 
 def theta_mass(state: State, grid: Grid) -> float:
-    """Discrete integral of theta over the domain."""
+    """Discrete integral of theta over the domain; of a modal state, from
+    its constant mode alone (the other cosine modes sum to zero)."""
+    if state.modal:
+        return float(math.sqrt(grid.nflux) * state.theta[0] * grid.dx)
     return float(np.sum(state.theta) * grid.dx)

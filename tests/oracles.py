@@ -1,19 +1,29 @@
 """Reference code of the test suite: a hand-coded right-hand side, the
-weighted state-space inner product, random states and the n1 row residual.
+weighted state-space inner product, random states, the n1 row residual,
+the real-space stepper and the inverse of the modal transform.
 
 The package never calls these; they are independent oracles for the
-assembled generator, the energies and the Lyapunov constants.
+assembled generator, the energies, the Lyapunov constants and the modal
+stepper.  The real-space stepper (ImplicitFactor, factor_implicit,
+step_imex) is the package's former one: one sparse LU (SuperLU) of the
+(v, theta) block, stepping real-space states and strain histories.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, field, replace
 
 import numpy as np
+import scipy.fft
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from thermodelay.constants import LyapunovConstants
-from thermodelay.discretization import State
-from thermodelay.grid import Grid, grad_u
+from thermodelay.delay import HistoryBuffer
+from thermodelay.discretization import (State, _vtheta_blocks, build_operators,
+                                        modal_state)
+from thermodelay.grid import Grid, NumericalBlowupError, grad_u
 from thermodelay.params import PhysParams
 
 
@@ -82,3 +92,112 @@ def random_state(grid: Grid, p: PhysParams, rng: np.random.Generator,
 def n1_equality_residual(c: LyapunovConstants, p: PhysParams) -> float:
     """Residual of the balanced row -N4 e^{-2 lam}/tau + N1 alpha eps1/2 (zero by construction)."""
     return -c.N4 * math.exp(-2.0 * c.lam) / p.tau + 0.5 * c.N1 * p.alpha * c.eps1
+
+
+def modal_start(state: State) -> tuple[State, HistoryBuffer]:
+    """A real-space state in Fourier-mode coordinates, with a strain store
+    holding its modal z, as simulate starts its steps."""
+    modal = modal_state(state)
+    buf = HistoryBuffer(modal.z)
+    return replace(modal, z=buf.as_field()), buf
+
+
+def real_space_state(state: State) -> State:
+    """The inverse of discretization.modal_state, by scipy.fft."""
+    assert state.modal
+    return State(u=scipy.fft.idst(state.u, type=1, norm="ortho"),
+                 v=scipy.fft.idst(state.v, type=1, norm="ortho"),
+                 z=scipy.fft.idct(state.z, type=2, norm="ortho", axis=0),
+                 theta=scipy.fft.idct(state.theta, type=2, norm="ortho"))
+
+
+@dataclass
+class ImplicitFactor:
+    """Sparse LU of the implicit (v, theta) block for one weight."""
+
+    grid: Grid
+    p: PhysParams
+    theta_weight: float
+    dt: float                                             # tau/Nrho
+    implicit: sp.csc_matrix = field(repr=False, default=None)  # I - w dt M
+    lu: spla.SuperLU = field(repr=False, default=None)    # splu of implicit
+    explicit_mat: sp.csr_matrix = field(repr=False, default=None)  # I + (1-w) dt M
+    D: sp.csr_matrix = field(repr=False, default=None)    # alpha-stress divergence
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        return self.lu.solve(rhs)
+
+
+def factor_implicit(grid: Grid, p: PhysParams,
+                    theta_weight: float = 0.5) -> ImplicitFactor:
+    """Factor the coupled implicit block at dt = tau/Nrho once; reusable across steps.
+
+    M is the (v, theta) block of the real-space generator, built from the
+    operators alone: the Kelvin-Voigt damping, the heat operator and the
+    thermo-mechanical coupling, all treated implicitly.  Without damping,
+    conduction and coupling it reduces to the identity.  M is banded and
+    stays sparse; a singular or non-finite block raises NumericalBlowupError.
+    """
+    if not (0.5 <= theta_weight <= 1.0):
+        raise ValueError("theta_weight must lie in [1/2, 1]")
+    ops = build_operators(grid, p)
+    dt = p.tau / grid.Nrho
+    w = theta_weight
+    # an overflowing coefficient leaves inf in M; the checks below see it
+    with np.errstate(over="ignore", invalid="ignore"):
+        M = sp.bmat(_vtheta_blocks(ops, p), format="csr")
+        M.eliminate_zeros()     # stored as in the generator: no zero coefficients
+        eye = sp.identity(M.shape[0], format="csr")
+        implicit = (eye - w * dt * M).tocsc()
+        explicit = (eye + (1.0 - w) * dt * M).tocsr()
+    if not np.all(np.isfinite(implicit.data)):
+        raise NumericalBlowupError("non-finite implicit (v, theta) block")
+    try:
+        lu = spla.splu(implicit)
+    except RuntimeError as exc:     # SuperLU: "Factor is exactly singular"
+        raise NumericalBlowupError(f"implicit factorization failed: {exc}") from None
+    if not (np.all(np.isfinite(lu.L.data)) and np.all(np.isfinite(lu.U.data))):
+        raise NumericalBlowupError("implicit factorization produced non-finite factors")
+    return ImplicitFactor(
+        grid=grid, p=p, theta_weight=w, dt=dt, implicit=implicit, lu=lu,
+        explicit_mat=explicit, D=(-ops.G.T).tocsr(),
+    )
+
+
+def step_imex(state: State, fac: ImplicitFactor, buf: HistoryBuffer) -> State:
+    """One IMEX step of fac.dt = tau/Nrho, the only length at which z holds
+    the delayed stress; advances (u, v, theta) and buf.
+
+    It is read from z at both step endpoints, u_x(t_n - tau) = z(., 1) and
+    u_x(t_{n+1} - tau) = z(., 1 - 1/Nrho), and combined with the
+    theta-method weights.  A non-finite right-hand side, solution or
+    displacement raises NumericalBlowupError before buf is advanced.  The
+    strain of a finite displacement may still overflow; it is pushed as inf,
+    silently.
+    """
+    grid, p, w, dt = fac.grid, fac.p, fac.theta_weight, fac.dt
+    Nx = grid.Nx
+
+    z1_eff = (1.0 - w) * buf.tail() + w * buf.z[:, -2]
+
+    # near blow-up these products, the displacement and its strain may
+    # overflow; the finite checks below handle all but the strain
+    with np.errstate(over="ignore", invalid="ignore"):
+        force_v = p.alpha * (fac.D @ z1_eff)
+        y = np.concatenate([state.v, state.theta])
+        rhs = fac.explicit_mat @ y
+        rhs[:Nx] += dt * force_v
+        if not np.isfinite(rhs).all():
+            raise NumericalBlowupError("non-finite right-hand side before solve")
+        y_new = fac.solve(rhs)
+        if not np.isfinite(y_new).all():
+            raise NumericalBlowupError("non-finite state after implicit solve")
+
+        v_new = y_new[:Nx]
+        theta_new = y_new[Nx:]
+        u_new = state.u + dt * ((1.0 - w) * state.v + w * v_new)
+        if not np.isfinite(u_new).all():
+            raise NumericalBlowupError("non-finite displacement")
+        ux_new = grad_u(u_new, grid.dx)
+    buf.push(ux_new)
+    return State(u=u_new, v=v_new, z=buf.as_field(), theta=theta_new)

@@ -132,6 +132,16 @@ def test_simulate_outputs(tmp_path, cfgfile):
     assert summary["non_decaying_energy"] is False
 
 
+def test_default_neumann_run_keeps_the_theta_mass_exactly(tmp_path):
+    # the theta mean is its own Fourier mode and no step touches it, so the
+    # recorded mass is one number; the default config at beta = 4.5
+    out = tmp_path / "mass"
+    assert _run(["simulate", "--config", os.devnull, "--out", str(out),
+                 "--override", "model.beta=4.5"]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["conservation_drift"] == 0.0
+
+
 def test_simulate_weights_come_from_the_certifying_lambda(tmp_path, cfgfile):
     # lambda = 0.5 has feasible constants but does not certify beta = 0.6;
     # lambda = 0.75 does, so V, Vtilde and n0 are the ones of lambda = 0.75
@@ -503,7 +513,8 @@ def test_dirichlet_abscissa_past_the_dense_limit(tmp_path, cfgfile, capsys,
 
 
 def test_simulate_has_no_size_limit(tmp_path, cfgfile):
-    # the sparse (v, theta) block of 2*4096 + 1 rows is past the old dense cap
+    # the (v, theta) block of 2*4096 + 1 rows, past the old dense cap, is
+    # solved per Fourier mode
     out = tmp_path / "wide"
     assert _run(["simulate", "--config", cfgfile, "--out", str(out),
                  "--override", "grid.nx=4096", "--override", "grid.nrho=2"]) == 0
@@ -512,7 +523,7 @@ def test_simulate_has_no_size_limit(tmp_path, cfgfile):
 
 
 @pytest.mark.parametrize("override", [
-    "model.kappa=1e300",     # the implicit block is singular in floating point
+    "model.kappa=1e308",     # kappa dt g^2 overflows in the implicit block
     "model.beta=1e308",      # the implicit block overflows
     "model.alpha=1e300",     # alpha**2 overflows in the Lyapunov constants
 ])
@@ -525,15 +536,18 @@ def test_numerical_failure_is_one_line_exit_3(tmp_path, cfgfile, capsys, overrid
 
 
 def test_blowup_whose_strain_overflows_is_one_line_exit_3(tmp_path, capfd):
-    # at beta = 0 the last finite displacement has a strain u/dx that
-    # overflows; it was a RuntimeWarning, a traceback under -W error
+    # at beta = 0 the last finite displacement has a strain g_k u_k that
+    # overflows; it was a RuntimeWarning, a traceback under -W error.  The
+    # real-space stepper found its first non-finite value, the explicit
+    # product, at t = 191.8125; the modal coefficients of the same state are
+    # other numbers of the same norm, and overflow one step later
     code = _run(["simulate", "--config", os.devnull, "--out", str(tmp_path / "b0"),
                  "--override", "model.beta=0", "--override", "grid.nx=16",
                  "--override", "grid.nrho=16", "--override", "time.t_end=200"])
     out, err = capfd.readouterr()
-    assert (code, out, err) == (3, "", "numerical blow-up at t = 191.8125\n")
+    assert (code, out, err) == (3, "", "numerical blow-up at t = 191.875\n")
     summary = json.loads((tmp_path / "b0" / "summary.json").read_text())
-    assert summary["blowup_time"] == 191.8125
+    assert summary["blowup_time"] == 191.875
 
 
 def test_history_datum_overflow_is_one_line_exit_3(tmp_path, capfd):
@@ -647,9 +661,9 @@ def test_sweep_point_assembles_no_real_space_generator(tmp_path, monkeypatch,
     assert real_space == []
 
 
-def test_sweep_point_with_singular_block_is_a_row_error(tmp_path, cfgfile):
+def test_sweep_point_with_overflowing_block_is_a_row_error(tmp_path, cfgfile):
     cfg2 = tmp_path / "sweep_kappa.ini"
-    cfg2.write_text(BASE + "\n[sweep]\nkappa = 1.0,1e300\n")
+    cfg2.write_text(BASE + "\n[sweep]\nkappa = 1.0,1e308\n")
     out = tmp_path / "sw_kappa"
     assert _run(["sweep", "--config", str(cfg2), "--out", str(out)]) == 0
     rows = [r.split(",") for r in
@@ -708,10 +722,20 @@ def test_dirichlet_sweep_bytes_independent_of_blas_threads(tmp_path):
 
 
 def test_simulate_bytes_independent_of_blas_threads(tmp_path):
-    # the sparse stepper calls no BLAS routine whose rounding depends on the
+    # the modal stepper calls no BLAS routine whose rounding depends on the
     # thread count; the dense lu_solve and matvecs it replaced did
     one, two = _cli_bytes_per_blas_threads(
         tmp_path, "simulate",
         "[model]\nbeta = 4.5\n[grid]\nnx = 128\nnrho = 8\n[time]\nt_end = 2\n",
         ("traj.csv", "summary.json"))
+    assert one == two
+
+
+def test_dirichlet_simulate_bytes_independent_of_blas_threads(tmp_path):
+    # the corner's parity sums are (2, Nx + 1) matrix-vector products, which
+    # OpenBLAS threads from 2 (Nx + 1) >= 9216 entries on
+    one, two = _cli_bytes_per_blas_threads(
+        tmp_path, "simulate",
+        "[model]\nbeta = 4.5\ntheta_bc = dirichlet\n[grid]\nnx = 8192\nnrho = 2\n"
+        "[time]\nt_end = 1\n", ("traj.csv", "summary.json"))
     assert one == two

@@ -1,5 +1,5 @@
 """What importing the package loads: the CLI, config loading and certify
-need neither numpy nor scipy."""
+need neither numpy nor scipy, and simulate needs numpy alone."""
 
 import importlib
 import json
@@ -54,6 +54,30 @@ def test_importing_the_cli_loads_no_scipy():
                    "m for m in sys.modules if m.split('.')[0] == 'scipy')))")
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == []
+
+
+def test_simulate_layers_load_no_scipy():
+    proc = _python("import sys, json, thermodelay.delay, thermodelay.discretization, "
+                   "thermodelay.observables, thermodelay.integrate; print(json.dumps(sorted("
+                   "m for m in sys.modules if m.split('.')[0] == 'scipy')))")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
+
+
+def test_simulate_without_scipy_writes_the_same_bytes(tmp_path, capsys):
+    args = ["simulate", "--config", os.devnull, "--override", "model.beta=4.5",
+            "--override", "grid.nx=16", "--override", "grid.nrho=8",
+            "--override", "time.t_end=4"]
+    code = main(args + ["--out", str(tmp_path / "with")])
+    stdout = capsys.readouterr().out
+    proc = _python("import sys; sys.modules['scipy'] = None; "
+                   "from thermodelay.cli import main; sys.exit(main(sys.argv[1:]))",
+                   *args, "--out", str(tmp_path / "without"))
+    assert proc.stderr == ""
+    assert (proc.returncode, proc.stdout) == (code, stdout) and code == 0
+    for name in ("traj.csv", "summary.json"):
+        assert ((tmp_path / "without" / name).read_bytes()
+                == (tmp_path / "with" / name).read_bytes())
 
 
 def test_importing_the_cli_and_loading_a_config_loads_no_numpy():
