@@ -8,8 +8,8 @@ failure, 3 numerical failure.
 
 `sweep` runs its points on every CPU the process may use: it forks a
 helper per CPU but one, and runs a share of the points itself
-(_forked_rows).  Its outputs are those of the inline loop that runs on one
-CPU.
+(_forked_rows).  On one CPU, or without os.fork, it forks nothing and runs
+every point itself; its outputs do not depend on the number of CPUs.
 
 Neither numpy nor scipy is imported up front: the commands import their
 layers when they run.  `certify` and config loading import neither,
@@ -52,17 +52,8 @@ def _write_csv(path: Path, header: list[str], rows):
 def _write_json(path: Path, payload: dict):
     payload = {"schema_version": SCHEMA_VERSION, **payload}
     with open(path, "w", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=_jsonable)
+        json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _jsonable(obj):
-    import numpy as np
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
 def _lambda_candidates(cfg: RunConfig) -> list[float]:
@@ -255,8 +246,7 @@ def _share(cfg: RunConfig, name: str, values, want_spectrum: bool) -> list:
     """(warnings, row, exception) per point of `values`, in order.
 
     A point's warnings pass the active filters and are recorded, not shown.
-    An exception that escapes a point ends the share, as it ends the
-    inline loop.
+    An exception that escapes a point ends the share.
     """
     outcomes = []
     for value in values:
@@ -295,12 +285,12 @@ def _forked_rows(cfg: RunConfig, name: str, values, want_spectrum: bool,
 
     Helper i = 1..n-1, forked from this process, runs values[i::n] and
     sends its share's outcomes back over a pipe; this process runs
-    values[0::n] itself.  Every helper is reaped before this returns or
-    raises, and killed first if this process fails.  The outcomes are then
-    taken in range order, as the inline loop gives them: each point's
+    values[0::n] itself, which is every point when n = 1.  Every helper is
+    reaped before this returns or raises, and killed first if this process
+    fails.  The outcomes are then taken in range order: each point's
     warnings are issued, and the exception of the first point that raised
-    is raised here.  A helper that ends without reporting raises
-    ChildProcessError.
+    is raised here, so the rows, warnings and exception do not depend on n.
+    A helper that ends without reporting raises ChildProcessError.
     """
     import pickle
     import signal
@@ -367,11 +357,8 @@ def _forked_rows(cfg: RunConfig, name: str, values, want_spectrum: bool,
 
 def cmd_sweep(cfg: RunConfig, out: Path) -> int:
     name, values = _sweep_variable(cfg)
-    n = min(len(values), _usable_cpus())
-    if n > 1 and hasattr(os, "fork"):
-        rows = _forked_rows(cfg, name, values, cfg.sweep["spectrum"], n)
-    else:
-        rows = [_sweep_point(cfg, name, v, cfg.sweep["spectrum"]) for v in values]
+    n = min(len(values), _usable_cpus()) if hasattr(os, "fork") else 1
+    rows = _forked_rows(cfg, name, values, cfg.sweep["spectrum"], n)
 
     header = ["param", "value", "certified", "a0", "r2", "final_E", "abscissa",
               "error"]
@@ -395,7 +382,7 @@ def cmd_spectrum(cfg: RunConfig, out: Path) -> int:
     _write_json(out / "summary.json",
                 {"command": "spectrum", "config": cfg.echo,
                  "abscissa": abscissa,
-                 "rightmost_mode": None if res.modes is None else res.modes[0],
+                 "rightmost_mode": None if res.modes is None else int(res.modes[0]),
                  "rightmost_residuals": list(res.rightmost_residuals),
                  "n_eigenvalues": len(w)})
     print(f"spectral abscissa = {abscissa:.16e}")

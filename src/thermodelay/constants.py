@@ -59,7 +59,6 @@ class LyapunovConstants:
     lam: float
     xi: float
     c_p: float
-    m: float
     h: float
     Gamma: float
     Psi: float
@@ -157,7 +156,6 @@ def lyapunov_constants(
     eps6 = 2.0 * a * b * Psi / (tau * alpha)
 
     xi = xi_factor * (2.0 * tau * alpha**2 / beta)
-    m = alpha**2 / beta + xi / (2.0 * tau)
     c_p = p.poincare_constant(sharp=sharp_poincare)
 
     N1 = 1.0
@@ -173,7 +171,7 @@ def lyapunov_constants(
     eps4 = 0.5 * (e4_lo + e4_hi) if e4_lo < e4_hi else math.nan
 
     return LyapunovConstants(
-        lam=lam, xi=xi, c_p=c_p, m=m, h=h, Gamma=Gamma, Psi=Psi, Lambda=Lambda,
+        lam=lam, xi=xi, c_p=c_p, h=h, Gamma=Gamma, Psi=Psi, Lambda=Lambda,
         Phi=Phi, A=A, k=k, a=a, b=b, eps1=eps1, eps2=eps2, eps3=eps3, eps4=eps4,
         eps5=eps5, eps6=eps6, N1=N1, N2=N2, N3=N3, N4=N4, N5=N5, N6=N6,
     )

@@ -84,18 +84,9 @@ class Grid:
 
 
 def grad_u(u: np.ndarray, dx: float) -> np.ndarray:
-    """u_x at the Nx+1 flux points for Dirichlet u (zero boundary values).
-
-    Bitwise equal to np.diff(u, prepend=0.0, append=0.0) / dx, signed zeros
-    included, without the padded copy.
-    """
+    """u_x at the Nx+1 flux points for Dirichlet u (zero boundary values)."""
     import numpy as np
-    out = np.empty(len(u) + 1, dtype=np.result_type(u, 0.0))
-    out[0] = u[0]
-    np.subtract(u[1:], u[:-1], out=out[1:-1])
-    out[-1] = 0.0 - u[-1]
-    out /= dx
-    return out
+    return np.diff(u, prepend=0.0, append=0.0) / dx
 
 
 def step_count(t_end: float, dt: float, record_every: int = 1) -> int:

@@ -53,7 +53,6 @@ class ImplicitFactor:
     """
 
     grid: Grid
-    p: PhysParams
     theta_weight: float
     dt: float                                   # tau/Nrho
     g: np.ndarray = field(repr=False, default=None)         # symbols of G, g_0 = 0
@@ -122,7 +121,7 @@ def factor_implicit(grid: Grid, p: PhysParams,
     if not all(np.isfinite(f).all() for f in factors):
         raise NumericalBlowupError("implicit factorization produced non-finite factors")
     force = -p.alpha * dt * gk
-    return ImplicitFactor(grid=grid, p=p, theta_weight=w, dt=dt, g=g,
+    return ImplicitFactor(grid=grid, theta_weight=w, dt=dt, g=g,
                           explicit=explicit, inverse=inverse,
                           force=np.array([(1.0 - w) * force, w * force]),
                           corner=corner)

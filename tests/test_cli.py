@@ -187,8 +187,9 @@ def test_sweep_crossing_and_determinism(tmp_path, cfgfile):
 
 # Runs `main` with every _sweep_point logged (its value and whether the main
 # process ran it) and announced by a warning of its own.  argv[1] = "one"
-# pins the process to one CPU first, which gives the inline loop.  Exit code
-# 99 means a sweep helper outlived `main`.
+# pins the process to one CPU first, "all" leaves it on every CPU, "two"
+# gives it two usable CPUs and "nofork" two without os.fork.  Exit code 99
+# means a sweep helper outlived `main`.
 SWEEP_MAIN = """
 import os, sys, warnings
 from thermodelay import cli
@@ -196,6 +197,10 @@ from thermodelay import cli
 cpus, log = sys.argv[1], open(sys.argv[2], "a")
 if cpus == "one":
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+elif cpus in ("two", "nofork"):
+    cli._usable_cpus = lambda: 2
+    if cpus == "nofork":
+        del os.fork
 main_pid, point = os.getpid(), cli._sweep_point
 
 def logged(cfg, name, value, want_spectrum):
@@ -215,19 +220,21 @@ sys.exit(code)
 """
 
 
-@pytest.mark.skipif(cli._usable_cpus() < 2 or not hasattr(os, "fork"),
-                    reason="a sweep forks helpers only on two or more CPUs")
-def test_sweep_on_every_cpu_writes_what_one_cpu_writes(tmp_path, cfgfile):
-    # tau = 4.5 is off the step grid of t_end = 6: a row error.  f0 = zero
-    # differs from u0_x, so the history warns at the other points, by the
-    # same text: shown once.  sweep.workers is accepted and changes nothing.
+def _sweep_main_runs(tmp_path, modes):
+    """Exit code, stdout, stderr, sweep.csv and summary.json, and the sorted
+    point log, of SWEEP_MAIN per mode, sweeping tau over 6, 3 and 4.5.
+
+    tau = 4.5 is off the step grid of t_end = 6: a row error.  f0 = zero
+    differs from u0_x, so the history warns at the other points, by the
+    same text: shown once.  sweep.workers is accepted and changes nothing.
+    """
     cfg2 = tmp_path / "sweep.ini"
     cfg2.write_text(BASE + "\n[init]\nf0 = zero\n"
                     "[sweep]\ntau = 6.0,3.0,4.5\nworkers = 1\n")
     src = str(Path(thermodelay.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     runs, logs = {}, {}
-    for cpus in ("one", "all"):
+    for cpus in modes:
         out, log = tmp_path / cpus, tmp_path / f"{cpus}.log"
         proc = subprocess.run([sys.executable, "-c", SWEEP_MAIN, cpus, str(log),
                                "sweep", "--config", str(cfg2), "--out", str(out)],
@@ -236,6 +243,13 @@ def test_sweep_on_every_cpu_writes_what_one_cpu_writes(tmp_path, cfgfile):
                       (out / "sweep.csv").read_bytes(),
                       (out / "summary.json").read_bytes())
         logs[cpus] = sorted(log.read_text().splitlines())
+    return runs, logs
+
+
+@pytest.mark.skipif(cli._usable_cpus() < 2 or not hasattr(os, "fork"),
+                    reason="a sweep forks helpers only on two or more CPUs")
+def test_sweep_on_every_cpu_writes_what_one_cpu_writes(tmp_path, cfgfile):
+    runs, logs = _sweep_main_runs(tmp_path, ("one", "all"))
     assert runs["one"] == runs["all"]
     code, _, err, csv_bytes, _ = runs["all"]
     assert code == 0
@@ -248,6 +262,18 @@ def test_sweep_on_every_cpu_writes_what_one_cpu_writes(tmp_path, cfgfile):
     # the main process ran 6 and 4.5, a helper 3, and one CPU ran all three
     assert logs == {"one": ["3.0 True", "4.5 True", "6.0 True"],
                     "all": ["3.0 False", "4.5 True", "6.0 True"]}
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"),
+                    reason="compared with a sweep that forks a helper")
+def test_sweep_without_fork_runs_every_point_in_the_command(tmp_path):
+    # without os.fork two usable CPUs fork nothing: the command runs every
+    # point itself and writes, prints and returns what a two-CPU run does
+    runs, logs = _sweep_main_runs(tmp_path, ("two", "nofork"))
+    assert runs["nofork"] == runs["two"]
+    assert runs["two"][0] == 0 and runs["two"][2].count("UserWarning") == 4
+    assert logs == {"two": ["3.0 False", "4.5 True", "6.0 True"],
+                    "nofork": ["3.0 True", "4.5 True", "6.0 True"]}
 
 
 def _sweep_with_failures(tmp_path, monkeypatch, capsys, cpus, fail):

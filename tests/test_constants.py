@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import quad
 
 from thermodelay import constants
@@ -171,6 +171,27 @@ def test_find_beta0_crossing_everywhere(alpha, tau, gamma, kappa, ell):
     assert not any(certify(p.with_beta(0.999 * b0), lam)["verdict"]
                    for lam in LAMBDA_GRID)
     _assert_crossing(p, LAMBDA_GRID, res)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(alpha=_log_uniform(0.05, 5.0), beta=_log_uniform(1e-2, 1e4),
+       gamma=_log_uniform(0.3, 3.0), kappa=_log_uniform(0.3, 3.0),
+       tau=_log_uniform(0.05, 5.0), lam=_log_uniform(0.05, 12.0),
+       sharp=st.booleans())
+def test_eps4_is_the_midpoint_of_the_eqfond1_row(alpha, beta, gamma, kappa, tau,
+                                                 lam, sharp):
+    # lyapunov_constants and check_conditions each compute the eqfond1
+    # interval; eps4 is its midpoint, bit for bit, and NaN when it is empty
+    p = PhysParams(alpha=alpha, beta=beta, gamma=gamma, kappa=kappa, tau=tau)
+    try:
+        c = lyapunov_constants(p, lam, sharp_poincare=sharp)
+    except InfeasibleLambdaError:
+        assume(False)
+    row = _row(check_conditions(c, p), "eqfond1")
+    if row["lhs"] < row["rhs"]:
+        assert c.eps4 == 0.5 * (row["lhs"] + row["rhs"])
+    else:
+        assert math.isnan(c.eps4)
 
 
 def test_find_beta0_monotone_in_alpha():
