@@ -82,6 +82,22 @@ class LyapunovConstants:
     N6: float
 
 
+def _eqfond0_upper_margin(h: float) -> float:
+    """h^3 (1 + 3h - h^2 + h^3 + h^4), h = e^{-2 lam}: positive exactly when
+    A/k < 2 lam Lambda^2/Gamma = (1 - h)(1 + h)^2 (after clearing
+    denominators).  The naive difference underflows to rounding noise for
+    lam >~ 6; this form has no cancellation."""
+    return h**3 * (1.0 + 3.0 * h - h**2 + h**3 + h**4)
+
+
+def _eps4_interval(p: PhysParams, lam: float, A: float, b: float, Psi: float,
+                   c_p: float) -> tuple[float, float]:
+    """The bounds (lo, hi) of the admissible interval for eps4 (eqfond1)."""
+    lo = p.alpha * p.gamma * b * Psi * math.exp(2.0 * lam) / (4.0 * p.beta * p.kappa)
+    hi = 2.0 * p.alpha * (A - 1.0) / (p.gamma * b * Psi * c_p)
+    return lo, hi
+
+
 def lyapunov_constants(
     p: PhysParams,
     lam: float,
@@ -115,10 +131,7 @@ def lyapunov_constants(
     # k < 1 holds exactly; for large lam the float value rounds to 1.0
     if not (0.0 < k <= 1.0):
         raise InfeasibleLambdaError(f"lambda infeasible: k = {k} outside (0,1) at lam={lam}")
-    # A/k < 2 lam Lambda^2/Gamma = (1-h)(1+h)^2, equivalent (after clearing
-    # denominators) to the cancellation-free margin h^3 (1 + 3h - h^2 + h^3 + h^4) > 0;
-    # the naive difference underflows to rounding noise for lam >~ 6
-    upper_margin = h**3 * (1.0 + 3.0 * h - h**2 + h**3 + h**4)
+    upper_margin = _eqfond0_upper_margin(h)
     if not (upper_margin > 0.0):
         raise InfeasibleLambdaError(
             f"lambda infeasible: A/k >= 2 lam Lambda^2/Gamma at lam={lam}"
@@ -165,9 +178,8 @@ def lyapunov_constants(
     N6 = Psi / (alpha * tau) * N5
     N2 = beta / alpha * N6
 
-    # admissible interval for eps4; midpoint when nonempty
-    e4_lo = alpha * p.gamma * b * Psi * math.exp(2.0 * lam) / (4.0 * beta * p.kappa)
-    e4_hi = 2.0 * alpha * (A - 1.0) / (p.gamma * b * Psi * c_p)
+    # midpoint of the admissible interval when nonempty
+    e4_lo, e4_hi = _eps4_interval(p, lam, A, b, Psi, c_p)
     eps4 = 0.5 * (e4_lo + e4_hi) if e4_lo < e4_hi else math.nan
 
     return LyapunovConstants(
@@ -210,13 +222,11 @@ def check_conditions(c: LyapunovConstants, p: PhysParams) -> dict:
     # both eqfond0 margins in cancellation-free polynomial form (the float
     # quotient A/k loses the h^3-size gap to the upper bound for large lam)
     lo_ok = h * (1.0 - h - 2.0 * h**2 - 3.0 * h**3) > 0.0          # A/k > 1
-    hi_ok = h**3 * (1.0 + 3.0 * h - h**2 + h**3 + h**4) > 0.0      # A/k < bound
+    hi_ok = _eqfond0_upper_margin(h) > 0.0                         # A/k < bound
     lhs2 = (
         c.b * c.Psi * alpha * math.exp(2.0 * c.lam) * c.c_p
         + 0.5 * tau * c.b * c.Phi * c.eps3 * alpha**2 * math.exp(2.0 * c.lam)
     )
-    e4_lo = alpha * p.gamma * c.b * c.Psi * math.exp(2.0 * c.lam) / (4.0 * beta * p.kappa)
-    e4_hi = 2.0 * alpha * (c.A - 1.0) / (p.gamma * c.b * c.Psi * c.c_p)
     pair_lhs = c.a * c.b * c.Psi / (tau * alpha)
     lhs_ep = 0.5 * c.N6 * c.eps6 * c.c_p + 0.5 * c.N5 * c.Phi * c.eps5
     lhs3 = c.b * c.Psi**2 * c.c_p / (beta * tau) + c.Phi * c.b
@@ -225,7 +235,7 @@ def check_conditions(c: LyapunovConstants, p: PhysParams) -> dict:
         ("eqfond0", c.A / c.k, (1.0 - math.exp(-2.0 * c.lam)) * (1.0 + h) ** 2,
          lo_ok and hi_ok),
         ("eqfond2", lhs2, beta**2, None),
-        ("eqfond1", e4_lo, e4_hi, None),
+        ("eqfond1", *_eps4_interval(p, c.lam, c.A, c.b, c.Psi, c.c_p), None),
         ("ep67-pair", pair_lhs, c.eps6, c.eps6 > pair_lhs and c.eps5 > 0.5 * c.b),
         ("ep67prime", lhs_ep, 0.5 * c.N2 * alpha, None),
         ("eqfond3", lhs3, beta * c.Psi / (alpha * tau), None),

@@ -1,12 +1,14 @@
 """Reference code of the test suite: a hand-coded right-hand side, the
-weighted state-space inner product, random states, the n1 row residual,
-the real-space stepper and the inverse of the modal transform.
+weighted state-space inner product and its Gram matrix, random states, the
+n1 row residual, the real-space stepper and the inverse of the modal
+transform.
 
 The package never calls these; they are independent oracles for the
-assembled generator, the energies, the Lyapunov constants and the modal
-stepper.  The real-space stepper (ImplicitFactor, factor_implicit,
-step_imex) is the package's former one: one sparse LU (SuperLU) of the
-(v, theta) block, stepping real-space states and strain histories.
+assembled generator, the energies, the dissipativity supremum, the
+Lyapunov constants and the modal stepper.  The real-space stepper
+(ImplicitFactor, factor_implicit, step_imex) is the package's former one:
+one sparse LU (SuperLU) of the (v, theta) block, stepping real-space
+states and strain histories.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ import scipy.sparse.linalg as spla
 
 from thermodelay.constants import LyapunovConstants
 from thermodelay.delay import HistoryBuffer
-from thermodelay.discretization import (State, _vtheta_blocks, build_operators,
-                                        modal_state)
+from thermodelay.discretization import (Generator, State, _vtheta_blocks,
+                                        build_operators, modal_state)
 from thermodelay.grid import Grid, NumericalBlowupError, grad_u
 from thermodelay.params import PhysParams
 
@@ -70,6 +72,19 @@ def inner_product_H(U1: State, U2: State, grid: Grid, p: PhysParams, xi: float) 
         + xi * np.sum(U1.z * U2.z) * dx * drho
     )
     return float(val)
+
+
+def h_weight_matrix(gen: Generator, xi: float) -> sp.csr_matrix:
+    """Gram matrix of the discrete state-space inner product in the packed
+    coordinates of gen (real space or Fourier modes)."""
+    grid, G = gen.grid, gen.ops.G
+    dx = grid.dx
+    return sp.block_diag([
+        gen.p.alpha * dx * (G.T @ G),
+        dx * sp.identity(grid.Nx),
+        xi * dx * grid.drho * sp.identity(grid.nflux * (grid.Nrho + 1)),
+        dx * sp.identity(grid.ntheta),
+    ], format="csr")
 
 
 def random_state(grid: Grid, p: PhysParams, rng: np.random.Generator,

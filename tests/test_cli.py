@@ -309,15 +309,15 @@ def _raise(exc):
     # the helper runs 3, the main process 6 and 4.5
     ({3.0: _raise(OSError("disk full"))}, 1),
     ({6.0: _raise(FloatingPointError("overflow"))}, 3),
-    # the inline loop stops at 3 and never reaches 4.5
+    # on one CPU the points run in order: 3 stops the sweep, 4.5 is never reached
     ({3.0: _raise(FloatingPointError("overflow")), 4.5: _raise(OSError("disk full"))}, 3),
     ({3.0: _raise(OSError("disk full")), 6.0: _raise(FloatingPointError("overflow"))}, 3),
 ], ids=["helper", "caller", "helper-first", "caller-first"])
-def test_sweep_raises_what_the_inline_loop_raises(tmp_path, monkeypatch, capsys,
-                                                  fail, code):
-    inline = _sweep_with_failures(tmp_path, monkeypatch, capsys, 1, fail)
+def test_sweep_on_two_cpus_raises_what_one_cpu_raises(tmp_path, monkeypatch, capsys,
+                                                      fail, code):
+    one_cpu = _sweep_with_failures(tmp_path, monkeypatch, capsys, 1, fail)
     forked = _sweep_with_failures(tmp_path, monkeypatch, capsys, 2, fail)
-    assert forked == inline
+    assert forked == one_cpu
     assert forked[0] == code and forked[2].count("\n") == 1, forked
 
 

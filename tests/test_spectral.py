@@ -17,13 +17,14 @@ from thermodelay.discretization import (DenseSizeError, Grid,
                                         assemble_generator, build_operators,
                                         modal_operators, pack)
 from thermodelay.params import PhysParams
-from thermodelay.spectral import (dissipativity_test, h_weight_matrix,
-                                  spectral_abscissa, spectrum_dense)
+from thermodelay.spectral import (dissipativity_test, spectral_abscissa,
+                                  spectrum_dense)
 from thermodelay.spectral import reduced_generator
 
-from oracles import inner_product_H, random_state
+from oracles import h_weight_matrix, inner_product_H, random_state
 
 UNIT = PhysParams(alpha=1.0, beta=1.0, gamma=1.0, kappa=1.0, tau=1.0, ell=1.0)
+N_TOP = spectral.N_REFINE        # the rightmost eigenvalues spectrum_dense refines
 
 
 def _components(M):
@@ -290,6 +291,38 @@ def test_benchmark_reference_abscissa():
     assert np.all(res.rightmost_residuals <= 1e-8)
 
 
+def test_refinement_waits_for_the_rayleigh_quotient_to_settle():
+    # one solve from a shift 1e-8 (1 + |lambda|) away leaves the Rayleigh
+    # quotient about 2e-8 off, with a residual below 1e-8; accepting it wrote
+    # -0.7482970209682348 for the rightmost eigenvalue.  Oracle: one dense
+    # eigvals of the real-space reduced generator
+    p = PhysParams(**{**UNIT.__dict__, "beta": 2.7, "gamma": 3.0,
+                      "theta_bc": "dirichlet"})
+    g = Grid(Nx=8, Nrho=8)
+    w = sla.eigvals(reduced_generator(assemble_generator(g, p)).toarray())
+    res = spectrum_dense(g, p)
+    assert abs(res.eigenvalues[0].real - -0.7482970387694956) <= 1e-10
+    top = res.eigenvalues[:N_TOP]
+    assert np.abs(top[:, None] - w[None, :]).min(axis=1).max() <= 1e-10
+
+
+@pytest.mark.parametrize("theta_bc", ["neumann", "dirichlet"])
+def test_refinement_keeps_every_eigenvalue_of_a_cluster(theta_bc):
+    # the rightmost eigenvalues near -0.3005658 lie about 1e-8 apart, in
+    # different modes; inverse iteration from one of them can settle on its
+    # neighbour, which then appears twice and the eigenvalue itself not at all
+    p = PhysParams(**{**UNIT.__dict__, "beta": 4.5, "gamma": 0.5,
+                      "theta_bc": theta_bc})
+    g = Grid(Nx=32, Nrho=32)
+    w = spectral.reduced_eigvals(g, p)[0]
+    w = w[np.argsort(-w.real)[:N_TOP]]
+    assert np.ptp(w.real) < 1e-6
+    res = spectrum_dense(g, p)
+    dist = np.abs(res.eigenvalues[:N_TOP, None] - w[None, :])
+    assert dist.min(axis=0).max() <= 1e-10 and dist.min(axis=1).max() <= 1e-10
+    assert np.unique(dist.argmin(axis=1)).size == N_TOP
+
+
 def _dirichlet(beta):
     return PhysParams(**{**UNIT.__dict__, "beta": beta, "theta_bc": "dirichlet"})
 
@@ -478,6 +511,27 @@ def test_h_weight_matches_inner_product():
         x = pack(s)
         assert float(x @ (W @ x)) == pytest.approx(
             inner_product_H(s, s, g, UNIT, xi), rel=1e-13)
+
+
+@pytest.mark.parametrize("theta_bc", ["neumann", "dirichlet"])
+@pytest.mark.parametrize("Nx,Nrho", [(6, 5), (16, 16)])
+def test_reduced_gram_matrix_is_diagonal_in_fourier_modes(theta_bc, Nx, Nrho):
+    # the pencil weight E^T W E that dissipativity_test divides out: u_k
+    # weighs (alpha + xi drho) dx g_k^2, with z(., 0) = g_k u_k; v and theta
+    # dx; each z at rho > 0 xi dx drho (the mode-0 chain too)
+    p = PhysParams(**{**UNIT.__dict__, "alpha": 0.7, "beta": 4.5,
+                      "theta_bc": theta_bc})
+    g = Grid(Nx=Nx, Nrho=Nrho)
+    xi = 1.3
+    gen = assemble_generator(g, p, modal_operators(g, p))
+    E = spectral.restriction_maps(gen)[0]
+    B = (E.T @ h_weight_matrix(gen, xi) @ E).toarray()
+    gk = 2.0 * np.sin(np.arange(1, Nx + 1) * np.pi / (2 * (Nx + 1))) / g.dx
+    n_theta = g.ntheta - (theta_bc == "neumann")
+    weights = np.r_[(p.alpha + xi * g.drho) * g.dx * gk**2, np.full(Nx, g.dx),
+                    np.full(g.nflux * Nrho, xi * g.dx * g.drho), np.full(n_theta, g.dx)]
+    assert not (B - np.diag(np.diag(B))).any()
+    assert np.diag(B) == pytest.approx(weights, rel=1e-14, abs=0.0)
 
 
 def _paper_xi_m(p):
