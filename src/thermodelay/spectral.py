@@ -2,8 +2,8 @@
 
 The delay reformulation lives on the subspace z(., 0) = u_x (with zero theta
 mean in Neumann mode).  Spectra are taken there: sparse maps E and P
-restrict the assembled generator to it.  The generator is first assembled
-in Fourier-mode coordinates (modal_operators), where the restricted matrix
+restrict the assembled generator to it.  The generator is assembled in
+Fourier-mode coordinates only (modal_operators), where the restricted matrix
 splits into fixed blocks of modes (_modal_blocks); only those blocks are
 dense.  With Neumann theta there is one small block per mode.  Dirichlet
 theta couples the cosine modes of one parity, as the reflection
@@ -12,11 +12,10 @@ even block of about half the reduced dimension each.  The Dirichlet
 abscissa alone needs no dense parity block: each block is the Neumann
 per-mode matrix plus a rank-1 theta coupling, so its rightmost eigenvalue
 is found by sparse shift-invert and confirmed by counting eigenvalues in a
-box (_counted_rightmost), with the dense block as the fallback.  The
-count's candidates come in real arithmetic at a real shift (0, and the
-rightmost pole on the over-damped branch) and in complex arithmetic only
-at a complex one.  Dense blocks are cut from one permuted copy of their
-sparse matrix (_dense_blocks).
+box (_counted_rightmost), with the dense block as the fallback.  Dense
+blocks are cut from one permuted copy of their sparse matrix
+(_dense_blocks).  Each rightmost eigenvalue is refined on the sparse block
+that holds it, with that block's residual (spectrum_dense).
 
 The dissipativity supremum is read off the same Neumann mode blocks.  The
 Gram matrix of the weighted inner product, restricted to the constrained
@@ -163,66 +162,67 @@ def _check_dense_dim(dim: int):
                              f"the limit {DENSE_MAX_DIM}")
 
 
-def reduced_eigvals(grid: Grid, p: PhysParams):
-    """Eigenvalues of the reduced generator, block by block (_modal_blocks).
+def _modal_reduced(grid: Grid, p: PhysParams) -> sp.csr_matrix:
+    """The reduced generator in Fourier-mode coordinates (modal_operators)."""
+    return reduced_generator(assemble_generator(grid, p, modal_operators(grid, p)))
 
-    The largest block is checked against DENSE_MAX_DIM before anything is
-    assembled; with Dirichlet theta the corner coupling alone has about
-    Nx^2/2 entries.  The generator is assembled in Fourier-mode coordinates.
-    Returns the eigenvalues and the mode of each (None for Dirichlet, whose
-    parity blocks mix modes).
-    """
-    blocks = _modal_blocks(grid, p.theta_bc)
-    _check_dense_dim(max(b.size for _, b in blocks))
-    R = reduced_generator(assemble_generator(grid, p, modal_operators(grid, p)))
-    w = np.concatenate([sla.eigvals(a)
-                        for a in _dense_blocks(R, [b for _, b in blocks])])
-    if p.theta_bc == "dirichlet":
-        return w, None
-    return w, np.repeat([k for k, _ in blocks], [b.size for _, b in blocks])
+
+def _block_eigvals(grid: Grid, p: PhysParams):
+    """Every QR eigenvalue of the reduced modal generator R and its mode
+    (None for Dirichlet, whose parity blocks mix modes); then R, the index
+    sets of its blocks (_modal_blocks) and each eigenvalue's block.  The
+    largest block is checked against DENSE_MAX_DIM before R is assembled:
+    the Dirichlet corner coupling alone has about Nx^2/2 entries."""
+    ks, idx = zip(*_modal_blocks(grid, p.theta_bc))
+    _check_dense_dim(max(b.size for b in idx))
+    R = _modal_reduced(grid, p)
+    w = np.concatenate([sla.eigvals(a) for a in _dense_blocks(R, idx)])
+    owner = np.repeat(np.arange(len(idx)), [b.size for b in idx])
+    modes = None if p.theta_bc == "dirichlet" else np.array(ks)[owner]
+    return w, modes, R, idx, owner
+
+
+def reduced_eigvals(grid: Grid, p: PhysParams):
+    """Eigenvalues of the reduced generator and their modes (_block_eigvals)."""
+    return _block_eigvals(grid, p)[:2]
 
 
 def spectrum_dense(grid: Grid, p: PhysParams) -> SpectrumResult:
     """All eigenvalues of the generator on the constrained state space.
 
-    Eigenvalues come from the QR algorithm (LAPACK) on the dense blocks of
-    the reduced generator (see reduced_eigvals); the N_REFINE rightmost are
-    refined by shifted inverse iteration on the sparse real-space generator,
-    assembled after reduced_eigvals' size check, and their residuals
-    reported.  A Rayleigh quotient replaces its QR value (converged) only
-    when its residual is at most RESIDUAL_TOL, it moved by at most
-    1e-12 (1 + |lambda|) since the previous iterate (the first is compared
-    with the QR value), and no other QR eigenvalue lies nearer to it;
-    otherwise the QR value stands.  The first iterate from the shift
-    1e-8 (1 + |lambda|) away is only about 1e-8 accurate, and in a cluster
-    the iteration can settle on a neighbour.  The residual is that of the
-    last iterate, and inf where the shift cannot be factored or the
-    iterate, Rayleigh quotient or residual is not finite.  Raises
-    FloatingPointError if a QR eigenvalue is not finite.
+    QR (LAPACK) gives every eigenvalue, block by block (_block_eigvals).  The
+    N_REFINE rightmost are refined by shifted inverse iteration (SuperLU) on
+    the sparse block that holds each, a Neumann mode or a Dirichlet parity
+    block, from the shift 1e-8 (1 + |lambda|).  The first iterate is only about
+    1e-8 accurate, and in a cluster the iteration can settle on a neighbour, so
+    a Rayleigh quotient replaces its QR value (converged) only when its
+    residual is at most RESIDUAL_TOL, it moved by at most 1e-12 (1 + |lambda|)
+    since the previous iterate (the first is compared with the QR value), and
+    no other QR eigenvalue lies nearer.  The residual is the block's at the
+    last iterate, in reduced coordinates, and inf where the shift cannot be
+    factored or the iterate, Rayleigh quotient or residual is not finite.
+    Raises FloatingPointError if a QR eigenvalue is not finite.
     """
-    w, modes = reduced_eigvals(grid, p)
+    w, modes, R, blocks, owner = _block_eigvals(grid, p)
     if not np.isfinite(w).all():
         raise FloatingPointError("the spectrum has a non-finite eigenvalue")
     order = np.argsort(-w.real)
     w = w[order]
-
-    A = assemble_generator(grid, p).matrix.tocsc().astype(complex)
-    n = grid.dim
-    eye = sp.identity(n, format="csc", dtype=complex)
     rng = np.random.default_rng(1234)
-
-    k = min(N_REFINE, n)
+    k = min(N_REFINE, w.size)
     residuals = np.full(k, np.inf)
     converged = np.zeros(k, dtype=bool)
     refined = w.copy()
     for i in range(k):
+        b = blocks[owner[order[i]]]
+        A = R[b][:, b].astype(complex)
         lam = w[i]
         shift = lam + 1e-8 * (1.0 + abs(lam))
         try:
-            lu = spla.splu((A - shift * eye).tocsc())
+            lu = spla.splu((A - shift * sp.identity(b.size)).tocsc())
         except RuntimeError:
             continue
-        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        x = rng.standard_normal(b.size) + 1j * rng.standard_normal(b.size)
         prev = lam
         with np.errstate(all="ignore"):   # overflow is caught below
             for _ in range(5):
@@ -352,7 +352,7 @@ def _parity_blocks(grid: Grid, p: PhysParams):
     # the theta coupling of the larger parity block is stored densely
     _check_dense_dim(grid.nflux - grid.nflux // 2)
     poles, modes = reduced_eigvals(grid, replace(p, theta_bc="neumann"))
-    R = reduced_generator(assemble_generator(grid, p, modal_operators(grid, p)))
+    R = _modal_reduced(grid, p)
     blocks = []
     for parity, (_, idx) in zip((1, 0), _modal_blocks(grid, "dirichlet")):
         blocks.append((R[idx][:, idx], np.arange(parity, grid.nflux, 2),
@@ -596,8 +596,7 @@ def dissipativity_test(grid: Grid, p: PhysParams, xi: float,
     modal = _modal_blocks(grid, "neumann")
     blocks = [b if k == 0 else b[:-1] for k, b in modal]
     _check_dense_dim(max(b.size for b in blocks))
-    pn = replace(p, theta_bc="neumann")
-    R = reduced_generator(assemble_generator(grid, pn, modal_operators(grid, pn)))
+    R = _modal_reduced(grid, replace(p, theta_bc="neumann"))
     g = _fourier_symbols(grid)[0]
     sup = -np.inf
     for (k, _), a in zip(modal, _dense_blocks(R, blocks)):

@@ -632,8 +632,9 @@ def test_sweep_point_with_linalg_error_is_a_row_error(tmp_path, cfgfile,
 def test_spectrum_whose_refinement_overflows_writes_no_nan(tmp_path, capfd):
     # at gamma = 1e300 the inverse iteration overflows: it printed two
     # RuntimeWarnings and wrote NaN eigenvalues and abscissa with exit 0.
-    # An unconverged refinement (residual above 1e-8; 5.5e120 here) writes
-    # the QR eigenvalue it started from, not its Rayleigh quotient.
+    # An unconverged refinement (residual above 1e-8; 8.0 and 5.8 here, with
+    # 6 of the 10 rows refined) writes the QR eigenvalue it started from, not
+    # its Rayleigh quotient.
     cfg = tmp_path / "run.ini"
     cfg.write_text("[model]\nbeta = 1.0\n")
     out = tmp_path / "spec"
@@ -661,8 +662,9 @@ def test_spectrum_whose_refinement_overflows_writes_no_nan(tmp_path, capfd):
 @pytest.mark.parametrize("theta_bc", ["neumann", "dirichlet"])
 def test_sweep_point_assembles_no_real_space_generator(tmp_path, monkeypatch,
                                                        theta_bc):
-    # simulate factors the (v, theta) block from the operators and the
-    # abscissa assembles in Fourier-mode coordinates alone
+    # simulate factors the (v, theta) block from the operators, the abscissa
+    # assembles in Fourier-mode coordinates alone, and spectrum refines on
+    # the Fourier-mode blocks: no command builds a real-space matrix
     from thermodelay import discretization, integrate
 
     real_space = []
@@ -674,16 +676,22 @@ def test_sweep_point_assembles_no_real_space_generator(tmp_path, monkeypatch,
             real_space.append(grid)
         return gen
 
+    def real_space_matrices(grid, theta_bc):
+        pytest.fail("a real-space G and L_theta were assembled")
+
     for module in (discretization, integrate, spectral):
         # integrate imports none; patched anyway, so an import would count
         monkeypatch.setattr(module, "assemble_generator", counted, raising=False)
+    monkeypatch.setattr(discretization, "_real_space_matrices", real_space_matrices)
     cfg2 = tmp_path / "sweep.ini"
     cfg2.write_text(BASE + "\n[sweep]\nbeta = 4.6\nspectrum = true\n")
     out = tmp_path / "sw"
-    assert _run(["sweep", "--config", str(cfg2), "--out", str(out),
-                 "--override", f"model.theta_bc={theta_bc}"]) == 0
+    bc = ["--override", f"model.theta_bc={theta_bc}"]
+    assert _run(["sweep", "--config", str(cfg2), "--out", str(out)] + bc) == 0
     row = (out / "sweep.csv").read_text().strip().split("\n")[2].split(",")
     assert float(row[6]) < 0.0 and row[-1] == ""
+    assert _run(["spectrum", "--config", str(cfg2), "--out", str(tmp_path / "sp")]
+                + bc) == 0
     assert real_space == []
 
 

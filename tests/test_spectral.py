@@ -289,6 +289,11 @@ def test_benchmark_reference_abscissa():
     assert len(res.eigenvalues) == 4352
     assert abs(res.eigenvalues[0].real - -0.29329475221755485) <= 1e-10
     assert np.all(res.rightmost_residuals <= 1e-8)
+    # the refined value against the 40-digit root (mpmath) of mode 1's
+    # characteristic function e1(s) = (s + kappa mu) q + gamma^2 mu s, with
+    # q = s (s + beta mu) + alpha mu (c/(s + c))^64, mu = (130 sin(pi/130))^2
+    # and c = Nrho/tau = 64
+    assert abs(res.eigenvalues[0] - -0.2932947522175783760153367) <= 5e-14
 
 
 def test_refinement_waits_for_the_rayleigh_quotient_to_settle():
@@ -321,6 +326,10 @@ def test_refinement_keeps_every_eigenvalue_of_a_cluster(theta_bc):
     dist = np.abs(res.eigenvalues[:N_TOP, None] - w[None, :])
     assert dist.min(axis=0).max() <= 1e-10 and dist.min(axis=1).max() <= 1e-10
     assert np.unique(dist.argmin(axis=1)).size == N_TOP
+    # each lies alone in its Neumann mode block, so every refinement settles;
+    # a Dirichlet parity block keeps half the cluster, too close for the shift
+    if theta_bc == "neumann":
+        assert res.converged.all()
 
 
 def _dirichlet(beta):
