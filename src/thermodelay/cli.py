@@ -384,6 +384,7 @@ def cmd_spectrum(cfg: RunConfig, out: Path) -> int:
                  "abscissa": abscissa,
                  "rightmost_mode": None if res.modes is None else int(res.modes[0]),
                  "rightmost_residuals": list(res.rightmost_residuals),
+                 "rightmost_refined": [bool(c) for c in res.converged],
                  "n_eigenvalues": len(w)})
     print(f"spectral abscissa = {abscissa:.16e}")
     return 0

@@ -5,12 +5,15 @@ and the exponent parameter `lam`, all auxiliary constants of the decay
 estimate follow from closed formulas, and the sufficient stability conditions
 are evaluated as exact inequalities (no asymptotic truncation).  The
 certificate is a plain record, the dict that a run's summary.json stores.
+Every row that depends on beta is explicit in it, so the damping threshold
+beta0 is in closed form as well: no search over beta.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 from .params import PhysParams
 
@@ -90,37 +93,35 @@ def _eqfond0_upper_margin(h: float) -> float:
     return h**3 * (1.0 + 3.0 * h - h**2 + h**3 + h**4)
 
 
-def _eps4_interval(p: PhysParams, lam: float, A: float, b: float, Psi: float,
-                   c_p: float) -> tuple[float, float]:
+def _eps4_interval(p: PhysParams, c) -> tuple[float, float]:
     """The bounds (lo, hi) of the admissible interval for eps4 (eqfond1)."""
-    lo = p.alpha * p.gamma * b * Psi * math.exp(2.0 * lam) / (4.0 * p.beta * p.kappa)
-    hi = 2.0 * p.alpha * (A - 1.0) / (p.gamma * b * Psi * c_p)
+    lo = p.alpha * p.gamma * c.b * c.Psi * math.exp(2.0 * c.lam) / (4.0 * p.beta * p.kappa)
+    hi = 2.0 * p.alpha * (c.A - 1.0) / (p.gamma * c.b * c.Psi * c.c_p)
     return lo, hi
 
 
-def lyapunov_constants(
-    p: PhysParams,
-    lam: float,
-    xi_factor: float = 2.0,
-    sharp_poincare: bool = False,
-) -> LyapunovConstants:
-    """Compute every auxiliary constant from (params, lam) via closed forms.
+def _eqfond2_lhs(p: PhysParams, c) -> float:
+    """eqfond2's lhs, which beta^2 must exceed; it does not depend on beta."""
+    return (c.b * c.Psi * p.alpha * math.exp(2.0 * c.lam) * c.c_p
+            + 0.5 * p.tau * c.b * c.Phi * c.eps3 * p.alpha**2 * math.exp(2.0 * c.lam))
 
-    xi is set to xi_factor times its strict lower bound 2 tau alpha^2 / beta.
+
+def _beta_free_constants(p: PhysParams, lam: float,
+                         sharp_poincare: bool = False) -> SimpleNamespace:
+    """lam, c_p, h, Gamma, Psi, Lambda, Phi, A, k, b, eps2 and eps3: the
+    constants that do not depend on beta (p.beta is not read).
+
     Raises InfeasibleLambdaError when the exact construction breaks down
     (A/k >= 2 lam Lambda^2 / Gamma, or A <= 1, or k outside (0,1)).
     """
-    if p.beta <= 0:
-        raise ValueError("beta must be strictly positive to build the constants")
     if min(p.alpha, p.gamma, p.kappa) <= 0:
         raise ValueError("alpha, gamma and kappa must be strictly positive "
                          "to build the constants")
+    lam = float(lam)
     if lam <= 0:
         raise ValueError(f"lam must be positive, got {lam}")
-    if xi_factor <= 1:
-        raise ValueError("xi_factor must exceed 1 for the strict xi bound")
 
-    alpha, beta, tau = p.alpha, p.beta, p.tau
+    tau = p.tau
     h = math.exp(-2.0 * lam)
     A = 1.0 + h - h**2 - 2.0 * h**3 - 4.0 * h**4
     k = 1.0 - h**4
@@ -133,59 +134,68 @@ def lyapunov_constants(
         raise InfeasibleLambdaError(f"lambda infeasible: k = {k} outside (0,1) at lam={lam}")
     upper_margin = _eqfond0_upper_margin(h)
     if not (upper_margin > 0.0):
-        raise InfeasibleLambdaError(
-            f"lambda infeasible: A/k >= 2 lam Lambda^2/Gamma at lam={lam}"
-        )
+        raise InfeasibleLambdaError(f"lambda infeasible: A/k >= 2 lam Lambda^2/Gamma at lam={lam}")
 
     Gamma = (1.0 - h) / (2.0 * lam)
     Psi = h * Gamma
     Lambda = Psi + Gamma
-    Phi = (
-        1.0
-        / (4.0 * lam**2)
-        * (
-            Gamma
-            - 2.0 * math.exp(-4.0 * lam)
-            + (math.exp(-6.0 * lam) - math.exp(-8.0 * lam)) / (2.0 * lam)
-        )
-    )
+    Phi = 1.0 / (4.0 * lam**2) * (Gamma - 2.0 * math.exp(-4.0 * lam)
+                                  + (math.exp(-6.0 * lam) - math.exp(-8.0 * lam)) / (2.0 * lam))
     root = math.sqrt(A * Gamma / (2.0 * lam * k))
     # Lambda - root, evaluated as (Lambda^2 - root^2)/(Lambda + root) with the
     # numerator in the same cancellation-free polynomial form
     denom = Gamma**2 * upper_margin / ((1.0 - h) * k * (Lambda + root))
     if denom <= 0.0:
         raise InfeasibleLambdaError(
-            f"lambda infeasible: Lambda - sqrt(A Gamma/(2 lam k)) <= 0 at lam={lam}"
-        )
+            f"lambda infeasible: Lambda - sqrt(A Gamma/(2 lam k)) <= 0 at lam={lam}")
 
     eps2 = math.sqrt(2.0 * lam * Gamma * k / A)
     eps3 = A * tau / (4.0 * lam * k * denom)
     b = 4.0 * lam * k / (eps2 + tau / eps3)
+    return SimpleNamespace(lam=lam, c_p=p.poincare_constant(sharp=sharp_poincare),
+                           h=h, Gamma=Gamma, Psi=Psi, Lambda=Lambda, Phi=Phi,
+                           A=A, k=k, b=b, eps2=eps2, eps3=eps3)
 
+
+def lyapunov_constants(
+    p: PhysParams,
+    lam: float,
+    xi_factor: float = 2.0,
+    sharp_poincare: bool = False,
+) -> LyapunovConstants:
+    """Compute every auxiliary constant from (params, lam) via closed forms.
+
+    xi is set to xi_factor times its strict lower bound 2 tau alpha^2 / beta.
+    Raises InfeasibleLambdaError as _beta_free_constants does.
+    """
+    if p.beta <= 0:
+        raise ValueError("beta must be strictly positive to build the constants")
+    if xi_factor <= 1:
+        raise ValueError("xi_factor must exceed 1 for the strict xi bound")
+    c = _beta_free_constants(p, lam, sharp_poincare)
+
+    alpha, beta, tau = p.alpha, p.beta, p.tau
     eps1 = alpha / beta
-    a = 0.5 * alpha * eps1 * tau * math.exp(2.0 * lam)
+    a = 0.5 * alpha * eps1 * tau * math.exp(2.0 * c.lam)
 
-    eps5 = b
-    eps6 = 2.0 * a * b * Psi / (tau * alpha)
+    eps5 = c.b
+    eps6 = 2.0 * a * c.b * c.Psi / (tau * alpha)
 
     xi = xi_factor * (2.0 * tau * alpha**2 / beta)
-    c_p = p.poincare_constant(sharp=sharp_poincare)
 
-    N1 = 1.0
-    N3 = N1
+    N1 = N3 = 1.0
     N4 = a * N1
-    N5 = a * b * N1
-    N6 = Psi / (alpha * tau) * N5
+    N5 = a * c.b * N1
+    N6 = c.Psi / (alpha * tau) * N5
     N2 = beta / alpha * N6
 
     # midpoint of the admissible interval when nonempty
-    e4_lo, e4_hi = _eps4_interval(p, lam, A, b, Psi, c_p)
+    e4_lo, e4_hi = _eps4_interval(p, c)
     eps4 = 0.5 * (e4_lo + e4_hi) if e4_lo < e4_hi else math.nan
 
     return LyapunovConstants(
-        lam=lam, xi=xi, c_p=c_p, h=h, Gamma=Gamma, Psi=Psi, Lambda=Lambda,
-        Phi=Phi, A=A, k=k, a=a, b=b, eps1=eps1, eps2=eps2, eps3=eps3, eps4=eps4,
-        eps5=eps5, eps6=eps6, N1=N1, N2=N2, N3=N3, N4=N4, N5=N5, N6=N6,
+        **vars(c), xi=xi, a=a, eps1=eps1, eps4=eps4, eps5=eps5, eps6=eps6,
+        N1=N1, N2=N2, N3=N3, N4=N4, N5=N5, N6=N6,
     )
 
 
@@ -223,10 +233,6 @@ def check_conditions(c: LyapunovConstants, p: PhysParams) -> dict:
     # quotient A/k loses the h^3-size gap to the upper bound for large lam)
     lo_ok = h * (1.0 - h - 2.0 * h**2 - 3.0 * h**3) > 0.0          # A/k > 1
     hi_ok = _eqfond0_upper_margin(h) > 0.0                         # A/k < bound
-    lhs2 = (
-        c.b * c.Psi * alpha * math.exp(2.0 * c.lam) * c.c_p
-        + 0.5 * tau * c.b * c.Phi * c.eps3 * alpha**2 * math.exp(2.0 * c.lam)
-    )
     pair_lhs = c.a * c.b * c.Psi / (tau * alpha)
     lhs_ep = 0.5 * c.N6 * c.eps6 * c.c_p + 0.5 * c.N5 * c.Phi * c.eps5
     lhs3 = c.b * c.Psi**2 * c.c_p / (beta * tau) + c.Phi * c.b
@@ -234,8 +240,8 @@ def check_conditions(c: LyapunovConstants, p: PhysParams) -> dict:
         ("xi-bound", 2.0 * tau * alpha**2 / beta, c.xi, None),
         ("eqfond0", c.A / c.k, (1.0 - math.exp(-2.0 * c.lam)) * (1.0 + h) ** 2,
          lo_ok and hi_ok),
-        ("eqfond2", lhs2, beta**2, None),
-        ("eqfond1", *_eps4_interval(p, c.lam, c.A, c.b, c.Psi, c.c_p), None),
+        ("eqfond2", _eqfond2_lhs(p, c), beta**2, None),
+        ("eqfond1", *_eps4_interval(p, c), None),
         ("ep67-pair", pair_lhs, c.eps6, c.eps6 > pair_lhs and c.eps5 > 0.5 * c.b),
         ("ep67prime", lhs_ep, 0.5 * c.N2 * alpha, None),
         ("eqfond3", lhs3, beta * c.Psi / (alpha * tau), None),
@@ -266,28 +272,28 @@ def certify(
         return _certificate([("float-range", math.inf, math.inf, False)])
 
 
-BETA0_REL_TOL = 1e-6    # relative width at which find_beta0's bisection stops
+def _beta_thresholds(p: PhysParams, lam: float, sharp_poincare: bool = False) -> dict:
+    """The least beta of each row that beta repairs, in closed form from the
+    constants that do not depend on beta (p.beta is not read).
 
-# failures no larger beta repairs: eqfond0 depends on lambda alone (both its
-# margins, and certify's infeasible-lambda row), and with xi_factor > 1 the
-# xi-bound fails only once 2 tau alpha^2 / beta underflows
-_UNREPAIRABLE = ("eqfond0", "xi-bound")
-
-
-def _doubling(rep: dict) -> float:
-    """The factor by which find_beta0 raises a failing witness: 2, or a
-    power of 2 past the doublings that still fail eqfond1.
-
-    eqfond1's lhs scales exactly as 1/beta and its rhs depends on lambda
-    alone, so every doubling below lhs/rhs fails it; the jump stops one
-    doubling short of that, so rounding never skips a doubling that passes.
+    eqfond2 needs beta^2 > its lhs, and eqfond1's lo scales as 1/beta.
+    ep67prime divided through is beta^2 > B beta + C; eqfond3 is the same
+    quadratic with C divided by e^{2 lam} > 1, so ep67prime binds first and
+    eqfond3 has no entry.  The xi-bound, ep67-pair and eqfond0 rows do not
+    depend on beta in exact arithmetic.
     """
-    for r in rep["conditions"]:
-        if r["name"] == "eqfond1" and not r["satisfied"] and r["rhs"] > 0.0:
-            ratio = r["lhs"] / r["rhs"]
-            if ratio < math.inf:
-                return 2.0 ** max(1, math.ceil(math.log2(ratio)) - 1)
-    return 2.0
+    c = _beta_free_constants(p, lam, sharp_poincare)
+    lo, hi = _eps4_interval(p.with_beta(1.0), c)
+    B = p.alpha * p.tau * c.b * c.Phi / c.Psi
+    C = p.alpha * c.Psi * math.exp(2.0 * c.lam) * c.b * c.c_p
+    return {"eqfond2": math.sqrt(_eqfond2_lhs(p, c)),
+            "eqfond1": lo / hi,
+            "ep67prime": 0.5 * (B + math.sqrt(B * B + 4.0 * C))}
+
+
+# ulps that find_beta0 may add to a closed-form threshold for rounding
+# before it gives the lambda up
+_RAISE_ULPS = 8
 
 
 def find_beta0(
@@ -296,16 +302,16 @@ def find_beta0(
     xi_factor: float = 2.0,
     sharp_poincare: bool = False,
 ) -> dict:
-    """Search the smallest certified damping coefficient over a lambda grid.
+    """The smallest certified damping coefficient over a lambda grid.
 
-    For each lambda the certified set in beta is an up-set, so a bisection on
-    [tiny, hi] locates the per-lambda crossing, where hi is the witness
-    alpha tau e^{4 lam}, doubled (past the doublings that must still fail
-    eqfond1, see _doubling) until it certifies, or until it fails a
-    condition no larger beta can repair (eqfond0 or the xi-bound) or leaves
-    the float range, which skips the lambda; the returned beta0 is the
-    minimum over the grid (an upper bound for the true threshold, since the
-    conditions are sufficient only).  p.beta is ignored.
+    Per lambda, the threshold is the largest of _beta_thresholds: every row
+    that depends on beta holds above it, and the binding row fails below it.
+    certify alone judges: the threshold is raised one ulp at a time, for
+    rounding, until it certifies.  A lambda is skipped when its constants do not exist or
+    overflow, or when certify still fails after _RAISE_ULPS raises (the
+    xi-bound underflows, or beta^2 leaves the float range).  The returned
+    beta0 is the minimum over the grid (an upper bound for the true
+    threshold, since the conditions are sufficient only).  p.beta is ignored.
     """
     lambda_grid = list(lambda_grid)
     if not lambda_grid:
@@ -315,30 +321,17 @@ def find_beta0(
     best = None
     for lam in lambda_grid:
         try:
-            hi = p.alpha * p.tau * math.exp(4.0 * lam)
-        except OverflowError:
-            continue  # witness past the float range: lambda not usable
-        # a failing witness only means the crossing lies above it, unless
-        # it fails a condition that no larger beta repairs
-        rep = {"verdict": False}
-        while 0.0 < hi < math.inf:
-            rep = certify(p.with_beta(hi), lam, **kw)
-            if rep["verdict"] or any(r["name"] in _UNREPAIRABLE and not r["satisfied"]
-                                     for r in rep["conditions"]):
+            beta = float(max(_beta_thresholds(p, lam, sharp_poincare).values()))
+        except (InfeasibleLambdaError, ArithmeticError):
+            continue
+        for _ in range(_RAISE_ULPS + 1):
+            if not (0.0 < beta < math.inf):
                 break
-            hi *= _doubling(rep)
-        if not rep["verdict"]:
-            continue  # no certified beta in the float range: lambda not usable
-        lo = 1e-300
-        # bisect the crossing: certify fails at lo, passes at hi
-        while (hi - lo) > BETA0_REL_TOL * hi:
-            mid = 0.5 * (lo + hi)
-            if certify(p.with_beta(mid), lam, **kw)["verdict"]:
-                hi = mid
-            else:
-                lo = mid
-        if best is None or hi < best[0]:
-            best = (hi, lam)
+            if certify(p.with_beta(beta), lam, **kw)["verdict"]:
+                if best is None or beta < best[0]:
+                    best = (beta, lam)
+                break
+            beta = math.nextafter(beta, math.inf)
 
     if best is None:
         raise NoFeasibleLambdaError("no feasible lambda on the grid")

@@ -477,6 +477,7 @@ def test_spectrum_outputs(tmp_path, cfgfile):
     assert summary["abscissa"] < 0.0
     assert summary["rightmost_mode"] == 1
     assert max(summary["rightmost_residuals"]) <= 1e-8
+    assert summary["rightmost_refined"] == [True] * 10
     out_d = tmp_path / "spec_d"
     assert _run(["spectrum", "--config", cfgfile, "--out", str(out_d),
                  "--override", "model.theta_bc=dirichlet"]) == 0
@@ -634,7 +635,7 @@ def test_spectrum_whose_refinement_overflows_writes_no_nan(tmp_path, capfd):
     # RuntimeWarnings and wrote NaN eigenvalues and abscissa with exit 0.
     # An unconverged refinement (residual above 1e-8; 8.0 and 5.8 here, with
     # 6 of the 10 rows refined) writes the QR eigenvalue it started from, not
-    # its Rayleigh quotient.
+    # its Rayleigh quotient, and rightmost_refined says which rows it is.
     cfg = tmp_path / "run.ini"
     cfg.write_text("[model]\nbeta = 1.0\n")
     out = tmp_path / "spec"
@@ -652,8 +653,10 @@ def test_spectrum_whose_refinement_overflows_writes_no_nan(tmp_path, capfd):
         w = spectral.reduced_eigvals(run.grid, run.params)[0]
         w = w[np.argsort(-w.real)]              # the order spectrum_dense refines in
         rows = np.loadtxt(out / "spectrum.csv", delimiter=",", skiprows=2)
-        residuals = json.loads((out / "summary.json").read_text())["rightmost_residuals"]
-        kept = [z for z, r in zip(w, residuals) if r > 1e-8]
+        summary = json.loads((out / "summary.json").read_text())
+        residuals, refined = summary["rightmost_residuals"], summary["rightmost_refined"]
+        assert not any(f for r, f in zip(residuals, refined) if r > 1e-8)
+        kept = [z for z, f in zip(w, refined) if not f]
         assert kept
         for z in kept:
             assert ((rows[:, 0] == z.real) & (rows[:, 1] == z.imag)).any(), z

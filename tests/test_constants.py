@@ -1,6 +1,7 @@
 """Closed-form constants, stability conditions and the damping threshold."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -87,7 +88,8 @@ def test_certify_fails_past_the_float_range():
     rep = certify(PhysParams(alpha=1e300, beta=1.0), 0.5)
     assert not rep["verdict"]
     assert _row(rep, "float-range")["lhs"] == math.inf
-    # the witness beta alpha tau e^{4 lam} is past the float range
+    # no constants exist at lambda = 300 or 1e308 (A rounds to 1), and at
+    # alpha = 1e308 the thresholds overflow: every lambda is skipped
     with pytest.raises(NoFeasibleLambdaError):
         find_beta0(UNIT, [300.0, 1e308])
     with pytest.raises(NoFeasibleLambdaError):
@@ -130,9 +132,9 @@ def test_find_beta0_crossing():
     assert not any(certify(UNIT.with_beta(0.999 * b0), lam)["verdict"] for lam in grid)
 
 
-def _assert_crossing(p, grid, res, rel_tol=1e-6):
+def _assert_crossing(p, grid, res, rel_tol=1e-12):
     """beta0 certifies at its lambda, and no lambda on the grid certifies
-    beta0 (1 - rel_tol): the bisection's failing end lies above it."""
+    beta0 (1 - rel_tol): beta0 is the closed-form threshold, not a bracket."""
     b0 = res["beta0"]
     assert certify(p.with_beta(b0), res["lambda_star"])["verdict"]
     assert not any(certify(p.with_beta(b0 * (1.0 - rel_tol)), lam)["verdict"]
@@ -140,8 +142,9 @@ def _assert_crossing(p, grid, res, rel_tol=1e-6):
 
 
 @pytest.mark.parametrize("p, beta0", [
-    # the witness alpha tau e^{4 lam} fails at lambda = 0.5 in both: the
-    # crossing lies above it (1.0819 > 0.1 e^2, 0.4379 > 0.025 e^2)
+    # beta = alpha tau e^{4 lam} fails at lambda = 0.5 in both: the crossing
+    # lies above it (1.0819 > 0.1 e^2, 0.4379 > 0.025 e^2); ep67prime binds
+    # in the first
     (PhysParams(tau=0.1), 1.0819056),
     (PhysParams(alpha=0.05, gamma=0.3, tau=0.5, ell=2.0), 0.4378535),
 ])
@@ -157,20 +160,21 @@ def _log_uniform(lo, hi):
     return st.floats(math.log(lo), math.log(hi)).map(math.exp)
 
 
-@settings(derandomize=True, deadline=None, max_examples=40)
+@settings(derandomize=True, deadline=None, max_examples=200)
 @given(alpha=_log_uniform(0.05, 5.0), tau=_log_uniform(0.05, 5.0),
        gamma=_log_uniform(0.3, 3.0), kappa=_log_uniform(0.3, 3.0),
-       ell=_log_uniform(0.5, 2.0))
-def test_find_beta0_crossing_everywhere(alpha, tau, gamma, kappa, ell):
-    # test_find_beta0_crossing over drawn parameters: no lambda on the grid
-    # certifies 0.999 beta0, and some lambda certifies 1.001 beta0
+       ell=_log_uniform(0.5, 2.0), sharp=st.booleans())
+def test_find_beta0_crossing_everywhere(alpha, tau, gamma, kappa, ell, sharp):
+    # test_find_beta0_crossing over drawn parameters and both Poincare
+    # constants: beta0 certifies at lambda*, some lambda certifies 1.001 beta0,
+    # and no lambda on the grid certifies 0.999 beta0 or beta0 (1 - 1e-12)
     p = PhysParams(alpha=alpha, gamma=gamma, kappa=kappa, tau=tau, ell=ell)
-    res = find_beta0(p, LAMBDA_GRID)
+    res = find_beta0(p, LAMBDA_GRID, sharp_poincare=sharp)
     b0 = res["beta0"]
-    assert any(certify(p.with_beta(1.001 * b0), lam)["verdict"] for lam in LAMBDA_GRID)
-    assert not any(certify(p.with_beta(0.999 * b0), lam)["verdict"]
-                   for lam in LAMBDA_GRID)
-    _assert_crossing(p, LAMBDA_GRID, res)
+    assert certify(p.with_beta(b0), res["lambda_star"], sharp_poincare=sharp)["verdict"]
+    for factor, certified in ((1.001, True), (0.999, False), (1.0 - 1e-12, False)):
+        assert certified == any(certify(p.with_beta(factor * b0), lam, sharp_poincare=sharp)
+                                ["verdict"] for lam in LAMBDA_GRID)
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
@@ -208,14 +212,25 @@ def test_find_beta0_empty_or_infeasible_grid():
         find_beta0(UNIT, [0.05])    # below the feasibility knee
 
 
-@pytest.mark.parametrize("p, grid, calls", [
-    (UNIT, [0.05], 1),                               # eqfond0 fails at every beta
-    (PhysParams(alpha=1e-300), LAMBDA_GRID, 11),     # 2 tau alpha^2 / beta underflows
-    (UNIT, list(np.linspace(0.05, 3.0, 11)), 212),   # two infeasible lambdas, then 0.64
-    (UNIT, LAMBDA_GRID, 255),
-])
-def test_find_beta0_skips_a_witness_no_larger_beta_repairs(monkeypatch, p, grid, calls):
-    assert _find_beta0_counted(monkeypatch, p, grid)[1] == calls
+@pytest.mark.parametrize("p, grid", [
+    (UNIT, [0.05]),                              # eqfond0 fails at every beta
+    (PhysParams(alpha=1e-300), LAMBDA_GRID),     # 2 tau alpha^2 / beta underflows
+    (PhysParams(kappa=1e-300), LAMBDA_GRID),     # beta^2 overflows before eqfond1 holds
+], ids=["eqfond0", "xi-bound", "eqfond1-overflow"])
+def test_find_beta0_skips_a_lambda_no_beta_certifies(monkeypatch, p, grid):
+    res, calls = _find_beta0_counted(monkeypatch, p, grid)
+    assert res is None
+    assert calls <= (constants._RAISE_ULPS + 1) * len(grid)
+
+
+@pytest.mark.parametrize("grid", [LAMBDA_GRID, list(np.linspace(0.05, 3.0, 11))],
+                         ids=["unit", "infeasible-head"])
+def test_find_beta0_makes_a_few_certify_calls_per_lambda(monkeypatch, grid):
+    # one certify call at the closed-form threshold, and a raise by an ulp or
+    # two for rounding; a bisection to 1e-6 needs about 20 calls a lambda
+    res, calls = _find_beta0_counted(monkeypatch, UNIT, grid)
+    assert calls <= 2 * len(grid)
+    _assert_crossing(UNIT, grid, res)
 
 
 def _find_beta0_counted(monkeypatch, p, grid):
@@ -235,20 +250,52 @@ def _find_beta0_counted(monkeypatch, p, grid):
     return res, len(seen)
 
 
-@pytest.mark.parametrize("kappa, calls, beta0", [
-    (1e-300, 343, None),     # eqfond1 fails on every lambda until beta^2 overflows
-    (1e-100, 264, "0x1.2554f87771e4fp+330"),
-])
-def test_find_beta0_jumps_past_eqfond1_failures(monkeypatch, kappa, calls, beta0):
-    # eqfond1's lhs scales as 1/beta: the doublings it still fails are
-    # skipped (11,159 and 3,772 certify calls without the jump), and the
-    # crossing found is the one the doubling finds
-    res, seen = _find_beta0_counted(monkeypatch, PhysParams(kappa=kappa), LAMBDA_GRID)
-    assert seen == calls
-    if beta0 is None:
-        assert res is None
-    else:
-        assert res["beta0"].hex() == beta0 and res["lambda_star"] == 3.0
+def test_find_beta0_crossing_where_eqfond1_binds():
+    # at kappa = 1e-100 eqfond1's lhs, which scales as 1/beta, keeps every
+    # lambda failing up to beta ~ 1e99; its closed form puts beta0 there
+    p = PhysParams(kappa=1e-100)
+    res = find_beta0(p, LAMBDA_GRID)
+    assert res["beta0"].hex() == "0x1.2554f6418da0dp+330" and res["lambda_star"] == 3.0
+    thresholds = constants._beta_thresholds(p, 3.0)
+    assert max(thresholds, key=thresholds.get) == "eqfond1"
+    _assert_crossing(p, LAMBDA_GRID, res)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(alpha=_log_uniform(0.05, 5.0), gamma=_log_uniform(0.3, 3.0),
+       kappa=_log_uniform(0.3, 3.0), tau=_log_uniform(0.05, 5.0),
+       ell=_log_uniform(0.5, 2.0), lam=_log_uniform(0.05, 12.0), sharp=st.booleans())
+def test_each_row_flips_at_its_beta_threshold(alpha, gamma, kappa, tau, ell, lam, sharp):
+    # each row that depends on beta holds just above its closed-form
+    # threshold and fails just below it; eqfond3's threshold is the root of
+    # ep67prime's quadratic with the constant term divided by e^{2 lam}
+    p = PhysParams(alpha=alpha, gamma=gamma, kappa=kappa, tau=tau, ell=ell)
+    try:
+        thresholds = constants._beta_thresholds(p, lam, sharp)
+    except InfeasibleLambdaError:
+        assume(False)
+    c = lyapunov_constants(p, lam, sharp_poincare=sharp)
+    B = alpha * tau * c.b * c.Phi / c.Psi
+    thresholds["eqfond3"] = 0.5 * (B + math.sqrt(B * B + 4.0 * alpha * c.Psi * c.b * c.c_p))
+    assert thresholds["eqfond3"] <= thresholds["ep67prime"]
+    for name, beta in thresholds.items():
+        def holds(factor):
+            rep = certify(p.with_beta(beta * factor), lam, sharp_poincare=sharp)
+            return _row(rep, name)["satisfied"]
+        assert holds(1.0 + 1e-12) and not holds(1.0 - 1e-12), name
+
+
+def test_numpy_scalars_certify_as_floats():
+    # np.linspace grids pass np.float64 lambdas: the constants take float(lam),
+    # so an overflow is the quiet failed record a float lambda gives, not a
+    # RuntimeWarning; find_beta0 hands certify a float beta, whose square
+    # raises OverflowError (a failed record) instead of warning and passing
+    p = PhysParams(beta=1e-300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert certify(p, np.float64(0.5)) == certify(p, 0.5)
+        with pytest.raises(NoFeasibleLambdaError):
+            find_beta0(PhysParams(kappa=np.float64(1e-300)), LAMBDA_GRID)
 
 
 def test_n0_positive_and_balanced_row():
