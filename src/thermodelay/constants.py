@@ -321,7 +321,7 @@ def find_beta0(
     best = None
     for lam in lambda_grid:
         try:
-            beta = float(max(_beta_thresholds(p, lam, sharp_poincare).values()))
+            beta = max(_beta_thresholds(p, lam, sharp_poincare).values())
         except (InfeasibleLambdaError, ArithmeticError):
             continue
         for _ in range(_RAISE_ULPS + 1):

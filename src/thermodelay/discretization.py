@@ -133,39 +133,36 @@ def _fourier_symbols(grid: Grid):
 
 
 def modal_operators(grid: Grid, p: PhysParams) -> Operators:
-    """build_operators in Fourier-mode coordinates.
+    """build_operators in Fourier-mode coordinates, for Neumann theta.
 
     With the orthonormal DST-I S on the interior nodes (u, v) and the
     orthonormal DCT-II C on the cells (z, theta), C^T G S maps sine mode k to
     cosine mode k with the symbol g_k = 2 sin(k pi / (2 (Nx+1))) / dx, and
     the Neumann C^T L_theta C = -diag(g)^2 with g_0 = 0 (the conserved theta
     mean).  A generator assembled from these operators is T^T A T for the
-    orthogonal T = diag(S, S, C (x) I, C).  In Neumann mode every Fourier
-    mode is its own block.  The Dirichlet corner term
+    orthogonal T = diag(S, S, C (x) I, C), and every Fourier mode is its own
+    block.  Dirichlet theta raises ValueError: its corner term
     -(2/dx^2)(e_0 e_0^T + e_Nx e_Nx^T) becomes -(4/dx^2) c_j c_k for
-    j = k (mod 2), with c = C[0] and C[Nx, j] = (-1)^j c_j, and is zero
-    otherwise: it couples the cosine modes of one parity, and the
-    generator splits into an odd and an even block (the latter with the
-    theta mean).
+    j = k (mod 2), with c = C[0], and couples the cosine modes of one
+    parity.  Its users add that rank-one term per parity to the Neumann
+    blocks themselves (spectral._parity_blocks, integrate.factor_implicit).
     """
     _check_length(grid, p)
-    return Operators(functools.partial(_modal_matrices, grid, p.theta_bc),
-                     modal=True)
+    if p.theta_bc != "neumann":
+        raise ValueError("modal_operators takes Neumann theta; the Dirichlet "
+                         "corner is added per parity by its users")
+    return Operators(functools.partial(_modal_matrices, grid), modal=True)
 
 
-def _modal_matrices(grid: Grid, theta_bc: str) -> tuple:
+def _modal_matrices(grid: Grid) -> tuple:
+    """G and the Neumann L_theta in Fourier-mode coordinates (modal_operators)."""
     import scipy.sparse as sp
-    Nx, nf = grid.Nx, grid.nflux
+    Nx = grid.Nx
     k = np.arange(1, Nx + 1)
-    g, c = _fourier_symbols(grid)
+    g = _fourier_symbols(grid)[0]
     G = sp.csr_matrix((g[1:], (k, k - 1)), shape=(Nx + 1, Nx))
     with np.errstate(over="ignore"):     # inf; spectral.reduced_generator reports it
         L = sp.diags(-g ** 2, format="csr")
-    if theta_bc == "dirichlet":
-        j = np.arange(nf)
-        row, col = np.nonzero(np.add.outer(j, j) % 2 == 0)
-        L = L - sp.csr_matrix((4.0 / grid.dx**2 * c[row] * c[col], (row, col)),
-                              shape=(nf, nf))
     return G, L
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 THETA_BC_CHOICES = ("neumann", "dirichlet")
@@ -32,6 +33,14 @@ class PhysParams:
     theta_bc: str = "neumann"
 
     def __post_init__(self):
+        # stored as float: certify turns an OverflowError into its failed
+        # float-range record, where a numpy scalar would overflow to inf
+        # with a warning
+        for name in ("alpha", "beta", "gamma", "kappa", "tau", "ell"):
+            val = getattr(self, name)
+            if not isinstance(val, numbers.Real):
+                raise TypeError(f"{name} must be a real number, got {val!r}")
+            object.__setattr__(self, name, float(val))
         for name in ("tau", "ell"):
             val = getattr(self, name)
             if not (val > 0.0 and math.isfinite(val)):

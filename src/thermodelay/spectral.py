@@ -2,20 +2,22 @@
 
 The delay reformulation lives on the subspace z(., 0) = u_x (with zero theta
 mean in Neumann mode).  Spectra are taken there: sparse maps E and P
-restrict the assembled generator to it.  The generator is assembled in
-Fourier-mode coordinates only (modal_operators), where the restricted matrix
-splits into fixed blocks of modes (_modal_blocks); only those blocks are
-dense.  With Neumann theta there is one small block per mode.  Dirichlet
-theta couples the cosine modes of one parity, as the reflection
-x -> ell - x commutes with the generator, so it splits into an odd and an
-even block of about half the reduced dimension each.  The Dirichlet
-abscissa alone needs no dense parity block: each block is the Neumann
-per-mode matrix plus a rank-1 theta coupling, so its rightmost eigenvalue
-is found by sparse shift-invert and confirmed by counting eigenvalues in a
-box (_counted_rightmost), with the dense block as the fallback.  Dense
-blocks are cut from one permuted copy of their sparse matrix
-(_dense_blocks).  Each rightmost eigenvalue is refined on the sparse block
-that holds it, with that block's residual (spectrum_dense).
+restrict the assembled generator to it.  One generator is assembled per
+call, in Fourier-mode coordinates with Neumann theta (modal_operators),
+where the restricted matrix splits into one small block per mode
+(_modal_blocks); only those blocks are dense.  Dirichlet theta couples the
+cosine modes of one parity, as the reflection x -> ell - x commutes with
+the generator, so its restricted matrix splits into an odd and an even
+block of about half the reduced dimension each.  Each parity block is
+M = D - w c c^T: D, the Neumann mode blocks of its modes, is cut from the
+Neumann matrix, and only the rank-1 theta coupling w c c^T is added
+(_parity_blocks).  The Dirichlet abscissa alone needs no dense parity
+block: its rightmost eigenvalue is found by sparse shift-invert and
+confirmed by counting eigenvalues in a box (_counted_rightmost), with the
+dense block as the fallback.  Dense blocks are cut from one permuted copy
+of their sparse matrix (_dense_blocks).  Each rightmost eigenvalue is
+refined on the sparse block that holds it, with that block's residual
+(spectrum_dense).
 
 The dissipativity supremum is read off the same Neumann mode blocks.  The
 Gram matrix of the weighted inner product, restricted to the constrained
@@ -116,29 +118,21 @@ def reduced_generator(gen: Generator) -> sp.csr_matrix:
     return R
 
 
-def _modal_blocks(grid: Grid, theta_bc: str) -> list[tuple[int | None, np.ndarray]]:
-    """The blocks of the reduced generator in Fourier-mode coordinates, as
-    (mode, ascending reduced indices), ordered by first index.
+def _modal_blocks(grid: Grid) -> list[tuple[int, np.ndarray]]:
+    """The blocks of the reduced Neumann generator in Fourier-mode
+    coordinates, as (mode, ascending reduced indices), ordered by first
+    index.
 
-    Each mode k = 1..Nx has Nrho + 3 reduced coordinates (u, v, z at
-    rho > 0, theta; see restriction_maps) and the mode-0 transport chain has
-    Nrho.  With Neumann theta each mode is a block of its own.  With
-    Dirichlet theta the corner coupling joins the modes of one parity: the
-    odd modes, then the even modes with the theta mean (mode None for
-    both).  The chain comes last.  These are the weakly connected components
+    Each mode k = 1..Nx is a block of Nrho + 3 reduced coordinates (u, v,
+    z at rho > 0, theta; see restriction_maps), and the mode-0 transport
+    chain, of Nrho, comes last.  These are the weakly connected components
     of the reduced generator's sparsity graph.
     """
     Nx, Nrho = grid.Nx, grid.Nrho
-
-    def block(k, theta):      # the modes k with the theta coordinates theta
-        z = 2 * Nx + k[:, None] * Nrho + np.arange(Nrho)
-        return np.r_[k - 1, Nx + k - 1, z.ravel(), 2 * Nx + grid.nflux * Nrho + theta]
-
-    chain = (0, 2 * Nx + np.arange(Nrho))
-    if theta_bc == "neumann":     # no theta mean: theta of cosine k is k - 1
-        return [(k, block(np.array([k]), k - 1)) for k in range(1, Nx + 1)] + [chain]
-    odd, even = np.arange(1, Nx + 1, 2), np.arange(2, Nx + 1, 2)
-    return [(None, block(odd, odd)), (None, block(even, np.r_[0, even])), chain]
+    z = 2 * Nx + np.arange(Nrho)
+    theta = 2 * Nx + grid.nflux * Nrho - 1    # no theta mean: cosine k is k - 1
+    return ([(k, np.r_[k - 1, Nx + k - 1, z + k * Nrho, theta + k])
+             for k in range(1, Nx + 1)] + [(0, z)])
 
 
 def _dense_blocks(A: sp.spmatrix, blocks: list[np.ndarray]) -> Iterator[np.ndarray]:
@@ -163,23 +157,39 @@ def _check_dense_dim(dim: int):
 
 
 def _modal_reduced(grid: Grid, p: PhysParams) -> sp.csr_matrix:
-    """The reduced generator in Fourier-mode coordinates (modal_operators)."""
+    """The reduced generator in Fourier-mode coordinates (modal_operators),
+    with Neumann theta whatever p's theta_bc: its blocks are _modal_blocks."""
+    p = replace(p, theta_bc="neumann")
     return reduced_generator(assemble_generator(grid, p, modal_operators(grid, p)))
 
 
-def _block_eigvals(grid: Grid, p: PhysParams):
-    """Every QR eigenvalue of the reduced modal generator R and its mode
-    (None for Dirichlet, whose parity blocks mix modes); then R, the index
-    sets of its blocks (_modal_blocks) and each eigenvalue's block.  The
-    largest block is checked against DENSE_MAX_DIM before R is assembled:
-    the Dirichlet corner coupling alone has about Nx^2/2 entries."""
-    ks, idx = zip(*_modal_blocks(grid, p.theta_bc))
+def _mode_eigvals(grid: Grid, p: PhysParams):
+    """Every QR eigenvalue of the reduced Neumann modal generator R and its
+    Fourier mode, whatever p's theta_bc; then R, the index sets of its
+    blocks (_modal_blocks) and each eigenvalue's block.  The largest block
+    is checked against DENSE_MAX_DIM before R is assembled."""
+    ks, idx = zip(*_modal_blocks(grid))
     _check_dense_dim(max(b.size for b in idx))
     R = _modal_reduced(grid, p)
     w = np.concatenate([sla.eigvals(a) for a in _dense_blocks(R, idx)])
     owner = np.repeat(np.arange(len(idx)), [b.size for b in idx])
-    modes = None if p.theta_bc == "dirichlet" else np.array(ks)[owner]
-    return w, modes, R, idx, owner
+    return w, np.array(ks)[owner], R, idx, owner
+
+
+def _block_eigvals(grid: Grid, p: PhysParams):
+    """_mode_eigvals for Neumann theta.  For Dirichlet theta the same, with
+    mode None, of R = diag(odd block, even block, chain) (_parity_blocks):
+    the larger parity block, (Nx + 1) // 2 odd or Nx // 2 even modes of
+    Nrho + 3 rows and the theta mean, is checked before any assembly."""
+    if p.theta_bc == "neumann":
+        return _mode_eigvals(grid, p)
+    Nx, n = grid.Nx, grid.Nrho + 3
+    _check_dense_dim(max((Nx + 1) // 2 * n, Nx // 2 * n + 1))
+    blocks = [M for M, _, _ in _parity_blocks(grid, p)]
+    R = sp.block_diag(blocks, format="csr")
+    idx = np.split(np.arange(R.shape[0]), np.cumsum([M.shape[0] for M in blocks])[:-1])
+    w = np.concatenate([sla.eigvals(a) for a in _dense_blocks(R, idx)])
+    return w, None, R, idx, np.repeat(np.arange(len(idx)), [b.size for b in idx])
 
 
 def reduced_eigvals(grid: Grid, p: PhysParams):
@@ -273,7 +283,7 @@ def _dirichlet_rightmost(grid: Grid, p: PhysParams) -> np.ndarray:
     (_sharpened).  The mode-0 transport chain is the same as in Neumann
     mode.
     """
-    chain, blocks = _parity_blocks(grid, p)
+    *blocks, (_, _, chain) = _parity_blocks(grid, p)
     out = [chain]
     for M, theta, poles in blocks:
         lam = _counted_rightmost(M, theta, poles, grid, p)
@@ -338,27 +348,49 @@ def _sharpened(M: sp.spmatrix, w: np.ndarray) -> complex:
 
 
 def _parity_blocks(grid: Grid, p: PhysParams):
-    """The Dirichlet spectrum's pieces in Fourier-mode coordinates.
+    """The blocks of the reduced Dirichlet generator in Fourier-mode
+    coordinates, as (M, theta, poles): the odd and the even parity block,
+    then the mode-0 transport chain.
 
-    Returns the eigenvalues of the mode-0 transport chain and, for the odd
-    and the even cosine modes, (M, theta, poles): the sparse parity block M
-    of the reduced generator, its theta modes, and the eigenvalues of D.
-    M = D - w c c^T, where D is the Neumann per-mode block-diagonal matrix
-    of its modes (and 0 for the theta mean), w = 4 kappa/dx^2 and c the
-    corner cosines on its theta modes; so det(M - sI) = det(D - sI) F(s)
-    with the scalar F of _secular.  The eigenvalues of D come per mode from
-    the Neumann generator (reduced_eigvals).
+    M is the sparse block, theta its cosine modes and poles the eigenvalues
+    of D, where M = D - w c c^T: D is the Neumann per-mode block-diagonal
+    matrix of its modes (and 0 for the theta mean), w = 4 kappa/dx^2 and c
+    the corner cosines on its theta modes.  So det(M - sI) = det(D - sI) F(s)
+    with the scalar F of _secular.  M is cut from the reduced Neumann
+    generator, whose mode blocks also give the poles (_mode_eigvals), in
+    the order u, v, z, theta of its modes, the even block with a theta-mean
+    row and column; only its theta-theta block,
+    kappa (-diag(g^2) - (4/dx^2) c c^T), is written here.  The chain has
+    no theta mode: M = D.
     """
     # the theta coupling of the larger parity block is stored densely
-    _check_dense_dim(grid.nflux - grid.nflux // 2)
-    poles, modes = reduced_eigvals(grid, replace(p, theta_bc="neumann"))
-    R = _modal_reduced(grid, p)
+    nf = grid.nflux
+    _check_dense_dim(nf - nf // 2)
+    poles, modes, R, idx, _ = _mode_eigvals(grid, p)
+    g, c = _fourier_symbols(grid)
     blocks = []
-    for parity, (_, idx) in zip((1, 0), _modal_blocks(grid, "dirichlet")):
-        blocks.append((R[idx][:, idx], np.arange(parity, grid.nflux, 2),
-                       np.r_[poles[(modes % 2 == parity) & (modes > 0)],
-                             np.zeros(parity ^ 1)]))
-    return poles[modes == 0], blocks
+    for parity in (1, 0):
+        theta = np.arange(parity, nf, 2)           # even: with the theta mean
+        B = np.array([idx[k - 1] for k in theta[theta > 0]])     # mode blocks
+        cut = np.r_[B[:, 0], B[:, 1], B[:, 2:-1].ravel(), B[:, -1]]
+        n, mean = cut.size - B.shape[0], parity ^ 1     # (u, v, z) rows; the mean
+        D = R[cut][:, cut].tocoo()
+        off = (D.row < n) | (D.col < n)        # all but D's theta diagonal
+        at = np.r_[np.arange(n), np.arange(n + mean, n + theta.size)]  # rows in M
+        with np.errstate(over="ignore", invalid="ignore"):
+            L = -np.multiply.outer(4.0 / grid.dx**2 * c[theta], c[theta])
+            L[np.diag_indices_from(L)] -= g[theta] ** 2
+            L *= p.kappa
+        if not np.isfinite(L).all():
+            raise FloatingPointError("the generator has a non-finite entry")
+        i, j = np.nonzero(L)
+        M = sp.csr_matrix((np.r_[D.data[off], L[i, j]],
+                           (np.r_[at[D.row[off]], n + i], np.r_[at[D.col[off]], n + j])),
+                          shape=(n + theta.size,) * 2)
+        blocks.append((M, theta, np.r_[poles[(modes % 2 == parity) & (modes > 0)],
+                                       np.zeros(mean)]))
+    chain = idx[-1]
+    return blocks + [(R[chain][:, chain], np.arange(0), poles[modes == 0])]
 
 
 def _secular(s: np.ndarray, grid: Grid, p: PhysParams,
@@ -593,10 +625,10 @@ def dissipativity_test(grid: Grid, p: PhysParams, xi: float,
         m = p.alpha**2 / p.beta + xi / (2.0 * p.tau)
 
     # each mode's block without its theta coordinate, the last one
-    modal = _modal_blocks(grid, "neumann")
+    modal = _modal_blocks(grid)
     blocks = [b if k == 0 else b[:-1] for k, b in modal]
     _check_dense_dim(max(b.size for b in blocks))
-    R = _modal_reduced(grid, replace(p, theta_bc="neumann"))
+    R = _modal_reduced(grid, p)
     g = _fourier_symbols(grid)[0]
     sup = -np.inf
     for (k, _), a in zip(modal, _dense_blocks(R, blocks)):

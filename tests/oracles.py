@@ -1,14 +1,15 @@
 """Reference code of the test suite: a hand-coded right-hand side, the
 weighted state-space inner product and its Gram matrix, random states, the
-n1 row residual, the real-space stepper and the inverse of the modal
-transform.
+n1 row residual, the real-space stepper, the inverse of the modal
+transform, and the Dirichlet operators in Fourier-mode coordinates with
+the blocks of their reduced generator.
 
 The package never calls these; they are independent oracles for the
 assembled generator, the energies, the dissipativity supremum, the
-Lyapunov constants and the modal stepper.  The real-space stepper
-(ImplicitFactor, factor_implicit, step_imex) is the package's former one:
-one sparse LU (SuperLU) of the (v, theta) block, stepping real-space
-states and strain histories.
+Lyapunov constants, the modal stepper and the Dirichlet parity blocks.
+The real-space stepper (ImplicitFactor, factor_implicit, step_imex) is the
+package's former one: one sparse LU (SuperLU) of the (v, theta) block,
+stepping real-space states and strain histories.
 """
 
 from __future__ import annotations
@@ -23,7 +24,9 @@ import scipy.sparse.linalg as spla
 
 from thermodelay.constants import LyapunovConstants
 from thermodelay.delay import HistoryBuffer
-from thermodelay.discretization import (Generator, State, _vtheta_blocks,
+from thermodelay import discretization
+from thermodelay.discretization import (Generator, Operators, State,
+                                        _fourier_symbols, _vtheta_blocks,
                                         build_operators, modal_state)
 from thermodelay.grid import Grid, NumericalBlowupError, grad_u
 from thermodelay.params import PhysParams
@@ -107,6 +110,42 @@ def random_state(grid: Grid, p: PhysParams, rng: np.random.Generator,
 def n1_equality_residual(c: LyapunovConstants, p: PhysParams) -> float:
     """Residual of the balanced row -N4 e^{-2 lam}/tau + N1 alpha eps1/2 (zero by construction)."""
     return -c.N4 * math.exp(-2.0 * c.lam) / p.tau + 0.5 * c.N1 * p.alpha * c.eps1
+
+
+def modal_operators(grid: Grid, p: PhysParams) -> Operators:
+    """discretization.modal_operators for either theta_bc.  With Dirichlet
+    theta, L_theta is the Neumann one minus the corner term (4/dx^2) c_j c_k
+    on the cosine modes j = k (mod 2), c = C[0]; the Fourier transform of
+    the real-space corner -(2/dx^2)(e_0 e_0^T + e_Nx e_Nx^T)."""
+    ops = discretization.modal_operators(grid, replace(p, theta_bc="neumann"))
+    if p.theta_bc == "neumann":
+        return ops
+
+    def matrices():
+        nf, c = grid.nflux, _fourier_symbols(grid)[1]
+        j = np.arange(nf)
+        row, col = np.nonzero(np.add.outer(j, j) % 2 == 0)
+        corner = sp.csr_matrix((4.0 / grid.dx**2 * c[row] * c[col], (row, col)),
+                               shape=(nf, nf))
+        return ops.G, ops.L_theta - corner
+
+    return Operators(matrices, modal=True)
+
+
+def parity_blocks(grid: Grid) -> list[np.ndarray]:
+    """The blocks of the reduced Dirichlet generator of modal_operators, as
+    ascending index sets: the odd cosine modes, the even ones with the theta
+    mean, then the mode-0 transport chain.  Each mode k = 1..Nx has the
+    reduced coordinates u, v, z at rho > 0 and theta (see
+    spectral.restriction_maps); the chain has Nrho."""
+    Nx, Nrho = grid.Nx, grid.Nrho
+
+    def block(k, theta):      # the modes k with the theta coordinates theta
+        z = 2 * Nx + k[:, None] * Nrho + np.arange(Nrho)
+        return np.r_[k - 1, Nx + k - 1, z.ravel(), 2 * Nx + grid.nflux * Nrho + theta]
+
+    odd, even = np.arange(1, Nx + 1, 2), np.arange(2, Nx + 1, 2)
+    return [block(odd, odd), block(even, np.r_[0, even]), 2 * Nx + np.arange(Nrho)]
 
 
 def modal_start(state: State) -> tuple[State, HistoryBuffer]:

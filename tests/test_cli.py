@@ -667,16 +667,17 @@ def test_sweep_point_assembles_no_real_space_generator(tmp_path, monkeypatch,
                                                        theta_bc):
     # simulate factors the (v, theta) block from the operators, the abscissa
     # assembles in Fourier-mode coordinates alone, and spectrum refines on
-    # the Fourier-mode blocks: no command builds a real-space matrix
+    # the Fourier-mode blocks: no command builds a real-space matrix.  Each
+    # spectral call assembles one generator, with Neumann theta: the
+    # Dirichlet parity blocks are cut from it
     from thermodelay import discretization, integrate
 
-    real_space = []
+    real_space, modal = [], []
     assemble = discretization.assemble_generator
 
     def counted(grid, p, ops=None):
         gen = assemble(grid, p, ops)
-        if not gen.ops.modal:
-            real_space.append(grid)
+        (modal if gen.ops.modal else real_space).append(p.theta_bc)
         return gen
 
     def real_space_matrices(grid, theta_bc):
@@ -696,6 +697,14 @@ def test_sweep_point_assembles_no_real_space_generator(tmp_path, monkeypatch,
     assert _run(["spectrum", "--config", str(cfg2), "--out", str(tmp_path / "sp")]
                 + bc) == 0
     assert real_space == []
+    g, p = Grid(Nx=8, Nrho=8), PhysParams(beta=4.6, theta_bc=theta_bc)
+    for call in (spectral.spectral_abscissa, spectral.spectrum_dense):
+        modal.clear()
+        call(g, p)
+        assert modal == ["neumann"], call.__name__
+    if theta_bc == "dirichlet":
+        with pytest.raises(ValueError, match="takes Neumann theta"):
+            discretization.modal_operators(g, p)
 
 
 def test_sweep_point_with_overflowing_block_is_a_row_error(tmp_path, cfgfile):

@@ -288,14 +288,30 @@ def test_each_row_flips_at_its_beta_threshold(alpha, gamma, kappa, tau, ell, lam
 def test_numpy_scalars_certify_as_floats():
     # np.linspace grids pass np.float64 lambdas: the constants take float(lam),
     # so an overflow is the quiet failed record a float lambda gives, not a
-    # RuntimeWarning; find_beta0 hands certify a float beta, whose square
-    # raises OverflowError (a failed record) instead of warning and passing
+    # RuntimeWarning; PhysParams stores a float beta, whose square raises
+    # OverflowError (a failed record) instead of warning and passing
     p = PhysParams(beta=1e-300)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert certify(p, np.float64(0.5)) == certify(p, 0.5)
         with pytest.raises(NoFeasibleLambdaError):
             find_beta0(PhysParams(kappa=np.float64(1e-300)), LAMBDA_GRID)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_numpy_beta_gives_the_float_record():
+    # beta = np.float64(1e200) squared to inf with a warning and certified;
+    # stored as a float, it overflows as beta = 1e200 does: the failed
+    # float-range record.  Non-numbers are refused
+    want = certify(PhysParams(beta=1e200), 0.5)
+    assert [r["name"] for r in want["conditions"]] == ["float-range"]
+    got = certify(PhysParams(beta=np.float64(1e200)), 0.5)
+    assert repr(got) == repr(want)
+    p = PhysParams(alpha=np.float32(0.5), beta=np.int64(3), tau=np.float64(2.0))
+    assert all(type(getattr(p, name)) is float
+               for name in ("alpha", "beta", "gamma", "kappa", "tau", "ell"))
+    with pytest.raises(TypeError, match="beta must be a real number"):
+        PhysParams(beta="2")
 
 
 def test_n0_positive_and_balanced_row():

@@ -15,6 +15,7 @@ from thermodelay.params import PhysParams
 from thermodelay.spectral import (dissipativity_test, reduced_eigvals,
                                   spectral_abscissa, spectrum_dense)
 
+import oracles
 from oracles import apply_rhs, inner_product_H, random_state
 
 P = PhysParams(alpha=1.0, beta=2.0, gamma=1.0, kappa=1.0, tau=1.0, ell=1.0)
@@ -45,7 +46,12 @@ def test_grid_length_must_be_the_models(build, theta_bc):
     p = PhysParams(beta=4.5, ell=2.0, theta_bc=theta_bc)
     with pytest.raises(ValueError, match=r"grid length ell = 1\.0 .* ell = 2\.0"):
         build(Grid(Nx=8, Nrho=8), p)
-    build(Grid(Nx=8, Nrho=8, ell=2.0), p)
+    if build is modal_operators and theta_bc == "dirichlet":
+        # checked after the length: the Fourier-mode operators are Neumann's
+        with pytest.raises(ValueError, match="takes Neumann theta"):
+            build(Grid(Nx=8, Nrho=8, ell=2.0), p)
+    else:
+        build(Grid(Nx=8, Nrho=8, ell=2.0), p)
 
 
 def test_dirichlet_laplacian_sine_eigenvector():
@@ -176,12 +182,13 @@ def _fourier_basis(g):
 
 @pytest.mark.parametrize("Nx,Nrho", [(16, 8), (17, 5)])
 def test_modal_generator_is_fourier_transform_of_real_space(Nx, Nrho):
+    # the package's Neumann operators and the oracle's Dirichlet ones
     g = Grid(Nx=Nx, Nrho=Nrho)
     T = _fourier_basis(g)
     assert np.allclose(T.T @ T, np.eye(g.dim), atol=1e-13)
     pd = PhysParams(**{**P.__dict__, "theta_bc": "dirichlet"})
     for p in (P, pd):
-        ops = modal_operators(g, p)
+        ops = oracles.modal_operators(g, p)
         modal = assemble_generator(g, p, ops).matrix.toarray()
         TAT = T.T @ assemble_generator(g, p).matrix.toarray() @ T
         assert np.max(np.abs(modal - TAT)) <= 1e-13 * np.max(np.abs(TAT))

@@ -17,8 +17,8 @@ from thermodelay.constants import f_weight, lyapunov_constants
 from thermodelay.delay import HistoryBuffer, init_history
 from thermodelay.discretization import (Grid, State, _vtheta_blocks,
                                         assemble_generator, build_operators,
-                                        grad_u, modal_operators, modal_state,
-                                        pack, strain, unpack)
+                                        grad_u, modal_state, pack, strain,
+                                        unpack)
 from thermodelay.integrate import (NumericalBlowupError, expm_oracle,
                                    factor_implicit, simulate, step_imex)
 from thermodelay.observables import (decay_rate_fit, energy,
@@ -52,9 +52,9 @@ def _real_space_step_map(fac, x):
 
 def _modal_block(grid, p):
     """The (v, theta) block of the generator in Fourier-mode coordinates,
-    dense, from modal_operators."""
+    dense, from the oracle's modal_operators (Dirichlet corner included)."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return sp.bmat(_vtheta_blocks(modal_operators(grid, p), p)).toarray()
+        return sp.bmat(_vtheta_blocks(oracles.modal_operators(grid, p), p)).toarray()
 
 
 def test_factor_identity_when_unstiff():
@@ -102,8 +102,9 @@ def test_factor_determinism():
 def test_factor_matrices_match_per_block_formula(theta_bc, beta, gamma, kappa):
     # the per-mode coefficients are the 2 x 2 blocks of I + (1 - w) dt M and
     # of (I - w dt M)^-1 without the Dirichlet corner, for M the (v, theta)
-    # block beta D G, -gamma D, -gamma G, kappa L_theta of modal_operators;
-    # the step solves like a dense LU of the whole block, corner included
+    # block beta D G, -gamma D, -gamma G, kappa L_theta of the oracle's
+    # modal_operators; the step solves like a dense LU of the whole block,
+    # corner included
     p = PhysParams(alpha=1.0, beta=beta, gamma=gamma, kappa=kappa, tau=1.0,
                    theta_bc=theta_bc)
     rng = np.random.default_rng(5)

@@ -15,12 +15,13 @@ from thermodelay import spectral
 from thermodelay.constants import find_beta0, lyapunov_constants
 from thermodelay.discretization import (DenseSizeError, Grid,
                                         assemble_generator, build_operators,
-                                        modal_operators, pack)
+                                        pack)
 from thermodelay.params import PhysParams
 from thermodelay.spectral import (dissipativity_test, spectral_abscissa,
                                   spectrum_dense)
 from thermodelay.spectral import reduced_generator
 
+import oracles
 from oracles import h_weight_matrix, inner_product_H, random_state
 
 UNIT = PhysParams(alpha=1.0, beta=1.0, gamma=1.0, kappa=1.0, tau=1.0, ell=1.0)
@@ -154,20 +155,21 @@ def test_dense_size_guard(certified, monkeypatch):
 @pytest.mark.parametrize("Nx,Nrho", [(3, 2), (4, 2), (17, 5), (32, 32)])
 def test_modal_blocks_are_the_connected_components(theta_bc, Nx, Nrho):
     # the fixed layout equals a generic search of the sparsity graph: the
-    # same index sets in the same order, each mode's block labelled by it
+    # same index sets in the same order, each mode's block labelled by it.
+    # Dirichlet: the oracle's parity blocks, which the parity-block test
+    # slices, of the oracle's generator
     g = Grid(Nx=Nx, Nrho=Nrho)
     p = PhysParams(**{**UNIT.__dict__, "beta": 4.5, "theta_bc": theta_bc})
-    R = reduced_generator(assemble_generator(g, p, modal_operators(g, p)))
-    blocks = spectral._modal_blocks(g, theta_bc)
+    R = reduced_generator(assemble_generator(g, p, oracles.modal_operators(g, p)))
+    if theta_bc == "neumann":
+        modes, blocks = zip(*spectral._modal_blocks(g))
+        assert modes == tuple(range(1, Nx + 1)) + (0,)
+    else:
+        blocks = oracles.parity_blocks(g)
     components = _components(R)
     assert len(blocks) == len(components)
-    for (_, b), c in zip(blocks, components):
+    for b, c in zip(blocks, components):
         assert np.array_equal(b, c)
-    modes = [k for k, _ in blocks]
-    if theta_bc == "neumann":
-        assert modes == list(range(1, Nx + 1)) + [0]
-    else:
-        assert modes == [None, None, 0]
 
 
 @pytest.mark.parametrize("theta_bc", ["neumann", "dirichlet"])
@@ -177,11 +179,13 @@ def test_dense_blocks_equal_the_fancy_slices(theta_bc, Nx, Nrho):
     # for index sets that are neither contiguous nor sorted
     g = Grid(Nx=Nx, Nrho=Nrho)
     p = PhysParams(**{**UNIT.__dict__, "beta": 4.5, "theta_bc": theta_bc})
-    R = reduced_generator(assemble_generator(g, p, modal_operators(g, p)))
+    R = reduced_generator(assemble_generator(g, p, oracles.modal_operators(g, p)))
     rng = np.random.default_rng(Nx * Nrho)
     n = R.shape[0]
     scattered = [rng.permutation(n)[:size] for size in (1, 5, n // 3)]
-    for blocks in ([b for _, b in spectral._modal_blocks(g, theta_bc)],
+    modal = ([b for _, b in spectral._modal_blocks(g)] if theta_bc == "neumann"
+             else oracles.parity_blocks(g))
+    for blocks in (modal,
                    scattered, [np.arange(n)[::-2], np.array([n - 1, 0])]):
         cut = list(spectral._dense_blocks(R, blocks))
         assert len(cut) == len(blocks)
@@ -189,6 +193,29 @@ def test_dense_blocks_equal_the_fancy_slices(theta_bc, Nx, Nrho):
             ref = R[b][:, b].toarray()
             assert a.dtype == ref.dtype and a.shape == ref.shape
             assert a.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("Nx,Nrho,model", [
+    (8, 8, {}), (6, 5, {"kappa": 0.37, "gamma": 2.3, "beta": 0.7, "ell": 1.7}),
+    (32, 32, {}), (8, 8, {"kappa": 0.0})])
+def test_parity_blocks_are_the_slices_of_the_dirichlet_generator(Nx, Nrho, model):
+    # each block, cut from the Neumann generator with its theta-theta block
+    # written per parity, is stored exactly like the slice of the Dirichlet
+    # generator assembled whole (same data, indices and indptr); at
+    # kappa = 0 neither stores a theta-theta entry
+    p = PhysParams(**{**UNIT.__dict__, "beta": 4.5, "theta_bc": "dirichlet",
+                      **model})
+    g = Grid(Nx=Nx, Nrho=Nrho, ell=p.ell)
+    R = reduced_generator(assemble_generator(g, p, oracles.modal_operators(g, p)))
+    blocks = spectral._parity_blocks(g, p)
+    assert len(blocks) == 3
+    for (M, theta, _), b in zip(blocks, oracles.parity_blocks(g)):
+        want = R[b][:, b]
+        for name in ("data", "indices", "indptr"):
+            a, c = getattr(M, name), getattr(want, name)
+            assert a.dtype == c.dtype and a.tobytes() == c.tobytes(), (b.size, name)
+    assert [t.tolist() for _, t, _ in blocks] == [list(range(1, Nx + 1, 2)),
+                                                  list(range(0, Nx + 1, 2)), []]
 
 
 @pytest.mark.parametrize("theta_bc,N,ref", [("neumann", 64, -0.2140881138550164),
@@ -259,7 +286,7 @@ def test_modal_spectrum_matches_dense(certified, theta_bc, damped, Nx, Nrho):
         assert len(modes) == len(w_modal)
     else:
         # two parity blocks, the even one with the theta mean, and the chain
-        R = reduced_generator(assemble_generator(g, p, modal_operators(g, p)))
+        R = reduced_generator(assemble_generator(g, p, oracles.modal_operators(g, p)))
         sizes = sorted(b.size for b in _components(R))
         assert modes is None
         assert sizes == sorted([Nrho, Nx // 2 * (Nrho + 3) + 1,
@@ -380,7 +407,7 @@ def test_dirichlet_count_matches_dense_count(beta):
     # the edges only uniformly, bisected the same way, miscounts at beta = 0.
     g = Grid(Nx=32, Nrho=32)
     p = _dirichlet(beta)
-    M, theta, poles = spectral._parity_blocks(g, p)[1][0]
+    M, theta, poles = spectral._parity_blocks(g, p)[0]
     w = sla.eigvals(M.toarray())
     a = w.real.max()
     near = np.r_[poles, w]
@@ -417,7 +444,7 @@ def test_dirichlet_abscissa_falls_back_when_candidates_miss(monkeypatch, beta,
         return w[w.real < w.real.max() - 1e-9]
 
     monkeypatch.setattr(spectral, "_rightmost_candidates", candidates)
-    for M, theta, poles in spectral._parity_blocks(g, p)[1]:
+    for M, theta, poles in spectral._parity_blocks(g, p)[:2]:
         assert spectral._counted_rightmost(M, theta, poles, g, p) is None
     assert abs(spectral_abscissa(g, p)[0] - ref) <= 1e-12
 
@@ -532,7 +559,7 @@ def test_reduced_gram_matrix_is_diagonal_in_fourier_modes(theta_bc, Nx, Nrho):
                       "theta_bc": theta_bc})
     g = Grid(Nx=Nx, Nrho=Nrho)
     xi = 1.3
-    gen = assemble_generator(g, p, modal_operators(g, p))
+    gen = assemble_generator(g, p, oracles.modal_operators(g, p))
     E = spectral.restriction_maps(gen)[0]
     B = (E.T @ h_weight_matrix(gen, xi) @ E).toarray()
     gk = 2.0 * np.sin(np.arange(1, Nx + 1) * np.pi / (2 * (Nx + 1))) / g.dx
