@@ -14,7 +14,9 @@ every point itself; its outputs do not depend on the number of CPUs.
 Neither numpy nor scipy is imported up front: the commands import their
 layers when they run.  `certify` and config loading import neither,
 `simulate` imports numpy alone (its stepper works per Fourier mode), and
-`spectrum` and a sweep with spectra import scipy as well.
+`spectrum` and a sweep with spectra import scipy as well: scipy.linalg and
+scipy.sparse with Neumann theta, and with Dirichlet theta also
+scipy.sparse.linalg (SuperLU, ARPACK).
 """
 
 from __future__ import annotations

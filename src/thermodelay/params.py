@@ -44,13 +44,13 @@ class PhysParams:
         for name in ("tau", "ell"):
             val = getattr(self, name)
             if not (val > 0.0 and math.isfinite(val)):
-                raise ValueError(f"{name} must be strictly positive, got {val}")
+                raise ValueError(f"{name} must be finite and strictly positive, got {val}")
         # the model takes alpha, gamma, kappa strictly positive, but their
         # zero limits are meaningful for decoupling/degenerate-case checks
         for name in ("alpha", "beta", "gamma", "kappa"):
             val = getattr(self, name)
             if not (val >= 0.0 and math.isfinite(val)):
-                raise ValueError(f"{name} must be nonnegative, got {val}")
+                raise ValueError(f"{name} must be finite and nonnegative, got {val}")
         if self.theta_bc not in THETA_BC_CHOICES:
             raise ValueError(
                 f"theta_bc must be one of {THETA_BC_CHOICES}, got {self.theta_bc!r}"

@@ -14,10 +14,12 @@ Neumann matrix, and only the rank-1 theta coupling w c c^T is added
 (_parity_blocks).  The Dirichlet abscissa alone needs no dense parity
 block: its rightmost eigenvalue is found by sparse shift-invert and
 confirmed by counting eigenvalues in a box (_counted_rightmost), with the
-dense block as the fallback.  Dense blocks are cut from one permuted copy
-of their sparse matrix (_dense_blocks).  Each rightmost eigenvalue is
-refined on the sparse block that holds it, with that block's residual
-(spectrum_dense).
+dense block as the fallback.  Dense mode blocks are cut from one permuted
+copy of their sparse matrix (_dense_blocks).  Each rightmost eigenvalue is
+refined on the block that holds it, with that block's residual
+(spectrum_dense): densely (numpy) on a Neumann mode block, by SuperLU on a
+sparse Dirichlet parity block.  scipy.sparse.linalg (SuperLU, ARPACK) is
+imported by the Dirichlet code alone, when it runs.
 
 The dissipativity supremum is read off the same Neumann mode blocks.  The
 Gram matrix of the weighted inner product, restricted to the constrained
@@ -30,6 +32,7 @@ so the v-theta coupling is skew in that inner product.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
@@ -37,7 +40,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .discretization import (Generator, _fourier_symbols, assemble_generator,
                              modal_operators)
@@ -177,19 +179,24 @@ def _mode_eigvals(grid: Grid, p: PhysParams):
 
 
 def _block_eigvals(grid: Grid, p: PhysParams):
-    """_mode_eigvals for Neumann theta.  For Dirichlet theta the same, with
-    mode None, of R = diag(odd block, even block, chain) (_parity_blocks):
-    the larger parity block, (Nx + 1) // 2 odd or Nx // 2 even modes of
-    Nrho + 3 rows and the theta mean, is checked before any assembly."""
+    """Every QR eigenvalue of the reduced generator, block by block, and its
+    Fourier mode (None for Dirichlet theta); then each eigenvalue's block
+    and a function from a block's number to the block.  Neumann theta takes
+    the mode blocks of _mode_eigvals, handed out dense.  Dirichlet theta
+    takes the odd and the even parity block and the chain (_parity_blocks),
+    each solved whole and handed out sparse: the larger parity block,
+    (Nx + 1) // 2 odd or Nx // 2 even modes of Nrho + 3 rows and the theta
+    mean, is checked before any assembly."""
     if p.theta_bc == "neumann":
-        return _mode_eigvals(grid, p)
+        w, modes, R, idx, owner = _mode_eigvals(grid, p)
+        return w, modes, owner, lambda j: R[idx[j]][:, idx[j]].toarray()
     Nx, n = grid.Nx, grid.Nrho + 3
     _check_dense_dim(max((Nx + 1) // 2 * n, Nx // 2 * n + 1))
-    blocks = [M for M, _, _ in _parity_blocks(grid, p)]
-    R = sp.block_diag(blocks, format="csr")
-    idx = np.split(np.arange(R.shape[0]), np.cumsum([M.shape[0] for M in blocks])[:-1])
-    w = np.concatenate([sla.eigvals(a) for a in _dense_blocks(R, idx)])
-    return w, None, R, idx, np.repeat(np.arange(len(idx)), [b.size for b in idx])
+    idx = [b for _, b in _modal_blocks(grid)]
+    blocks = [M for M, _ in _parity_blocks(grid, p, _modal_reduced(grid, p), idx)]
+    w = np.concatenate([sla.eigvals(M.toarray()) for M in blocks])
+    return (w, None, np.repeat(np.arange(len(blocks)), [M.shape[0] for M in blocks]),
+            blocks.__getitem__)
 
 
 def reduced_eigvals(grid: Grid, p: PhysParams):
@@ -201,19 +208,21 @@ def spectrum_dense(grid: Grid, p: PhysParams) -> SpectrumResult:
     """All eigenvalues of the generator on the constrained state space.
 
     QR (LAPACK) gives every eigenvalue, block by block (_block_eigvals).  The
-    N_REFINE rightmost are refined by shifted inverse iteration (SuperLU) on
-    the sparse block that holds each, a Neumann mode or a Dirichlet parity
-    block, from the shift 1e-8 (1 + |lambda|).  The first iterate is only about
-    1e-8 accurate, and in a cluster the iteration can settle on a neighbour, so
-    a Rayleigh quotient replaces its QR value (converged) only when its
-    residual is at most RESIDUAL_TOL, it moved by at most 1e-12 (1 + |lambda|)
-    since the previous iterate (the first is compared with the QR value), and
-    no other QR eigenvalue lies nearer.  The residual is the block's at the
-    last iterate, in reduced coordinates, and inf where the shift cannot be
-    factored or the iterate, Rayleigh quotient or residual is not finite.
-    Raises FloatingPointError if a QR eigenvalue is not finite.
+    N_REFINE rightmost are refined by shifted inverse iteration on the block
+    that holds each, from the shift 1e-8 (1 + |lambda|): a Neumann mode block
+    of Nrho + 3 rows (or the chain) is solved densely (numpy.linalg.solve), a
+    sparse Dirichlet parity block by SuperLU.  The first iterate is only
+    about 1e-8 accurate, and in a cluster the iteration can settle on a
+    neighbour, so a Rayleigh quotient replaces its QR value (converged) only
+    when its residual is at most RESIDUAL_TOL, it moved by at most
+    1e-12 (1 + |lambda|) since the previous iterate (the first is compared
+    with the QR value), and no other QR eigenvalue lies nearer.  The residual
+    is the block's at the last iterate, in reduced coordinates, and inf where
+    the shifted block is singular or the iterate, Rayleigh quotient or
+    residual is not finite.  Raises FloatingPointError if a QR eigenvalue is
+    not finite.
     """
-    w, modes, R, blocks, owner = _block_eigvals(grid, p)
+    w, modes, owner, block = _block_eigvals(grid, p)
     if not np.isfinite(w).all():
         raise FloatingPointError("the spectrum has a non-finite eigenvalue")
     order = np.argsort(-w.real)
@@ -224,19 +233,26 @@ def spectrum_dense(grid: Grid, p: PhysParams) -> SpectrumResult:
     converged = np.zeros(k, dtype=bool)
     refined = w.copy()
     for i in range(k):
-        b = blocks[owner[order[i]]]
-        A = R[b][:, b].astype(complex)
-        lam = w[i]
+        A = block(owner[order[i]]).astype(complex)
+        n, lam = A.shape[0], w[i]
         shift = lam + 1e-8 * (1.0 + abs(lam))
-        try:
-            lu = spla.splu((A - shift * sp.identity(b.size)).tocsc())
-        except RuntimeError:
-            continue
-        x = rng.standard_normal(b.size) + 1j * rng.standard_normal(b.size)
+        if p.theta_bc == "neumann":
+            solve = functools.partial(np.linalg.solve, A - shift * np.eye(n))
+        else:
+            from scipy.sparse.linalg import splu
+            try:
+                solve = splu((A - shift * sp.identity(n)).tocsc()).solve
+            except RuntimeError:
+                continue
+        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         prev = lam
         with np.errstate(all="ignore"):   # overflow is caught below
             for _ in range(5):
-                x = lu.solve(x)
+                try:
+                    x = solve(x)
+                except np.linalg.LinAlgError:     # a singular dense block
+                    res = np.inf
+                    break
                 norm = np.linalg.norm(x)
                 if not 0.0 < norm < np.inf:
                     res = np.inf
@@ -278,15 +294,20 @@ def spectral_abscissa(grid: Grid, p: PhysParams):
 def _dirichlet_rightmost(grid: Grid, p: PhysParams) -> np.ndarray:
     """The rightmost eigenvalues of the reduced Dirichlet generator, per block.
 
-    Each parity block is counted (_counted_rightmost); one whose count
-    fails is solved densely, and its rightmost eigenvalue sharpened
-    (_sharpened).  The mode-0 transport chain is the same as in Neumann
-    mode.
+    Each parity block (_parity_blocks) is counted (_counted_rightmost), with
+    the eigenvalues of its D as poles: its modes' Neumann eigenvalues
+    (_mode_eigvals), and 0 for the theta mean.  A block whose count fails
+    is solved densely, and its rightmost eigenvalue sharpened (_sharpened).
+    The mode-0 transport chain is the same as in Neumann mode.
     """
-    *blocks, (_, _, chain) = _parity_blocks(grid, p)
-    out = [chain]
-    for M, theta, poles in blocks:
-        lam = _counted_rightmost(M, theta, poles, grid, p)
+    nf = grid.nflux
+    _check_dense_dim(nf - nf // 2)    # the dense theta coupling of a parity block
+    poles, modes, R, idx, _ = _mode_eigvals(grid, p)
+    out = [poles[modes == 0]]
+    for M, theta in _parity_blocks(grid, p, R, idx)[:2]:
+        cos = theta[theta > 0]
+        D = np.r_[poles[np.isin(modes, cos)], np.zeros(theta.size - cos.size)]
+        lam = _counted_rightmost(M, theta, D, grid, p)
         if lam is None:
             _check_dense_dim(M.shape[0])
             lam = _sharpened(M, sla.eigvals(M.toarray()))
@@ -320,6 +341,8 @@ def _sharpened(M: sp.spmatrix, w: np.ndarray) -> complex:
     abscissa is -0.0384, at ell = 7.3e-6).  Only when ARPACK fails does QR's
     value go unchecked, under the rule above.
     """
+    import scipy.sparse.linalg as spla
+
     z0 = w[np.argmax(w.real)]
     err = M.shape[0] * np.finfo(float).eps * spla.norm(M, 1)
     if err <= 2.0**-30 * abs(z0):
@@ -347,26 +370,25 @@ def _sharpened(M: sp.spmatrix, w: np.ndarray) -> complex:
     return complex(round(z.real / h) * h, round(z.imag / h) * h)
 
 
-def _parity_blocks(grid: Grid, p: PhysParams):
+def _parity_blocks(grid: Grid, p: PhysParams, R: sp.csr_matrix,
+                   idx: list[np.ndarray]):
     """The blocks of the reduced Dirichlet generator in Fourier-mode
-    coordinates, as (M, theta, poles): the odd and the even parity block,
-    then the mode-0 transport chain.
+    coordinates, as (M, theta): the odd and the even parity block, then the
+    mode-0 transport chain.
 
-    M is the sparse block, theta its cosine modes and poles the eigenvalues
-    of D, where M = D - w c c^T: D is the Neumann per-mode block-diagonal
-    matrix of its modes (and 0 for the theta mean), w = 4 kappa/dx^2 and c
-    the corner cosines on its theta modes.  So det(M - sI) = det(D - sI) F(s)
-    with the scalar F of _secular.  M is cut from the reduced Neumann
-    generator, whose mode blocks also give the poles (_mode_eigvals), in
+    M is the sparse block and theta its cosine modes, where M = D - w c c^T:
+    D is the Neumann per-mode block-diagonal matrix of its modes (and 0 for
+    the theta mean), w = 4 kappa/dx^2 and c the corner cosines on its theta
+    modes.  So det(M - sI) = det(D - sI) F(s) with the scalar F of _secular.
+    M is cut from R, the reduced Neumann generator (_modal_reduced), and idx,
+    the index sets of its blocks (_modal_blocks), both from the caller, in
     the order u, v, z, theta of its modes, the even block with a theta-mean
     row and column; only its theta-theta block,
-    kappa (-diag(g^2) - (4/dx^2) c c^T), is written here.  The chain has
-    no theta mode: M = D.
+    kappa (-diag(g^2) - (4/dx^2) c c^T), is written here, densely: the
+    caller checks the larger parity's theta modes against DENSE_MAX_DIM.
+    The chain has no theta mode: M = D.
     """
-    # the theta coupling of the larger parity block is stored densely
     nf = grid.nflux
-    _check_dense_dim(nf - nf // 2)
-    poles, modes, R, idx, _ = _mode_eigvals(grid, p)
     g, c = _fourier_symbols(grid)
     blocks = []
     for parity in (1, 0):
@@ -387,10 +409,9 @@ def _parity_blocks(grid: Grid, p: PhysParams):
         M = sp.csr_matrix((np.r_[D.data[off], L[i, j]],
                            (np.r_[at[D.row[off]], n + i], np.r_[at[D.col[off]], n + j])),
                           shape=(n + theta.size,) * 2)
-        blocks.append((M, theta, np.r_[poles[(modes % 2 == parity) & (modes > 0)],
-                                       np.zeros(mean)]))
+        blocks.append((M, theta))
     chain = idx[-1]
-    return blocks + [(R[chain][:, chain], np.arange(0), poles[modes == 0])]
+    return blocks + [(R[chain][:, chain], np.arange(0))]
 
 
 def _secular(s: np.ndarray, grid: Grid, p: PhysParams,
@@ -423,6 +444,8 @@ def _rightmost_candidates(M: sp.spmatrix, shifts,
     conjugates (M is real, or the complex copy of a real matrix).  A real
     shift iterates in M's own arithmetic, real for a real M; a complex
     shift, in complex arithmetic."""
+    import scipy.sparse.linalg as spla
+
     A = M.tocsc()
     n = A.shape[0]
     w = []

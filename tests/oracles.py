@@ -1,12 +1,14 @@
 """Reference code of the test suite: a hand-coded right-hand side, the
 weighted state-space inner product and its Gram matrix, random states, the
 n1 row residual, the real-space stepper, the inverse of the modal
-transform, and the Dirichlet operators in Fourier-mode coordinates with
-the blocks of their reduced generator.
+transform, the Dirichlet operators in Fourier-mode coordinates with
+the blocks of their reduced generator, and the SuperLU refinement of the
+Neumann spectrum.
 
 The package never calls these; they are independent oracles for the
 assembled generator, the energies, the dissipativity supremum, the
-Lyapunov constants, the modal stepper and the Dirichlet parity blocks.
+Lyapunov constants, the modal stepper, the Dirichlet parity blocks and the
+dense refinement of the Neumann spectrum.
 The real-space stepper (ImplicitFactor, factor_implicit, step_imex) is the
 package's former one: one sparse LU (SuperLU) of the (v, theta) block,
 stepping real-space states and strain histories.
@@ -24,7 +26,7 @@ import scipy.sparse.linalg as spla
 
 from thermodelay.constants import LyapunovConstants
 from thermodelay.delay import HistoryBuffer
-from thermodelay import discretization
+from thermodelay import discretization, spectral
 from thermodelay.discretization import (Generator, Operators, State,
                                         _fourier_symbols, _vtheta_blocks,
                                         build_operators, modal_state)
@@ -146,6 +148,57 @@ def parity_blocks(grid: Grid) -> list[np.ndarray]:
 
     odd, even = np.arange(1, Nx + 1, 2), np.arange(2, Nx + 1, 2)
     return [block(odd, odd), block(even, np.r_[0, even]), 2 * Nx + np.arange(Nrho)]
+
+
+def spectrum_superlu(grid: Grid, p: PhysParams) -> spectral.SpectrumResult:
+    """spectral.spectrum_dense for Neumann theta as it refined before its
+    dense solve: the same QR eigenvalues (spectral._mode_eigvals), shift,
+    seeded start vectors, 5 solves and settle rule, with each shifted mode
+    block factored sparse by SuperLU.  A shift SuperLU cannot factor is
+    skipped before its start vector is drawn."""
+    w, modes, R, idx, owner = spectral._mode_eigvals(grid, p)
+    order = np.argsort(-w.real)
+    w = w[order]
+    rng = np.random.default_rng(1234)
+    k = min(spectral.N_REFINE, w.size)
+    residuals = np.full(k, np.inf)
+    converged = np.zeros(k, dtype=bool)
+    refined = w.copy()
+    for i in range(k):
+        b = idx[owner[order[i]]]
+        A = R[b][:, b].astype(complex)
+        lam = w[i]
+        shift = lam + 1e-8 * (1.0 + abs(lam))
+        try:
+            lu = spla.splu((A - shift * sp.identity(b.size)).tocsc())
+        except RuntimeError:
+            continue
+        x = rng.standard_normal(b.size) + 1j * rng.standard_normal(b.size)
+        prev = lam
+        with np.errstate(all="ignore"):
+            for _ in range(5):
+                x = lu.solve(x)
+                norm = np.linalg.norm(x)
+                if not 0.0 < norm < np.inf:
+                    res = np.inf
+                    break
+                x /= norm
+                Ax = A @ x
+                lam_r = np.vdot(x, Ax)
+                res = np.linalg.norm(Ax - lam_r * x)
+                if (res <= spectral.RESIDUAL_TOL
+                        and abs(lam_r - prev) <= 1e-12 * (1.0 + abs(lam))):
+                    dist = np.abs(w - lam_r)
+                    if dist[i] <= dist.min():
+                        refined[i], converged[i] = lam_r, True
+                    break
+                prev = lam_r
+        if np.isfinite(res):
+            residuals[i] = res
+    order2 = np.argsort(-refined.real)
+    return spectral.SpectrumResult(eigenvalues=refined[order2],
+                                   rightmost_residuals=residuals, converged=converged,
+                                   modes=modes[order][order2])
 
 
 def modal_start(state: State) -> tuple[State, HistoryBuffer]:

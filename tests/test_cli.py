@@ -406,6 +406,20 @@ def test_bad_config_is_one_line_exit_1(tmp_path, cfgfile, capsys, command,
         assert "sweep.beta" in err, err
 
 
+@pytest.mark.parametrize("name,rule", [("beta", "finite and nonnegative"),
+                                       ("gamma", "finite and nonnegative"),
+                                       ("tau", "finite and strictly positive"),
+                                       ("ell", "finite and strictly positive")])
+def test_an_infinite_parameter_is_refused_as_not_finite(tmp_path, cfgfile, capsys,
+                                                         name, rule):
+    # inf breaks no sign rule, so the message names the finiteness it lacks
+    code = _run(["simulate", "--config", cfgfile, "--out", str(tmp_path / "bad"),
+                 "--override", f"model.{name}=inf"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == f"config error: bad config value: {name} must be {rule}, got inf\n", err
+
+
 @pytest.mark.parametrize("command, override, key", [
     ("simulate", "time.t_end=1e300", "time.t_end"),     # 8e300 steps
     ("simulate", "time.t_end=200000", "time.t_end"),    # 1.6e6 records

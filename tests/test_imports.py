@@ -164,3 +164,28 @@ def test_the_cli_and_certify_load_no_multiprocessing_or_pickle(tmp_path):
     lines = proc.stdout.splitlines()
     assert lines[1].startswith("beta0 = "), lines
     assert (json.loads(lines[0]), json.loads(lines[-1])) == ([], [])
+
+
+def test_neumann_spectra_load_no_sparse_linalg(tmp_path):
+    # SuperLU and ARPACK serve Dirichlet theta alone: a Neumann spectrum
+    # refines on dense mode blocks, and the dissipativity supremum needs
+    # none.  Loaded after each step: spectrum, dissipativity_test, then a
+    # Dirichlet abscissa
+    loaded = "print(json.dumps('scipy.sparse.linalg' in sys.modules))"
+    proc = _python(
+        "import sys, json; from thermodelay.cli import main; "
+        "from thermodelay.grid import Grid; from thermodelay.params import PhysParams; "
+        "from thermodelay import spectral; "
+        f"main(sys.argv[1:]); {loaded}; "
+        "spectral.dissipativity_test(Grid(Nx=8, Nrho=8), PhysParams(beta=4.5), 1.0); "
+        f"{loaded}; "
+        "spectral.spectral_abscissa(Grid(Nx=8, Nrho=8), "
+        "PhysParams(beta=4.5, theta_bc='dirichlet')); "
+        f"{loaded}",
+        "spectrum", "--config", os.devnull, "--override", "model.beta=4.5",
+        "--override", "grid.nx=8", "--override", "grid.nrho=8",
+        "--out", str(tmp_path / "spectrum"))
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0].startswith("spectral abscissa = "), lines
+    assert [json.loads(s) for s in lines[1:]] == [False, False, True]

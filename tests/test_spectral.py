@@ -207,14 +207,15 @@ def test_parity_blocks_are_the_slices_of_the_dirichlet_generator(Nx, Nrho, model
                       **model})
     g = Grid(Nx=Nx, Nrho=Nrho, ell=p.ell)
     R = reduced_generator(assemble_generator(g, p, oracles.modal_operators(g, p)))
-    blocks = spectral._parity_blocks(g, p)
+    blocks = spectral._parity_blocks(g, p, spectral._modal_reduced(g, p),
+                                     [b for _, b in spectral._modal_blocks(g)])
     assert len(blocks) == 3
-    for (M, theta, _), b in zip(blocks, oracles.parity_blocks(g)):
+    for (M, theta), b in zip(blocks, oracles.parity_blocks(g)):
         want = R[b][:, b]
         for name in ("data", "indices", "indptr"):
             a, c = getattr(M, name), getattr(want, name)
             assert a.dtype == c.dtype and a.tobytes() == c.tobytes(), (b.size, name)
-    assert [t.tolist() for _, t, _ in blocks] == [list(range(1, Nx + 1, 2)),
+    assert [t.tolist() for _, t in blocks] == [list(range(1, Nx + 1, 2)),
                                                   list(range(0, Nx + 1, 2)), []]
 
 
@@ -359,8 +360,67 @@ def test_refinement_keeps_every_eigenvalue_of_a_cluster(theta_bc):
         assert res.converged.all()
 
 
+@pytest.mark.parametrize("N,gamma", [(16, 1.0), (64, 1.0), (32, 0.5)])
+def test_dense_refinement_matches_the_superlu_refinement(N, gamma):
+    # each Neumann mode block is solved densely (numpy) instead of by
+    # SuperLU: only the N_TOP refined rows may move, by rounding, and the
+    # same rows settle.  32x32 at gamma = 0.5 is the cluster above
+    p = PhysParams(**{**UNIT.__dict__, "beta": 4.5, "gamma": gamma})
+    g = Grid(Nx=N, Nrho=N)
+    res, ref = spectrum_dense(g, p), oracles.spectrum_superlu(g, p)
+    top, ref_top = res.eigenvalues[:N_TOP], ref.eigenvalues[:N_TOP]
+    assert np.all(np.abs(top - ref_top) <= 1e-12 * np.abs(ref_top))
+    assert res.eigenvalues[N_TOP:].tobytes() == ref.eigenvalues[N_TOP:].tobytes()
+    assert np.array_equal(res.modes, ref.modes)
+    assert np.array_equal(res.converged, ref.converged) and res.converged.all()
+    assert np.all(res.rightmost_residuals <= 1e-13)
+
+
+def test_a_singular_dense_shift_keeps_the_qr_value(monkeypatch):
+    # numpy's solve raises LinAlgError on an exactly singular block, as
+    # SuperLU raised RuntimeError: the row keeps its QR eigenvalue, with an
+    # infinite residual, and the error does not leave spectrum_dense
+    g, p = Grid(Nx=8, Nrho=8), UNIT.with_beta(4.5)
+
+    def singular(a, b):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    w = spectral.reduced_eigvals(g, p)[0]
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    res = spectrum_dense(g, p)
+    assert np.isinf(res.rightmost_residuals).all() and not res.converged.any()
+    assert res.eigenvalues.tobytes() == w[np.argsort(-w.real)].tobytes()
+
+
+def test_dirichlet_spectrum_solves_each_parity_block_once(monkeypatch):
+    # one QR each for the odd block, the even block and the chain; no
+    # Neumann mode block is solved for poles only the abscissa reads
+    calls = []
+
+    def eigvals(a):
+        calls.append(a.shape[0])
+        return sla.eigvals(a)
+
+    monkeypatch.setattr(spectral, "sla", SimpleNamespace(eigvals=eigvals))
+    spectrum_dense(Grid(Nx=8, Nrho=8), _dirichlet(4.5))
+    assert calls == [4 * 11, 4 * 11 + 1, 8]
+
+
 def _dirichlet(beta):
     return PhysParams(**{**UNIT.__dict__, "beta": beta, "theta_bc": "dirichlet"})
+
+
+def _counted_blocks(g, p):
+    """The two parity blocks as the Dirichlet abscissa counts them, as
+    (M, theta, poles): the poles are the eigenvalues of D, its modes'
+    Neumann eigenvalues and 0 for the theta mean."""
+    poles, modes, R, idx, _ = spectral._mode_eigvals(g, p)
+    out = []
+    for M, theta in spectral._parity_blocks(g, p, R, idx)[:2]:
+        cos = theta[theta > 0]
+        out.append((M, theta, np.r_[poles[np.isin(modes, cos)],
+                                    np.zeros(theta.size - cos.size)]))
+    return out
 
 
 def _mode_sized_eigvals_only(monkeypatch, grid):
@@ -407,7 +467,7 @@ def test_dirichlet_count_matches_dense_count(beta):
     # the edges only uniformly, bisected the same way, miscounts at beta = 0.
     g = Grid(Nx=32, Nrho=32)
     p = _dirichlet(beta)
-    M, theta, poles = spectral._parity_blocks(g, p)[0]
+    M, theta, poles = _counted_blocks(g, p)[0]
     w = sla.eigvals(M.toarray())
     a = w.real.max()
     near = np.r_[poles, w]
@@ -444,7 +504,7 @@ def test_dirichlet_abscissa_falls_back_when_candidates_miss(monkeypatch, beta,
         return w[w.real < w.real.max() - 1e-9]
 
     monkeypatch.setattr(spectral, "_rightmost_candidates", candidates)
-    for M, theta, poles in spectral._parity_blocks(g, p)[:2]:
+    for M, theta, poles in _counted_blocks(g, p):
         assert spectral._counted_rightmost(M, theta, poles, g, p) is None
     assert abs(spectral_abscissa(g, p)[0] - ref) <= 1e-12
 
@@ -456,7 +516,7 @@ def test_dirichlet_abscissa_falls_back_when_arpack_fails(monkeypatch):
     def eigs(*args, **kwargs):
         raise spla.ArpackNoConvergence("no convergence", np.empty(0), None)
 
-    monkeypatch.setattr(spectral.spla, "eigs", eigs)
+    monkeypatch.setattr(spla, "eigs", eigs)
     assert abs(spectral_abscissa(g, p)[0] - ref) <= 1e-12
 
 
@@ -498,13 +558,13 @@ def test_candidate_arithmetic_follows_the_shift(monkeypatch, beta, abscissa,
     # a real shift runs ARPACK on the float64 block, a complex shift on its
     # complex copy; the abscissa keeps its bits either way
     calls = []
-    eigs = spectral.spla.eigs
+    eigs = spla.eigs
 
     def recorded(A, **kwargs):
         calls.append((A.dtype, kwargs["sigma"], kwargs["v0"].dtype))
         return eigs(A, **kwargs)
 
-    monkeypatch.setattr(spectral.spla, "eigs", recorded)
+    monkeypatch.setattr(spla, "eigs", recorded)
     a, _ = spectral_abscissa(Grid(Nx=32, Nrho=32), _dirichlet(beta))
     assert a.hex() == abscissa
     assert calls
