@@ -14,7 +14,7 @@ _EXPORTS = {
                   "find_beta0", "lyapunov_constants", "n0_from_constants"),
     "delay": ("HistoryBuffer", "init_history"),
     "discretization": ("Grid", "State", "assemble_generator", "build_operators"),
-    "integrate": ("expm_oracle", "factor_implicit", "simulate", "step_imex"),
+    "integrate": ("factor_implicit", "simulate", "step_imex"),
     "observables": ("Trajectory", "check_decay_inequality", "decay_rate_fit",
                     "energy", "lyapunov_components"),
     "params": ("PhysParams",),

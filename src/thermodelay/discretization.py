@@ -1,7 +1,8 @@
-"""Finite-difference operators, the packed state and the assembled discrete
+"""Finite-difference operators, the state and the assembled discrete
 generator, on the Grid of thermodelay.grid (re-exported here).
 
-Layout conventions (fixed; pack order is u, v, z row-major in x then rho, theta):
+Layout conventions (fixed; the generator's coordinates are u, v, z row-major
+in x then rho, theta):
 
   * u, v live at the Nx interior nodes x_i = i dx, i = 1..Nx, with homogeneous
     Dirichlet values eliminated (dx = ell/(Nx+1)).
@@ -12,9 +13,12 @@ Layout conventions (fixed; pack order is u, v, z row-major in x then rho, theta)
     heat row conserves the discrete theta mass exactly in Neumann mode.
   * z has Nrho+1 rho-nodes rho_i = i/Nrho; the rho = 0 column is tied to u_x.
 
-The module imports numpy only: the sparse matrices are assembled, and
-scipy.sparse imported, when an Operators' G or L_theta is first read or a
-generator is assembled.
+The operators are built in Fourier-mode coordinates alone (build_operators):
+the orthonormal DST-I on the nodes and the orthonormal DCT-II on the cells,
+where every Fourier mode of the generator is its own block.  modal_state
+takes a state there.  The module imports numpy only: the sparse matrices
+are assembled, and scipy.sparse imported, when an Operators' G or L_theta
+is first read or a generator is assembled.
 """
 
 from __future__ import annotations
@@ -33,14 +37,14 @@ if TYPE_CHECKING:
     import scipy.sparse as sp
 
 __all__ = ["Grid", "State", "Operators", "Generator", "DenseSizeError",
-           "build_operators", "modal_operators", "modal_state", "strain",
-           "assemble_generator", "pack", "unpack", "grad_u"]
+           "build_operators", "modal_state", "strain", "assemble_generator",
+           "grad_u"]
 
 
 @dataclass
 class State:
     """Discrete state (u, v, z, theta) on a Grid; with modal=True, in the
-    Fourier-mode coordinates of modal_operators (see modal_state)."""
+    Fourier-mode coordinates of build_operators (see modal_state)."""
 
     u: np.ndarray      # (Nx,)
     v: np.ndarray      # (Nx,)
@@ -59,111 +63,74 @@ class State:
 
 
 class Operators:
-    """Sparse finite-difference operators for one (grid, theta_bc).
+    """The gradient G and the Neumann theta Laplacian L_theta of one grid,
+    in Fourier-mode coordinates (see build_operators).
 
-    Every stencil derives from the gradient G: the divergence (also theta_x
-    at the interior faces) is -G^T and the Dirichlet Laplacian of u is
-    -G^T G.  G (interior nodes -> flux points) and L_theta (cell-centered,
-    with theta_bc fluxes) are assembled by `assemble` when first read.
-    `modal` marks the Fourier-mode coordinates of modal_operators.
+    g holds the symbols of G, g[k] = 2 sin(k pi / (2 (Nx+1))) / dx with
+    g[0] = 0, and c = C[0] the first row of the orthonormal DCT-II, of which
+    the Dirichlet corner term is made; both are read-only.  The sparse G
+    (sine mode k -> cosine mode k, times g_k) and L_theta = -diag(g)^2 are
+    assembled, and scipy.sparse imported, when first read.
     """
 
-    def __init__(self, assemble, modal: bool = False):
-        self._assemble = assemble       # () -> (G, L_theta), CSR
-        self.modal = modal
+    def __init__(self, grid: Grid):
+        self.grid = grid
+        self.g, self.c = _fourier_symbols(grid)
 
     @functools.cached_property
-    def _matrices(self) -> tuple:
-        return self._assemble()
-
-    @property
     def G(self) -> sp.csr_matrix:
-        return self._matrices[0]
+        import scipy.sparse as sp
+        k = np.arange(1, self.grid.Nx + 1)
+        return sp.csr_matrix((self.g[1:], (k, k - 1)),
+                             shape=(self.grid.nflux, self.grid.Nx))
 
-    @property
+    @functools.cached_property
     def L_theta(self) -> sp.csr_matrix:
-        return self._matrices[1]
-
-
-def _check_length(grid: Grid, p: PhysParams):
-    """The grid's spacing and the model's Poincare constant must describe one
-    domain; a mismatch would silently give the spectrum of another length."""
-    if grid.ell != p.ell:
-        raise ValueError(f"grid length ell = {grid.ell} differs from the "
-                         f"model's ell = {p.ell}")
+        import scipy.sparse as sp
+        with np.errstate(over="ignore"):     # inf; spectral.reduced_generator reports it
+            return sp.diags(-self.g ** 2, format="csr")
 
 
 def build_operators(grid: Grid, p: PhysParams) -> Operators:
-    """The gradient and the theta Laplacian from one unit stencil, assembled
-    when first read; the grid and the model's length are checked here."""
-    _check_length(grid, p)
-    return Operators(functools.partial(_real_space_matrices, grid, p.theta_bc))
+    """The operators of every stencil, in Fourier-mode coordinates, for
+    either theta_bc.
 
+    In real space the stencils derive from the gradient G (interior nodes
+    -> flux points): the divergence (also theta_x at the interior faces) is
+    -G^T, the Dirichlet Laplacian of u is -G^T G and the zero-flux theta
+    Laplacian -G G^T.  With the orthonormal DST-I S on the interior nodes
+    (u, v) and the orthonormal DCT-II C on the cells (z, theta), C^T G S
+    maps sine mode k to cosine mode k with the symbol g_k, and the Neumann
+    C^T L_theta C = -diag(g)^2 with g_0 = 0 (the conserved theta mean).  A
+    generator assembled from these operators is T^T A T for the orthogonal
+    T = diag(S, S, C (x) I, C), and every Fourier mode is its own block.
+    Dirichlet theta adds the corner term -(2/dx^2)(e_0 e_0^T + e_Nx e_Nx^T)
+    to the real-space L_theta; it becomes -(4/dx^2) c_j c_k for
+    j = k (mod 2), with c = C[0], and couples the cosine modes of one
+    parity.  L_theta is Neumann's whatever p.theta_bc: the users of
+    Dirichlet theta add that rank-one term per parity to the Neumann blocks
+    themselves (spectral._parity_blocks, integrate.factor_implicit).
 
-def _real_space_matrices(grid: Grid, theta_bc: str) -> tuple:
-    import scipy.sparse as sp
-    Nx, dx = grid.Nx, grid.dx
-    # (G1 u)_j = u_{j+1} - u_j with zero boundary values of u
-    G1 = sp.diags([np.ones(Nx), -np.ones(Nx)], [0, -1], shape=(Nx + 1, Nx),
-                  format="csr")
-    # flux form: -G1 G1^T is the zero-flux (Neumann) cell-centered Laplacian;
-    # a Dirichlet boundary value sits dx/2 from the outermost centers
-    L = -(G1 @ G1.T) / dx**2
-    if theta_bc == "dirichlet":
-        L = L - sp.diags(np.r_[2.0, np.zeros(Nx - 1), 2.0] / dx**2)
-    return G1 / dx, L.tocsr()
+    The grid's length is checked against the model's here: a mismatch would
+    silently give the spectrum of another length.
+    """
+    if grid.ell != p.ell:
+        raise ValueError(f"grid length ell = {grid.ell} differs from the "
+                         f"model's ell = {p.ell}")
+    return Operators(grid)
 
 
 @functools.lru_cache(maxsize=64)
 def _fourier_symbols(grid: Grid):
-    """Per-mode symbols of the Fourier-mode coordinates (see modal_operators),
-    read-only.
-
-    Returns g, with g[k] = 2 sin(k pi / (2 (Nx+1))) / dx the symbol of G on
-    mode k and g[0] = 0, and c = C[0], the first row of the orthonormal
-    DCT-II: the Dirichlet corner term on cosine modes j, k is
-    -(4/dx^2) c_j c_k for j = k (mod 2).
-    """
+    """The symbols g of G and the corner cosines c = C[0] of Operators,
+    read-only: the Dirichlet corner term on cosine modes j, k is
+    -(4/dx^2) c_j c_k for j = k (mod 2)."""
     j = np.arange(grid.nflux)
     g = 2.0 * np.sin(j * np.pi / (2 * grid.nflux)) / grid.dx
     c = (np.sqrt(np.where(j == 0, 1.0, 2.0) / grid.nflux)
          * np.cos(j * np.pi / (2 * grid.nflux)))
     g.flags.writeable = c.flags.writeable = False
     return g, c
-
-
-def modal_operators(grid: Grid, p: PhysParams) -> Operators:
-    """build_operators in Fourier-mode coordinates, for Neumann theta.
-
-    With the orthonormal DST-I S on the interior nodes (u, v) and the
-    orthonormal DCT-II C on the cells (z, theta), C^T G S maps sine mode k to
-    cosine mode k with the symbol g_k = 2 sin(k pi / (2 (Nx+1))) / dx, and
-    the Neumann C^T L_theta C = -diag(g)^2 with g_0 = 0 (the conserved theta
-    mean).  A generator assembled from these operators is T^T A T for the
-    orthogonal T = diag(S, S, C (x) I, C), and every Fourier mode is its own
-    block.  Dirichlet theta raises ValueError: its corner term
-    -(2/dx^2)(e_0 e_0^T + e_Nx e_Nx^T) becomes -(4/dx^2) c_j c_k for
-    j = k (mod 2), with c = C[0], and couples the cosine modes of one
-    parity.  Its users add that rank-one term per parity to the Neumann
-    blocks themselves (spectral._parity_blocks, integrate.factor_implicit).
-    """
-    _check_length(grid, p)
-    if p.theta_bc != "neumann":
-        raise ValueError("modal_operators takes Neumann theta; the Dirichlet "
-                         "corner is added per parity by its users")
-    return Operators(functools.partial(_modal_matrices, grid), modal=True)
-
-
-def _modal_matrices(grid: Grid) -> tuple:
-    """G and the Neumann L_theta in Fourier-mode coordinates (modal_operators)."""
-    import scipy.sparse as sp
-    Nx = grid.Nx
-    k = np.arange(1, Nx + 1)
-    g = _fourier_symbols(grid)[0]
-    G = sp.csr_matrix((g[1:], (k, k - 1)), shape=(Nx + 1, Nx))
-    with np.errstate(over="ignore"):     # inf; spectral.reduced_generator reports it
-        L = sp.diags(-g ** 2, format="csr")
-    return G, L
 
 
 def _dst1(x: np.ndarray) -> np.ndarray:
@@ -185,7 +152,7 @@ def _dct2(x: np.ndarray) -> np.ndarray:
 
 
 def modal_state(state: State) -> State:
-    """state in the Fourier-mode coordinates of modal_operators: u and v by
+    """state in the Fourier-mode coordinates of build_operators: u and v by
     the orthonormal DST-I, theta and every rho column of z by the
     orthonormal DCT-II.  The transforms are orthogonal, so norms and inner
     products are those of the real-space state."""
@@ -217,20 +184,6 @@ class Generator:
     ops: Operators = field(repr=False, default=None)
 
 
-def pack(state: State) -> np.ndarray:
-    """Flatten a State into the fixed (u, v, z, theta) order."""
-    return np.concatenate([state.u, state.v, state.z.ravel(), state.theta])
-
-
-def unpack(vec: np.ndarray, grid: Grid) -> State:
-    """Inverse of pack."""
-    if vec.shape != (grid.dim,):
-        raise ValueError(f"expected length {grid.dim}, got {vec.shape}")
-    Nx, nz = grid.Nx, grid.nflux * (grid.Nrho + 1)
-    u, v, z, theta = (a.copy() for a in np.split(vec, [Nx, 2 * Nx, 2 * Nx + nz]))
-    return State(u=u, v=v, z=z.reshape(grid.nflux, grid.Nrho + 1), theta=theta)
-
-
 def _vtheta_blocks(ops: Operators, p: PhysParams) -> list:
     """The generator's stiff (v, theta) rows and columns as 2 x 2 blocks,
     [[beta D G, -gamma D], [-gamma G, kappa L_theta]] with D = -G^T."""
@@ -247,14 +200,19 @@ def assemble_generator(grid: Grid, p: PhysParams,
     Rows: u' = v; v' = div(alpha z(.,1) + beta grad v) - gamma theta_x;
     z' with first-order upwind in rho and the rho = 0 column driven by
     (grad v) so that z(.,0) tracks u_x; theta' = -gamma v_x + kappa L theta.
-    `ops` defaults to the real-space build_operators; modal_operators gives
-    the same generator in Fourier-mode coordinates.  A coefficient product
-    that overflows leaves inf in the matrix without a warning; its user
-    spectral.reduced_generator checks for it.
+    `ops` defaults to build_operators, in Fourier-mode coordinates with
+    Neumann theta: without `ops`, Dirichlet theta raises ValueError, as its
+    users add the corner term per parity themselves (see build_operators).
+    A coefficient product that overflows leaves inf in the matrix without a
+    warning; its user spectral.reduced_generator checks for it.
     """
     import scipy.sparse as sp
+    if ops is None:
+        ops = build_operators(grid, p)
+        if p.theta_bc != "neumann":
+            raise ValueError("assemble_generator takes Neumann theta without ops; "
+                             "the Dirichlet corner is added per parity by its users")
     with np.errstate(over="ignore", invalid="ignore"):
-        ops = build_operators(grid, p) if ops is None else ops
         Nx, nf, nr = grid.Nx, grid.nflux, grid.Nrho + 1
         G = ops.G
         D = -G.T

@@ -1,7 +1,7 @@
-"""Theta-method time stepping per Fourier mode, and a dense matrix-exponential oracle.
+"""Theta-method time stepping per Fourier mode.
 
 simulate advances (u, v, theta) and the strain history in the Fourier-mode
-coordinates of discretization.modal_operators: the orthonormal DST-I on the
+coordinates of discretization.build_operators: the orthonormal DST-I on the
 nodes and the orthonormal DCT-II on the cells.  There the stiff (v, theta)
 block (the Kelvin-Voigt damping, the heat operator and the
 thermo-mechanical coupling) is one 2 x 2 block per mode, so the
@@ -15,8 +15,7 @@ at both endpoints of the step.
 
 Only the initial data are transformed (modal_state), and the recorded
 observables are orthogonally invariant, so they read the modal state as it
-is.  The module imports numpy only; expm_oracle imports scipy.linalg when
-it is called.
+is.  The module imports numpy only.
 """
 
 from __future__ import annotations
@@ -27,17 +26,14 @@ import numpy as np
 
 from .constants import LyapunovConstants
 from .delay import HistoryBuffer, init_history
-from .discretization import (Generator, State, _fourier_symbols, build_operators,
-                             modal_state, pack, unpack)
+from .discretization import State, build_operators, modal_state
 from .grid import (MAX_RECORDS, MAX_STEPS, DenseSizeError, Grid,  # noqa: F401
                    NumericalBlowupError, grad_u, step_count)
 from .observables import Trajectory, energy, lyapunov_components, theta_mass
 from .params import PhysParams
 
 __all__ = ["ImplicitFactor", "NumericalBlowupError", "factor_implicit",
-           "step_imex", "expm_oracle", "step_count", "simulate"]
-
-EXPM_MAX_DIM = 4000
+           "step_imex", "step_count", "simulate"]
 
 
 @dataclass
@@ -86,11 +82,11 @@ def factor_implicit(grid: Grid, p: PhysParams,
     """
     if not (0.5 <= theta_weight <= 1.0):
         raise ValueError("theta_weight must lie in [1/2, 1]")
-    build_operators(grid, p)     # checks grid against model; its matrices stay unbuilt
+    ops = build_operators(grid, p)     # checks the grid; only its symbols are read
     dt = p.tau / grid.Nrho
     w = theta_weight
     Nx, nf = grid.Nx, grid.nflux
-    g, c = _fourier_symbols(grid)
+    g, c = ops.g, ops.c
     gk = g[1:]
     # an overflowing coefficient leaves inf or nan; the checks below see it
     with np.errstate(over="ignore", invalid="ignore"):
@@ -181,18 +177,6 @@ def step_imex(state: State, fac: ImplicitFactor, buf: HistoryBuffer) -> State:
         np.multiply(fac.g[1:], u_new, out=ux_new[1:])
     buf.push(ux_new)
     return State(u=u_new, v=v_new, z=buf.as_field(), theta=theta_new, modal=True)
-
-
-def expm_oracle(gen: Generator, state: State, t: float) -> State:
-    """Exact discrete semigroup action e^{t A_h} via scaling-and-squaring.
-
-    Dense only; refuses dimensions above EXPM_MAX_DIM.
-    """
-    import scipy.linalg as sla
-    if gen.grid.dim > EXPM_MAX_DIM:
-        raise DenseSizeError(f"generator dimension {gen.grid.dim} exceeds dense limit")
-    phi = sla.expm(t * gen.matrix.toarray())
-    return unpack(phi @ pack(state), gen.grid)
 
 
 def simulate(

@@ -3,8 +3,8 @@
 The delay reformulation lives on the subspace z(., 0) = u_x (with zero theta
 mean in Neumann mode).  Spectra are taken there: sparse maps E and P
 restrict the assembled generator to it.  One generator is assembled per
-call, in Fourier-mode coordinates with Neumann theta (modal_operators),
-where the restricted matrix splits into one small block per mode
+call, in the Fourier-mode coordinates of build_operators with Neumann
+theta, where the restricted matrix splits into one small block per mode
 (_modal_blocks); only those blocks are dense.  Dirichlet theta couples the
 cosine modes of one parity, as the reflection x -> ell - x commutes with
 the generator, so its restricted matrix splits into an odd and an even
@@ -41,8 +41,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from .discretization import (Generator, _fourier_symbols, assemble_generator,
-                             modal_operators)
+from .discretization import Generator, _fourier_symbols, assemble_generator
 from .grid import DenseSizeError, Grid
 from .params import PhysParams
 
@@ -68,13 +67,14 @@ class SpectrumResult:
 
 
 def restriction_maps(gen: Generator):
-    """Sparse embedding E and left inverse P of the constrained subspace.
+    """Sparse embedding E and left inverse P of the constrained subspace of
+    a generator with Neumann theta in Fourier-mode coordinates (the default
+    of assemble_generator).
 
-    E maps reduced coordinates (u, v, z at rho > 0, theta coordinates) to full
-    packed coordinates obeying the domain constraints: z(., 0) = G u and, in
-    Neumann mode, zero theta mean, through an orthonormal basis of the
-    mean-zero vectors (in modal coordinates: every theta mode but the
-    constant one).  P recovers reduced coordinates, P E = I.  The
+    E maps reduced coordinates (u, v, z at rho > 0, theta modes) to full
+    packed coordinates obeying the domain constraints: z(., 0) = G u and
+    zero theta mean, whose orthonormal basis is every theta mode but the
+    constant one.  P recovers reduced coordinates, P E = I.  The
     constrained subspace is invariant under the generator, so
     A @ E = E @ (P @ A @ E) up to rounding.
     """
@@ -92,12 +92,7 @@ def restriction_maps(gen: Generator):
     P_uvz = sp.csr_matrix((np.ones(n_kept), (np.arange(n_kept), kept)),
                           shape=(n_kept, n_full))
 
-    if gen.p.theta_bc == "dirichlet":
-        theta = sp.identity(grid.ntheta, format="csr")
-    elif gen.ops.modal:
-        theta = sp.identity(grid.ntheta, format="csr")[:, 1:]
-    else:
-        theta = sp.csr_matrix(sla.null_space(np.ones((1, grid.ntheta))))
+    theta = sp.identity(grid.ntheta, format="csr")[:, 1:]
     E = sp.block_diag([E_uvz, theta], format="csr")
     P = sp.block_diag([P_uvz, theta.T], format="csr")
     return E, P
@@ -106,9 +101,9 @@ def restriction_maps(gen: Generator):
 def reduced_generator(gen: Generator) -> sp.csr_matrix:
     """Generator restricted to the discrete state space, as a sparse matrix.
 
-    The full-space matrix conserves z(., 0) - u_x componentwise and (in
-    Neumann mode) the theta mass, so it carries Nx + 1 (Neumann: Nx + 2)
-    structural zero eigenvalues; the restriction removes exactly those, and
+    The full-space matrix conserves z(., 0) - u_x componentwise and the
+    theta mass, so it carries Nx + 2 structural zero eigenvalues; the
+    restriction (restriction_maps) removes exactly those, and
     every spectrum in this module is taken on the reduced matrix.  Raises
     FloatingPointError if an entry is not finite (a coefficient overflowed
     in assembly), before any eigensolver sees it.
@@ -159,10 +154,9 @@ def _check_dense_dim(dim: int):
 
 
 def _modal_reduced(grid: Grid, p: PhysParams) -> sp.csr_matrix:
-    """The reduced generator in Fourier-mode coordinates (modal_operators),
+    """The reduced generator in Fourier-mode coordinates (build_operators),
     with Neumann theta whatever p's theta_bc: its blocks are _modal_blocks."""
-    p = replace(p, theta_bc="neumann")
-    return reduced_generator(assemble_generator(grid, p, modal_operators(grid, p)))
+    return reduced_generator(assemble_generator(grid, replace(p, theta_bc="neumann")))
 
 
 def _mode_eigvals(grid: Grid, p: PhysParams):
@@ -211,7 +205,10 @@ def spectrum_dense(grid: Grid, p: PhysParams) -> SpectrumResult:
     N_REFINE rightmost are refined by shifted inverse iteration on the block
     that holds each, from the shift 1e-8 (1 + |lambda|): a Neumann mode block
     of Nrho + 3 rows (or the chain) is solved densely (numpy.linalg.solve), a
-    sparse Dirichlet parity block by SuperLU.  The first iterate is only
+    sparse Dirichlet parity block by SuperLU.  A real QR value iterates in
+    real arithmetic, from the real part of its seeded start vector, so that
+    its refined value is real too; a complex pair that QR reported as real
+    then does not settle, and its QR value stands.  The first iterate is only
     about 1e-8 accurate, and in a cluster the iteration can settle on a
     neighbour, so a Rayleigh quotient replaces its QR value (converged) only
     when its residual is at most RESIDUAL_TOL, it moved by at most
@@ -233,9 +230,13 @@ def spectrum_dense(grid: Grid, p: PhysParams) -> SpectrumResult:
     converged = np.zeros(k, dtype=bool)
     refined = w.copy()
     for i in range(k):
-        A = block(owner[order[i]]).astype(complex)
-        n, lam = A.shape[0], w[i]
-        shift = lam + 1e-8 * (1.0 + abs(lam))
+        lam = w[i]
+        real = lam.imag == 0.0
+        A = block(owner[order[i]])
+        if not real:
+            A = A.astype(complex)
+        n = A.shape[0]
+        shift = (lam.real if real else lam) + 1e-8 * (1.0 + abs(lam))
         if p.theta_bc == "neumann":
             solve = functools.partial(np.linalg.solve, A - shift * np.eye(n))
         else:
@@ -244,7 +245,10 @@ def spectrum_dense(grid: Grid, p: PhysParams) -> SpectrumResult:
                 solve = splu((A - shift * sp.identity(n)).tocsc()).solve
             except RuntimeError:
                 continue
+        # both parts are drawn, so that the later rows see the same stream
         x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        if real:
+            x = np.ascontiguousarray(x.real)
         prev = lam
         with np.errstate(all="ignore"):   # overflow is caught below
             for _ in range(5):

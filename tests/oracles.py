@@ -1,14 +1,20 @@
-"""Reference code of the test suite: a hand-coded right-hand side, the
-weighted state-space inner product and its Gram matrix, random states, the
-n1 row residual, the real-space stepper, the inverse of the modal
-transform, the Dirichlet operators in Fourier-mode coordinates with
-the blocks of their reduced generator, and the SuperLU refinement of the
+"""Reference code of the test suite: the real-space operators and
+generator with their restriction to the constrained state space, the
+packed state, the matrix-exponential oracle, a hand-coded right-hand side,
+the weighted state-space inner product and its Gram matrix, random states,
+the n1 row residual, the real-space stepper, the inverse of the modal
+transform, the Dirichlet operators in Fourier-mode coordinates with the
+blocks of their reduced generator, and the SuperLU refinement of the
 Neumann spectrum.
 
 The package never calls these; they are independent oracles for the
-assembled generator, the energies, the dissipativity supremum, the
-Lyapunov constants, the modal stepper, the Dirichlet parity blocks and the
-dense refinement of the Neumann spectrum.
+operators and the assembled generator, the energies, the dissipativity
+supremum, the Lyapunov constants, the modal stepper, the Dirichlet parity
+blocks and the dense refinement of the Neumann spectrum.  The package
+builds its operators in Fourier-mode coordinates alone and restricts only
+Neumann generators there; the real-space stencils (real_space_operators)
+are the ones it built before, and restriction_maps restricts every
+generator made here.
 The real-space stepper (ImplicitFactor, factor_implicit, step_imex) is the
 package's former one: one sparse LU (SuperLU) of the (v, theta) block,
 stepping real-space states and strain histories.
@@ -21,17 +27,118 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.fft
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from thermodelay.constants import LyapunovConstants
 from thermodelay.delay import HistoryBuffer
-from thermodelay import discretization, spectral
-from thermodelay.discretization import (Generator, Operators, State,
-                                        _fourier_symbols, _vtheta_blocks,
+from thermodelay import spectral
+from thermodelay.discretization import (Generator, State, _fourier_symbols,
+                                        _vtheta_blocks, assemble_generator,
                                         build_operators, modal_state)
-from thermodelay.grid import Grid, NumericalBlowupError, grad_u
+from thermodelay.grid import DenseSizeError, Grid, NumericalBlowupError, grad_u
 from thermodelay.params import PhysParams
+
+EXPM_MAX_DIM = 4000
+
+
+@dataclass
+class Operators:
+    """G and L_theta of an oracle generator; modal marks the Fourier-mode
+    coordinates of discretization.build_operators."""
+
+    G: sp.csr_matrix
+    L_theta: sp.csr_matrix
+    modal: bool
+
+
+def real_space_operators(grid: Grid, p: PhysParams) -> Operators:
+    """The real-space stencils from one unit gradient: G (interior nodes ->
+    flux points) and L_theta (cell-centered, with p.theta_bc fluxes).  The
+    grid's length is checked as build_operators checks it."""
+    build_operators(grid, p)
+    Nx, dx = grid.Nx, grid.dx
+    # (G1 u)_j = u_{j+1} - u_j with zero boundary values of u
+    G1 = sp.diags([np.ones(Nx), -np.ones(Nx)], [0, -1], shape=(Nx + 1, Nx),
+                  format="csr")
+    # flux form: -G1 G1^T is the zero-flux (Neumann) cell-centered Laplacian;
+    # a Dirichlet boundary value sits dx/2 from the outermost centers
+    L = -(G1 @ G1.T) / dx**2
+    if p.theta_bc == "dirichlet":
+        L = L - sp.diags(np.r_[2.0, np.zeros(Nx - 1), 2.0] / dx**2)
+    return Operators(G=G1 / dx, L_theta=L.tocsr(), modal=False)
+
+
+def real_space_generator(grid: Grid, p: PhysParams) -> Generator:
+    """The generator assembled from the real-space stencils, either theta_bc."""
+    return assemble_generator(grid, p, real_space_operators(grid, p))
+
+
+def modal_operators(grid: Grid, p: PhysParams) -> Operators:
+    """discretization.build_operators for either theta_bc.  With Dirichlet
+    theta, L_theta is the Neumann one minus the corner term (4/dx^2) c_j c_k
+    on the cosine modes j = k (mod 2), c = C[0]; the Fourier transform of
+    the real-space corner -(2/dx^2)(e_0 e_0^T + e_Nx e_Nx^T)."""
+    ops = build_operators(grid, p)
+    L = ops.L_theta
+    if p.theta_bc == "dirichlet":
+        nf, c = grid.nflux, _fourier_symbols(grid)[1]
+        j = np.arange(nf)
+        row, col = np.nonzero(np.add.outer(j, j) % 2 == 0)
+        L = L - sp.csr_matrix((4.0 / grid.dx**2 * c[row] * c[col], (row, col)),
+                              shape=(nf, nf))
+    return Operators(G=ops.G, L_theta=L, modal=True)
+
+
+def restriction_maps(gen: Generator):
+    """spectral.restriction_maps for every generator made here: with
+    Dirichlet theta every theta coordinate is kept, and a real-space
+    Neumann theta takes an orthonormal basis of the mean-zero vectors
+    (null_space); a Fourier-mode Neumann one keeps the package's basis,
+    every cosine mode but the mean."""
+    E, P = spectral.restriction_maps(gen)
+    if gen.p.theta_bc == "neumann" and gen.ops.modal:
+        return E, P
+    nt = gen.grid.ntheta
+    n_full, n_kept = E.shape[0] - nt, E.shape[1] - (nt - 1)
+    if gen.p.theta_bc == "dirichlet":
+        theta = sp.identity(nt, format="csr")
+    else:
+        theta = sp.csr_matrix(sla.null_space(np.ones((1, nt))))
+    return (sp.block_diag([E[:n_full, :n_kept], theta], format="csr"),
+            sp.block_diag([P[:n_kept, :n_full], theta.T], format="csr"))
+
+
+def reduced_generator(gen: Generator) -> sp.csr_matrix:
+    """spectral.reduced_generator with the restriction_maps above."""
+    E, P = restriction_maps(gen)
+    return (P @ (gen.matrix @ E)).tocsr()
+
+
+def pack(state: State) -> np.ndarray:
+    """Flatten a State into the fixed (u, v, z, theta) order of the generator."""
+    return np.concatenate([state.u, state.v, state.z.ravel(), state.theta])
+
+
+def unpack(vec: np.ndarray, grid: Grid) -> State:
+    """Inverse of pack."""
+    if vec.shape != (grid.dim,):
+        raise ValueError(f"expected length {grid.dim}, got {vec.shape}")
+    Nx, nz = grid.Nx, grid.nflux * (grid.Nrho + 1)
+    u, v, z, theta = (a.copy() for a in np.split(vec, [Nx, 2 * Nx, 2 * Nx + nz]))
+    return State(u=u, v=v, z=z.reshape(grid.nflux, grid.Nrho + 1), theta=theta)
+
+
+def expm_oracle(gen: Generator, state: State, t: float) -> State:
+    """Exact discrete semigroup action e^{t A_h} via scaling-and-squaring.
+
+    Dense only; refuses dimensions above EXPM_MAX_DIM.
+    """
+    if gen.grid.dim > EXPM_MAX_DIM:
+        raise DenseSizeError(f"generator dimension {gen.grid.dim} exceeds dense limit")
+    phi = sla.expm(t * gen.matrix.toarray())
+    return unpack(phi @ pack(state), gen.grid)
 
 
 def apply_rhs(state: State, grid: Grid, p: PhysParams) -> State:
@@ -114,28 +221,9 @@ def n1_equality_residual(c: LyapunovConstants, p: PhysParams) -> float:
     return -c.N4 * math.exp(-2.0 * c.lam) / p.tau + 0.5 * c.N1 * p.alpha * c.eps1
 
 
-def modal_operators(grid: Grid, p: PhysParams) -> Operators:
-    """discretization.modal_operators for either theta_bc.  With Dirichlet
-    theta, L_theta is the Neumann one minus the corner term (4/dx^2) c_j c_k
-    on the cosine modes j = k (mod 2), c = C[0]; the Fourier transform of
-    the real-space corner -(2/dx^2)(e_0 e_0^T + e_Nx e_Nx^T)."""
-    ops = discretization.modal_operators(grid, replace(p, theta_bc="neumann"))
-    if p.theta_bc == "neumann":
-        return ops
-
-    def matrices():
-        nf, c = grid.nflux, _fourier_symbols(grid)[1]
-        j = np.arange(nf)
-        row, col = np.nonzero(np.add.outer(j, j) % 2 == 0)
-        corner = sp.csr_matrix((4.0 / grid.dx**2 * c[row] * c[col], (row, col)),
-                               shape=(nf, nf))
-        return ops.G, ops.L_theta - corner
-
-    return Operators(matrices, modal=True)
-
-
 def parity_blocks(grid: Grid) -> list[np.ndarray]:
-    """The blocks of the reduced Dirichlet generator of modal_operators, as
+    """The blocks of the reduced Dirichlet generator of modal_operators
+    (reduced_generator above), as
     ascending index sets: the odd cosine modes, the even ones with the theta
     mean, then the mode-0 transport chain.  Each mode k = 1..Nx has the
     reduced coordinates u, v, z at rho > 0 and theta (see
@@ -247,7 +335,7 @@ def factor_implicit(grid: Grid, p: PhysParams,
     """
     if not (0.5 <= theta_weight <= 1.0):
         raise ValueError("theta_weight must lie in [1/2, 1]")
-    ops = build_operators(grid, p)
+    ops = real_space_operators(grid, p)
     dt = p.tau / grid.Nrho
     w = theta_weight
     # an overflowing coefficient leaves inf in M; the checks below see it

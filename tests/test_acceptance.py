@@ -19,17 +19,16 @@ import pytest
 from thermodelay.constants import (certify, f_weight, find_beta0,
                                    lyapunov_constants, n0_from_constants)
 from thermodelay.delay import init_history
-from thermodelay.discretization import (Grid, State, assemble_generator,
-                                        grad_u, pack)
-from thermodelay.integrate import (expm_oracle, factor_implicit, simulate,
-                                   step_imex)
+from thermodelay.discretization import Grid, State, grad_u
+from thermodelay.integrate import factor_implicit, simulate, step_imex
 from thermodelay.observables import (check_decay_inequality, decay_rate_fit,
                                      lyapunov_components, theta_mass)
 from thermodelay.params import PhysParams
 from thermodelay.spectral import dissipativity_test, spectral_abscissa
 from scipy.integrate import quad
 
-from oracles import modal_start, real_space_state
+from oracles import (expm_oracle, modal_start, pack, real_space_generator,
+                     real_space_state)
 
 UNIT = PhysParams(alpha=1.0, beta=1.0, gamma=1.0, kappa=1.0, tau=1.0, ell=1.0)
 LAMBDA_GRID = [0.5, 0.6, 0.8, 1.0, 1.5, 2.0]
@@ -188,7 +187,7 @@ def test_criterion_6_imex_vs_expm_oracle():
     errs = []
     for N in (4, 8):   # matched refinement: dt = tau/N on an Nrho = N grid
         g = Grid(Nx=4, Nrho=N)
-        gen = assemble_generator(g, p)
+        gen = real_space_generator(g, p)
         u0 = np.sin(math.pi * g.x_nodes)
         ux0 = grad_u(u0, g.dx)
         buf = init_history(

@@ -679,28 +679,26 @@ def test_spectrum_whose_refinement_overflows_writes_no_nan(tmp_path, capfd):
 @pytest.mark.parametrize("theta_bc", ["neumann", "dirichlet"])
 def test_sweep_point_assembles_no_real_space_generator(tmp_path, monkeypatch,
                                                        theta_bc):
-    # simulate factors the (v, theta) block from the operators, the abscissa
-    # assembles in Fourier-mode coordinates alone, and spectrum refines on
-    # the Fourier-mode blocks: no command builds a real-space matrix.  Each
+    # simulate factors the (v, theta) block from the operators' symbols, the
+    # abscissa assembles in Fourier-mode coordinates alone, and spectrum
+    # refines on the Fourier-mode blocks: every generator a command
+    # assembles is built from the package's Fourier-mode operators.  Each
     # spectral call assembles one generator, with Neumann theta: the
     # Dirichlet parity blocks are cut from it
     from thermodelay import discretization, integrate
 
-    real_space, modal = [], []
+    other, modal = [], []
     assemble = discretization.assemble_generator
 
     def counted(grid, p, ops=None):
         gen = assemble(grid, p, ops)
-        (modal if gen.ops.modal else real_space).append(p.theta_bc)
+        fourier = ops is None and isinstance(gen.ops, discretization.Operators)
+        (modal if fourier else other).append(p.theta_bc)
         return gen
-
-    def real_space_matrices(grid, theta_bc):
-        pytest.fail("a real-space G and L_theta were assembled")
 
     for module in (discretization, integrate, spectral):
         # integrate imports none; patched anyway, so an import would count
         monkeypatch.setattr(module, "assemble_generator", counted, raising=False)
-    monkeypatch.setattr(discretization, "_real_space_matrices", real_space_matrices)
     cfg2 = tmp_path / "sweep.ini"
     cfg2.write_text(BASE + "\n[sweep]\nbeta = 4.6\nspectrum = true\n")
     out = tmp_path / "sw"
@@ -710,7 +708,7 @@ def test_sweep_point_assembles_no_real_space_generator(tmp_path, monkeypatch,
     assert float(row[6]) < 0.0 and row[-1] == ""
     assert _run(["spectrum", "--config", str(cfg2), "--out", str(tmp_path / "sp")]
                 + bc) == 0
-    assert real_space == []
+    assert other == []
     g, p = Grid(Nx=8, Nrho=8), PhysParams(beta=4.6, theta_bc=theta_bc)
     for call in (spectral.spectral_abscissa, spectral.spectrum_dense):
         modal.clear()
@@ -718,7 +716,7 @@ def test_sweep_point_assembles_no_real_space_generator(tmp_path, monkeypatch,
         assert modal == ["neumann"], call.__name__
     if theta_bc == "dirichlet":
         with pytest.raises(ValueError, match="takes Neumann theta"):
-            discretization.modal_operators(g, p)
+            assemble(g, p)
 
 
 def test_sweep_point_with_overflowing_block_is_a_row_error(tmp_path, cfgfile):

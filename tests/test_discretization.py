@@ -1,4 +1,7 @@
-"""Grids, operators, packed layout and the assembled generator."""
+"""Grids, operators, packed layout and the assembled generator.
+
+The real-space stencils, packed layout and generator are the oracles of
+oracles.py; the package's Fourier-mode ones are held to them."""
 
 import math
 
@@ -7,16 +10,17 @@ import pytest
 
 import scipy.sparse as sp
 
-from thermodelay.discretization import (Grid, State, assemble_generator,
-                                        build_operators, grad_u,
-                                        modal_operators, pack, unpack)
+from thermodelay.discretization import (Grid, State, _fourier_symbols,
+                                        assemble_generator, build_operators,
+                                        grad_u)
 from thermodelay.integrate import factor_implicit
 from thermodelay.params import PhysParams
 from thermodelay.spectral import (dissipativity_test, reduced_eigvals,
                                   spectral_abscissa, spectrum_dense)
 
 import oracles
-from oracles import apply_rhs, inner_product_H, random_state
+from oracles import (apply_rhs, inner_product_H, pack, random_state,
+                     real_space_generator, real_space_operators, unpack)
 
 P = PhysParams(alpha=1.0, beta=2.0, gamma=1.0, kappa=1.0, tau=1.0, ell=1.0)
 
@@ -35,7 +39,8 @@ def test_grid_validation():
 
 
 @pytest.mark.parametrize("build", [
-    build_operators, modal_operators, assemble_generator, factor_implicit,
+    build_operators, oracles.modal_operators, assemble_generator,
+    factor_implicit,
     spectral_abscissa, spectrum_dense, reduced_eigvals,
     lambda g, p: dissipativity_test(g, p, xi=1.0),
 ])
@@ -46,8 +51,9 @@ def test_grid_length_must_be_the_models(build, theta_bc):
     p = PhysParams(beta=4.5, ell=2.0, theta_bc=theta_bc)
     with pytest.raises(ValueError, match=r"grid length ell = 1\.0 .* ell = 2\.0"):
         build(Grid(Nx=8, Nrho=8), p)
-    if build is modal_operators and theta_bc == "dirichlet":
-        # checked after the length: the Fourier-mode operators are Neumann's
+    if build is assemble_generator and theta_bc == "dirichlet":
+        # checked after the length: without ops, the Fourier-mode operators
+        # are Neumann's
         with pytest.raises(ValueError, match="takes Neumann theta"):
             build(Grid(Nx=8, Nrho=8, ell=2.0), p)
     else:
@@ -56,7 +62,7 @@ def test_grid_length_must_be_the_models(build, theta_bc):
 
 def test_dirichlet_laplacian_sine_eigenvector():
     g = Grid(Nx=63, Nrho=2)
-    ops = build_operators(g, P)
+    ops = real_space_operators(g, P)
     w = np.sin(math.pi * g.x_nodes / g.ell)
     lam_num = (-(ops.G.T @ ops.G) @ w) / w
     assert np.allclose(lam_num, lam_num[0])
@@ -65,7 +71,7 @@ def test_dirichlet_laplacian_sine_eigenvector():
 
 def test_neumann_laplacian_constant_null():
     g = Grid(Nx=16, Nrho=2)
-    ops = build_operators(g, P)
+    ops = real_space_operators(g, P)
     c = np.ones(g.ntheta)
     assert np.max(np.abs(ops.L_theta @ c)) == 0.0
 
@@ -81,7 +87,7 @@ def test_div_grad_equals_dirichlet_laplacian_exactly():
     for Nx in (8, 32, 48, 64):
         g = Grid(Nx=Nx, Nrho=2)
         d = 1.0 / g.dx
-        ops = build_operators(g, P)
+        ops = real_space_operators(g, P)
         want_G = np.zeros((Nx + 1, Nx))
         want_G[np.arange(Nx), np.arange(Nx)] = d
         want_G[np.arange(1, Nx + 1), np.arange(Nx)] = -d
@@ -96,7 +102,7 @@ def test_theta_laplacian_stencil_bitwise():
             g = Grid(Nx=Nx, Nrho=2)
             dx = g.dx
             p = PhysParams(beta=2.0, theta_bc=bc)
-            L = build_operators(g, p).L_theta.toarray()
+            L = real_space_operators(g, p).L_theta.toarray()
             want = _stencil(Nx + 1, -1.0 / dx**2 - 1.0 / dx**2, 1.0 / dx**2)
             want[0, 0] = want[-1, -1] = -1.0 / dx**2
             if bc == "dirichlet":
@@ -107,7 +113,7 @@ def test_theta_laplacian_stencil_bitwise():
 def test_summation_by_parts_exact():
     # <div q, w> dx = -<q, grad w> dx by telescoping (Dirichlet w)
     g = Grid(Nx=12, Nrho=2)
-    ops = build_operators(g, P)
+    ops = real_space_operators(g, P)
     rng = np.random.default_rng(0)
     for _ in range(20):
         w = rng.standard_normal(g.Nx)
@@ -119,7 +125,7 @@ def test_summation_by_parts_exact():
 
 def test_theta_row_sums_vanish_neumann():
     g = Grid(Nx=8, Nrho=4)
-    gen = assemble_generator(g, P)
+    gen = real_space_generator(g, P)
     tstart = 2 * g.Nx + g.nflux * (g.Nrho + 1)
     rows = gen.matrix[tstart:, :].toarray()
     colsums = rows.sum(axis=0)   # theta-mass rate for unit basis vectors
@@ -142,7 +148,7 @@ def test_pack_unpack_roundtrip_and_locality():
 
 def test_generator_zero_and_linearity():
     g = Grid(Nx=6, Nrho=4)
-    gen = assemble_generator(g, P)
+    gen = real_space_generator(g, P)
     assert np.max(np.abs(gen.matrix @ np.zeros(g.dim))) == 0.0
     rng = np.random.default_rng(2)
     x, y = rng.standard_normal((2, g.dim))
@@ -156,7 +162,7 @@ def test_generator_matches_hand_coded_rhs(bc):
     p = PhysParams(alpha=1.3, beta=0.7, gamma=0.9, kappa=1.1, tau=0.8,
                    ell=1.5, theta_bc=bc)
     g = Grid(Nx=9, Nrho=6, ell=p.ell)
-    gen = assemble_generator(g, p)
+    gen = real_space_generator(g, p)
     rng = np.random.default_rng(3)
     worst = 0.0
     for _ in range(100):
@@ -190,7 +196,7 @@ def test_modal_generator_is_fourier_transform_of_real_space(Nx, Nrho):
     for p in (P, pd):
         ops = oracles.modal_operators(g, p)
         modal = assemble_generator(g, p, ops).matrix.toarray()
-        TAT = T.T @ assemble_generator(g, p).matrix.toarray() @ T
+        TAT = T.T @ real_space_generator(g, p).matrix.toarray() @ T
         assert np.max(np.abs(modal - TAT)) <= 1e-13 * np.max(np.abs(TAT))
     # Dirichlet theta: the corner terms couple the cosine modes of one
     # parity, O(10^2) entries where the Neumann modal generator has none,
@@ -198,15 +204,36 @@ def test_modal_generator_is_fourier_transform_of_real_space(Nx, Nrho):
     L = ops.L_theta.tocoo()
     assert L.nnz == (g.nflux**2 + 1) // 2
     assert np.all((L.row + L.col) % 2 == 0)
-    neumann = assemble_generator(g, P, modal_operators(g, P)).matrix.toarray()
+    neumann = assemble_generator(g, P, build_operators(g, P)).matrix.toarray()
     assert np.max(np.abs(modal[neumann == 0.0])) > 50.0
+
+
+@pytest.mark.parametrize("Nx,Nrho", [(8, 8), (17, 5)])
+def test_build_operators_is_one_for_either_theta_bc(Nx, Nrho):
+    # the same Fourier-mode operators, bit for bit, for Neumann and
+    # Dirichlet theta (whose corner its users add): G maps sine mode k to
+    # cosine mode k times g_k, and L_theta = -diag(g)^2 with the symbols g
+    # that factor_implicit reads
+    g = Grid(Nx=Nx, Nrho=Nrho)
+    neumann, dirichlet = (build_operators(g, PhysParams(**{**P.__dict__, "theta_bc": bc}))
+                          for bc in ("neumann", "dirichlet"))
+    for name in ("G", "L_theta"):
+        a, b = getattr(neumann, name), getattr(dirichlet, name)
+        for part in ("data", "indices", "indptr"):
+            assert getattr(a, part).tobytes() == getattr(b, part).tobytes(), name
+    sym = _fourier_symbols(g)[0]
+    assert neumann.g is dirichlet.g is sym
+    want_G = np.zeros((g.nflux, Nx))
+    want_G[np.arange(1, Nx + 1), np.arange(Nx)] = sym[1:]
+    assert np.array_equal(neumann.G.toarray(), want_G)
+    assert np.array_equal(neumann.L_theta.toarray(), np.diag(-sym**2))
 
 
 def test_v_row_reduces_to_delayed_stress_when_decoupled():
     # beta = kappa-only, gamma = 0: dv = alpha * div z(., 1)
     p = PhysParams(alpha=2.0, beta=0.0, gamma=0.0, kappa=1.0, tau=1.0)
     g = Grid(Nx=8, Nrho=4)
-    ops = build_operators(g, p)
+    ops = real_space_operators(g, p)
     rng = np.random.default_rng(4)
     s = random_state(g, p, rng, domain=False)
     ds = apply_rhs(s, g, p)

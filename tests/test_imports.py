@@ -21,7 +21,7 @@ EAGER_EXPORTS = {
                   "lyapunov_constants", "n0_from_constants"],
     "delay": ["HistoryBuffer", "init_history"],
     "discretization": ["Grid", "State", "assemble_generator", "build_operators"],
-    "integrate": ["expm_oracle", "factor_implicit", "simulate", "step_imex"],
+    "integrate": ["factor_implicit", "simulate", "step_imex"],
     "observables": ["Trajectory", "check_decay_inequality", "decay_rate_fit",
                     "energy", "lyapunov_components"],
     "params": ["PhysParams"],
@@ -78,6 +78,33 @@ def test_simulate_without_scipy_writes_the_same_bytes(tmp_path, capsys):
     for name in ("traj.csv", "summary.json"):
         assert ((tmp_path / "without" / name).read_bytes()
                 == (tmp_path / "with" / name).read_bytes())
+
+
+def test_build_operators_and_a_dirichlet_simulate_need_no_scipy(tmp_path):
+    # build_operators checks the grid and hands out the symbols without
+    # scipy, for either theta_bc; only reading its sparse G imports scipy
+    proc = _python(
+        "import sys; sys.modules['scipy'] = None\n"
+        "from thermodelay.cli import main\n"
+        "from thermodelay.discretization import _fourier_symbols, build_operators\n"
+        "from thermodelay.grid import Grid\n"
+        "from thermodelay.params import PhysParams\n"
+        "g = Grid(Nx=8, Nrho=8)\n"
+        "for bc in ('neumann', 'dirichlet'):\n"
+        "    ops = build_operators(g, PhysParams(beta=4.5, theta_bc=bc))\n"
+        "    assert ops.g is _fourier_symbols(g)[0], bc\n"
+        "try:\n"
+        "    ops.G\n"
+        "except ImportError:\n"
+        "    print('no scipy for G')\n"
+        "sys.exit(main(sys.argv[1:]))",
+        "simulate", "--config", os.devnull, "--override", "model.beta=4.5",
+        "--override", "model.theta_bc=dirichlet", "--override", "grid.nx=8",
+        "--override", "grid.nrho=8", "--override", "time.t_end=2",
+        "--out", str(tmp_path / "simulate"))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == "no scipy for G"
+    assert (tmp_path / "simulate" / "traj.csv").is_file()
 
 
 def test_importing_the_cli_and_loading_a_config_loads_no_numpy():

@@ -1,8 +1,9 @@
 """IMEX stepping per Fourier mode, its coefficients, and the matrix-exponential oracle.
 
-The real-space stepper it replaced (one sparse LU of the (v, theta) block)
-lives in oracles.py; the tests here hold the modal stepper to it and to
-dense references."""
+The real-space stepper it replaced (one sparse LU of the (v, theta) block),
+the real-space generator and the matrix-exponential oracle live in
+oracles.py; the tests here hold the modal stepper to them and to dense
+references."""
 
 import math
 from dataclasses import replace
@@ -15,17 +16,17 @@ import scipy.sparse as sp
 import oracles
 from thermodelay.constants import f_weight, lyapunov_constants
 from thermodelay.delay import HistoryBuffer, init_history
-from thermodelay.discretization import (Grid, State, _vtheta_blocks,
-                                        assemble_generator, build_operators,
-                                        grad_u, modal_state, pack, strain,
-                                        unpack)
-from thermodelay.integrate import (NumericalBlowupError, expm_oracle,
-                                   factor_implicit, simulate, step_imex)
+from thermodelay.discretization import (Grid, State, _vtheta_blocks, grad_u,
+                                        modal_state, strain)
+from thermodelay.integrate import (NumericalBlowupError, factor_implicit,
+                                   simulate, step_imex)
 from thermodelay.observables import (decay_rate_fit, energy,
                                      lyapunov_components, theta_mass)
 from thermodelay.params import PhysParams
 
-from oracles import modal_start, random_state, real_space_state
+from oracles import (expm_oracle, modal_start, pack, random_state,
+                     real_space_generator, real_space_operators,
+                     real_space_state, unpack)
 
 P = PhysParams(alpha=1.0, beta=2.0, gamma=1.0, kappa=1.0, tau=1.0, ell=1.0)
 
@@ -193,7 +194,7 @@ def _generator_slice(grid, p):
     """The former path to the implicit block: the (v, theta) rows and
     columns sliced from the assembled real-space generator."""
     vt = np.r_[grid.Nx:2 * grid.Nx, grid.dim - grid.ntheta:grid.dim]
-    return assemble_generator(grid, p).matrix[vt][:, vt]
+    return real_space_generator(grid, p).matrix[vt][:, vt]
 
 
 @pytest.mark.parametrize("theta_bc", ["neumann", "dirichlet"])
@@ -212,7 +213,7 @@ def test_factored_block_is_the_generator_slice(theta_bc, beta, gamma, kappa):
     for g in (Grid(Nx=8, Nrho=4), Grid(Nx=33, Nrho=7), Grid(Nx=256, Nrho=16)):
         with np.errstate(over="ignore", invalid="ignore"):
             want = _generator_slice(g, p)
-            got = sp.bmat(_vtheta_blocks(build_operators(g, p), p), format="csr")
+            got = sp.bmat(_vtheta_blocks(real_space_operators(g, p), p), format="csr")
             got.eliminate_zeros()
         for name in ("data", "indices", "indptr"):
             a, b = getattr(got, name), getattr(want, name)
@@ -238,7 +239,7 @@ class _DenseFactor:
         self.grid, self.p, self.theta_weight, self.dt = grid, p, theta_weight, dt
         self.lu = sla.lu_factor(np.eye(n) - theta_weight * dt * M)
         self.explicit_mat = np.eye(n) + (1.0 - theta_weight) * dt * M
-        self.D = (-build_operators(grid, p).G.T).toarray(order="C")
+        self.D = (-real_space_operators(grid, p).G.T).toarray(order="C")
 
     def solve(self, rhs):
         return sla.lu_solve(self.lu, rhs)
@@ -296,7 +297,7 @@ def test_gamma_zero_decouples_theta_pure_heat():
 
 def test_expm_oracle_identity_and_semigroup():
     g = Grid(Nx=4, Nrho=3)
-    gen = assemble_generator(g, P)
+    gen = real_space_generator(g, P)
     rng = np.random.default_rng(3)
     s = random_state(g, P, rng)
     s0 = expm_oracle(gen, s, 0.0)
@@ -322,7 +323,7 @@ def test_imex_matches_expm_and_converges():
     errs = []
     for N in (4, 8, 16):
         g = Grid(Nx=4, Nrho=N)
-        gen = assemble_generator(g, p)
+        gen = real_space_generator(g, p)
         u0 = np.sin(math.pi * g.x_nodes)
         ux0 = grad_u(u0, g.dx)
         buf = init_history(lambda x, s, ux0=ux0, g=g: np.interp(x, g.x_flux, ux0),

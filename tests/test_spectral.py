@@ -13,16 +13,15 @@ from scipy.sparse.csgraph import connected_components
 
 from thermodelay import spectral
 from thermodelay.constants import find_beta0, lyapunov_constants
-from thermodelay.discretization import (DenseSizeError, Grid,
-                                        assemble_generator, build_operators,
-                                        pack)
+from thermodelay import discretization
+from thermodelay.discretization import DenseSizeError, Grid, assemble_generator
 from thermodelay.params import PhysParams
 from thermodelay.spectral import (dissipativity_test, spectral_abscissa,
                                   spectrum_dense)
-from thermodelay.spectral import reduced_generator
 
 import oracles
-from oracles import h_weight_matrix, inner_product_H, random_state
+from oracles import (h_weight_matrix, inner_product_H, pack, random_state,
+                     real_space_generator)
 
 UNIT = PhysParams(alpha=1.0, beta=1.0, gamma=1.0, kappa=1.0, tau=1.0, ell=1.0)
 N_TOP = spectral.N_REFINE        # the rightmost eigenvalues spectrum_dense refines
@@ -67,7 +66,7 @@ def test_companion_matrix_cross_check(certified):
 
     p, c = certified
     g = Grid(Nx=3, Nrho=3)
-    gen = assemble_generator(g, p)
+    gen = real_space_generator(g, p)
     A = gen.matrix.toarray()
     w_qr = sla.eigvals(A)
     w_poly = np.roots(np.poly(A))
@@ -77,23 +76,25 @@ def test_companion_matrix_cross_check(certified):
 
 
 def test_reduced_generator_invariance(certified):
-    # exact matrix-level invariance: A E = E (P A E) and P E = I
-    from thermodelay.spectral import restriction_maps
-
+    # exact matrix-level invariance: A E = E (P A E) and P E = I, for the
+    # real-space generator with the oracle's restriction and the package's
+    # Fourier-mode generator with its own
     p, c = certified
     g = Grid(Nx=5, Nrho=4)
-    gen = assemble_generator(g, p)
-    E, Pm = (m.toarray() for m in restriction_maps(gen))
-    assert np.allclose(Pm @ E, np.eye(E.shape[1]), atol=1e-13)
-    red = Pm @ (gen.matrix @ E)
-    resid = gen.matrix @ E - E @ red
-    scale = np.max(np.abs(gen.matrix.toarray()))
-    assert np.max(np.abs(resid)) <= 1e-12 * scale
-    # and the rightmost reduced eigenvalue is a genuine full-space eigenvalue
-    w_full = sla.eigvals(gen.matrix.toarray())
-    w_red = sla.eigvals(red)
-    lam = w_red[np.argmax(w_red.real)]
-    assert np.min(np.abs(w_full - lam)) <= 1e-6 * max(1.0, np.max(np.abs(w_full)))
+    real, modal = real_space_generator(g, p), assemble_generator(g, p)
+    for gen, maps in [(real, oracles.restriction_maps(real)),
+                      (modal, spectral.restriction_maps(modal))]:
+        E, Pm = (m.toarray() for m in maps)
+        assert np.allclose(Pm @ E, np.eye(E.shape[1]), atol=1e-13)
+        red = Pm @ (gen.matrix @ E)
+        resid = gen.matrix @ E - E @ red
+        scale = np.max(np.abs(gen.matrix.toarray()))
+        assert np.max(np.abs(resid)) <= 1e-12 * scale
+        # and the rightmost reduced eigenvalue is a genuine full-space eigenvalue
+        w_full = sla.eigvals(gen.matrix.toarray())
+        w_red = sla.eigvals(red)
+        lam = w_red[np.argmax(w_red.real)]
+        assert np.min(np.abs(w_full - lam)) <= 1e-6 * max(1.0, np.max(np.abs(w_full)))
 
 
 def test_full_spectrum_has_spurious_zeros_reduced_does_not(certified):
@@ -102,12 +103,12 @@ def test_full_spectrum_has_spurious_zeros_reduced_does_not(certified):
                                             ["neumann", "dirichlet"]):
         g = Grid(Nx=Nx, Nrho=Nrho)
         pb = PhysParams(**{**p.__dict__, "theta_bc": bc})
-        gen = assemble_generator(g, pb)
+        gen = real_space_generator(g, pb)
         w_full = sla.eigvals(gen.matrix.toarray())
         zero = np.abs(w_full) <= 1e-10
         # conserved z(.,0) - u_x at the Nx+1 flux points, and the theta mass
         assert np.sum(zero) == g.Nx + 1 + (bc == "neumann"), (Nx, bc)
-        assert np.sum(zero) == g.dim - reduced_generator(gen).shape[0]
+        assert np.sum(zero) == g.dim - oracles.reduced_generator(gen).shape[0]
         a_red, _ = spectral_abscissa(g, pb)
         assert a_red < -1e-3
         assert abs(a_red - w_full[~zero].real.max()) <= 1e-12, (Nx, bc)
@@ -128,7 +129,7 @@ def test_beta_zero_positive_abscissa():
 def test_pure_heat_block_spectrum():
     # kappa L_theta: one zero eigenvalue (conserved mean), rest negative
     g = Grid(Nx=16, Nrho=2)
-    ops = build_operators(g, UNIT)
+    ops = oracles.real_space_operators(g, UNIT)
     w = np.sort(sla.eigvalsh(UNIT.kappa * ops.L_theta.toarray()))
     assert abs(w[-1]) <= 1e-12
     assert w[-2] < -1e-6
@@ -137,13 +138,13 @@ def test_pure_heat_block_spectrum():
 def test_dense_size_guard(certified, monkeypatch):
     # the even Dirichlet parity block at 100x100 has 50*103 + 1 = 5151 > 5000
     # rows; the traps keep the oversized solve, the Nx^2 corner coupling and
-    # the real-space assembly before it from running if the guard is missing
-    # or comes too late
+    # the operators and generator before it from being built if the guard is
+    # missing or comes too late
     def trap(*args):
         raise AssertionError("an oversized dense path ran")
 
     monkeypatch.setattr(spectral, "sla", SimpleNamespace(eigvals=trap))
-    monkeypatch.setattr(spectral, "modal_operators", trap)
+    monkeypatch.setattr(discretization, "build_operators", trap)
     monkeypatch.setattr(spectral, "assemble_generator", trap)
     p, c = certified
     pd = PhysParams(**{**p.__dict__, "theta_bc": "dirichlet"})
@@ -160,7 +161,7 @@ def test_modal_blocks_are_the_connected_components(theta_bc, Nx, Nrho):
     # slices, of the oracle's generator
     g = Grid(Nx=Nx, Nrho=Nrho)
     p = PhysParams(**{**UNIT.__dict__, "beta": 4.5, "theta_bc": theta_bc})
-    R = reduced_generator(assemble_generator(g, p, oracles.modal_operators(g, p)))
+    R = oracles.reduced_generator(assemble_generator(g, p, oracles.modal_operators(g, p)))
     if theta_bc == "neumann":
         modes, blocks = zip(*spectral._modal_blocks(g))
         assert modes == tuple(range(1, Nx + 1)) + (0,)
@@ -179,7 +180,7 @@ def test_dense_blocks_equal_the_fancy_slices(theta_bc, Nx, Nrho):
     # for index sets that are neither contiguous nor sorted
     g = Grid(Nx=Nx, Nrho=Nrho)
     p = PhysParams(**{**UNIT.__dict__, "beta": 4.5, "theta_bc": theta_bc})
-    R = reduced_generator(assemble_generator(g, p, oracles.modal_operators(g, p)))
+    R = oracles.reduced_generator(assemble_generator(g, p, oracles.modal_operators(g, p)))
     rng = np.random.default_rng(Nx * Nrho)
     n = R.shape[0]
     scattered = [rng.permutation(n)[:size] for size in (1, 5, n // 3)]
@@ -206,7 +207,7 @@ def test_parity_blocks_are_the_slices_of_the_dirichlet_generator(Nx, Nrho, model
     p = PhysParams(**{**UNIT.__dict__, "beta": 4.5, "theta_bc": "dirichlet",
                       **model})
     g = Grid(Nx=Nx, Nrho=Nrho, ell=p.ell)
-    R = reduced_generator(assemble_generator(g, p, oracles.modal_operators(g, p)))
+    R = oracles.reduced_generator(assemble_generator(g, p, oracles.modal_operators(g, p)))
     blocks = spectral._parity_blocks(g, p, spectral._modal_reduced(g, p),
                                      [b for _, b in spectral._modal_blocks(g)])
     assert len(blocks) == 3
@@ -276,8 +277,8 @@ def test_modal_spectrum_matches_dense(certified, theta_bc, damped, Nx, Nrho):
     p = PhysParams(**{**p.__dict__, "beta": p.beta if damped else 0.0,
                       "theta_bc": theta_bc})
     g = Grid(Nx=Nx, Nrho=Nrho)
-    gen = assemble_generator(g, p)
-    w_dense = sla.eigvals(reduced_generator(gen).toarray())
+    gen = real_space_generator(g, p)
+    w_dense = sla.eigvals(oracles.reduced_generator(gen).toarray())
     w_modal, modes = spectral.reduced_eigvals(g, p)
     assert len(w_modal) == len(w_dense)
     # the mode-0 transport chain is a block of its own, with eigenvalues
@@ -287,7 +288,7 @@ def test_modal_spectrum_matches_dense(certified, theta_bc, damped, Nx, Nrho):
         assert len(modes) == len(w_modal)
     else:
         # two parity blocks, the even one with the theta mean, and the chain
-        R = reduced_generator(assemble_generator(g, p, oracles.modal_operators(g, p)))
+        R = oracles.reduced_generator(assemble_generator(g, p, oracles.modal_operators(g, p)))
         sizes = sorted(b.size for b in _components(R))
         assert modes is None
         assert sizes == sorted([Nrho, Nx // 2 * (Nrho + 3) + 1,
@@ -332,7 +333,7 @@ def test_refinement_waits_for_the_rayleigh_quotient_to_settle():
     p = PhysParams(**{**UNIT.__dict__, "beta": 2.7, "gamma": 3.0,
                       "theta_bc": "dirichlet"})
     g = Grid(Nx=8, Nrho=8)
-    w = sla.eigvals(reduced_generator(assemble_generator(g, p)).toarray())
+    w = sla.eigvals(oracles.reduced_generator(real_space_generator(g, p)).toarray())
     res = spectrum_dense(g, p)
     assert abs(res.eigenvalues[0].real - -0.7482970387694956) <= 1e-10
     top = res.eigenvalues[:N_TOP]
@@ -374,6 +375,27 @@ def test_dense_refinement_matches_the_superlu_refinement(N, gamma):
     assert np.array_equal(res.modes, ref.modes)
     assert np.array_equal(res.converged, ref.converged) and res.converged.all()
     assert np.all(res.rightmost_residuals <= 1e-13)
+
+
+@pytest.mark.parametrize("theta_bc", ["neumann", "dirichlet"])
+@pytest.mark.parametrize("N", [8, 16])
+def test_a_real_eigenvalue_is_refined_in_real_arithmetic(N, theta_bc):
+    # a real QR value is refined from a real shift and the real part of its
+    # start vector, so its row is real: complex arithmetic left imaginary
+    # parts of about 1e-16 on 8 to 9 of the 10 rows here.  Every row is
+    # refined, as before
+    p = PhysParams(**{**UNIT.__dict__, "beta": 4.5, "theta_bc": theta_bc})
+    g = Grid(Nx=N, Nrho=N)
+    w = spectral.reduced_eigvals(g, p)[0]
+    w = w[np.argsort(-w.real)[:N_TOP]]
+    res = spectrum_dense(g, p)
+    top = res.eigenvalues[:N_TOP]
+    assert res.converged.tolist() == [True] * N_TOP
+    real = w[w.imag == 0.0]
+    assert real.size >= N_TOP - 2
+    for lam in real:      # the refined row of each, nearest its QR value
+        row = top[np.argmin(np.abs(top - lam))]
+        assert abs(row - lam) <= 1e-10 and row.imag == 0.0, (lam, row)
 
 
 def test_a_singular_dense_shift_keeps_the_qr_value(monkeypatch):
@@ -591,7 +613,7 @@ def test_dirichlet_abscissa_beyond_double_precision_is_refused():
 
 def test_h_weight_matrix_spd():
     g = Grid(Nx=6, Nrho=4)
-    W = h_weight_matrix(assemble_generator(g, UNIT), xi=1.3).toarray()
+    W = h_weight_matrix(real_space_generator(g, UNIT), xi=1.3).toarray()
     assert np.allclose(W, W.T)
     evals = np.linalg.eigvalsh(W)
     assert evals.min() > 0.0
@@ -600,7 +622,7 @@ def test_h_weight_matrix_spd():
 def test_h_weight_matches_inner_product():
     g = Grid(Nx=6, Nrho=4)
     xi = 0.9
-    W = h_weight_matrix(assemble_generator(g, UNIT), xi)
+    W = h_weight_matrix(real_space_generator(g, UNIT), xi)
     rng = np.random.default_rng(0)
     for _ in range(10):
         s = random_state(g, UNIT, rng, domain=False)
@@ -620,7 +642,7 @@ def test_reduced_gram_matrix_is_diagonal_in_fourier_modes(theta_bc, Nx, Nrho):
     g = Grid(Nx=Nx, Nrho=Nrho)
     xi = 1.3
     gen = assemble_generator(g, p, oracles.modal_operators(g, p))
-    E = spectral.restriction_maps(gen)[0]
+    E = oracles.restriction_maps(gen)[0]
     B = (E.T @ h_weight_matrix(gen, xi) @ E).toarray()
     gk = 2.0 * np.sin(np.arange(1, Nx + 1) * np.pi / (2 * (Nx + 1))) / g.dx
     n_theta = g.ntheta - (theta_bc == "neumann")
@@ -646,7 +668,7 @@ def test_dissipativity_negative_under_hypothesis():
 
 def _dense_pencil(gen, xi, m):
     """(E^T sym(W (A - m I)) E, E^T W E) in real space, dense, and E."""
-    E = spectral.restriction_maps(gen)[0].toarray()
+    E = oracles.restriction_maps(gen)[0].toarray()
     W = h_weight_matrix(gen, xi).toarray()
     WA = W @ (gen.matrix.toarray() - m * np.eye(gen.grid.dim))
     return E.T @ (0.5 * (WA + WA.T)) @ E, E.T @ W @ E, E
@@ -660,7 +682,7 @@ def test_dissipativity_matches_dense_real_space_pencil(theta_bc, N):
     p = PhysParams(alpha=1.0, beta=2.0, gamma=1.0, kappa=1.0, tau=1.0,
                    theta_bc=theta_bc)
     xi, m = _paper_xi_m(p)
-    gen = assemble_generator(Grid(Nx=N, Nrho=N), p)
+    gen = real_space_generator(Grid(Nx=N, Nrho=N), p)
     S, B, _ = _dense_pencil(gen, xi, m)
     ref = sla.eigh(S, B, eigvals_only=True)[-1]
     exact = dissipativity_test(gen.grid, p, xi)["max_rayleigh"]
@@ -675,7 +697,7 @@ def test_dissipativity_theta_part_lies_below_u_only_states(theta_bc):
                    theta_bc=theta_bc)
     xi, m = 1.3, -0.4
     g = Grid(Nx=12, Nrho=6)
-    gen = assemble_generator(g, p)
+    gen = real_space_generator(g, p)
     S, B, E = _dense_pencil(gen, xi, m)
     n = 2 * g.Nx + g.nflux * g.Nrho            # reduced (u, v, z) coordinates
     y = np.zeros(S.shape[0])
@@ -693,7 +715,7 @@ def test_dissipativity_bounds_every_domain_state(theta_bc):
                    theta_bc=theta_bc)
     xi, m = _paper_xi_m(p)
     g = Grid(Nx=12, Nrho=8)
-    gen = assemble_generator(g, p)
+    gen = real_space_generator(g, p)
     W = h_weight_matrix(gen, xi)
     exact = dissipativity_test(g, p, xi)["max_rayleigh"]
     rng = np.random.default_rng(4)
@@ -724,8 +746,7 @@ def test_dissipativity_theta_only_states():
     p = UNIT.with_beta(2.0)
     xi = 4.0 * p.tau * p.alpha**2 / p.beta
     g = Grid(Nx=12, Nrho=8)
-    from thermodelay.discretization import assemble_generator as asm
-    gen = asm(g, p)
+    gen = real_space_generator(g, p)
     W = h_weight_matrix(gen, xi)
     m = p.alpha**2 / p.beta + xi / (2 * p.tau)
     rng = np.random.default_rng(1)
@@ -755,7 +776,7 @@ def test_resolvent_solve_above_shift():
     xi = 4.0 * p.tau * p.alpha**2 / p.beta
     m = p.alpha**2 / p.beta + xi / (2 * p.tau)
     g = Grid(Nx=10, Nrho=8)
-    gen = assemble_generator(g, p)
+    gen = real_space_generator(g, p)
     lam = m + 1.0
     A = (lam * sp.identity(g.dim) - gen.matrix).tocsc()
     rng = np.random.default_rng(3)
