@@ -29,8 +29,8 @@ import warnings
 from dataclasses import replace
 from pathlib import Path
 
-from .config import (SCHEMA_VERSION, ConfigError, RunConfig, load_config,
-                     make_initial_data)
+from .config import (SCHEMA_VERSION, ConfigError, RunConfig, check_steps,
+                     load_config, make_initial_data)
 from .constants import (InfeasibleLambdaError, NoFeasibleLambdaError, certify,
                         find_beta0, lyapunov_constants, n0_from_constants)
 from .grid import DenseSizeError, NumericalBlowupError
@@ -427,6 +427,8 @@ def main(argv=None) -> int:
         return 1 if exc.code not in (0, None) else 0
     try:
         cfg = load_config(args.config, overrides=args.override)
+        if args.command in ("simulate", "sweep"):     # the commands that step
+            check_steps(cfg)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         return COMMANDS[args.command](cfg, out)

@@ -14,8 +14,8 @@ from .params import PhysParams
 if TYPE_CHECKING:
     import numpy as np
 
-__all__ = ["ConfigError", "RunConfig", "load_config", "parse_range",
-           "make_initial_data"]
+__all__ = ["ConfigError", "RunConfig", "load_config", "check_steps",
+           "parse_range", "make_initial_data"]
 
 SCHEMA_VERSION = 1
 MAX_RANGE_POINTS = 1000    # most values a start:stop:num range may ask for
@@ -215,13 +215,19 @@ def load_config(path: str | None = None, overrides: list[str] = (),
     for ok, message in checks:
         if not ok:
             raise ConfigError(message)
-    try:
-        step_count(cfg.t_end, params.tau / grid.Nrho, cfg.record_every)
-    except ValueError as exc:
-        raise ConfigError(f"time.{exc}") from None
 
     cfg.echo = {sec: dict(cp.items(sec)) for sec in cp.sections()}
     return cfg
+
+
+def check_steps(cfg: RunConfig):
+    """Raise ConfigError unless time.t_end lies on the step grid of
+    tau/Nrho within the run-size limits (grid.step_count).  Only the
+    commands that step, simulate and sweep, need this."""
+    try:
+        step_count(cfg.t_end, cfg.params.tau / cfg.grid.Nrho, cfg.record_every)
+    except ValueError as exc:
+        raise ConfigError(f"time.{exc}") from None
 
 
 def _preset(name: str, kinds: tuple, arg_type) -> tuple:

@@ -14,9 +14,10 @@ Neumann matrix, and only the rank-1 theta coupling w c c^T is added
 (_parity_blocks).  The Dirichlet abscissa alone needs no dense parity
 block: its rightmost eigenvalue is found by sparse shift-invert and
 confirmed by counting eigenvalues in a box (_counted_rightmost), with the
-dense block as the fallback.  Dense mode blocks are cut from one permuted
-copy of their sparse matrix (_dense_blocks).  Each rightmost eigenvalue is
-refined on the block that holds it, with that block's residual
+dense block as the fallback.  The reduced coordinates come mode by mode
+(restriction_maps), so the restricted Neumann matrix is block-diagonal as
+stored and each mode block is a contiguous slice of it.  Each rightmost
+eigenvalue is refined on the block that holds it, with that block's residual
 (spectrum_dense): densely (numpy) on a Neumann mode block, by SuperLU on a
 sparse Dirichlet parity block.  scipy.sparse.linalg (SuperLU, ARPACK) is
 imported by the Dirichlet code alone, when it runs.
@@ -34,7 +35,6 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -71,30 +71,31 @@ def restriction_maps(gen: Generator):
     a generator with Neumann theta in Fourier-mode coordinates (the default
     of assemble_generator).
 
-    E maps reduced coordinates (u, v, z at rho > 0, theta modes) to full
-    packed coordinates obeying the domain constraints: z(., 0) = G u and
-    zero theta mean, whose orthonormal basis is every theta mode but the
-    constant one.  P recovers reduced coordinates, P E = I.  The
+    E maps reduced coordinates to full packed coordinates obeying the
+    domain constraints: z(., 0) = G u and zero theta mean, whose
+    orthonormal basis is every theta mode but the constant one.  The
+    reduced coordinates come mode by mode: for k = 1..Nx, u_k, v_k, z_k at
+    rho > 0 and theta_k, then the mode-0 chain z_0 at rho > 0; so each
+    Fourier mode's block of the reduced generator is a contiguous slice
+    (_modal_blocks).  P recovers reduced coordinates, P E = I.  The
     constrained subspace is invariant under the generator, so
     A @ E = E @ (P @ A @ E) up to rounding.
     """
     grid = gen.grid
     Nx, nf, nr = grid.Nx, grid.nflux, grid.Nrho + 1
     z = 2 * Nx + np.arange(nf * nr).reshape(nf, nr)     # packed z indices
-    kept = np.r_[np.arange(2 * Nx), z[:, 1:].ravel()]   # u, v, z at rho > 0
-    n_full, n_kept = 2 * Nx + nf * nr, kept.size
+    k = np.arange(1, Nx + 1)[:, None]
+    modes = np.hstack([k - 1, Nx + k - 1, z[1:, 1:], 2 * Nx + nf * nr + k])
+    kept = np.r_[modes.ravel(), z[0, 1:]]     # packed index of each reduced coordinate
+    n_full, n_kept = 2 * Nx + nf * nr + grid.ntheta, kept.size
     G = gen.ops.G.tocoo()
-    # identity on the kept coordinates, and z(., 0) = G u
-    E_uvz = sp.csr_matrix(
+    # identity on the kept coordinates, and z(., 0) = G u (u_k opens mode k's block)
+    E = sp.csr_matrix(
         (np.r_[np.ones(n_kept), G.data],
-         (np.r_[kept, z[G.row, 0]], np.r_[np.arange(n_kept), G.col])),
+         (np.r_[kept, z[G.row, 0]], np.r_[np.arange(n_kept), G.col * (nr + 2)])),
         shape=(n_full, n_kept))
-    P_uvz = sp.csr_matrix((np.ones(n_kept), (np.arange(n_kept), kept)),
-                          shape=(n_kept, n_full))
-
-    theta = sp.identity(grid.ntheta, format="csr")[:, 1:]
-    E = sp.block_diag([E_uvz, theta], format="csr")
-    P = sp.block_diag([P_uvz, theta.T], format="csr")
+    P = sp.csr_matrix((np.ones(n_kept), (np.arange(n_kept), kept)),
+                      shape=(n_kept, n_full))
     return E, P
 
 
@@ -115,36 +116,19 @@ def reduced_generator(gen: Generator) -> sp.csr_matrix:
     return R
 
 
-def _modal_blocks(grid: Grid) -> list[tuple[int, np.ndarray]]:
+def _modal_blocks(grid: Grid) -> list[tuple[int, slice]]:
     """The blocks of the reduced Neumann generator in Fourier-mode
-    coordinates, as (mode, ascending reduced indices), ordered by first
-    index.
+    coordinates, as (mode, contiguous range of reduced rows), in row order.
 
     Each mode k = 1..Nx is a block of Nrho + 3 reduced coordinates (u, v,
     z at rho > 0, theta; see restriction_maps), and the mode-0 transport
     chain, of Nrho, comes last.  These are the weakly connected components
-    of the reduced generator's sparsity graph.
+    of the reduced generator's sparsity graph, and the block of R is the
+    slice R[b, b].
     """
-    Nx, Nrho = grid.Nx, grid.Nrho
-    z = 2 * Nx + np.arange(Nrho)
-    theta = 2 * Nx + grid.nflux * Nrho - 1    # no theta mean: cosine k is k - 1
-    return ([(k, np.r_[k - 1, Nx + k - 1, z + k * Nrho, theta + k])
-             for k in range(1, Nx + 1)] + [(0, z)])
-
-
-def _dense_blocks(A: sp.spmatrix, blocks: list[np.ndarray]) -> Iterator[np.ndarray]:
-    """The dense submatrices A[b][:, b] for the index sets b in blocks, one
-    at a time.
-
-    A is permuted once so that the blocks follow each other on its
-    diagonal; each is then one contiguous slice of the permuted matrix,
-    made dense only when it is reached, so that no more than one dense
-    block is held.
-    """
-    perm = np.concatenate(blocks)
-    Ap = A.tocsr()[perm][:, perm]
-    ends = np.cumsum([b.size for b in blocks])
-    return (Ap[e - b.size:e, e - b.size:e].toarray() for b, e in zip(blocks, ends))
+    Nx, n = grid.Nx, grid.Nrho + 3
+    return ([(k, slice((k - 1) * n, k * n)) for k in range(1, Nx + 1)]
+            + [(0, slice(Nx * n, Nx * n + grid.Nrho))])
 
 
 def _check_dense_dim(dim: int):
@@ -161,29 +145,32 @@ def _modal_reduced(grid: Grid, p: PhysParams) -> sp.csr_matrix:
 
 def _mode_eigvals(grid: Grid, p: PhysParams):
     """Every QR eigenvalue of the reduced Neumann modal generator R and its
-    Fourier mode, whatever p's theta_bc; then R, the index sets of its
-    blocks (_modal_blocks) and each eigenvalue's block.  The largest block
-    is checked against DENSE_MAX_DIM before R is assembled."""
+    Fourier mode, whatever p's theta_bc; then R, the row ranges of its
+    blocks (_modal_blocks) and each eigenvalue's block.  A mode block, of
+    Nrho + 3 rows, is checked against DENSE_MAX_DIM before R is assembled;
+    each is made dense only when it is reached, so that no more than one
+    dense block is held."""
     ks, idx = zip(*_modal_blocks(grid))
-    _check_dense_dim(max(b.size for b in idx))
+    _check_dense_dim(grid.Nrho + 3)
     R = _modal_reduced(grid, p)
-    w = np.concatenate([sla.eigvals(a) for a in _dense_blocks(R, idx)])
-    owner = np.repeat(np.arange(len(idx)), [b.size for b in idx])
-    return w, np.array(ks)[owner], R, idx, owner
+    w = [sla.eigvals(R[b, b].toarray()) for b in idx]
+    owner = np.repeat(np.arange(len(idx)), [a.size for a in w])
+    return np.concatenate(w), np.array(ks)[owner], R, idx, owner
 
 
 def _block_eigvals(grid: Grid, p: PhysParams):
     """Every QR eigenvalue of the reduced generator, block by block, and its
     Fourier mode (None for Dirichlet theta); then each eigenvalue's block
     and a function from a block's number to the block.  Neumann theta takes
-    the mode blocks of _mode_eigvals, handed out dense.  Dirichlet theta
-    takes the odd and the even parity block and the chain (_parity_blocks),
-    each solved whole and handed out sparse: the larger parity block,
-    (Nx + 1) // 2 odd or Nx // 2 even modes of Nrho + 3 rows and the theta
-    mean, is checked before any assembly."""
+    the mode blocks of _mode_eigvals, handed out dense as the slice
+    R[b, b] of the reduced generator.  Dirichlet theta takes the odd and
+    the even parity block and the chain (_parity_blocks), each solved whole
+    and handed out sparse: the larger parity block, (Nx + 1) // 2 odd or
+    Nx // 2 even modes of Nrho + 3 rows and the theta mean, is checked
+    before any assembly."""
     if p.theta_bc == "neumann":
         w, modes, R, idx, owner = _mode_eigvals(grid, p)
-        return w, modes, owner, lambda j: R[idx[j]][:, idx[j]].toarray()
+        return w, modes, owner, lambda j: R[idx[j], idx[j]].toarray()
     Nx, n = grid.Nx, grid.Nrho + 3
     _check_dense_dim(max((Nx + 1) // 2 * n, Nx // 2 * n + 1))
     idx = [b for _, b in _modal_blocks(grid)]
@@ -385,19 +372,20 @@ def _parity_blocks(grid: Grid, p: PhysParams, R: sp.csr_matrix,
     the theta mean), w = 4 kappa/dx^2 and c the corner cosines on its theta
     modes.  So det(M - sI) = det(D - sI) F(s) with the scalar F of _secular.
     M is cut from R, the reduced Neumann generator (_modal_reduced), and idx,
-    the index sets of its blocks (_modal_blocks), both from the caller, in
-    the order u, v, z, theta of its modes, the even block with a theta-mean
-    row and column; only its theta-theta block,
-    kappa (-diag(g^2) - (4/dx^2) c c^T), is written here, densely: the
-    caller checks the larger parity's theta modes against DENSE_MAX_DIM.
-    The chain has no theta mode: M = D.
+    the row ranges of its blocks (_modal_blocks), both from the caller.  The
+    cut takes its modes' rows field by field, all u, all v, all z, then all
+    theta, the even block with a theta-mean row and column; only its
+    theta-theta block, kappa (-diag(g^2) - (4/dx^2) c c^T), is written
+    here, densely: the caller checks the larger parity's theta modes
+    against DENSE_MAX_DIM.  The chain has no theta mode: M = D.
     """
     nf = grid.nflux
     g, c = _fourier_symbols(grid)
+    rows = np.arange(R.shape[0])
     blocks = []
     for parity in (1, 0):
         theta = np.arange(parity, nf, 2)           # even: with the theta mean
-        B = np.array([idx[k - 1] for k in theta[theta > 0]])     # mode blocks
+        B = np.array([rows[idx[k - 1]] for k in theta[theta > 0]])   # mode blocks
         cut = np.r_[B[:, 0], B[:, 1], B[:, 2:-1].ravel(), B[:, -1]]
         n, mean = cut.size - B.shape[0], parity ^ 1     # (u, v, z) rows; the mean
         D = R[cut][:, cut].tocoo()
@@ -415,7 +403,7 @@ def _parity_blocks(grid: Grid, p: PhysParams, R: sp.csr_matrix,
                           shape=(n + theta.size,) * 2)
         blocks.append((M, theta))
     chain = idx[-1]
-    return blocks + [(R[chain][:, chain], np.arange(0))]
+    return blocks + [(R[chain, chain], np.arange(0))]
 
 
 def _secular(s: np.ndarray, grid: Grid, p: PhysParams,
@@ -633,7 +621,8 @@ def dissipativity_test(grid: Grid, p: PhysParams, xi: float,
     dx, xi dx drho x Nrho) on (u_k, v_k, z_k at rho > 0), the u weight
     taking in z(., 0) = g_k u_k, and xi dx drho on the mode-0 chain.  So the
     supremum is max_k lambda_max(sym(D_k^1/2 R_k D_k^-1/2)) - m over the
-    mode blocks R_k, one symmetric eigenproblem each.  theta_k drops: it
+    mode blocks R_k, one symmetric eigenproblem each.  theta_k, the last
+    row and column of each mode's slice (_modal_blocks), drops: it
     weighs dx as v_k does, so the v-theta coupling is skew and leaves no
     entry in the symmetric part, whose theta part, kappa L_theta on the
     constrained theta space, lies below 0, the value at a state whose only
@@ -651,18 +640,16 @@ def dissipativity_test(grid: Grid, p: PhysParams, xi: float,
             raise ValueError("paper shift needs beta > 0; pass m explicitly")
         m = p.alpha**2 / p.beta + xi / (2.0 * p.tau)
 
-    # each mode's block without its theta coordinate, the last one
-    modal = _modal_blocks(grid)
-    blocks = [b if k == 0 else b[:-1] for k, b in modal]
-    _check_dense_dim(max(b.size for b in blocks))
+    _check_dense_dim(grid.Nrho + 2)     # a mode's block without theta
     R = _modal_reduced(grid, p)
     g = _fourier_symbols(grid)[0]
     sup = -np.inf
-    for (k, _), a in zip(modal, _dense_blocks(R, blocks)):
-        if k:      # D_k^1/2 a D_k^-1/2; the chain's weights are all equal
-            d = np.full(a.shape[0], xi * grid.dx * grid.drho)
+    for k, b in _modal_blocks(grid):
+        a = R[b, b].toarray()
+        if k:      # D_k^1/2 a D_k^-1/2 without theta_k; the chain's weights are equal
+            d = np.full(a.shape[0] - 1, xi * grid.dx * grid.drho)
             d[:2] = (p.alpha + xi * grid.drho) * grid.dx * g[k] ** 2, grid.dx
             s = np.sqrt(d)
-            a = a * s[:, None] / s
+            a = a[:-1, :-1] * s[:, None] / s
         sup = max(sup, np.linalg.eigvalsh(0.5 * (a + a.T))[-1])
     return {"max_rayleigh": float(sup - m), "m_used": float(m), "trials": trials}

@@ -12,9 +12,10 @@ operators and the assembled generator, the energies, the dissipativity
 supremum, the Lyapunov constants, the modal stepper, the Dirichlet parity
 blocks and the dense refinement of the Neumann spectrum.  The package
 builds its operators in Fourier-mode coordinates alone and restricts only
-Neumann generators there; the real-space stencils (real_space_operators)
-are the ones it built before, and restriction_maps restricts every
-generator made here.
+Neumann generators there, mode by mode; the real-space stencils
+(real_space_operators) are the ones it built before, and restriction_maps
+restricts every generator made here, field by field where the package
+does not.
 The real-space stepper (ImplicitFactor, factor_implicit, step_imex) is the
 package's former one: one sparse LU (SuperLU) of the (v, theta) block,
 stepping real-space states and strain histories.
@@ -92,22 +93,34 @@ def modal_operators(grid: Grid, p: PhysParams) -> Operators:
 
 
 def restriction_maps(gen: Generator):
-    """spectral.restriction_maps for every generator made here: with
-    Dirichlet theta every theta coordinate is kept, and a real-space
-    Neumann theta takes an orthonormal basis of the mean-zero vectors
-    (null_space); a Fourier-mode Neumann one keeps the package's basis,
-    every cosine mode but the mean."""
-    E, P = spectral.restriction_maps(gen)
+    """Embedding E and left inverse P of the constrained subspace, for
+    every generator made here.  A Fourier-mode Neumann generator takes the
+    package's maps (spectral.restriction_maps, mode by mode).  Every other
+    one keeps its reduced coordinates field by field: u, v, z at rho > 0
+    (row-major in x then rho) with z(., 0) = G u, then a theta basis.  With
+    Dirichlet theta every theta coordinate is kept; a real-space Neumann
+    theta takes an orthonormal basis of the mean-zero vectors
+    (null_space)."""
     if gen.p.theta_bc == "neumann" and gen.ops.modal:
-        return E, P
-    nt = gen.grid.ntheta
-    n_full, n_kept = E.shape[0] - nt, E.shape[1] - (nt - 1)
+        return spectral.restriction_maps(gen)
+    grid = gen.grid
+    Nx, nf, nr, nt = grid.Nx, grid.nflux, grid.Nrho + 1, grid.ntheta
+    z = 2 * Nx + np.arange(nf * nr).reshape(nf, nr)     # packed z indices
+    kept = np.r_[np.arange(2 * Nx), z[:, 1:].ravel()]   # u, v, z at rho > 0
+    n_full, n_kept = 2 * Nx + nf * nr, kept.size
+    G = gen.ops.G.tocoo()
+    E = sp.csr_matrix(
+        (np.r_[np.ones(n_kept), G.data],
+         (np.r_[kept, z[G.row, 0]], np.r_[np.arange(n_kept), G.col])),
+        shape=(n_full, n_kept))
+    P = sp.csr_matrix((np.ones(n_kept), (np.arange(n_kept), kept)),
+                      shape=(n_kept, n_full))
     if gen.p.theta_bc == "dirichlet":
         theta = sp.identity(nt, format="csr")
     else:
         theta = sp.csr_matrix(sla.null_space(np.ones((1, nt))))
-    return (sp.block_diag([E[:n_full, :n_kept], theta], format="csr"),
-            sp.block_diag([P[:n_kept, :n_full], theta.T], format="csr"))
+    return (sp.block_diag([E, theta], format="csr"),
+            sp.block_diag([P, theta.T], format="csr"))
 
 
 def reduced_generator(gen: Generator) -> sp.csr_matrix:
@@ -226,8 +239,8 @@ def parity_blocks(grid: Grid) -> list[np.ndarray]:
     (reduced_generator above), as
     ascending index sets: the odd cosine modes, the even ones with the theta
     mean, then the mode-0 transport chain.  Each mode k = 1..Nx has the
-    reduced coordinates u, v, z at rho > 0 and theta (see
-    spectral.restriction_maps); the chain has Nrho."""
+    reduced coordinates u, v, z at rho > 0 and theta, field by field (see
+    restriction_maps above); the chain has Nrho."""
     Nx, Nrho = grid.Nx, grid.Nrho
 
     def block(k, theta):      # the modes k with the theta coordinates theta
@@ -254,14 +267,15 @@ def spectrum_superlu(grid: Grid, p: PhysParams) -> spectral.SpectrumResult:
     refined = w.copy()
     for i in range(k):
         b = idx[owner[order[i]]]
-        A = R[b][:, b].astype(complex)
+        A = R[b, b].astype(complex)
+        n = A.shape[0]
         lam = w[i]
         shift = lam + 1e-8 * (1.0 + abs(lam))
         try:
-            lu = spla.splu((A - shift * sp.identity(b.size)).tocsc())
+            lu = spla.splu((A - shift * sp.identity(n)).tocsc())
         except RuntimeError:
             continue
-        x = rng.standard_normal(b.size) + 1j * rng.standard_normal(b.size)
+        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         prev = lam
         with np.errstate(all="ignore"):
             for _ in range(5):

@@ -444,6 +444,20 @@ def test_spectrum_needs_no_lyapunov_constants(tmp_path, cfgfile):
                  "--override", "lyapunov.lambda_grid="]) == 0
 
 
+def test_only_the_commands_that_step_need_t_end_on_the_step_grid(tmp_path, capsys):
+    # the default t_end = 40 is 1066.7 steps of tau/nrho = 0.3/8: certify and
+    # spectrum take no step and run; simulate refuses it in one line
+    args = ["--config", os.devnull, "--override", "model.tau=0.3",
+            "--override", "grid.nx=8", "--override", "grid.nrho=8"]
+    assert _run(["certify", *args, "--out", str(tmp_path / "c")]) == 0
+    assert "beta0" in json.loads((tmp_path / "c" / "summary.json").read_text())
+    assert _run(["spectrum", *args, "--out", str(tmp_path / "s")]) == 0
+    capsys.readouterr()
+    assert _run(["simulate", *args, "--out", str(tmp_path / "m")]) == 1
+    assert capsys.readouterr().err == ("config error: time.t_end = 40.0 is not a "
+                                       "multiple of the step tau/Nrho = 0.0375\n")
+
+
 def test_sweep_point_off_the_step_grid_is_a_row_error(tmp_path, cfgfile):
     # t_end = 6 is 48 steps of tau/nrho at tau = 1, but not a whole number at 0.7
     cfg2 = tmp_path / "sweep_tau.ini"

@@ -19,7 +19,7 @@ from hypothesis import example, given, settings, strategies as st
 from thermodelay import spectral
 from thermodelay.cli import main
 from thermodelay.config import (DEFAULTS, SWEEPABLE, ConfigError, RunConfig,
-                                load_config)
+                                check_steps, load_config)
 from thermodelay.delay import HistoryBuffer
 from thermodelay.discretization import Grid
 from thermodelay.integrate import factor_implicit, step_imex
@@ -154,6 +154,7 @@ def _printed():
 def test_load_config_returns_or_raises_config_error(overrides):
     try:
         cfg = load_config(text=CONFIG, overrides=[f"{k}={v}" for k, v in overrides])
+        check_steps(cfg)
     except ConfigError:
         return
     assert isinstance(cfg, RunConfig)

@@ -163,8 +163,9 @@ def test_modal_blocks_are_the_connected_components(theta_bc, Nx, Nrho):
     p = PhysParams(**{**UNIT.__dict__, "beta": 4.5, "theta_bc": theta_bc})
     R = oracles.reduced_generator(assemble_generator(g, p, oracles.modal_operators(g, p)))
     if theta_bc == "neumann":
-        modes, blocks = zip(*spectral._modal_blocks(g))
+        modes, ranges = zip(*spectral._modal_blocks(g))
         assert modes == tuple(range(1, Nx + 1)) + (0,)
+        blocks = [np.arange(R.shape[0])[b] for b in ranges]
     else:
         blocks = oracles.parity_blocks(g)
     components = _components(R)
@@ -173,27 +174,41 @@ def test_modal_blocks_are_the_connected_components(theta_bc, Nx, Nrho):
         assert np.array_equal(b, c)
 
 
+@pytest.mark.parametrize("Nx,Nrho", [(3, 2), (4, 2), (17, 5), (32, 32)])
+def test_reduced_neumann_generator_is_block_diagonal_as_stored(Nx, Nrho):
+    # the package's reduced coordinates come mode by mode: its _modal_blocks
+    # ranges tile the rows in order, no stored entry lies outside them, and
+    # they are the weakly connected components
+    g = Grid(Nx=Nx, Nrho=Nrho)
+    p = PhysParams(**{**UNIT.__dict__, "beta": 4.5, "gamma": 0.7, "kappa": 1.3})
+    R = spectral.reduced_generator(assemble_generator(g, p)).tocoo()
+    rows = [np.arange(R.shape[0])[b] for _, b in spectral._modal_blocks(g)]
+    assert np.array_equal(np.concatenate(rows), np.arange(R.shape[0]))
+    label = np.repeat(np.arange(len(rows)), [r.size for r in rows])
+    assert np.array_equal(label[R.row], label[R.col])
+    components = _components(R)
+    assert len(components) == len(rows)
+    for r, c in zip(rows, components):
+        assert np.array_equal(r, c)
+
+
 @pytest.mark.parametrize("theta_bc", ["neumann", "dirichlet"])
 @pytest.mark.parametrize("Nx,Nrho", [(3, 2), (8, 8), (17, 5), (32, 32)])
 def test_dense_blocks_equal_the_fancy_slices(theta_bc, Nx, Nrho):
-    # the one-pass cut gives each block's bytes, for the modal blocks and
-    # for index sets that are neither contiguous nor sorted
+    # each block the refinement reads (_block_eigvals) has the bytes of the
+    # fancy slice R[b][:, b]: of the reduced generator for Neumann theta, of
+    # the oracle's Dirichlet generator, assembled whole, for Dirichlet theta
     g = Grid(Nx=Nx, Nrho=Nrho)
     p = PhysParams(**{**UNIT.__dict__, "beta": 4.5, "theta_bc": theta_bc})
     R = oracles.reduced_generator(assemble_generator(g, p, oracles.modal_operators(g, p)))
-    rng = np.random.default_rng(Nx * Nrho)
-    n = R.shape[0]
-    scattered = [rng.permutation(n)[:size] for size in (1, 5, n // 3)]
-    modal = ([b for _, b in spectral._modal_blocks(g)] if theta_bc == "neumann"
-             else oracles.parity_blocks(g))
-    for blocks in (modal,
-                   scattered, [np.arange(n)[::-2], np.array([n - 1, 0])]):
-        cut = list(spectral._dense_blocks(R, blocks))
-        assert len(cut) == len(blocks)
-        for a, b in zip(cut, blocks):
-            ref = R[b][:, b].toarray()
-            assert a.dtype == ref.dtype and a.shape == ref.shape
-            assert a.tobytes() == ref.tobytes()
+    blocks = ([np.arange(R.shape[0])[b] for _, b in spectral._modal_blocks(g)]
+              if theta_bc == "neumann" else oracles.parity_blocks(g))
+    block = spectral._block_eigvals(g, p)[3]
+    for j, b in enumerate(blocks):
+        a, ref = block(j), R[b][:, b].toarray()
+        a = a if theta_bc == "neumann" else a.toarray()
+        assert a.dtype == ref.dtype and a.shape == ref.shape
+        assert a.tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("Nx,Nrho,model", [
@@ -645,9 +660,12 @@ def test_reduced_gram_matrix_is_diagonal_in_fourier_modes(theta_bc, Nx, Nrho):
     E = oracles.restriction_maps(gen)[0]
     B = (E.T @ h_weight_matrix(gen, xi) @ E).toarray()
     gk = 2.0 * np.sin(np.arange(1, Nx + 1) * np.pi / (2 * (Nx + 1))) / g.dx
-    n_theta = g.ntheta - (theta_bc == "neumann")
-    weights = np.r_[(p.alpha + xi * g.drho) * g.dx * gk**2, np.full(Nx, g.dx),
-                    np.full(g.nflux * Nrho, xi * g.dx * g.drho), np.full(n_theta, g.dx)]
+    u, v, z = (p.alpha + xi * g.drho) * g.dx * gk**2, np.full(Nx, g.dx), xi * g.dx * g.drho
+    if theta_bc == "neumann":     # the package's coordinates, mode by mode
+        modes = np.column_stack([u, v, np.full((Nx, Nrho), z), np.full(Nx, g.dx)])
+        weights = np.r_[modes.ravel(), np.full(Nrho, z)]
+    else:                         # the oracle's, field by field
+        weights = np.r_[u, v, np.full(g.nflux * Nrho, z), np.full(g.ntheta, g.dx)]
     assert not (B - np.diag(np.diag(B))).any()
     assert np.diag(B) == pytest.approx(weights, rel=1e-14, abs=0.0)
 
