@@ -151,8 +151,6 @@ def _run_trajectory(cfg: RunConfig, cert: dict):
 
 
 def _summarize(cfg: RunConfig, traj) -> dict:
-    import numpy as np
-
     from .observables import decay_rate_fit
 
     t_hi = traj.times[-1]
@@ -163,7 +161,7 @@ def _summarize(cfg: RunConfig, traj) -> dict:
         pass
     mass = traj.theta_mass
     scale = max(abs(mass[0]), 1.0)
-    drift = float(np.max(np.abs(mass - mass[0])) / scale)
+    drift = float(abs(mass - mass[0]).max() / scale)
     non_decaying = bool(traj.blowup_time is not None
                         or traj.E[-1] >= traj.E[0]
                         or (fit is not None and fit["a0"] <= 0))
@@ -179,16 +177,14 @@ def _summarize(cfg: RunConfig, traj) -> dict:
 
 
 def cmd_simulate(cfg: RunConfig, out: Path) -> int:
+    import numpy as np
+
     cert = _certification(cfg)
     consts, traj = _run_trajectory(cfg, cert)
     header = ["t", "E", "V", "Vtilde"] + [f"V{i}" for i in range(1, 7)] + ["theta_mass"]
-    rows = (
-        [traj.times[i], traj.E[i], traj.V[i], traj.Vtilde[i]]
-        + [traj.V_terms[j, i] for j in range(6)]
-        + [traj.theta_mass[i]]
-        for i in range(len(traj.times))
-    )
-    _write_csv(out / "traj.csv", header, ([float(c) for c in r] for r in rows))
+    table = np.column_stack([traj.times, traj.E, traj.V, traj.Vtilde,
+                             *traj.V_terms, traj.theta_mass])
+    _write_csv(out / "traj.csv", header, (row.tolist() for row in table))
 
     summary = _summarize(cfg, traj)
     summary["certification"] = cert if cfg.beta_given else None
@@ -374,12 +370,14 @@ def cmd_sweep(cfg: RunConfig, out: Path) -> int:
 
 
 def cmd_spectrum(cfg: RunConfig, out: Path) -> int:
+    import numpy as np
+
     from .spectral import spectrum_dense
 
     res = spectrum_dense(cfg.grid, cfg.params)
     w = res.eigenvalues
     _write_csv(out / "spectrum.csv", ["re", "im"],
-               ([float(z.real), float(z.imag)] for z in w))
+               (row.tolist() for row in np.column_stack([w.real, w.imag])))
     abscissa = float(w.real.max())
     _write_json(out / "summary.json",
                 {"command": "spectrum", "config": cfg.echo,
@@ -427,7 +425,8 @@ def main(argv=None) -> int:
         return 1 if exc.code not in (0, None) else 0
     try:
         cfg = load_config(args.config, overrides=args.override)
-        if args.command in ("simulate", "sweep"):     # the commands that step
+        # the commands that step; a swept tau is checked per point, as a row error
+        if args.command == "simulate" or (args.command == "sweep" and not cfg.sweep.get("tau")):
             check_steps(cfg)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)

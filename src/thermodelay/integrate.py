@@ -197,9 +197,10 @@ def simulate(
     one-node shift of z); t_end must be a whole number of steps.  The first
     step uses backward Euler to damp the initial layer, then the theta-method
     with the requested weight.  The initial data are transformed to the
-    Fourier modes once; every step and record works on the modal state.  On
-    numerical blow-up (step_imex raises) the trajectory is truncated and
-    blowup_time set.
+    Fourier modes once; every step and record works on the modal state.
+    Each record is a row of one table allocated up front, whose columns are
+    the Trajectory's fields; on numerical blow-up (step_imex raises) it is
+    cut after the last row written and blowup_time set.
     """
     dt = p.tau / grid.Nrho
     nsteps = step_count(t_end, dt, record_every)
@@ -216,19 +217,18 @@ def simulate(
     buf = HistoryBuffer(state.z)
     state = replace(state, z=buf.as_field())
 
-    times, Es, Vs, Vts, terms, masses = [], [], [], [], [], []
-    blowup_time = None
+    table = np.empty((1 + -(-nsteps // record_every), 11))
+    rows, blowup_time = 0, None
 
     def record(t, s):
-        times.append(t)
+        nonlocal rows
         # near blow-up the observables may overflow; record inf silently
         with np.errstate(over="ignore", invalid="ignore"):
-            Es.append(energy(s, grid, p, consts.xi))
+            E = energy(s, grid, p, consts.xi)
             comp = lyapunov_components(s, grid, consts, p)
-        Vs.append(comp["V"])
-        Vts.append(comp["Vtilde"])
-        terms.append([comp[f"V{i}"] for i in range(1, 7)])
-        masses.append(theta_mass(s, grid))
+        table[rows] = (t, E, comp["V"], comp["Vtilde"],
+                       *(comp[f"V{i}"] for i in range(1, 7)), theta_mass(s, grid))
+        rows += 1
 
     record(0.0, state)
     for n in range(nsteps):
@@ -241,9 +241,7 @@ def simulate(
         if (n + 1) % record_every == 0 or n + 1 == nsteps:
             record(t_next, state)
 
-    traj = Trajectory(
-        times=np.asarray(times), E=np.asarray(Es), V=np.asarray(Vs),
-        Vtilde=np.asarray(Vts), V_terms=np.asarray(terms).T if terms else np.zeros((6, 0)),
-        theta_mass=np.asarray(masses), blowup_time=blowup_time,
-    )
-    return traj
+    table = table[:rows]
+    return Trajectory(times=table[:, 0], E=table[:, 1], V=table[:, 2],
+                      Vtilde=table[:, 3], V_terms=table[:, 4:10].T,
+                      theta_mass=table[:, 10], blowup_time=blowup_time)

@@ -41,7 +41,9 @@ class Trajectory:
 def energy(state: State, grid: Grid, p: PhysParams, xi: float) -> float:
     """Discrete energy: 1/2 (||u_t||^2 + alpha ||u_x||^2 + ||theta||^2)
     plus xi times the history integral of the past strain.  A modal state
-    gives the same value up to rounding: every term is a norm."""
+    gives the same value up to rounding: every term is a norm.  With W the
+    Gram matrix of spectral.dissipativity_test, E = 1/2 ||x||_W^2 + 1/2 xi
+    dx drho sum_i ||z(., rho_i)||^2: the history weighs double."""
     if xi <= 0:
         raise ValueError("xi must be positive")
     dx, drho = grid.dx, grid.drho

@@ -458,6 +458,26 @@ def test_only_the_commands_that_step_need_t_end_on_the_step_grid(tmp_path, capsy
                                        "multiple of the step tau/Nrho = 0.0375\n")
 
 
+def test_a_swept_tau_is_not_checked_at_the_base_tau(tmp_path, capsys):
+    # t_end = 40 is off the step grid of the base tau = 0.3 but on those of
+    # the swept tau = 1 and 0.5: the sweep runs both points; sweeping beta
+    # steps at the base tau, which is refused in one line
+    args = ["--config", os.devnull, "--override", "model.beta=4.5",
+            "--override", "model.tau=0.3", "--override", "grid.nx=8",
+            "--override", "grid.nrho=8"]
+    out = tmp_path / "tau"
+    assert _run(["sweep", *args, "--override", "sweep.tau=1,0.5", "--out", str(out)]) == 0
+    rows = [r.split(",") for r in
+            (out / "sweep.csv").read_text().strip().split("\n")[2:]]
+    assert [(r[0], float(r[1]), r[-1]) for r in rows] == [("tau", 1.0, ""), ("tau", 0.5, "")]
+    assert json.loads((out / "summary.json").read_text())["failed_points"] == 0
+    capsys.readouterr()
+    assert _run(["sweep", *args, "--override", "sweep.beta=1,0.5",
+                 "--out", str(tmp_path / "beta")]) == 1
+    assert capsys.readouterr().err == ("config error: time.t_end = 40.0 is not a "
+                                       "multiple of the step tau/Nrho = 0.0375\n")
+
+
 def test_sweep_point_off_the_step_grid_is_a_row_error(tmp_path, cfgfile):
     # t_end = 6 is 48 steps of tau/nrho at tau = 1, but not a whole number at 0.7
     cfg2 = tmp_path / "sweep_tau.ini"
@@ -603,6 +623,42 @@ def test_blowup_whose_strain_overflows_is_one_line_exit_3(tmp_path, capfd):
     assert (code, out, err) == (3, "", "numerical blow-up at t = 191.875\n")
     summary = json.loads((tmp_path / "b0" / "summary.json").read_text())
     assert summary["blowup_time"] == 191.875
+
+
+@pytest.mark.parametrize("overrides, rows", [
+    # the blow-up run above: 3070 of its 3201 rows are written
+    (["model.beta=0", "grid.nx=16", "grid.nrho=16", "time.t_end=200"], 3070),
+    # 50 steps, every third recorded and the last one at t_end = 6.25
+    (["model.beta=4.5", "grid.nx=8", "grid.nrho=8", "time.t_end=6.25",
+      "time.record_every=3"], 18),
+])
+def test_traj_csv_is_the_trajectory_bit_for_bit(tmp_path, monkeypatch, overrides, rows):
+    from thermodelay import integrate
+
+    simulate, runs = integrate.simulate, []
+
+    def recorded(*args, **kwargs):      # the Trajectory the command writes
+        runs.append(simulate(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(integrate, "simulate", recorded)
+    out = tmp_path / "traj"
+    args = [a for o in overrides for a in ("--override", o)]
+    code = _run(["simulate", "--config", os.devnull, "--out", str(out), *args])
+    (traj,) = runs
+    assert code == (3 if traj.blowup_time else 0)
+    lines = (out / "traj.csv").read_text().split("\n")
+    assert lines[-1] == ""
+    written = np.array([[float(c) for c in line.split(",")] for line in lines[2:-1]])
+    want = np.column_stack([traj.times, traj.E, traj.V, traj.Vtilde,
+                            *traj.V_terms, traj.theta_mass])
+    assert written.shape == want.shape == (rows, 11)
+    # every number keeps its bits; a NaN (V = inf - inf near blow-up) is
+    # written as "nan", which keeps neither its sign nor its payload
+    nan = np.isnan(want)
+    assert (np.isnan(written) == nan).all()
+    assert written[~nan].tobytes() == want[~nan].tobytes()
+    assert traj.times[-1] == (191.8125 if traj.blowup_time else 6.25)
 
 
 def test_history_datum_overflow_is_one_line_exit_3(tmp_path, capfd):

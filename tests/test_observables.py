@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 
 from thermodelay.constants import f_weight, find_beta0, lyapunov_constants
-from thermodelay.discretization import Grid, State
+from thermodelay.discretization import Grid, State, assemble_generator, modal_state
 from thermodelay.observables import (Trajectory, check_decay_inequality,
                                      decay_rate_fit, energy,
                                      lyapunov_components, theta_mass)
 from thermodelay.params import PhysParams
 
-from oracles import inner_product_H, random_state
+from oracles import (h_weight_matrix, inner_product_H, modal_operators, pack,
+                     random_state, restriction_maps)
 
 P = PhysParams(alpha=1.0, beta=2.0, gamma=1.0, kappa=1.0, tau=1.0, ell=1.0)
 G = Grid(Nx=10, Nrho=8)
@@ -43,6 +44,30 @@ def test_energy_vs_inner_product_identity():
         zsq = np.sum(s.z**2) * G.dx * G.drho
         want = 0.5 * inner_product_H(s, s, G, P, xi) + 0.5 * xi * zsq
         assert energy(s, G, P, xi) == pytest.approx(want, rel=1e-13)
+
+
+@pytest.mark.parametrize("theta_bc", ["neumann", "dirichlet"])
+def test_energy_is_half_the_gram_norm_plus_half_the_history(theta_bc):
+    # E = 1/2 ||x||_W^2 + 1/2 xi dx drho sum_i ||z(., rho_i)||^2 on modal
+    # states, W the Gram matrix whose reduction E^T W E is dissipativity_test's
+    # pencil weight: energy weighs the history twice as heavily as 1/2 W does
+    p = PhysParams(alpha=1.3, beta=4.5, gamma=1.0, kappa=1.0, tau=1.0, ell=1.0,
+                   theta_bc=theta_bc)
+    g, xi = Grid(Nx=6, Nrho=5), 0.7
+    gen = assemble_generator(g, p, modal_operators(g, p))
+    W = h_weight_matrix(gen, xi)
+    embed, left = restriction_maps(gen)
+    D = (embed.T @ W @ embed).toarray()
+    rng = np.random.default_rng(0)
+    for _ in range(10):
+        s = modal_state(random_state(g, p, rng))
+        x = pack(s)
+        y = left @ x
+        assert embed @ y == pytest.approx(x, rel=0.0, abs=1e-13)    # constrained
+        half_history = 0.5 * xi * g.dx * g.drho * np.sum(s.z**2)
+        e = energy(s, g, p, xi)
+        assert e - 0.5 * (x @ (W @ x)) == pytest.approx(half_history, rel=1e-13)
+        assert e - 0.5 * (y @ (D @ y)) == pytest.approx(half_history, rel=1e-13)
 
 
 def test_energy_requires_positive_xi():
