@@ -34,7 +34,6 @@ from .config import (SCHEMA_VERSION, ConfigError, RunConfig, check_steps,
 from .constants import (InfeasibleLambdaError, NoFeasibleLambdaError, certify,
                         find_beta0, lyapunov_constants, n0_from_constants)
 from .grid import DenseSizeError, NumericalBlowupError
-from .params import PhysParams
 
 __all__ = ["main"]
 
@@ -62,10 +61,9 @@ def _lambda_candidates(cfg: RunConfig) -> list[float]:
     """The lambdas to try; every path to the Lyapunov constants starts here."""
     if min(cfg.params.alpha, cfg.params.gamma, cfg.params.kappa) <= 0.0:
         raise ConfigError("model.alpha, gamma, kappa must be positive for the Lyapunov constants")
-    lams = [cfg.lam] if cfg.lam is not None else cfg.lambda_grid
-    if not lams:
+    if not cfg.lambdas:
         raise ConfigError("lyapunov.lambda_grid is empty and lyapunov.lambda unset")
-    return lams
+    return cfg.lambdas
 
 
 def _certification(cfg: RunConfig) -> dict:
@@ -202,21 +200,13 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> int:
     return 0
 
 
-def _sweep_variable(cfg: RunConfig):
-    reserved = {"workers", "spectrum"}
-    swept = [(k, vals) for k, vals in cfg.sweep.items() if k not in reserved and vals]
-    if len(swept) != 1:
-        raise ConfigError("sweep needs exactly one swept parameter range")
-    return swept[0]
-
-
 def _sweep_point(cfg: RunConfig, name: str, value: float, want_spectrum: bool):
     row = {"param": name, "value": value, "certified": "", "a0": "", "r2": "",
            "final_E": "", "abscissa": "", "error": ""}
     try:
-        params = PhysParams(**{**cfg.params.__dict__, name: value})
-        sub = RunConfig(**{**cfg.__dict__, "params": params, "beta_given": True,
-                           "grid": replace(cfg.grid, ell=params.ell)})
+        params = replace(cfg.params, **{name: value})
+        sub = replace(cfg, params=params, beta_given=True,
+                      grid=replace(cfg.grid, ell=params.ell))
         cert = _certification(sub)
         row["certified"] = str(cert["certified"]).lower()
         _, traj = _run_trajectory(sub, cert)
@@ -354,9 +344,11 @@ def _forked_rows(cfg: RunConfig, name: str, values, want_spectrum: bool,
 
 
 def cmd_sweep(cfg: RunConfig, out: Path) -> int:
-    name, values = _sweep_variable(cfg)
+    if len(cfg.sweep) != 1:
+        raise ConfigError("sweep needs exactly one swept parameter range")
+    [(name, values)] = cfg.sweep.items()
     n = min(len(values), _usable_cpus()) if hasattr(os, "fork") else 1
-    rows = _forked_rows(cfg, name, values, cfg.sweep["spectrum"], n)
+    rows = _forked_rows(cfg, name, values, cfg.sweep_spectrum, n)
 
     header = ["param", "value", "certified", "a0", "r2", "final_E", "abscissa",
               "error"]
@@ -426,7 +418,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config, overrides=args.override)
         # the commands that step; a swept tau is checked per point, as a row error
-        if args.command == "simulate" or (args.command == "sweep" and not cfg.sweep.get("tau")):
+        if args.command == "simulate" or (args.command == "sweep" and "tau" not in cfg.sweep):
             check_steps(cfg)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)

@@ -106,12 +106,12 @@ class RunConfig:
     t_end: float
     record_every: int
     theta_weight: float
-    lam: float | None
-    lambda_grid: list[float]
+    lambdas: list[float]           # [lyapunov.lambda] if set, else the grid
     xi_factor: float
     sharp_poincare: bool
     init: dict                     # name -> (preset kind, argument or None)
-    sweep: dict                    # workers, spectrum, then parameter -> values
+    sweep: dict                    # parameter -> values, the non-empty ranges only
+    sweep_spectrum: bool
     fit_start_fraction: float
     echo: dict = field(default_factory=dict)
 
@@ -155,6 +155,8 @@ def load_config(path: str | None = None, overrides: list[str] = (),
             if opt not in DEFAULTS[sec] and not (sec == "sweep" and opt in SWEEPABLE):
                 raise ConfigError(f"unknown key {sec}.{opt}")
 
+    # every key is parsed, then checked, in this order: the first bad value
+    # is the one reported
     try:
         beta_text = cp.get("model", "beta").strip()
         params = PhysParams(
@@ -172,52 +174,51 @@ def load_config(path: str | None = None, overrides: list[str] = (),
         init = {k: _preset(cp.get("init", k), PROFILES, int)
                 for k in ("u0", "u1", "theta0")}
         init["f0"] = _preset(cp.get("init", "f0"), HISTORIES, float)
-        cfg = RunConfig(
-            params=params,
-            beta_given=bool(beta_text),
-            grid=grid,
-            t_end=cp.getfloat("time", "t_end"),
-            record_every=cp.getint("time", "record_every"),
-            theta_weight=cp.getfloat("time", "theta_weight"),
-            lam=float(lam_text) if lam_text else None,
-            lambda_grid=parse_range(cp.get("lyapunov", "lambda_grid"),
-                                    "lyapunov.lambda_grid"),
-            xi_factor=cp.getfloat("lyapunov", "xi_factor"),
-            sharp_poincare=cp.getboolean("lyapunov", "sharp_poincare"),
-            init=init,
-            sweep={"workers": cp.getint("sweep", "workers"),
-                   "spectrum": cp.getboolean("sweep", "spectrum"),
-                   **{k: parse_range(v, f"sweep.{k}")
-                      for k, v in cp.items("sweep") if k in SWEEPABLE}},
-            fit_start_fraction=cp.getfloat("output", "fit_start_fraction"),
-        )
+        t_end = cp.getfloat("time", "t_end")
+        record_every = cp.getint("time", "record_every")
+        theta_weight = cp.getfloat("time", "theta_weight")
+        lam = float(lam_text) if lam_text else None
+        lambda_grid = parse_range(cp.get("lyapunov", "lambda_grid"),
+                                  "lyapunov.lambda_grid")
+        xi_factor = cp.getfloat("lyapunov", "xi_factor")
+        sharp_poincare = cp.getboolean("lyapunov", "sharp_poincare")
+        workers = cp.getint("sweep", "workers")     # checked; nothing reads it
+        sweep_spectrum = cp.getboolean("sweep", "spectrum")
+        sweep = {k: parse_range(v, f"sweep.{k}") for k, v in cp.items("sweep")
+                 if k in SWEEPABLE and v.strip()}     # an empty range is no range
+        fit_start_fraction = cp.getfloat("output", "fit_start_fraction")
     except (ValueError, configparser.Error) as exc:
         raise ConfigError(f"bad config value: {exc}") from exc
 
     checks = [
-        (cfg.t_end > 0.0 and math.isfinite(cfg.t_end),
-         f"time.t_end must be positive and finite, got {cfg.t_end}"),
-        (cfg.record_every >= 1, f"time.record_every must be >= 1, got {cfg.record_every}"),
-        (0.5 <= cfg.theta_weight <= 1.0,
-         f"time.theta_weight must lie in [0.5, 1], got {cfg.theta_weight}"),
-        (cfg.lam is None or 0.0 < cfg.lam < math.inf,
-         f"lyapunov.lambda must be positive and finite, got {cfg.lam}"),
-        (all(0.0 < lam < math.inf for lam in cfg.lambda_grid),
-         f"lyapunov.lambda_grid must be positive and finite, got {cfg.lambda_grid}"),
-        (1.0 < cfg.xi_factor < math.inf,
-         f"lyapunov.xi_factor must exceed 1 and be finite, got {cfg.xi_factor}"),
-        (0.0 <= cfg.fit_start_fraction < 1.0,
-         f"output.fit_start_fraction must lie in [0, 1), got {cfg.fit_start_fraction}"),
-        (cfg.sweep["workers"] >= 1, f"sweep.workers must be >= 1, got {cfg.sweep['workers']}"),
-        (cfg.init["f0"][1] is None or math.isfinite(cfg.init["f0"][1]),
-         f"init.f0 rate must be finite, got {cfg.init['f0'][1]}"),
+        (t_end > 0.0 and math.isfinite(t_end),
+         f"time.t_end must be positive and finite, got {t_end}"),
+        (record_every >= 1, f"time.record_every must be >= 1, got {record_every}"),
+        (0.5 <= theta_weight <= 1.0,
+         f"time.theta_weight must lie in [0.5, 1], got {theta_weight}"),
+        (lam is None or 0.0 < lam < math.inf,
+         f"lyapunov.lambda must be positive and finite, got {lam}"),
+        (all(0.0 < x < math.inf for x in lambda_grid),
+         f"lyapunov.lambda_grid must be positive and finite, got {lambda_grid}"),
+        (1.0 < xi_factor < math.inf,
+         f"lyapunov.xi_factor must exceed 1 and be finite, got {xi_factor}"),
+        (0.0 <= fit_start_fraction < 1.0,
+         f"output.fit_start_fraction must lie in [0, 1), got {fit_start_fraction}"),
+        (workers >= 1, f"sweep.workers must be >= 1, got {workers}"),
+        (init["f0"][1] is None or math.isfinite(init["f0"][1]),
+         f"init.f0 rate must be finite, got {init['f0'][1]}"),
     ]
     for ok, message in checks:
         if not ok:
             raise ConfigError(message)
 
-    cfg.echo = {sec: dict(cp.items(sec)) for sec in cp.sections()}
-    return cfg
+    return RunConfig(
+        params=params, beta_given=bool(beta_text), grid=grid, t_end=t_end,
+        record_every=record_every, theta_weight=theta_weight,
+        lambdas=lambda_grid if lam is None else [lam], xi_factor=xi_factor,
+        sharp_poincare=sharp_poincare, init=init, sweep=sweep,
+        sweep_spectrum=sweep_spectrum, fit_start_fraction=fit_start_fraction,
+        echo={sec: dict(cp.items(sec)) for sec in cp.sections()})
 
 
 def check_steps(cfg: RunConfig):

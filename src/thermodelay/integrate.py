@@ -199,8 +199,10 @@ def simulate(
     with the requested weight.  The initial data are transformed to the
     Fourier modes once; every step and record works on the modal state.
     Each record is a row of one table allocated up front, whose columns are
-    the Trajectory's fields; on numerical blow-up (step_imex raises) it is
-    cut after the last row written and blowup_time set.
+    the Trajectory's fields.  A run ends at its first non-finite record: a
+    step that raises, or a row holding a non-finite number, left out; the
+    table is cut after the last row written and blowup_time set.  Non-finite
+    initial observables raise NumericalBlowupError.
     """
     dt = p.tau / grid.Nrho
     nsteps = step_count(t_end, dt, record_every)
@@ -222,12 +224,14 @@ def simulate(
 
     def record(t, s):
         nonlocal rows
-        # near blow-up the observables may overflow; record inf silently
+        # near blow-up the observables may overflow; the row is then refused
         with np.errstate(over="ignore", invalid="ignore"):
             E = energy(s, grid, p, consts.xi)
             comp = lyapunov_components(s, grid, consts, p)
         table[rows] = (t, E, comp["V"], comp["Vtilde"],
                        *(comp[f"V{i}"] for i in range(1, 7)), theta_mass(s, grid))
+        if not np.isfinite(table[rows]).all():
+            raise NumericalBlowupError(f"non-finite observables at t = {t}")
         rows += 1
 
     record(0.0, state)
@@ -235,11 +239,11 @@ def simulate(
         t_next = (n + 1) * dt
         try:
             state = step_imex(state, fac_be if n == 0 else fac, buf)
+            if (n + 1) % record_every == 0 or n + 1 == nsteps:
+                record(t_next, state)
         except NumericalBlowupError:
             blowup_time = t_next
             break
-        if (n + 1) % record_every == 0 or n + 1 == nsteps:
-            record(t_next, state)
 
     table = table[:rows]
     return Trajectory(times=table[:, 0], E=table[:, 1], V=table[:, 2],

@@ -444,6 +444,45 @@ def test_spectrum_needs_no_lyapunov_constants(tmp_path, cfgfile):
                  "--override", "lyapunov.lambda_grid="]) == 0
 
 
+NO_LAMBDA = ["lyapunov.lambda=", "lyapunov.lambda_grid="]
+LOW_LAMBDAS = ["lyapunov.lambda_grid=0.1,0.2"]   # below the feasible 0.4516...
+EMPTY = "config error: lyapunov.lambda_grid is empty and lyapunov.lambda unset\n"
+
+
+@pytest.mark.parametrize("command, overrides, code, err", [
+    ("certify", NO_LAMBDA, 1, EMPTY),
+    ("certify", NO_LAMBDA + ["model.beta=5"], 1, EMPTY),
+    ("simulate", NO_LAMBDA, 1, EMPTY),
+    ("simulate", LOW_LAMBDAS, 1, "config error: no feasible lambda for the "
+     "functional weights; extend lyapunov.lambda_grid\n"),
+    ("certify", LOW_LAMBDAS, 2, "certification failed: no feasible lambda on "
+     "the grid\n"),
+])
+def test_a_lambda_list_without_a_feasible_lambda_is_one_line(tmp_path, capsys, command,
+                                                             overrides, code, err):
+    args = [a for o in overrides for a in ("--override", o)]
+    assert _run([command, "--config", os.devnull, "--out", str(tmp_path / "o"),
+                 *args]) == code
+    assert capsys.readouterr() == ("", err)
+
+
+def test_sweep_points_without_a_feasible_lambda_are_row_errors(tmp_path):
+    out = tmp_path / "sw"
+    args = [a for o in LOW_LAMBDAS + ["grid.nx=8", "grid.nrho=8", "sweep.beta=4.5,5"]
+            for a in ("--override", o)]
+    assert _run(["sweep", "--config", os.devnull, "--out", str(out), *args]) == 0
+    rows = [r.split(",") for r in
+            (out / "sweep.csv").read_text().strip().split("\n")[2:]]
+    assert [(r[2], r[-1]) for r in rows] == [("false", "ConfigError")] * 2
+
+
+def test_simulate_from_the_bump_preset(tmp_path):
+    args = [a for o in ["init.u0=bump", "model.beta=4.5", "grid.nx=8", "grid.nrho=8",
+                        "time.t_end=2"] for a in ("--override", o)]
+    assert _run(["simulate", "--config", os.devnull, "--out", str(tmp_path / "b"),
+                 *args]) == 0
+
+
 def test_only_the_commands_that_step_need_t_end_on_the_step_grid(tmp_path, capsys):
     # the default t_end = 40 is 1066.7 steps of tau/nrho = 0.3/8: certify and
     # spectrum take no step and run; simulate refuses it in one line
@@ -601,6 +640,7 @@ def test_simulate_has_no_size_limit(tmp_path, cfgfile):
     "model.kappa=1e308",     # kappa dt g^2 overflows in the implicit block
     "model.beta=1e308",      # the implicit block overflows
     "model.alpha=1e300",     # alpha**2 overflows in the Lyapunov constants
+    "lyapunov.xi_factor=1e308",     # xi, so the initial energy, overflows
 ])
 def test_numerical_failure_is_one_line_exit_3(tmp_path, cfgfile, capsys, override):
     code = _run(["simulate", "--config", cfgfile, "--out", str(tmp_path / "nf"),
@@ -611,23 +651,22 @@ def test_numerical_failure_is_one_line_exit_3(tmp_path, cfgfile, capsys, overrid
 
 
 def test_blowup_whose_strain_overflows_is_one_line_exit_3(tmp_path, capfd):
-    # at beta = 0 the last finite displacement has a strain g_k u_k that
-    # overflows; it was a RuntimeWarning, a traceback under -W error.  The
-    # real-space stepper found its first non-finite value, the explicit
-    # product, at t = 191.8125; the modal coefficients of the same state are
-    # other numbers of the same norm, and overflow one step later
+    # at beta = 0 the energy overflows at t = 99.625, long before the state
+    # does, and the run ends at that first non-finite record.  The strain
+    # overflow of the name, g_k u_k of a finite displacement, is test_integrate's
+    # test_a_strain_that_overflows_is_pushed_as_inf_silently
     code = _run(["simulate", "--config", os.devnull, "--out", str(tmp_path / "b0"),
                  "--override", "model.beta=0", "--override", "grid.nx=16",
                  "--override", "grid.nrho=16", "--override", "time.t_end=200"])
     out, err = capfd.readouterr()
-    assert (code, out, err) == (3, "", "numerical blow-up at t = 191.875\n")
+    assert (code, out, err) == (3, "", "numerical blow-up at t = 99.625\n")
     summary = json.loads((tmp_path / "b0" / "summary.json").read_text())
-    assert summary["blowup_time"] == 191.875
+    assert summary["blowup_time"] == 99.625
 
 
 @pytest.mark.parametrize("overrides, rows", [
-    # the blow-up run above: 3070 of its 3201 rows are written
-    (["model.beta=0", "grid.nx=16", "grid.nrho=16", "time.t_end=200"], 3070),
+    # the blow-up run above: 1594 of its 3201 rows are written, all finite
+    (["model.beta=0", "grid.nx=16", "grid.nrho=16", "time.t_end=200"], 1594),
     # 50 steps, every third recorded and the last one at t_end = 6.25
     (["model.beta=4.5", "grid.nx=8", "grid.nrho=8", "time.t_end=6.25",
       "time.record_every=3"], 18),
@@ -653,12 +692,12 @@ def test_traj_csv_is_the_trajectory_bit_for_bit(tmp_path, monkeypatch, overrides
     want = np.column_stack([traj.times, traj.E, traj.V, traj.Vtilde,
                             *traj.V_terms, traj.theta_mass])
     assert written.shape == want.shape == (rows, 11)
-    # every number keeps its bits; a NaN (V = inf - inf near blow-up) is
-    # written as "nan", which keeps neither its sign nor its payload
+    # every number keeps its bits; a NaN would be written as "nan", which
+    # keeps neither its sign nor its payload
     nan = np.isnan(want)
     assert (np.isnan(written) == nan).all()
     assert written[~nan].tobytes() == want[~nan].tobytes()
-    assert traj.times[-1] == (191.8125 if traj.blowup_time else 6.25)
+    assert traj.times[-1] == (99.5625 if traj.blowup_time else 6.25)
 
 
 def test_history_datum_overflow_is_one_line_exit_3(tmp_path, capfd):

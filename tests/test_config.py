@@ -32,7 +32,7 @@ def test_defaults_and_file_values(tmp_path):
     assert cfg.beta_given
     assert cfg.params.theta_bc == "neumann"
     assert cfg.grid.Nx == 8 and cfg.grid.Nrho == 8
-    assert cfg.lam == 0.5
+    assert cfg.lambdas == [0.5]
     assert cfg.t_end == 40.0          # default
     assert cfg.echo["model"]["beta"] == "5.0"
 
@@ -159,3 +159,11 @@ def test_higher_mode_presets():
     g = cfg.grid
     assert np.allclose(u0, np.sin(3 * math.pi * g.x_nodes))
     assert np.allclose(theta0, np.cos(2 * math.pi * g.x_flux))
+
+
+def test_bump_preset():
+    cfg = load_config(text=BASE, overrides=["init.u0=bump", "model.ell=2"])
+    u0 = make_initial_data(cfg)[0]
+    x, ell = cfg.grid.x_nodes, 2.0
+    assert np.array_equal(u0, np.exp(-100.0 * (x / ell - 0.5) ** 2)
+                          * np.sin(math.pi * x / ell))

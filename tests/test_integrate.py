@@ -6,6 +6,7 @@ oracles.py; the tests here hold the modal stepper to them and to dense
 references."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -407,6 +408,24 @@ def test_blowup_truncates_or_raises():
     with pytest.raises(NumericalBlowupError, match="non-finite displacement"):
         step_imex(state, fac, buf)
     assert np.array_equal(buf.as_field(), z)
+
+
+def test_a_strain_that_overflows_is_pushed_as_inf_silently():
+    # u_1 = 1e308 is finite and stays so, and g_1 u_1 (g_1 about pi)
+    # overflows.  The step neither warns nor raises, and the strain enters
+    # z as inf
+    g = Grid(Nx=12, Nrho=8)
+    fac = factor_implicit(g, P)
+    buf = HistoryBuffer(np.zeros((g.nflux, g.Nrho + 1)))
+    u = np.zeros(g.Nx)
+    u[0] = 1e308
+    state = State(u=u, v=np.zeros(g.Nx), z=buf.as_field(),
+                  theta=np.zeros(g.ntheta), modal=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s = step_imex(state, fac, buf)
+    assert np.array_equal(s.u, u)
+    assert np.isinf(s.z[1, 0]) and not s.z[[0, *range(2, g.nflux)], 0].any()
 
 
 def test_step_refuses_a_real_space_state():
