@@ -62,7 +62,7 @@ def _lambda_candidates(cfg: RunConfig) -> list[float]:
     if min(cfg.params.alpha, cfg.params.gamma, cfg.params.kappa) <= 0.0:
         raise ConfigError("model.alpha, gamma, kappa must be positive for the Lyapunov constants")
     if not cfg.lambdas:
-        raise ConfigError("lyapunov.lambda_grid is empty and lyapunov.lambda unset")
+        raise ConfigError("lyapunov.lambda_grid is empty")
     return cfg.lambdas
 
 

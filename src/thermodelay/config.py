@@ -28,8 +28,7 @@ DEFAULTS = {
     "grid": {"nx": "64", "nrho": "64"},
     "time": {"t_end": "40.0", "record_every": "1", "theta_weight": "0.5"},
     "lyapunov": {
-        "lambda": "", "lambda_grid": "0.5:3.0:11",
-        "xi_factor": "2.0", "sharp_poincare": "false",
+        "lambda_grid": "0.5:3.0:11", "xi_factor": "2.0", "sharp_poincare": "false",
     },
     "init": {
         "u0": "sine:1", "u1": "zero", "theta0": "cosine:1",
@@ -40,8 +39,13 @@ DEFAULTS = {
 }
 # [sweep] also takes one range per model parameter below
 SWEEPABLE = ("alpha", "beta", "gamma", "kappa", "tau", "ell")
-PROFILES = ("sine", "cosine", "bump", "zero")
-HISTORIES = ("constant_history", "decaying_exponential", "zero")
+# init key -> its presets, each with its argument's type (None: it takes none)
+PRESETS = {
+    "u0": {"sine": int, "bump": None, "zero": None},
+    "u1": {"sine": int, "bump": None, "zero": None},
+    "theta0": {"cosine": int, "zero": None},
+    "f0": {"constant_history": None, "decaying_exponential": float, "zero": None},
+}
 
 
 class ConfigError(ValueError):
@@ -106,7 +110,7 @@ class RunConfig:
     t_end: float
     record_every: int
     theta_weight: float
-    lambdas: list[float]           # [lyapunov.lambda] if set, else the grid
+    lambdas: list[float]           # lyapunov.lambda_grid, parsed
     xi_factor: float
     sharp_poincare: bool
     init: dict                     # name -> (preset kind, argument or None)
@@ -170,14 +174,10 @@ def load_config(path: str | None = None, overrides: list[str] = (),
         )
         grid = Grid(Nx=cp.getint("grid", "nx"), Nrho=cp.getint("grid", "nrho"),
                     ell=params.ell)
-        lam_text = cp.get("lyapunov", "lambda").strip()
-        init = {k: _preset(cp.get("init", k), PROFILES, int)
-                for k in ("u0", "u1", "theta0")}
-        init["f0"] = _preset(cp.get("init", "f0"), HISTORIES, float)
+        init = {k: _preset(k, cp.get("init", k)) for k in PRESETS}
         t_end = cp.getfloat("time", "t_end")
         record_every = cp.getint("time", "record_every")
         theta_weight = cp.getfloat("time", "theta_weight")
-        lam = float(lam_text) if lam_text else None
         lambda_grid = parse_range(cp.get("lyapunov", "lambda_grid"),
                                   "lyapunov.lambda_grid")
         xi_factor = cp.getfloat("lyapunov", "xi_factor")
@@ -196,8 +196,6 @@ def load_config(path: str | None = None, overrides: list[str] = (),
         (record_every >= 1, f"time.record_every must be >= 1, got {record_every}"),
         (0.5 <= theta_weight <= 1.0,
          f"time.theta_weight must lie in [0.5, 1], got {theta_weight}"),
-        (lam is None or 0.0 < lam < math.inf,
-         f"lyapunov.lambda must be positive and finite, got {lam}"),
         (all(0.0 < x < math.inf for x in lambda_grid),
          f"lyapunov.lambda_grid must be positive and finite, got {lambda_grid}"),
         (1.0 < xi_factor < math.inf,
@@ -215,7 +213,7 @@ def load_config(path: str | None = None, overrides: list[str] = (),
     return RunConfig(
         params=params, beta_given=bool(beta_text), grid=grid, t_end=t_end,
         record_every=record_every, theta_weight=theta_weight,
-        lambdas=lambda_grid if lam is None else [lam], xi_factor=xi_factor,
+        lambdas=lambda_grid, xi_factor=xi_factor,
         sharp_poincare=sharp_poincare, init=init, sweep=sweep,
         sweep_spectrum=sweep_spectrum, fit_start_fraction=fit_start_fraction,
         echo={sec: dict(cp.items(sec)) for sec in cp.sections()})
@@ -231,15 +229,20 @@ def check_steps(cfg: RunConfig):
         raise ConfigError(f"time.{exc}") from None
 
 
-def _preset(name: str, kinds: tuple, arg_type) -> tuple:
-    """Split 'kind[:arg]' into (kind, arg or None), checking both parts."""
-    kind, _, arg = name.strip().partition(":")
+def _preset(key: str, text: str) -> tuple:
+    """Split init.<key>'s 'kind[:arg]' into (kind, arg or None): the key
+    must take the kind, and only a kind with an argument may have a ':'."""
+    kinds = PRESETS[key]
+    kind, colon, arg = text.strip().partition(":")
     if kind not in kinds:
-        raise ConfigError(f"unknown preset {name!r}; expected one of {kinds}")
+        raise ConfigError(f"init.{key}: unknown preset {text!r}; "
+                          f"expected one of {tuple(kinds)}")
+    if colon and kinds[kind] is None:
+        raise ConfigError(f"init.{key}: preset {kind!r} takes no argument, got {text!r}")
     try:
-        return kind, arg_type(arg) if arg else None
+        return kind, kinds[kind](arg) if arg else None
     except ValueError:
-        raise ConfigError(f"bad preset argument in {name!r}") from None
+        raise ConfigError(f"init.{key}: bad preset argument in {text!r}") from None
 
 
 def _profile(preset: tuple, x: np.ndarray, ell: float) -> np.ndarray:

@@ -111,8 +111,13 @@ def _beta_free_constants(p: PhysParams, lam: float,
     """lam, c_p, h, Gamma, Psi, Lambda, Phi, A, k, b, eps2 and eps3: the
     constants that do not depend on beta (p.beta is not read).
 
-    Raises InfeasibleLambdaError when the exact construction breaks down
-    (A/k >= 2 lam Lambda^2 / Gamma, or A <= 1, or k outside (0,1)).
+    Raises InfeasibleLambdaError when A <= 1, the only condition of the
+    construction that h = e^{-2 lam} in (0, 1) can break.  Once A > 1:
+      - k = 1 - h^4 lies in (0, 1];
+      - the eqfond0 upper margin h^3 (1 + 3h - h^2 + h^3 + h^4) is positive
+        for h < 1, so denom = Lambda - sqrt(A Gamma/(2 lam k)) is positive;
+      - in floats A > 1 needs 1 + h > 1, so h >~ 1e-16: h^3 cannot underflow.
+    The feasible lam are thus 0.45160... to about 18.37, where A rounds to 1.
     """
     if min(p.alpha, p.gamma, p.kappa) <= 0:
         raise ValueError("alpha, gamma and kappa must be strictly positive "
@@ -126,15 +131,9 @@ def _beta_free_constants(p: PhysParams, lam: float,
     A = 1.0 + h - h**2 - 2.0 * h**3 - 4.0 * h**4
     k = 1.0 - h**4
 
-    # checked first: at extreme lam, where they fail, Gamma and Phi break down
+    # checked first: at extreme lam, where it fails, Gamma and Phi break down
     if not (A > 1.0):
         raise InfeasibleLambdaError(f"lambda infeasible: A = {A} <= 1 at lam={lam}")
-    # k < 1 holds exactly; for large lam the float value rounds to 1.0
-    if not (0.0 < k <= 1.0):
-        raise InfeasibleLambdaError(f"lambda infeasible: k = {k} outside (0,1) at lam={lam}")
-    upper_margin = _eqfond0_upper_margin(h)
-    if not (upper_margin > 0.0):
-        raise InfeasibleLambdaError(f"lambda infeasible: A/k >= 2 lam Lambda^2/Gamma at lam={lam}")
 
     Gamma = (1.0 - h) / (2.0 * lam)
     Psi = h * Gamma
@@ -144,10 +143,7 @@ def _beta_free_constants(p: PhysParams, lam: float,
     root = math.sqrt(A * Gamma / (2.0 * lam * k))
     # Lambda - root, evaluated as (Lambda^2 - root^2)/(Lambda + root) with the
     # numerator in the same cancellation-free polynomial form
-    denom = Gamma**2 * upper_margin / ((1.0 - h) * k * (Lambda + root))
-    if denom <= 0.0:
-        raise InfeasibleLambdaError(
-            f"lambda infeasible: Lambda - sqrt(A Gamma/(2 lam k)) <= 0 at lam={lam}")
+    denom = Gamma**2 * _eqfond0_upper_margin(h) / ((1.0 - h) * k * (Lambda + root))
 
     eps2 = math.sqrt(2.0 * lam * Gamma * k / A)
     eps3 = A * tau / (4.0 * lam * k * denom)

@@ -33,7 +33,7 @@ nrho = 8
 t_end = 6.0
 
 [lyapunov]
-lambda = 0.5
+lambda_grid = 0.5
 """
 
 
@@ -59,7 +59,7 @@ def test_usage_errors(tmp_path, cfgfile):
 def test_certify_witness_large_beta(tmp_path, cfgfile):
     out = tmp_path / "cert"
     code = _run(["certify", "--config", cfgfile, "--out", str(out),
-                 "--override", "lyapunov.lambda=6",
+                 "--override", "lyapunov.lambda_grid=6",
                  "--override", f"model.beta={math.exp(24.0)}"])
     assert code == 0
     summary = json.loads((out / "summary.json").read_text())
@@ -79,7 +79,7 @@ def test_certify_beta_zero_exit_2(tmp_path, cfgfile, capsys):
     (["model.beta=4.6"], True),                           # certified
     (["model.beta=4.0"], True),                           # fails eqfond2
     (["model.beta=0"], False),                            # beta <= 0
-    (["model.beta=4.6", "lyapunov.lambda=0.05"], False),  # infeasible lambda
+    (["model.beta=4.6", "lyapunov.lambda_grid=0.05"], False),  # infeasible lambda
     (["model.beta=4.6", "model.alpha=1e300"], False),     # past the float range
 ])
 def test_certify_returns_the_record_summary_json_stores(tmp_path, cfgfile, overrides,
@@ -148,16 +148,16 @@ def test_simulate_weights_come_from_the_certifying_lambda(tmp_path, cfgfile):
     model = ["--override", "model.alpha=0.2", "--override", "model.tau=0.1",
              "--override", "model.beta=0.6", "--override", "time.t_end=1"]
     outs = {}
-    for lam in ("", "0.75"):
+    for lam in ("0.5:3.0:11", "0.75"):
         outs[lam] = tmp_path / f"sim{lam}"
         assert _run(["simulate", "--config", cfgfile, "--out", str(outs[lam]),
-                     *model, "--override", f"lyapunov.lambda={lam}"]) == 0
+                     *model, "--override", f"lyapunov.lambda_grid={lam}"]) == 0
     grid, only = (json.loads((outs[k] / "summary.json").read_text())
-                  for k in ("", "0.75"))
+                  for k in ("0.5:3.0:11", "0.75"))
     assert grid["certification"]["certified"] is True
     assert grid["certification"]["lambda"] == 0.75
     assert grid["n0"] == only["n0"] == pytest.approx(0.03718, rel=1e-3)
-    assert ((outs[""] / "traj.csv").read_bytes()
+    assert ((outs["0.5:3.0:11"] / "traj.csv").read_bytes()
             == (outs["0.75"] / "traj.csv").read_bytes())
 
 
@@ -377,13 +377,14 @@ def test_sweep_single_point_matches_simulate(tmp_path, cfgfile):
 # (command, space-separated overrides); a simulate case's id is its overrides
 BAD_CONFIGS = [("simulate", o) for o in [
     "time.record_every=0", "time.t_end=-1", "time.theta_weight=0.2",
-    "init.u0=sine:x", "sweep.foo=1:2:3", "sweep.workers=0",
+    "init.u0=sine:x", "init.u0=bump:7", "sweep.foo=1:2:3", "sweep.workers=0",
     "time.dt=0.01", "time.delay_mode=ring", "plot.style=dark",
-    "lyapunov.lambda=-1", "lyapunov.xi_factor=0", "output.fit_start_fraction=2",
+    "lyapunov.lambda=0.5", "lyapunov.lambda_grid=-1", "lyapunov.xi_factor=0",
+    "output.fit_start_fraction=2",
     "time.t_end=0.3", "model.alpha=0", "model.gamma=0", "model.kappa=0",
     "lyapunov.xi_factor=inf",
 ]] + [
-    ("certify", "model.beta=5 lyapunov.lambda= lyapunov.lambda_grid=0.5:3:0"),
+    ("certify", "model.beta=5 lyapunov.lambda_grid=0.5:3:0"),
 ] + [("sweep", o) for o in [
     "sweep.beta=4.5:inf:3", "sweep.beta=1:2:0", "sweep.beta=1:2:-1",
     "sweep.beta=1,nan",
@@ -429,8 +430,7 @@ def test_an_infinite_parameter_is_refused_as_not_finite(tmp_path, cfgfile, capsy
 def test_run_size_limit_is_one_line_exit_1(tmp_path, cfgfile, capsys, command,
                                            override, key):
     code = _run([command, "--config", cfgfile, "--out", str(tmp_path / "big"),
-                 "--override", "model.beta=", "--override", "lyapunov.lambda=",
-                 "--override", override])
+                 "--override", "model.beta=", "--override", override])
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("config error:") and err.count("\n") == 1, err
@@ -440,13 +440,13 @@ def test_run_size_limit_is_one_line_exit_1(tmp_path, cfgfile, capsys, command,
 def test_spectrum_needs_no_lyapunov_constants(tmp_path, cfgfile):
     # gamma = 0 and an empty lambda grid rule out the constants, not a spectrum
     assert _run(["spectrum", "--config", cfgfile, "--out", str(tmp_path / "s"),
-                 "--override", "model.gamma=0", "--override", "lyapunov.lambda=",
+                 "--override", "model.gamma=0",
                  "--override", "lyapunov.lambda_grid="]) == 0
 
 
-NO_LAMBDA = ["lyapunov.lambda=", "lyapunov.lambda_grid="]
+NO_LAMBDA = ["lyapunov.lambda_grid="]
 LOW_LAMBDAS = ["lyapunov.lambda_grid=0.1,0.2"]   # below the feasible 0.4516...
-EMPTY = "config error: lyapunov.lambda_grid is empty and lyapunov.lambda unset\n"
+EMPTY = "config error: lyapunov.lambda_grid is empty\n"
 
 
 @pytest.mark.parametrize("command, overrides, code, err", [

@@ -20,7 +20,7 @@ nx = 8
 nrho = 8
 
 [lyapunov]
-lambda = 0.5
+lambda_grid = 0.5
 """
 
 
@@ -140,10 +140,14 @@ def test_initial_data_decaying_history():
 
 
 def test_unknown_presets_rejected():
-    # presets are checked when the config is loaded
+    # presets are checked when the config is loaded: each key takes only its
+    # own kinds, and only a kind with an argument takes a ':'
     for bad in ("init.u0=wavelet", "init.f0=mystery", "init.theta0=cosine:x",
-                "init.f0=decaying_exponential:fast"):
-        with pytest.raises(ConfigError):
+                "init.f0=decaying_exponential:fast", "init.u0=bump:7",
+                "init.u0=zero:3", "init.f0=zero:5", "init.f0=constant_history:2",
+                "init.u0=cosine:2", "init.u1=cosine:1", "init.theta0=sine:2",
+                "init.theta0=bump"):
+        with pytest.raises(ConfigError, match=bad.split("=")[0] + ": "):
             load_config(text=BASE, overrides=[bad])
 
 

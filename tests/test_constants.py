@@ -83,6 +83,29 @@ def test_extreme_lambdas_infeasible_before_any_division():
             lyapunov_constants(UNIT, lam)
 
 
+def test_lambda_is_feasible_exactly_where_a_exceeds_1():
+    # sampled, not proven (the proof is _beta_free_constants' docstring): a
+    # geometric grid over [1e-3, 1e3] and dense points around both ends of
+    # the feasible interval, lam_min = 0.45160... and about 18.37
+    lams = np.unique(np.concatenate([np.geomspace(1e-3, 1e3, 2001),
+                                     np.linspace(0.4515, 0.4517, 201),
+                                     np.linspace(18.30, 18.45, 301)]))
+    feasible = []
+    for lam in map(float, lams):
+        h = math.exp(-2.0 * lam)
+        A = 1.0 + h - h**2 - 2.0 * h**3 - 4.0 * h**4     # as the code computes it
+        feasible.append(A > 1.0)
+        if A > 1.0:
+            c = lyapunov_constants(UNIT, lam)
+            assert all(0.0 < x < math.inf for x in (c.b, c.eps2, c.eps3)), lam
+        else:
+            with pytest.raises(InfeasibleLambdaError, match=r"^lambda infeasible: A = "):
+                lyapunov_constants(UNIT, lam)
+    # one interval: infeasible, feasible, infeasible again
+    assert feasible[0] is feasible[-1] is False
+    assert sum(a != b for a, b in zip(feasible, feasible[1:])) == 2
+
+
 def test_certify_fails_past_the_float_range():
     # alpha**2 overflows: no certificate, and no OverflowError either
     rep = certify(PhysParams(alpha=1e300, beta=1.0), 0.5)

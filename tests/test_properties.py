@@ -169,8 +169,8 @@ def test_load_config_returns_or_raises_config_error(overrides):
 @example(overrides=[("lyapunov.xi_factor", "inf")])
 @example(overrides=[("time.t_end", "1e308")])
 @example(overrides=[("time.t_end", "1e300")])
-@example(overrides=[("lyapunov.lambda", "1e308"), ("model.beta", "")])
-@example(overrides=[("lyapunov.lambda", "1e-300")])
+@example(overrides=[("lyapunov.lambda_grid", "1e308"), ("model.beta", "")])
+@example(overrides=[("lyapunov.lambda_grid", "1e-300")])
 @example(overrides=[("model.ell", "1e308")])
 @example(overrides=[("model.beta", "1e-300")])
 def test_certify_exits_0_1_or_2_with_at_most_one_error_line(overrides):
@@ -185,7 +185,7 @@ def test_certify_exits_0_1_or_2_with_at_most_one_error_line(overrides):
     assert printed.lines <= 1, printed
 
 
-SWEEP_CONFIG = ("[model]\ntheta_bc = dirichlet\n[lyapunov]\nlambda = 0.5\n"
+SWEEP_CONFIG = ("[model]\ntheta_bc = dirichlet\n[lyapunov]\nlambda_grid = 0.5\n"
                 "[sweep]\nspectrum = true\nworkers = 2\n")
 
 
