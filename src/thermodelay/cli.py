@@ -70,8 +70,7 @@ def _certification(cfg: RunConfig) -> dict:
     """Best certification verdict for the configured beta over the lambdas."""
     out = {"certified": False, "lambda": None, "conditions": None}
     for lam in _lambda_candidates(cfg):
-        rep = certify(cfg.params, lam, xi_factor=cfg.xi_factor,
-                      sharp_poincare=cfg.sharp_poincare)
+        rep = certify(cfg.params, lam, sharp_poincare=cfg.sharp_poincare)
         if out["conditions"] is None or rep["verdict"]:
             out.update({"lambda": lam, "conditions": rep})
         if rep["verdict"]:
@@ -93,8 +92,7 @@ def _constants_for_run(cfg: RunConfig, certified_lam: float | None = None):
     for lam in lams:
         p = cfg.params if cfg.params.beta > 0 else cfg.params.with_beta(1.0)
         try:
-            consts = lyapunov_constants(p, lam, xi_factor=cfg.xi_factor,
-                                        sharp_poincare=cfg.sharp_poincare)
+            consts = lyapunov_constants(p, lam, sharp_poincare=cfg.sharp_poincare)
         except InfeasibleLambdaError:
             continue
         # xi ~ alpha^2 / beta; the energy needs it positive
@@ -122,7 +120,7 @@ def cmd_certify(cfg: RunConfig, out: Path) -> int:
                      "certification": cert})
         return 0 if cert["certified"] else 2
     try:
-        res = find_beta0(cfg.params, _lambda_candidates(cfg), xi_factor=cfg.xi_factor,
+        res = find_beta0(cfg.params, _lambda_candidates(cfg),
                          sharp_poincare=cfg.sharp_poincare)
     except NoFeasibleLambdaError as exc:
         print(f"certification failed: {exc}", file=sys.stderr)
@@ -143,18 +141,19 @@ def _run_trajectory(cfg: RunConfig, cert: dict):
     traj = simulate(
         cfg.grid, cfg.params, consts, u0, u1, theta0, f0,
         t_end=cfg.t_end, record_every=cfg.record_every,
-        theta_weight=cfg.theta_weight,
     )
     return consts, traj
 
 
-def _summarize(cfg: RunConfig, traj) -> dict:
+def _summarize(traj) -> dict:
+    """The run's summary figures; the decay rate is fitted over [0.4 t, t],
+    t the last record's time."""
     from .observables import decay_rate_fit
 
     t_hi = traj.times[-1]
     fit = None
     try:
-        fit = decay_rate_fit(traj, (cfg.fit_start_fraction * t_hi, t_hi))
+        fit = decay_rate_fit(traj, (0.4 * t_hi, t_hi))
     except ValueError:
         pass
     mass = traj.theta_mass
@@ -184,7 +183,7 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> int:
                              *traj.V_terms, traj.theta_mass])
     _write_csv(out / "traj.csv", header, (row.tolist() for row in table))
 
-    summary = _summarize(cfg, traj)
+    summary = _summarize(traj)
     summary["certification"] = cert if cfg.beta_given else None
     try:
         summary["n0"] = n0_from_constants(consts, cfg.params)
@@ -210,7 +209,7 @@ def _sweep_point(cfg: RunConfig, name: str, value: float, want_spectrum: bool):
         cert = _certification(sub)
         row["certified"] = str(cert["certified"]).lower()
         _, traj = _run_trajectory(sub, cert)
-        s = _summarize(sub, traj)
+        s = _summarize(traj)
         for key in ("a0", "r2", "final_E"):
             if s[key] is not None:
                 row[key] = float(s[key])

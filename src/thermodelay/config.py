@@ -26,16 +26,13 @@ DEFAULTS = {
         "tau": "1.0", "ell": "1.0", "theta_bc": "neumann",
     },
     "grid": {"nx": "64", "nrho": "64"},
-    "time": {"t_end": "40.0", "record_every": "1", "theta_weight": "0.5"},
-    "lyapunov": {
-        "lambda_grid": "0.5:3.0:11", "xi_factor": "2.0", "sharp_poincare": "false",
-    },
+    "time": {"t_end": "40.0", "record_every": "1"},
+    "lyapunov": {"lambda_grid": "0.5:3.0:11", "sharp_poincare": "false"},
     "init": {
         "u0": "sine:1", "u1": "zero", "theta0": "cosine:1",
         "f0": "constant_history",
     },
     "sweep": {"workers": "4", "spectrum": "false"},
-    "output": {"fit_start_fraction": "0.4"},
 }
 # [sweep] also takes one range per model parameter below
 SWEEPABLE = ("alpha", "beta", "gamma", "kappa", "tau", "ell")
@@ -109,14 +106,11 @@ class RunConfig:
     grid: Grid
     t_end: float
     record_every: int
-    theta_weight: float
     lambdas: list[float]           # lyapunov.lambda_grid, parsed
-    xi_factor: float
     sharp_poincare: bool
     init: dict                     # name -> (preset kind, argument or None)
     sweep: dict                    # parameter -> values, the non-empty ranges only
     sweep_spectrum: bool
-    fit_start_fraction: float
     echo: dict = field(default_factory=dict)
 
 
@@ -177,16 +171,13 @@ def load_config(path: str | None = None, overrides: list[str] = (),
         init = {k: _preset(k, cp.get("init", k)) for k in PRESETS}
         t_end = cp.getfloat("time", "t_end")
         record_every = cp.getint("time", "record_every")
-        theta_weight = cp.getfloat("time", "theta_weight")
         lambda_grid = parse_range(cp.get("lyapunov", "lambda_grid"),
                                   "lyapunov.lambda_grid")
-        xi_factor = cp.getfloat("lyapunov", "xi_factor")
         sharp_poincare = cp.getboolean("lyapunov", "sharp_poincare")
         workers = cp.getint("sweep", "workers")     # checked; nothing reads it
         sweep_spectrum = cp.getboolean("sweep", "spectrum")
         sweep = {k: parse_range(v, f"sweep.{k}") for k, v in cp.items("sweep")
                  if k in SWEEPABLE and v.strip()}     # an empty range is no range
-        fit_start_fraction = cp.getfloat("output", "fit_start_fraction")
     except (ValueError, configparser.Error) as exc:
         raise ConfigError(f"bad config value: {exc}") from exc
 
@@ -194,14 +185,8 @@ def load_config(path: str | None = None, overrides: list[str] = (),
         (t_end > 0.0 and math.isfinite(t_end),
          f"time.t_end must be positive and finite, got {t_end}"),
         (record_every >= 1, f"time.record_every must be >= 1, got {record_every}"),
-        (0.5 <= theta_weight <= 1.0,
-         f"time.theta_weight must lie in [0.5, 1], got {theta_weight}"),
         (all(0.0 < x < math.inf for x in lambda_grid),
          f"lyapunov.lambda_grid must be positive and finite, got {lambda_grid}"),
-        (1.0 < xi_factor < math.inf,
-         f"lyapunov.xi_factor must exceed 1 and be finite, got {xi_factor}"),
-        (0.0 <= fit_start_fraction < 1.0,
-         f"output.fit_start_fraction must lie in [0, 1), got {fit_start_fraction}"),
         (workers >= 1, f"sweep.workers must be >= 1, got {workers}"),
         (init["f0"][1] is None or math.isfinite(init["f0"][1]),
          f"init.f0 rate must be finite, got {init['f0'][1]}"),
@@ -212,10 +197,9 @@ def load_config(path: str | None = None, overrides: list[str] = (),
 
     return RunConfig(
         params=params, beta_given=bool(beta_text), grid=grid, t_end=t_end,
-        record_every=record_every, theta_weight=theta_weight,
-        lambdas=lambda_grid, xi_factor=xi_factor,
+        record_every=record_every, lambdas=lambda_grid,
         sharp_poincare=sharp_poincare, init=init, sweep=sweep,
-        sweep_spectrum=sweep_spectrum, fit_start_fraction=fit_start_fraction,
+        sweep_spectrum=sweep_spectrum,
         echo={sec: dict(cp.items(sec)) for sec in cp.sections()})
 
 

@@ -156,18 +156,15 @@ def _beta_free_constants(p: PhysParams, lam: float,
 def lyapunov_constants(
     p: PhysParams,
     lam: float,
-    xi_factor: float = 2.0,
     sharp_poincare: bool = False,
 ) -> LyapunovConstants:
     """Compute every auxiliary constant from (params, lam) via closed forms.
 
-    xi is set to xi_factor times its strict lower bound 2 tau alpha^2 / beta.
+    xi is set to twice its strict lower bound 2 tau alpha^2 / beta.
     Raises InfeasibleLambdaError as _beta_free_constants does.
     """
     if p.beta <= 0:
         raise ValueError("beta must be strictly positive to build the constants")
-    if xi_factor <= 1:
-        raise ValueError("xi_factor must exceed 1 for the strict xi bound")
     c = _beta_free_constants(p, lam, sharp_poincare)
 
     alpha, beta, tau = p.alpha, p.beta, p.tau
@@ -177,7 +174,7 @@ def lyapunov_constants(
     eps5 = c.b
     eps6 = 2.0 * a * c.b * c.Psi / (tau * alpha)
 
-    xi = xi_factor * (2.0 * tau * alpha**2 / beta)
+    xi = 2.0 * (2.0 * tau * alpha**2 / beta)
 
     N1 = N3 = 1.0
     N4 = a * N1
@@ -247,7 +244,6 @@ def check_conditions(c: LyapunovConstants, p: PhysParams) -> dict:
 def certify(
     p: PhysParams,
     lam: float,
-    xi_factor: float = 2.0,
     sharp_poincare: bool = False,
 ) -> dict:
     """Build the constants for (p, lam) and return check_conditions' record.
@@ -260,7 +256,7 @@ def certify(
         return _certificate([("xi-bound", math.inf, math.inf, False),
                              ("eqfond2", math.inf, 0.0, False)])
     try:
-        c = lyapunov_constants(p, lam, xi_factor=xi_factor, sharp_poincare=sharp_poincare)
+        c = lyapunov_constants(p, lam, sharp_poincare=sharp_poincare)
         return check_conditions(c, p)
     except InfeasibleLambdaError:
         return _certificate([("eqfond0", math.inf, 0.0, False)])
@@ -295,7 +291,6 @@ _RAISE_ULPS = 8
 def find_beta0(
     p: PhysParams,
     lambda_grid,
-    xi_factor: float = 2.0,
     sharp_poincare: bool = False,
 ) -> dict:
     """The smallest certified damping coefficient over a lambda grid.
@@ -312,7 +307,6 @@ def find_beta0(
     lambda_grid = list(lambda_grid)
     if not lambda_grid:
         raise NoFeasibleLambdaError("empty lambda grid")
-    kw = dict(xi_factor=xi_factor, sharp_poincare=sharp_poincare)
 
     best = None
     for lam in lambda_grid:
@@ -323,7 +317,7 @@ def find_beta0(
         for _ in range(_RAISE_ULPS + 1):
             if not (0.0 < beta < math.inf):
                 break
-            if certify(p.with_beta(beta), lam, **kw)["verdict"]:
+            if certify(p.with_beta(beta), lam, sharp_poincare=sharp_poincare)["verdict"]:
                 if best is None or beta < best[0]:
                     best = (beta, lam)
                 break

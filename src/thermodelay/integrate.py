@@ -189,14 +189,13 @@ def simulate(
     f0,
     t_end: float,
     record_every: int = 1,
-    theta_weight: float = 0.5,
 ) -> Trajectory:
     """Advance the system to t_end and record observables.
 
     Deterministic given its inputs.  The step is dt = tau/Nrho (an exact
     one-node shift of z); t_end must be a whole number of steps.  The first
-    step uses backward Euler to damp the initial layer, then the theta-method
-    with the requested weight.  The initial data are transformed to the
+    step uses backward Euler to damp the initial layer, then Crank-Nicolson
+    (the theta-method at weight 1/2).  The initial data are transformed to the
     Fourier modes once; every step and record works on the modal state.
     Each record is a row of one table allocated up front, whose columns are
     the Trajectory's fields.  A run ends at its first non-finite record: a
@@ -211,7 +210,7 @@ def simulate(
         theta0 -= theta0.mean()
 
     fac_be = factor_implicit(grid, p, theta_weight=1.0)
-    fac = factor_implicit(grid, p, theta_weight=theta_weight)
+    fac = factor_implicit(grid, p, theta_weight=0.5)
 
     z0 = init_history(f0, grid, p.tau, u0=u0).as_field()
     state = modal_state(State(u=np.asarray(u0, float), v=np.asarray(u1, float),

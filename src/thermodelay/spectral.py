@@ -204,7 +204,10 @@ def spectrum_dense(grid: Grid, p: PhysParams) -> SpectrumResult:
     is the block's at the last iterate, in reduced coordinates, and inf where
     the shifted block is singular or the iterate, Rayleigh quotient or
     residual is not finite.  Raises FloatingPointError if a QR eigenvalue is
-    not finite.
+    not finite, or if the rightmost eigenvalue was not refined and QR's
+    rounding error bound n eps ||B||_1 on its block B is at least the size of
+    its real part: then not even the abscissa's sign is known (as in
+    _sharpened).
     """
     w, modes, owner, block = _block_eigvals(grid, p)
     if not np.isfinite(w).all():
@@ -262,6 +265,14 @@ def spectrum_dense(grid: Grid, p: PhysParams) -> SpectrumResult:
         if np.isfinite(res):
             residuals[i] = res
     order2 = np.argsort(-refined.real)
+    j = order2[0]
+    if not (j < k and converged[j]):
+        B = block(owner[order[j]])
+        err = B.shape[0] * np.finfo(float).eps * abs(B).sum(axis=0).max()
+        if abs(refined[j].real) <= err:
+            raise FloatingPointError(f"the rightmost eigenvalue {refined[j]} is not "
+                                     f"refined and lies within the rounding error "
+                                     f"{err:.3g} of its block")
     return SpectrumResult(eigenvalues=refined[order2],
                           rightmost_residuals=residuals, converged=converged,
                           modes=None if modes is None else modes[order][order2])

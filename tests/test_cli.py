@@ -374,7 +374,8 @@ def test_sweep_single_point_matches_simulate(tmp_path, cfgfile):
         assert float(row[5]) == pytest.approx(summary["final_E"], rel=1e-12)
 
 
-# (command, space-separated overrides); a simulate case's id is its overrides
+# (command, space-separated overrides); a simulate case's id is its overrides.
+# time.theta_weight, lyapunov.xi_factor and output.* are refused as unknown
 BAD_CONFIGS = [("simulate", o) for o in [
     "time.record_every=0", "time.t_end=-1", "time.theta_weight=0.2",
     "init.u0=sine:x", "init.u0=bump:7", "sweep.foo=1:2:3", "sweep.workers=0",
@@ -549,6 +550,40 @@ def test_abscissa_that_shift_invert_contradicts_is_refused(tmp_path, cfgfile):
     assert (row[2], row[6], row[7]) == ("true", "", "FloatingPointError")
 
 
+@pytest.mark.parametrize("theta_bc, gamma, abscissa", [
+    # the rightmost row is not refined, and QR's real part, +8.461e-10,
+    # +6.205e-9 and +4.290e-9, lies within the rounding error n eps ||B||_1
+    # of its block B.  The counted Dirichlet abscissas are -3.79e-11 and
+    # -3.79e-13, and the refined Neumann ones fall as gamma^-2 (below).  At
+    # gamma = 1e5 QR's -3.733e-9 (counted: -3.790e-9) lies within 1.65e-8
+    ("dirichlet", "1e6", None),
+    ("neumann", "1e7", None),
+    ("dirichlet", "1e7", None),
+    ("dirichlet", "1e5", None),
+    # the rightmost row is refined, and written as before
+    ("neumann", "1e4", -9.7697920131933316e-08),
+    ("dirichlet", "1e4", -3.7900749947000464e-07),
+    ("neumann", "1e6", -9.7693202543669247e-12),
+])
+def test_spectrum_refuses_an_abscissa_below_its_rounding_error(tmp_path, capfd, theta_bc,
+                                                               gamma, abscissa):
+    out = tmp_path / "spec"
+    overrides = ["model.beta=4.5", "grid.nx=8", "grid.nrho=8",
+                 f"model.theta_bc={theta_bc}", f"model.gamma={gamma}"]
+    code = _run(["spectrum", "--config", os.devnull, "--out", str(out)]
+                + [arg for o in overrides for arg in ("--override", o)])
+    stdout, err = capfd.readouterr()
+    if abscissa is None:
+        assert (code, stdout) == (3, "")
+        assert err.startswith("numerical failure: the rightmost eigenvalue")
+        assert err.count("\n") == 1, err
+        return
+    assert (code, err) == (0, "")
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["rightmost_refined"][0]
+    assert summary["abscissa"] == pytest.approx(abscissa, rel=1e-6)
+
+
 def test_sweep_requires_exactly_one_range(tmp_path, cfgfile):
     assert _run(["sweep", "--config", cfgfile, "--out", str(tmp_path / "x")]) == 1
 
@@ -640,7 +675,7 @@ def test_simulate_has_no_size_limit(tmp_path, cfgfile):
     "model.kappa=1e308",     # kappa dt g^2 overflows in the implicit block
     "model.beta=1e308",      # the implicit block overflows
     "model.alpha=1e300",     # alpha**2 overflows in the Lyapunov constants
-    "lyapunov.xi_factor=1e308",     # xi, so the initial energy, overflows
+    "model.alpha=1e154",     # xi ~ alpha^2, so the initial energy, overflows
 ])
 def test_numerical_failure_is_one_line_exit_3(tmp_path, cfgfile, capsys, override):
     code = _run(["simulate", "--config", cfgfile, "--out", str(tmp_path / "nf"),

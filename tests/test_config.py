@@ -1,13 +1,15 @@
 """Config parsing, overrides and initial-data presets."""
 
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from thermodelay.config import (MAX_RANGE_POINTS, ConfigError, load_config,
-                                make_initial_data, parse_range)
+from thermodelay.config import (DEFAULTS, MAX_RANGE_POINTS, SWEEPABLE, ConfigError,
+                                load_config, make_initial_data, parse_range)
 
 BASE = """
 [model]
@@ -57,6 +59,27 @@ def test_bad_values_rejected():
         load_config(text=BASE, overrides=["grid.nx=abc"])
     with pytest.raises(ConfigError):
         load_config(text=BASE, overrides=["model.theta_bc=periodic"])
+
+
+@pytest.mark.parametrize("override, message", [
+    ("time.theta_weight=0.5", "unknown key time.theta_weight"),
+    ("lyapunov.xi_factor=2.0", "unknown key lyapunov.xi_factor"),
+    ("output.fit_start_fraction=0.4", r"unknown section \[output\]"),
+])
+def test_fixed_choices_are_not_keys(override, message):
+    # the Crank-Nicolson weight, xi's factor and the fit window are constants;
+    # a config that sets one, even to its value, is refused
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        load_config(text=BASE, overrides=[override])
+
+
+def test_readme_lists_every_key():
+    # the first cell of each row of the README's config table names its keys
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    listed = {key for line in readme.splitlines() if line.startswith("| `")
+              for key in re.findall(r"`([a-z_]+\.[a-z0-9_]+)`", line.split("|")[1])}
+    keys = {f"{sec}.{key}" for sec, opts in DEFAULTS.items() for key in opts}
+    assert listed == keys | {f"sweep.{name}" for name in SWEEPABLE}
 
 
 def test_missing_file_rejected():

@@ -131,11 +131,6 @@ def test_beta_zero_fails_xi_bound():
     assert not _row(rep, "xi-bound")["satisfied"]
 
 
-def test_xi_factor_below_bound_rejected():
-    with pytest.raises(ValueError):
-        lyapunov_constants(UNIT.with_beta(5.0), 0.5, xi_factor=0.9)
-
-
 def test_condition_report_records_all_inequalities():
     c, p = _consts(0.5, beta=5.0)
     rep = check_conditions(c, p)

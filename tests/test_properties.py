@@ -166,7 +166,6 @@ def test_load_config_returns_or_raises_config_error(overrides):
 @example(overrides=[("model.beta", "5"), ("lyapunov.lambda_grid", "0.5:3:0")])
 @example(overrides=[("model.gamma", "0")])
 @example(overrides=[("model.alpha", "0"), ("model.beta", "")])
-@example(overrides=[("lyapunov.xi_factor", "inf")])
 @example(overrides=[("time.t_end", "1e308")])
 @example(overrides=[("time.t_end", "1e300")])
 @example(overrides=[("lyapunov.lambda_grid", "1e308"), ("model.beta", "")])
