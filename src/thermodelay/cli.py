@@ -15,8 +15,8 @@ Neither numpy nor scipy is imported up front: the commands import their
 layers when they run.  `certify` and config loading import neither,
 `simulate` imports numpy alone (its stepper works per Fourier mode), and
 `spectrum` and a sweep with spectra import scipy as well: scipy.linalg and
-scipy.sparse with Neumann theta, and with Dirichlet theta also
-scipy.sparse.linalg (SuperLU, ARPACK).
+scipy.sparse, and scipy.sparse.linalg (SuperLU, ARPACK) with Dirichlet
+theta or for a sweep's Neumann block that QR does not resolve.
 """
 
 from __future__ import annotations

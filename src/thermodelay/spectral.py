@@ -11,16 +11,18 @@ the generator, so its restricted matrix splits into an odd and an even
 block of about half the reduced dimension each.  Each parity block is
 M = D - w c c^T: D, the Neumann mode blocks of its modes, is cut from the
 Neumann matrix, and only the rank-1 theta coupling w c c^T is added
-(_parity_blocks).  The Dirichlet abscissa alone needs no dense parity
-block: its rightmost eigenvalue is found by sparse shift-invert and
-confirmed by counting eigenvalues in a box (_counted_rightmost), with the
-dense block as the fallback.  The reduced coordinates come mode by mode
+(_parity_blocks).  The reduced coordinates come mode by mode
 (restriction_maps), so the restricted Neumann matrix is block-diagonal as
 stored and each mode block is a contiguous slice of it.  Each rightmost
 eigenvalue is refined on the block that holds it, with that block's residual
 (spectrum_dense): densely (numpy) on a Neumann mode block, by SuperLU on a
-sparse Dirichlet parity block.  scipy.sparse.linalg (SuperLU, ARPACK) is
-imported by the Dirichlet code alone, when it runs.
+sparse Dirichlet parity block.  The abscissa takes one rightmost eigenvalue
+per block under one rule for both theta BCs (spectral_abscissa): a
+Dirichlet parity block's is counted, without a dense block
+(_counted_rightmost); any other block gives QR's, sharpened by shift-invert
+where QR's rounding error does not resolve it (_sharpened).
+scipy.sparse.linalg (SuperLU, ARPACK) is imported only when one of those
+runs: for Dirichlet theta, and for a block QR does not resolve.
 
 The dissipativity supremum is read off the same Neumann mode blocks.  The
 Gram matrix of the weighted inner product, restricted to the constrained
@@ -46,8 +48,7 @@ from .grid import DenseSizeError, Grid
 from .params import PhysParams
 
 __all__ = ["SpectrumResult", "spectrum_dense", "spectral_abscissa",
-           "dissipativity_test", "reduced_eigvals", "reduced_generator",
-           "restriction_maps"]
+           "dissipativity_test", "reduced_generator", "restriction_maps"]
 
 DENSE_MAX_DIM = 5000     # largest block handed to the dense eigensolver
 N_REFINE = 10            # rightmost eigenvalues refined by inverse iteration
@@ -180,11 +181,6 @@ def _block_eigvals(grid: Grid, p: PhysParams):
             blocks.__getitem__)
 
 
-def reduced_eigvals(grid: Grid, p: PhysParams):
-    """Eigenvalues of the reduced generator and their modes (_block_eigvals)."""
-    return _block_eigvals(grid, p)[:2]
-
-
 def spectrum_dense(grid: Grid, p: PhysParams) -> SpectrumResult:
     """All eigenvalues of the generator on the constrained state space.
 
@@ -205,9 +201,8 @@ def spectrum_dense(grid: Grid, p: PhysParams) -> SpectrumResult:
     the shifted block is singular or the iterate, Rayleigh quotient or
     residual is not finite.  Raises FloatingPointError if a QR eigenvalue is
     not finite, or if the rightmost eigenvalue was not refined and QR's
-    rounding error bound n eps ||B||_1 on its block B is at least the size of
-    its real part: then not even the abscissa's sign is known (as in
-    _sharpened).
+    rounding error on its block (_qr_error) is at least the size of its real
+    part: then not even the abscissa's sign is known (as in _sharpened).
     """
     w, modes, owner, block = _block_eigvals(grid, p)
     if not np.isfinite(w).all():
@@ -267,8 +262,7 @@ def spectrum_dense(grid: Grid, p: PhysParams) -> SpectrumResult:
     order2 = np.argsort(-refined.real)
     j = order2[0]
     if not (j < k and converged[j]):
-        B = block(owner[order[j]])
-        err = B.shape[0] * np.finfo(float).eps * abs(B).sum(axis=0).max()
+        err = _qr_error(block(owner[order[j]]))
         if abs(refined[j].real) <= err:
             raise FloatingPointError(f"the rightmost eigenvalue {refined[j]} is not "
                                      f"refined and lies within the rounding error "
@@ -278,43 +272,45 @@ def spectrum_dense(grid: Grid, p: PhysParams) -> SpectrumResult:
                           modes=None if modes is None else modes[order][order2])
 
 
+def _qr_error(B) -> float:
+    """n eps ||B||_1: QR's rounding error on the eigenvalues of the block B."""
+    return B.shape[0] * np.finfo(float).eps * abs(B).sum(axis=0).max()
+
+
 def spectral_abscissa(grid: Grid, p: PhysParams):
     """Maximum real part of the constrained-space spectrum and the achieving
-    eigenvalue.
+    eigenvalue, by one rule per block for both theta BCs.
 
-    Neumann theta takes every eigenvalue per Fourier mode (reduced_eigvals);
-    Dirichlet theta counts instead of listing (_dirichlet_rightmost).
+    A Dirichlet parity block (_parity_blocks) is counted (_counted_rightmost),
+    its poles the eigenvalues of its D: its modes' Neumann eigenvalues and 0
+    for the theta mean.  Every other block (a Neumann mode block, the mode-0
+    chain, a parity block whose count fails) gives QR's rightmost value,
+    sharpened (_sharpened), in descending order; a block is skipped when
+    that value plus its rounding error (_qr_error) lies below the best so
+    far, so where QR resolves the abscissa no ARPACK call runs.
     """
+    poles, modes, R, idx, owner = _mode_eigvals(grid, p)
+    best = complex(-np.inf)
     if p.theta_bc == "neumann":
-        w = reduced_eigvals(grid, p)[0]
+        qr = [(R[b, b], poles[owner == j]) for j, b in enumerate(idx)]
     else:
-        w = _dirichlet_rightmost(grid, p)
-    idx = int(np.argmax(w.real))
-    return float(w.real[idx]), complex(w[idx])
-
-
-def _dirichlet_rightmost(grid: Grid, p: PhysParams) -> np.ndarray:
-    """The rightmost eigenvalues of the reduced Dirichlet generator, per block.
-
-    Each parity block (_parity_blocks) is counted (_counted_rightmost), with
-    the eigenvalues of its D as poles: its modes' Neumann eigenvalues
-    (_mode_eigvals), and 0 for the theta mean.  A block whose count fails
-    is solved densely, and its rightmost eigenvalue sharpened (_sharpened).
-    The mode-0 transport chain is the same as in Neumann mode.
-    """
-    nf = grid.nflux
-    _check_dense_dim(nf - nf // 2)    # the dense theta coupling of a parity block
-    poles, modes, R, idx, _ = _mode_eigvals(grid, p)
-    out = [poles[modes == 0]]
-    for M, theta in _parity_blocks(grid, p, R, idx)[:2]:
-        cos = theta[theta > 0]
-        D = np.r_[poles[np.isin(modes, cos)], np.zeros(theta.size - cos.size)]
-        lam = _counted_rightmost(M, theta, D, grid, p)
-        if lam is None:
-            _check_dense_dim(M.shape[0])
-            lam = _sharpened(M, sla.eigvals(M.toarray()))
-        out.append(np.atleast_1d(lam))
-    return np.concatenate(out)
+        nf = grid.nflux
+        _check_dense_dim(nf - nf // 2)    # the dense theta coupling of a parity block
+        *parity, (chain, _) = _parity_blocks(grid, p, R, idx)
+        qr = [(chain, poles[modes == 0])]
+        for M, theta in parity:
+            cos = theta[theta > 0]
+            D = np.r_[poles[np.isin(modes, cos)], np.zeros(theta.size - cos.size)]
+            lam = _counted_rightmost(M, theta, D, grid, p)
+            if lam is None:
+                _check_dense_dim(M.shape[0])
+                qr.append((M, sla.eigvals(M.toarray())))
+            else:
+                best = max(best, lam, key=lambda z: z.real)
+    for M, w in sorted(qr, key=lambda b: -b[1].real.max()):
+        if w.real.max() + _qr_error(M) >= best.real:
+            best = max(best, _sharpened(M, w), key=lambda z: z.real)
+    return float(best.real), complex(best)
 
 
 def _sharpened(M: sp.spmatrix, w: np.ndarray) -> complex:
@@ -336,17 +332,15 @@ def _sharpened(M: sp.spmatrix, w: np.ndarray) -> complex:
     confirmation holds, and the complex runs are the ones checked against
     60-digit references.  A Ritz value that is not reproduced
     is an artefact of a spectrum beyond double precision, and QR's stands,
-    unless err is at least its size: then not even its sign is known, and
-    FloatingPointError is raised.  It is raised as well when the first run
+    unless err is at least the size of its real part: then not even its
+    sign is known, and FloatingPointError is raised.  It is raised as well when the first run
     finds no eigenvalue within err of QR's value, which shift-invert then
     contradicts: such a value can be wrong in sign (+1.708 where the
     abscissa is -0.0384, at ell = 7.3e-6).  Only when ARPACK fails does QR's
     value go unchecked, under the rule above.
     """
-    import scipy.sparse.linalg as spla
-
     z0 = w[np.argmax(w.real)]
-    err = M.shape[0] * np.finfo(float).eps * spla.norm(M, 1)
+    err = _qr_error(M)
     if err <= 2.0**-30 * abs(z0):
         return z0
     z = None
@@ -365,7 +359,7 @@ def _sharpened(M: sp.spmatrix, w: np.ndarray) -> complex:
     except RuntimeError:      # a singular shift or an ArpackError
         z = None
     if z is None:
-        if err >= abs(z0):
+        if err >= abs(z0.real):
             raise FloatingPointError(f"the rightmost eigenvalue {z0} lies within "
                                      f"the rounding error {err:.3g} of its block")
         return z0

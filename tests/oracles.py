@@ -4,8 +4,8 @@ packed state, the matrix-exponential oracle, a hand-coded right-hand side,
 the weighted state-space inner product and its Gram matrix, random states,
 the n1 row residual, the real-space stepper, the inverse of the modal
 transform, the Dirichlet operators in Fourier-mode coordinates with the
-blocks of their reduced generator, and the SuperLU refinement of the
-Neumann spectrum.
+blocks of their reduced generator, every QR eigenvalue of the reduced
+generator, and the SuperLU refinement of the Neumann spectrum.
 
 The package never calls these; they are independent oracles for the
 operators and the assembled generator, the energies, the dissipativity
@@ -249,6 +249,12 @@ def parity_blocks(grid: Grid) -> list[np.ndarray]:
 
     odd, even = np.arange(1, Nx + 1, 2), np.arange(2, Nx + 1, 2)
     return [block(odd, odd), block(even, np.r_[0, even]), 2 * Nx + np.arange(Nrho)]
+
+
+def reduced_eigvals(grid: Grid, p: PhysParams):
+    """Every QR eigenvalue of the reduced generator, block by block, and its
+    Fourier mode (None for Dirichlet theta), unsharpened."""
+    return spectral._block_eigvals(grid, p)[:2]
 
 
 def spectrum_superlu(grid: Grid, p: PhysParams) -> spectral.SpectrumResult:

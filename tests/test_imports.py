@@ -194,10 +194,11 @@ def test_the_cli_and_certify_load_no_multiprocessing_or_pickle(tmp_path):
 
 
 def test_neumann_spectra_load_no_sparse_linalg(tmp_path):
-    # SuperLU and ARPACK serve Dirichlet theta alone: a Neumann spectrum
-    # refines on dense mode blocks, and the dissipativity supremum needs
-    # none.  Loaded after each step: spectrum, dissipativity_test, then a
-    # Dirichlet abscissa
+    # SuperLU and ARPACK serve Dirichlet theta and unresolved blocks alone:
+    # a Neumann spectrum refines on dense mode blocks, the dissipativity
+    # supremum needs none, and QR resolves every Neumann block the abscissa
+    # visits here.  Loaded after each step: spectrum, dissipativity_test, a
+    # Neumann abscissa, then a Dirichlet abscissa
     loaded = "print(json.dumps('scipy.sparse.linalg' in sys.modules))"
     proc = _python(
         "import sys, json; from thermodelay.cli import main; "
@@ -205,6 +206,8 @@ def test_neumann_spectra_load_no_sparse_linalg(tmp_path):
         "from thermodelay import spectral; "
         f"main(sys.argv[1:]); {loaded}; "
         "spectral.dissipativity_test(Grid(Nx=8, Nrho=8), PhysParams(beta=4.5), 1.0); "
+        f"{loaded}; "
+        "spectral.spectral_abscissa(Grid(Nx=8, Nrho=8), PhysParams(beta=4.5)); "
         f"{loaded}; "
         "spectral.spectral_abscissa(Grid(Nx=8, Nrho=8), "
         "PhysParams(beta=4.5, theta_bc='dirichlet')); "
@@ -215,4 +218,4 @@ def test_neumann_spectra_load_no_sparse_linalg(tmp_path):
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert lines[0].startswith("spectral abscissa = "), lines
-    assert [json.loads(s) for s in lines[1:]] == [False, False, True]
+    assert [json.loads(s) for s in lines[1:]] == [False, False, False, True]

@@ -195,13 +195,13 @@ def _sweep_rows(out: Path) -> list[list[str]]:
 
 def _dense_abscissa(gen) -> float:
     """The dense oracle of the abscissa: the rightmost QR eigenvalue of the
-    reduced generator's blocks (reduced_eigvals), refined by shifted inverse
-    iteration for its right and left eigenvectors and their two-sided
-    Rayleigh quotient, whose error is quadratic in theirs.  At large
+    reduced generator's blocks (oracles.reduced_eigvals), refined by
+    shifted inverse iteration for its right and left eigenvectors and their
+    two-sided Rayleigh quotient, whose error is quadratic in theirs.  At large
     parameters the QR value alone is good only to about eps ||R||.  Where
     the quotient does not settle, the QR value is no eigenvalue to working
     precision and is kept as it is."""
-    w = spectral.reduced_eigvals(gen.grid, gen.p)[0]
+    w = oracles.reduced_eigvals(gen.grid, gen.p)[0]
     lam = w[np.argmax(w.real)]
     R = oracles.reduced_generator(gen).toarray()
     lu = sla.lu_factor(R - (lam + 1e-8 * (1.0 + abs(lam))) * np.eye(len(R)))
@@ -287,8 +287,8 @@ def test_spectrum_obeys_the_scaling_law(nx, nrho, theta_bc, alpha, beta, gamma,
                    gamma=gamma * tau / ell, kappa=kappa * tau / ell**2,
                    theta_bc=theta_bc)
     grid, unit = Grid(Nx=nx, Nrho=nrho, ell=ell), Grid(Nx=nx, Nrho=nrho)
-    w = np.sort_complex(spectral.reduced_eigvals(grid, p)[0])
-    w_scaled = np.sort_complex(spectral.reduced_eigvals(unit, q)[0]) / tau
+    w = np.sort_complex(oracles.reduced_eigvals(grid, p)[0])
+    w_scaled = np.sort_complex(oracles.reduced_eigvals(unit, q)[0]) / tau
     radius = np.abs(w).max()
     assert np.abs(w - w_scaled).max() <= 1e-12 * radius
     a = spectral.spectral_abscissa(grid, p)[0]

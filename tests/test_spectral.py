@@ -253,7 +253,7 @@ def test_dense_blocks_hold_one_block_at_a_time():
     g = Grid(Nx=128, Nrho=64)
     p = PhysParams(**{**UNIT.__dict__, "beta": 4.5})
     n = g.Nx * 8
-    for run, n_dense in [(lambda: spectral.reduced_eigvals(g, p), n * (g.Nrho + 3)**2),
+    for run, n_dense in [(lambda: oracles.reduced_eigvals(g, p), n * (g.Nrho + 3)**2),
                          (lambda: dissipativity_test(g, p, 1.0), 2 * n * (g.Nrho + 2)**2)]:
         tracemalloc.start()
         try:
@@ -294,7 +294,7 @@ def test_modal_spectrum_matches_dense(certified, theta_bc, damped, Nx, Nrho):
     g = Grid(Nx=Nx, Nrho=Nrho)
     gen = real_space_generator(g, p)
     w_dense = sla.eigvals(oracles.reduced_generator(gen).toarray())
-    w_modal, modes = spectral.reduced_eigvals(g, p)
+    w_modal, modes = oracles.reduced_eigvals(g, p)
     assert len(w_modal) == len(w_dense)
     # the mode-0 transport chain is a block of its own, with eigenvalues
     # exactly -Nrho/tau
@@ -363,7 +363,7 @@ def test_refinement_keeps_every_eigenvalue_of_a_cluster(theta_bc):
     p = PhysParams(**{**UNIT.__dict__, "beta": 4.5, "gamma": 0.5,
                       "theta_bc": theta_bc})
     g = Grid(Nx=32, Nrho=32)
-    w = spectral.reduced_eigvals(g, p)[0]
+    w = oracles.reduced_eigvals(g, p)[0]
     w = w[np.argsort(-w.real)[:N_TOP]]
     assert np.ptp(w.real) < 1e-6
     res = spectrum_dense(g, p)
@@ -401,7 +401,7 @@ def test_a_real_eigenvalue_is_refined_in_real_arithmetic(N, theta_bc):
     # refined, as before
     p = PhysParams(**{**UNIT.__dict__, "beta": 4.5, "theta_bc": theta_bc})
     g = Grid(Nx=N, Nrho=N)
-    w = spectral.reduced_eigvals(g, p)[0]
+    w = oracles.reduced_eigvals(g, p)[0]
     w = w[np.argsort(-w.real)[:N_TOP]]
     res = spectrum_dense(g, p)
     top = res.eigenvalues[:N_TOP]
@@ -422,7 +422,7 @@ def test_a_singular_dense_shift_keeps_the_qr_value(monkeypatch):
     def singular(a, b):
         raise np.linalg.LinAlgError("Singular matrix")
 
-    w = spectral.reduced_eigvals(g, p)[0]
+    w = oracles.reduced_eigvals(g, p)[0]
     monkeypatch.setattr(np.linalg, "solve", singular)
     res = spectrum_dense(g, p)
     assert np.isinf(res.rightmost_residuals).all() and not res.converged.any()
@@ -471,7 +471,7 @@ def _mode_sized_eigvals_only(monkeypatch, grid):
 
 # abscissae of the 64x64 Dirichlet reduced generator, recorded from dense
 # eigvals: at beta = 4.5 of the 4353-row real-space matrix, at beta = 0.6 of
-# the two parity blocks (reduced_eigvals)
+# the two parity blocks (oracles.reduced_eigvals)
 DIRICHLET_64_ABSCISSA = {4.5: -0.2985132626820507, 0.6: 0.08140503008387126}
 
 
@@ -484,7 +484,7 @@ def test_dirichlet_abscissa_is_counted(monkeypatch, N, beta):
     # candidate retry recovers them
     g, p = Grid(Nx=N, Nrho=N), _dirichlet(beta)
     ref = (DIRICHLET_64_ABSCISSA[beta] if N == 64
-           else spectral.reduced_eigvals(g, p)[0].real.max())
+           else oracles.reduced_eigvals(g, p)[0].real.max())
     _mode_sized_eigvals_only(monkeypatch, g)
     a, lam = spectral_abscissa(g, p)
     assert abs(a - ref) <= 1e-10
@@ -528,7 +528,7 @@ def test_dirichlet_abscissa_falls_back_when_candidates_miss(monkeypatch, beta,
     # the left edge there: the count right of it is 0, not a box of
     # negative width
     g, p = Grid(Nx=16, Nrho=16), _dirichlet(beta)
-    ref = spectral.reduced_eigvals(g, p)[0].real.max()
+    ref = oracles.reduced_eigvals(g, p)[0].real.max()
     found = spectral._rightmost_candidates
 
     def candidates(M, shifts, k=None):    # misses whatever k is asked for
@@ -548,7 +548,7 @@ def test_dirichlet_abscissa_falls_back_when_candidates_miss(monkeypatch, beta,
 
 def test_dirichlet_abscissa_falls_back_when_arpack_fails(monkeypatch):
     g, p = Grid(Nx=16, Nrho=16), _dirichlet(4.5)
-    ref = spectral.reduced_eigvals(g, p)[0].real.max()
+    ref = oracles.reduced_eigvals(g, p)[0].real.max()
 
     def eigs(*args, **kwargs):
         raise spla.ArpackNoConvergence("no convergence", np.empty(0), None)
@@ -624,6 +624,59 @@ def test_dirichlet_abscissa_beyond_double_precision_is_refused():
     p = PhysParams(**{**_dirichlet(0.0).__dict__, "ell": ell})
     with pytest.raises(FloatingPointError, match="rounding error"):
         spectral_abscissa(Grid(Nx=3, Nrho=2, ell=ell), p)
+
+
+@pytest.mark.parametrize("gamma,ref", [
+    (1e4, -9.769791994274596e-08), (1e5, -9.7697953982987e-10),
+    (1e6, -9.769795432339e-12), (1e7, -9.7697954326794e-14)])
+def test_neumann_abscissa_at_a_large_gamma(gamma, ref):
+    # 8x8, beta = 4.5: QR alone was 3.4e-10, 1.1e-6 and 7.4e-5 off, and at
+    # gamma = 1e7 put modes 8 and 6 on top at +6.2e-9 and +4.5e-9, growth.
+    # Sharpening mode 8 alone gives -3.14e-12; every block whose rounding
+    # error reaches the best value is sharpened, and mode 1 holds the
+    # abscissa.  The references are 60-digit eigensolves (mpmath) of every
+    # mode block
+    p = PhysParams(**{**UNIT.__dict__, "beta": 4.5, "gamma": gamma})
+    a, lam = spectral_abscissa(Grid(Nx=8, Nrho=8), p)
+    assert abs(a - ref) <= 1e-10 * abs(ref)
+    assert lam == a
+
+
+@pytest.mark.parametrize("N", [8, 16, 32, 64])
+@pytest.mark.parametrize("beta", [0.0, 0.6244, 2.7, 4.5, 20.0])
+def test_neumann_abscissa_where_qr_resolves_it_is_qrs(monkeypatch, N, beta):
+    # every block the abscissa visits is resolved by QR, so it is QR's
+    # rightmost eigenvalue to the bit, and no ARPACK call runs
+    def candidates(*args, **kwargs):
+        raise AssertionError("ARPACK ran")
+
+    monkeypatch.setattr(spectral, "_rightmost_candidates", candidates)
+    g, p = Grid(Nx=N, Nrho=N), UNIT.with_beta(beta)
+    w = oracles.reduced_eigvals(g, p)[0]
+    a, lam = spectral_abscissa(g, p)
+    assert a.hex() == w.real.max().hex()
+    assert lam == w[np.argmax(w.real)]
+
+
+@pytest.mark.parametrize("arpack", ["fails", "does not reproduce"])
+def test_sharpened_refuses_a_real_part_within_its_rounding_error(monkeypatch, arpack):
+    # QR's rightmost, 1e-10 + 1i, lies within the block's rounding error
+    # 8.9e-8 in its real part, though not in its modulus; it stood when
+    # ARPACK failed or its second shift did not reproduce the Ritz value
+    M = sp.csr_matrix(sla.block_diag([[1e-10, -1.0], [1.0, 1e-10]], -1e8, -2.0))
+    calls = []
+
+    def candidates(A, shifts, k=None):
+        calls.append(shifts)
+        if arpack == "fails":
+            raise RuntimeError("no convergence")
+        return np.array([1e-10 + 1j, 1e-10 - 1j]) if len(calls) == 1 else np.array([5.0])
+
+    monkeypatch.setattr(spectral, "_rightmost_candidates", candidates)
+    assert spectral._qr_error(M) == pytest.approx(8.9e-8, rel=1e-2)
+    with pytest.raises(FloatingPointError, match="rounding error"):
+        spectral._sharpened(M, sla.eigvals(M.toarray()))
+    assert len(calls) == (1 if arpack == "fails" else 2)
 
 
 def test_h_weight_matrix_spd():
