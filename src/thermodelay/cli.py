@@ -15,8 +15,7 @@ Neither numpy nor scipy is imported up front: the commands import their
 layers when they run.  `certify` and config loading import neither,
 `simulate` imports numpy alone (its stepper works per Fourier mode), and
 `spectrum` and a sweep with spectra import scipy as well: scipy.linalg and
-scipy.sparse, and scipy.sparse.linalg (SuperLU, ARPACK) with Dirichlet
-theta or for a sweep's Neumann block that QR does not resolve.
+scipy.sparse, and scipy.sparse.linalg (ARPACK) with Dirichlet theta alone.
 """
 
 from __future__ import annotations
@@ -369,7 +368,7 @@ def cmd_spectrum(cfg: RunConfig, out: Path) -> int:
     w = res.eigenvalues
     _write_csv(out / "spectrum.csv", ["re", "im"],
                (row.tolist() for row in np.column_stack([w.real, w.imag])))
-    abscissa = float(w.real.max())
+    abscissa = float(w[0].real)       # the abscissa's eigenvalue leads the rows
     _write_json(out / "summary.json",
                 {"command": "spectrum", "config": cfg.echo,
                  "abscissa": abscissa,

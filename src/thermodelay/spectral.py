@@ -13,16 +13,15 @@ M = D - w c c^T: D, the Neumann mode blocks of its modes, is cut from the
 Neumann matrix, and only the rank-1 theta coupling w c c^T is added
 (_parity_blocks).  The reduced coordinates come mode by mode
 (restriction_maps), so the restricted Neumann matrix is block-diagonal as
-stored and each mode block is a contiguous slice of it.  Each rightmost
-eigenvalue is refined on the block that holds it, with that block's residual
-(spectrum_dense): densely (numpy) on a Neumann mode block, by SuperLU on a
-sparse Dirichlet parity block.  The abscissa takes one rightmost eigenvalue
-per block under one rule for both theta BCs (spectral_abscissa): a
-Dirichlet parity block's is counted, without a dense block
-(_counted_rightmost); any other block gives QR's, sharpened by shift-invert
-where QR's rounding error does not resolve it (_sharpened).
-scipy.sparse.linalg (SuperLU, ARPACK) is imported only when one of those
-runs: for Dirichlet theta, and for a block QR does not resolve.
+stored and each mode block is a contiguous slice of it.  Every eigenvalue
+is a root of its block's characteristic function (_symbol, _secular), and
+one secant polish (_secant_root) refines each rightmost QR eigenvalue on
+it (spectrum_dense).  The abscissa takes one rightmost eigenvalue per block
+under one rule for both theta BCs and both commands (_rightmost): a mode
+block's polished QR value, the chain's -Nrho/tau, and a Dirichlet parity
+block's counted one (_counted_rightmost), sharpened by shift-invert where
+the count fails (_sharpened).  scipy.sparse.linalg (ARPACK) is imported
+only for Dirichlet theta.
 
 The dissipativity supremum is read off the same Neumann mode blocks.  The
 Gram matrix of the weighted inner product, restricted to the constrained
@@ -51,19 +50,18 @@ __all__ = ["SpectrumResult", "spectrum_dense", "spectral_abscissa",
            "dissipativity_test", "reduced_generator", "restriction_maps"]
 
 DENSE_MAX_DIM = 5000     # largest block handed to the dense eigensolver
-N_REFINE = 10            # rightmost eigenvalues refined by inverse iteration
-RESIDUAL_TOL = 1e-8      # residual below which a refinement has converged
+N_REFINE = 10            # rightmost eigenvalues polished by spectrum_dense
 N_CANDIDATES = 6         # eigenvalues per shift in the Dirichlet abscissa
 WINDING_ROUNDS = 60      # bisection rounds of the winding-number contour
 WINDING_MAX_SAMPLES = 200_000
-SECANT_STEPS = 20        # polishing steps of the counted Dirichlet eigenvalue
+SECANT_STEPS = 20        # steps of a root polish (_secant_root)
 
 
 @dataclass
 class SpectrumResult:
-    eigenvalues: np.ndarray        # sorted by real part, descending
+    eigenvalues: np.ndarray        # the abscissa's, then by real part, descending
     rightmost_residuals: np.ndarray
-    converged: np.ndarray          # per refined eigenvalue
+    converged: np.ndarray          # per polished eigenvalue, in QR's order
     modes: np.ndarray | None = None  # Fourier mode per eigenvalue (Neumann only)
 
 
@@ -147,128 +145,70 @@ def _modal_reduced(grid: Grid, p: PhysParams) -> sp.csr_matrix:
 def _mode_eigvals(grid: Grid, p: PhysParams):
     """Every QR eigenvalue of the reduced Neumann modal generator R and its
     Fourier mode, whatever p's theta_bc; then R, the row ranges of its
-    blocks (_modal_blocks) and each eigenvalue's block.  A mode block, of
-    Nrho + 3 rows, is checked against DENSE_MAX_DIM before R is assembled;
-    each is made dense only when it is reached, so that no more than one
-    dense block is held."""
+    blocks (_modal_blocks), each eigenvalue's block and each block's QR
+    bound (_qr_error).  A mode block, of Nrho + 3 rows, is checked against
+    DENSE_MAX_DIM before R is assembled; each is made dense only when it is
+    reached, so that no more than one dense block is held."""
     ks, idx = zip(*_modal_blocks(grid))
     _check_dense_dim(grid.Nrho + 3)
     R = _modal_reduced(grid, p)
-    w = [sla.eigvals(R[b, b].toarray()) for b in idx]
+    dense = (R[b, b].toarray() for b in idx)
+    w, err = zip(*((sla.eigvals(a), _qr_error(a)) for a in dense))
     owner = np.repeat(np.arange(len(idx)), [a.size for a in w])
-    return np.concatenate(w), np.array(ks)[owner], R, idx, owner
+    return np.concatenate(w), np.array(ks)[owner], R, idx, owner, np.array(err)
 
 
 def _block_eigvals(grid: Grid, p: PhysParams):
     """Every QR eigenvalue of the reduced generator, block by block, and its
-    Fourier mode (None for Dirichlet theta); then each eigenvalue's block
-    and a function from a block's number to the block.  Neumann theta takes
-    the mode blocks of _mode_eigvals, handed out dense as the slice
-    R[b, b] of the reduced generator.  Dirichlet theta takes the odd and
-    the even parity block and the chain (_parity_blocks), each solved whole
-    and handed out sparse: the larger parity block, (Nx + 1) // 2 odd or
-    Nx // 2 even modes of Nrho + 3 rows and the theta mean, is checked
-    before any assembly."""
+    Fourier mode (None for Dirichlet theta); then each eigenvalue's block,
+    each block's QR bound, _mode_eigvals' output and the parity blocks
+    (_parity_blocks), each solved whole, as (M, theta, QR eigenvalues); the
+    larger one is checked against DENSE_MAX_DIM before assembly."""
+    if p.theta_bc != "neumann":
+        Nx, n = grid.Nx, grid.Nrho + 3
+        _check_dense_dim(max((Nx + 1) // 2 * n, Nx // 2 * n + 1))
+    eig = _mode_eigvals(grid, p)
+    w, modes, R, idx, owner, err = eig
     if p.theta_bc == "neumann":
-        w, modes, R, idx, owner = _mode_eigvals(grid, p)
-        return w, modes, owner, lambda j: R[idx[j], idx[j]].toarray()
-    Nx, n = grid.Nx, grid.Nrho + 3
-    _check_dense_dim(max((Nx + 1) // 2 * n, Nx // 2 * n + 1))
-    idx = [b for _, b in _modal_blocks(grid)]
-    blocks = [M for M, _ in _parity_blocks(grid, p, _modal_reduced(grid, p), idx)]
-    w = np.concatenate([sla.eigvals(M.toarray()) for M in blocks])
-    return (w, None, np.repeat(np.arange(len(blocks)), [M.shape[0] for M in blocks]),
-            blocks.__getitem__)
+        return w, modes, owner, err, eig, ()
+    parity = [(M, theta, sla.eigvals(M.toarray()))
+              for M, theta in _parity_blocks(grid, p, R, idx)]
+    ws = [v for *_, v in parity] + [w[modes == 0]]
+    return (np.concatenate(ws), None, np.repeat(np.arange(3), [v.size for v in ws]),
+            np.r_[[_qr_error(M) for M, *_ in parity], err[-1]], eig, parity)
 
 
 def spectrum_dense(grid: Grid, p: PhysParams) -> SpectrumResult:
     """All eigenvalues of the generator on the constrained state space.
 
-    QR (LAPACK) gives every eigenvalue, block by block (_block_eigvals).  The
-    N_REFINE rightmost are refined by shifted inverse iteration on the block
-    that holds each, from the shift 1e-8 (1 + |lambda|): a Neumann mode block
-    of Nrho + 3 rows (or the chain) is solved densely (numpy.linalg.solve), a
-    sparse Dirichlet parity block by SuperLU.  A real QR value iterates in
-    real arithmetic, from the real part of its seeded start vector, so that
-    its refined value is real too; a complex pair that QR reported as real
-    then does not settle, and its QR value stands.  The first iterate is only
-    about 1e-8 accurate, and in a cluster the iteration can settle on a
-    neighbour, so a Rayleigh quotient replaces its QR value (converged) only
-    when its residual is at most RESIDUAL_TOL, it moved by at most
-    1e-12 (1 + |lambda|) since the previous iterate (the first is compared
-    with the QR value), and no other QR eigenvalue lies nearer.  The residual
-    is the block's at the last iterate, in reduced coordinates, and inf where
-    the shifted block is singular or the iterate, Rayleigh quotient or
-    residual is not finite.  Raises FloatingPointError if a QR eigenvalue is
-    not finite, or if the rightmost eigenvalue was not refined and QR's
-    rounding error on its block (_qr_error) is at least the size of its real
-    part: then not even the abscissa's sign is known (as in _sharpened).
+    QR (LAPACK) gives every eigenvalue, block by block (_block_eigvals).
+    Each of the N_REFINE rightmost is polished as a root of its block's
+    function (_root_functions) and replaces its QR value (converged) where
+    the polish confirms it (_secant_root, radius the block's QR bound); its
+    residual is the polish's last step.  Row 0 is the abscissa's eigenvalue
+    (_rightmost), in place of the nearest QR row of its block; the other
+    rows follow by real part, descending.  Raises FloatingPointError if a
+    QR eigenvalue is not finite, and where the rule raises it.
     """
-    w, modes, owner, block = _block_eigvals(grid, p)
+    w, modes, owner, err, eig, parity = _block_eigvals(grid, p)
     if not np.isfinite(w).all():
         raise FloatingPointError("the spectrum has a non-finite eigenvalue")
+    roots = _root_functions(grid, p, eig, parity)
+    top, at = _rightmost(grid, p, eig, parity)
     order = np.argsort(-w.real)
-    w = w[order]
-    rng = np.random.default_rng(1234)
-    k = min(N_REFINE, w.size)
-    residuals = np.full(k, np.inf)
-    converged = np.zeros(k, dtype=bool)
+    w, owner = w[order], owner[order]
+    polish = [_secant_root(roots[j], z, err[j], w[owner == j])
+              for z, j in zip(w[:N_REFINE], owner)]
+    converged = np.array([root is not None for root, _ in polish])
     refined = w.copy()
-    for i in range(k):
-        lam = w[i]
-        real = lam.imag == 0.0
-        A = block(owner[order[i]])
-        if not real:
-            A = A.astype(complex)
-        n = A.shape[0]
-        shift = (lam.real if real else lam) + 1e-8 * (1.0 + abs(lam))
-        if p.theta_bc == "neumann":
-            solve = functools.partial(np.linalg.solve, A - shift * np.eye(n))
-        else:
-            from scipy.sparse.linalg import splu
-            try:
-                solve = splu((A - shift * sp.identity(n)).tocsc()).solve
-            except RuntimeError:
-                continue
-        # both parts are drawn, so that the later rows see the same stream
-        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        if real:
-            x = np.ascontiguousarray(x.real)
-        prev = lam
-        with np.errstate(all="ignore"):   # overflow is caught below
-            for _ in range(5):
-                try:
-                    x = solve(x)
-                except np.linalg.LinAlgError:     # a singular dense block
-                    res = np.inf
-                    break
-                norm = np.linalg.norm(x)
-                if not 0.0 < norm < np.inf:
-                    res = np.inf
-                    break
-                x /= norm
-                Ax = A @ x
-                lam_r = np.vdot(x, Ax)
-                res = np.linalg.norm(Ax - lam_r * x)
-                if res <= RESIDUAL_TOL and abs(lam_r - prev) <= 1e-12 * (1.0 + abs(lam)):
-                    # settled; kept only if it is nearest its own QR value
-                    dist = np.abs(w - lam_r)
-                    if dist[i] <= dist.min():
-                        refined[i], converged[i] = lam_r, True
-                    break
-                prev = lam_r
-        if np.isfinite(res):
-            residuals[i] = res
+    refined[np.flatnonzero(converged)] = [root for root, _ in polish if root is not None]
+    mine = np.flatnonzero(owner == at)
+    a = mine[np.argmin(np.abs(w[mine] - top))]
+    refined[a] = top
     order2 = np.argsort(-refined.real)
-    j = order2[0]
-    if not (j < k and converged[j]):
-        err = _qr_error(block(owner[order[j]]))
-        if abs(refined[j].real) <= err:
-            raise FloatingPointError(f"the rightmost eigenvalue {refined[j]} is not "
-                                     f"refined and lies within the rounding error "
-                                     f"{err:.3g} of its block")
-    return SpectrumResult(eigenvalues=refined[order2],
-                          rightmost_residuals=residuals, converged=converged,
+    order2 = np.r_[a, order2[order2 != a]]
+    return SpectrumResult(eigenvalues=refined[order2], converged=converged,
+                          rightmost_residuals=np.array([step for _, step in polish]),
                           modes=None if modes is None else modes[order][order2])
 
 
@@ -277,67 +217,104 @@ def _qr_error(B) -> float:
     return B.shape[0] * np.finfo(float).eps * abs(B).sum(axis=0).max()
 
 
+def _root_functions(grid: Grid, p: PhysParams, eig, parity=()) -> list:
+    """Per block, numbered as by _block_eigvals, a function whose roots are
+    its eigenvalues: e_k (_symbol) for Neumann mode k, F (_secular) times
+    the distance to the nearest eigenvalue of D for a parity block, and
+    s + Nrho/tau for the mode-0 chain, whose only eigenvalue is -Nrho/tau."""
+    g = _fourier_symbols(grid)[0]
+
+    def e(s, mu):
+        with np.errstate(all="ignore"):     # a root that is not finite is refused
+            return _symbol(s, mu, _delay(s, grid, p), p)[1]
+
+    def secular(s, theta, D):
+        return _secular(s, grid, p, theta) * (s - D[np.argmin(np.abs(D - s))])
+
+    roots = ([functools.partial(secular, theta=t, D=_parity_poles(t, *eig[:2]))
+              for _, t, *_ in parity] if parity else
+             [functools.partial(e, mu=g[k] ** 2) for k in range(1, grid.Nx + 1)])
+    return roots + [lambda s: s + grid.Nrho / p.tau]
+
+
+def _parity_poles(theta: np.ndarray, poles: np.ndarray, modes: np.ndarray) -> np.ndarray:
+    """The eigenvalues of D of the parity block on the cosine modes theta,
+    from the Neumann eigenvalues `poles` of `modes`; 0 for the theta mean."""
+    cos = theta[theta > 0]
+    return np.r_[poles[np.isin(modes, cos)], np.zeros(theta.size - cos.size)]
+
+
 def spectral_abscissa(grid: Grid, p: PhysParams):
     """Maximum real part of the constrained-space spectrum and the achieving
-    eigenvalue, by one rule per block for both theta BCs.
-
-    A Dirichlet parity block (_parity_blocks) is counted (_counted_rightmost),
-    its poles the eigenvalues of its D: its modes' Neumann eigenvalues and 0
-    for the theta mean.  Every other block (a Neumann mode block, the mode-0
-    chain, a parity block whose count fails) gives QR's rightmost value,
-    sharpened (_sharpened), in descending order; a block is skipped when
-    that value plus its rounding error (_qr_error) lies below the best so
-    far, so where QR resolves the abscissa no ARPACK call runs.
-    """
-    poles, modes, R, idx, owner = _mode_eigvals(grid, p)
-    best = complex(-np.inf)
-    if p.theta_bc == "neumann":
-        qr = [(R[b, b], poles[owner == j]) for j, b in enumerate(idx)]
-    else:
-        nf = grid.nflux
-        _check_dense_dim(nf - nf // 2)    # the dense theta coupling of a parity block
-        *parity, (chain, _) = _parity_blocks(grid, p, R, idx)
-        qr = [(chain, poles[modes == 0])]
-        for M, theta in parity:
-            cos = theta[theta > 0]
-            D = np.r_[poles[np.isin(modes, cos)], np.zeros(theta.size - cos.size)]
-            lam = _counted_rightmost(M, theta, D, grid, p)
-            if lam is None:
-                _check_dense_dim(M.shape[0])
-                qr.append((M, sla.eigvals(M.toarray())))
-            else:
-                best = max(best, lam, key=lambda z: z.real)
-    for M, w in sorted(qr, key=lambda b: -b[1].real.max()):
-        if w.real.max() + _qr_error(M) >= best.real:
-            best = max(best, _sharpened(M, w), key=lambda z: z.real)
+    eigenvalue, by one rule per block for both theta BCs (_rightmost)."""
+    eig = _mode_eigvals(grid, p)
+    if p.theta_bc != "neumann":     # the dense theta coupling of a parity block
+        _check_dense_dim(grid.nflux - grid.nflux // 2)
+    parity = _parity_blocks(grid, p, *eig[2:4]) if p.theta_bc != "neumann" else ()
+    best = _rightmost(grid, p, eig, parity)[0]
     return float(best.real), complex(best)
+
+
+def _rightmost(grid: Grid, p: PhysParams, eig, parity=()):
+    """The rightmost eigenvalue by one rule per block, and its block as
+    numbered by _block_eigvals; parity holds (M, theta[, QR eigenvalues]).
+
+    The mode-0 chain gives -Nrho/tau.  A parity block is counted
+    (_counted_rightmost), and where the count fails its QR eigenvalues are
+    sharpened (_sharpened).  A Neumann mode block gives its rightmost QR
+    eigenvalue, polished (_polished).  These blocks are visited from QR's
+    rightmost value down, skipping one whose value plus its QR bound lies
+    below the best.
+    """
+    poles, modes, R, idx, owner, err = eig
+    best, at = complex(-grid.Nrho / p.tau), len(parity) or len(idx) - 1
+    todo = []
+    for j, (M, theta, *qr) in enumerate(parity):
+        lam = _counted_rightmost(M, theta, _parity_poles(theta, poles, modes), grid, p)
+        if lam is None:
+            if not qr:
+                _check_dense_dim(M.shape[0])
+                qr = [sla.eigvals(M.toarray())]
+            todo.append((qr[0], _qr_error(M), j, functools.partial(_sharpened, M)))
+        elif lam.real > best.real:
+            best, at = lam, j
+    if not parity:
+        roots = _root_functions(grid, p, eig)
+        todo = [(poles[owner == j], err[j], j, functools.partial(_polished, roots[j], err[j]))
+                for j in range(len(idx) - 1)]
+    for w, e, j, rightmost in sorted(todo, key=lambda b: -b[0].real.max()):
+        if w.real.max() + e >= best.real:
+            z = rightmost(w)
+            if z.real > best.real:
+                best, at = z, j
+    return best, at
+
+
+def _polished(f, err: float, w: np.ndarray) -> complex:
+    """The rightmost of a block's QR eigenvalues w, polished on its function
+    f where the polish confirms it (_secant_root, radius its QR bound err),
+    else QR's value, refused where err is at least the size of its real
+    part: then not even its sign is known."""
+    z = w[np.argmax(w.real)]
+    root = _secant_root(f, z, err, w)[0]
+    if root is None and err >= abs(z.real):
+        raise FloatingPointError(f"the rightmost eigenvalue {z} is not confirmed and "
+                                 f"lies within the rounding error {err:.3g} of its block")
+    return z if root is None else root
 
 
 def _sharpened(M: sp.spmatrix, w: np.ndarray) -> complex:
     """The rightmost of the dense eigenvalues w of M, sharpened where QR
-    does not resolve it.
+    does not resolve it: the fallback of a parity block whose count fails.
 
-    QR finds every eigenvalue, but only to about err = n eps ||M||_1.  At
-    a large beta, gamma, kappa or ell that may exceed 1e-9 of the rightmost
-    eigenvalue, often its size and the spacing of its cluster, which is
-    then too fine to count.  Shift-invert Arnoldi at the QR value then
-    finds the eigenvalues nearest it, mostly to about eps relative.  The
-    rightmost of those within err of it is kept if a second shift at
-    itself reproduces it to 1e-9, rounded to 2^-40 relative so that the
-    BLAS thread count does not show.  The second shift sits that rounding
-    unit above it, off the real axis: a real eigenvalue found to the last
-    bit would make the shifted matrix exactly singular.  Both runs iterate
-    in complex arithmetic, even at a real shift: at the edge of double
-    precision the rounding decides the last bits and whether the
-    confirmation holds, and the complex runs are the ones checked against
-    60-digit references.  A Ritz value that is not reproduced
-    is an artefact of a spectrum beyond double precision, and QR's stands,
-    unless err is at least the size of its real part: then not even its
-    sign is known, and FloatingPointError is raised.  It is raised as well when the first run
-    finds no eigenvalue within err of QR's value, which shift-invert then
-    contradicts: such a value can be wrong in sign (+1.708 where the
-    abscissa is -0.0384, at ell = 7.3e-6).  Only when ARPACK fails does QR's
-    value go unchecked, under the rule above.
+    Where QR's bound err = n eps ||M||_1 exceeds 2^-30 of the rightmost,
+    complex shift-invert Arnoldi at it finds the rightmost eigenvalue
+    within err, kept if a second shift 2^-40 relative above it, off the
+    real axis, reproduces it to 2^-30, and rounded to 2^-40 so that the
+    BLAS thread count does not show.  Otherwise QR's value stands, unless
+    err is at least the size of its real part: then not even its sign is
+    known, and FloatingPointError is raised, as it is when shift-invert
+    finds no eigenvalue within err (+1.708 where the abscissa is -0.0384).
     """
     z0 = w[np.argmax(w.real)]
     err = _qr_error(M)
@@ -368,9 +345,9 @@ def _sharpened(M: sp.spmatrix, w: np.ndarray) -> complex:
 
 def _parity_blocks(grid: Grid, p: PhysParams, R: sp.csr_matrix,
                    idx: list[np.ndarray]):
-    """The blocks of the reduced Dirichlet generator in Fourier-mode
-    coordinates, as (M, theta): the odd and the even parity block, then the
-    mode-0 transport chain.
+    """The odd and the even parity block of the reduced Dirichlet generator
+    in Fourier-mode coordinates, as (M, theta); the mode-0 chain is the
+    Neumann generator's.
 
     M is the sparse block and theta its cosine modes, where M = D - w c c^T:
     D is the Neumann per-mode block-diagonal matrix of its modes (and 0 for
@@ -382,7 +359,7 @@ def _parity_blocks(grid: Grid, p: PhysParams, R: sp.csr_matrix,
     theta, the even block with a theta-mean row and column; only its
     theta-theta block, kappa (-diag(g^2) - (4/dx^2) c c^T), is written
     here, densely: the caller checks the larger parity's theta modes
-    against DENSE_MAX_DIM.  The chain has no theta mode: M = D.
+    against DENSE_MAX_DIM.
     """
     nf = grid.nflux
     g, c = _fourier_symbols(grid)
@@ -407,8 +384,21 @@ def _parity_blocks(grid: Grid, p: PhysParams, R: sp.csr_matrix,
                            (np.r_[at[D.row[off]], n + i], np.r_[at[D.col[off]], n + j])),
                           shape=(n + theta.size,) * 2)
         blocks.append((M, theta))
-    chain = idx[-1]
-    return blocks + [(R[chain, chain], np.arange(0))]
+    return blocks
+
+
+def _delay(s, grid: Grid, p: PhysParams):
+    """r(s)^Nrho, r = c/(s + c), c = Nrho/tau: the rho-chain's delay factor."""
+    rate = grid.Nrho / p.tau
+    return (rate / (s + rate)) ** grid.Nrho
+
+
+def _symbol(s, mu: float, delay, p: PhysParams):
+    """q(s) = s (s + beta mu) + alpha mu delay and e(s) = (s + kappa mu) q(s)
+    + gamma^2 mu s of the Neumann mode with mu = g_k^2, delay its factor at
+    s (_delay): det(sI - B_k) = (s + Nrho/tau)^Nrho e(s) for its block B_k."""
+    q = s * (s + p.beta * mu) + p.alpha * mu * delay
+    return q, (s + p.kappa * mu) * q + p.gamma * p.gamma * mu * s    # inf, not OverflowError
 
 
 def _secular(s: np.ndarray, grid: Grid, p: PhysParams,
@@ -418,18 +408,17 @@ def _secular(s: np.ndarray, grid: Grid, p: PhysParams,
 
     F(s) = 1 + (4 kappa/dx^2) sum_k c_k^2 rho_k(s), where rho_k is the
     theta-theta entry of (sI - D_k)^-1 with z eliminated exactly:
-    rho_k = 1/(s + kappa mu + gamma^2 mu s / (s^2 + beta mu s
-    + alpha mu r^Nrho)), r = c/(s + c), c = Nrho/tau, mu = g_k^2 (so
-    rho_0 = 1/s).  Summed mode by mode, so memory stays that of s.
+    rho_k = 1/(s + kappa mu + gamma^2 mu s / q_k(s)), q_k of _symbol,
+    mu = g_k^2 (so rho_0 = 1/s).  Summed mode by mode, so memory stays
+    that of s.
     """
     g, c = _fourier_symbols(grid)
-    rate = grid.Nrho / p.tau
     with np.errstate(all="ignore"):   # a non-finite F is checked by the caller
-        rN = (rate / (s + rate)) ** grid.Nrho
+        rN = _delay(s, grid, p)
         acc = np.zeros_like(s)
         for k in theta:
             mu = g[k] ** 2
-            q = s * (s + p.beta * mu) + p.alpha * mu * rN
+            q = _symbol(s, mu, rN, p)[0]
             acc += c[k] ** 2 / (s + p.kappa * mu + p.gamma**2 * mu * s / q)
         return 1.0 + 4.0 * p.kappa / grid.dx**2 * acc
 
@@ -440,10 +429,13 @@ def _rightmost_candidates(M: sp.spmatrix, shifts,
     Arnoldi (ARPACK) from a fixed start vector of ones, with their
     conjugates (M is real, or the complex copy of a real matrix).  A real
     shift iterates in M's own arithmetic, real for a real M; a complex
-    shift, in complex arithmetic."""
+    shift, in complex arithmetic.  Raises RuntimeError, as a failed ARPACK
+    run does, for a 1-norm of 1e150 or more: its arithmetic would overflow."""
     import scipy.sparse.linalg as spla
 
     A = M.tocsc()
+    if not abs(A).sum(axis=0).max() < 1e150:
+        raise RuntimeError("the block is too large for shift-invert")
     n = A.shape[0]
     w = []
     for sigma in map(complex, shifts):
@@ -557,7 +549,8 @@ def _counted_rightmost(M: sp.spmatrix, theta: np.ndarray, poles: np.ndarray,
        above the next candidate.
     3. The eigenvalues right of x0 are counted (_count_right_of).
     4. The candidate is accepted if the count equals the number of distinct
-       candidates right of x0.  A count above it means candidates were
+       candidates (more than 1e-8 |a| apart) right of x0, and polished
+       within 2^-28 of its size.  A count above it means candidates were
        missed: steps 1-3 are redone once with 4 N_CANDIDATES per shift.
     """
     top = poles[np.argmax(poles.real)]
@@ -568,7 +561,7 @@ def _counted_rightmost(M: sp.spmatrix, theta: np.ndarray, poles: np.ndarray,
         except RuntimeError:      # a singular shift or an ArpackError
             return None
         a = cand.real.max()
-        tol = 1e-8 * (1.0 + abs(a))
+        tol = 1e-8 * (abs(a) or 1.0)
         lo = max(a - 1e-3 * (1.0 + abs(a)),
                  cand.real[cand.real < a - tol].max(initial=-np.inf))
         cuts = np.sort(np.r_[lo, a, poles.real[(poles.real > lo) & (poles.real < a)]])
@@ -589,29 +582,35 @@ def _counted_rightmost(M: sp.spmatrix, theta: np.ndarray, poles: np.ndarray,
     # F times the distance to the nearest pole has the same root there but
     # no pole beside it, which may sit closer than the rounded start
     near = poles[np.argmin(np.abs(poles - lam))]
-    return _secant_root(lambda s: _secular(s, grid, p, theta) * (s - near), lam)
+    return _secant_root(lambda s: _secular(s, grid, p, theta) * (s - near), lam,
+                        2.0**-28 * abs(lam))[0]
 
 
-def _secant_root(f, z: complex) -> complex | None:
-    """The root of f next to z, by the secant method from z rounded to
-    about 1e-9 relative, or None if it does not settle within that.
-
-    The last bits of an ARPACK eigenvalue depend on the BLAS thread count;
-    the root found from the rounded start does not, and it is the
-    eigenvalue as accurately as f can be evaluated.
+def _secant_root(f, z: complex, radius: float, w=()):
+    """The root of f next to z by the secant method, from z rounded to
+    about 1e-9 relative so that the BLAS thread count of the value z does
+    not show, and the size of its last step.  The root is None unless it is
+    finite within `radius` of z and no other of the values w lies within
+    `radius` of z.  A real start stays on the real axis.
     """
     h = 2.0 ** (np.floor(np.log2(1.0 + abs(z))) - 30)
     s0 = complex(round(z.real / h) * h, round(z.imag / h) * h)
     s1 = s0 + h
     f0, f1 = (complex(f(np.array([s]))[0]) for s in (s0, s1))
+    step = h
     for _ in range(SECANT_STEPS):
         if f1 == f0:
             break
         s0, s1 = s1, s1 - f1 * (s1 - s0) / (f1 - f0)
         f0, f1 = f1, complex(f(np.array([s1]))[0])
-        if abs(s1 - s0) <= 4.0 * np.finfo(float).eps * abs(s1):
+        step = abs(s1 - s0)
+        if step <= 4.0 * np.finfo(float).eps * abs(s1):
             break
-    return s1 if np.isfinite(s1) and abs(s1 - z) <= 4.0 * h else None
+    step = step if np.isfinite(step) else np.inf
+    if (np.isfinite(s1) and abs(s1 - z) <= radius
+            and np.count_nonzero(np.abs(np.asarray(w) - z) <= radius) <= 1):
+        return complex(s1.real, s1.imag + 0.0), step     # no -0.0 imaginary part
+    return None, step
 
 
 def dissipativity_test(grid: Grid, p: PhysParams, xi: float,

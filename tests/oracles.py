@@ -5,12 +5,12 @@ the weighted state-space inner product and its Gram matrix, random states,
 the n1 row residual, the real-space stepper, the inverse of the modal
 transform, the Dirichlet operators in Fourier-mode coordinates with the
 blocks of their reduced generator, every QR eigenvalue of the reduced
-generator, and the SuperLU refinement of the Neumann spectrum.
+generator, and an inverse iteration of the Neumann spectrum by SuperLU.
 
 The package never calls these; they are independent oracles for the
 operators and the assembled generator, the energies, the dissipativity
 supremum, the Lyapunov constants, the modal stepper, the Dirichlet parity
-blocks and the dense refinement of the Neumann spectrum.  The package
+blocks and the polished Neumann spectrum.  The package
 builds its operators in Fourier-mode coordinates alone and restricts only
 Neumann generators there, mode by mode; the real-space stencils
 (real_space_operators) are the ones it built before, and restriction_maps
@@ -42,6 +42,7 @@ from thermodelay.grid import DenseSizeError, Grid, NumericalBlowupError, grad_u
 from thermodelay.params import PhysParams
 
 EXPM_MAX_DIM = 4000
+RESIDUAL_TOL = 1e-8      # residual below which spectrum_superlu's refinement has converged
 
 
 @dataclass
@@ -258,12 +259,14 @@ def reduced_eigvals(grid: Grid, p: PhysParams):
 
 
 def spectrum_superlu(grid: Grid, p: PhysParams) -> spectral.SpectrumResult:
-    """spectral.spectrum_dense for Neumann theta as it refined before its
-    dense solve: the same QR eigenvalues (spectral._mode_eigvals), shift,
-    seeded start vectors, 5 solves and settle rule, with each shifted mode
-    block factored sparse by SuperLU.  A shift SuperLU cannot factor is
-    skipped before its start vector is drawn."""
-    w, modes, R, idx, owner = spectral._mode_eigvals(grid, p)
+    """spectral.spectrum_dense for Neumann theta as it refined by inverse
+    iteration: the same QR eigenvalues (spectral._mode_eigvals), a shift
+    1e-8 (1 + |lambda|) away, seeded start vectors, 5 solves, each shifted
+    mode block factored sparse by SuperLU, and a Rayleigh quotient accepted
+    once its residual is at most RESIDUAL_TOL, it moved by at most
+    1e-12 (1 + |lambda|) and no other QR eigenvalue lies nearer.  A shift
+    SuperLU cannot factor is skipped before its start vector is drawn."""
+    w, modes, R, idx, owner, _ = spectral._mode_eigvals(grid, p)
     order = np.argsort(-w.real)
     w = w[order]
     rng = np.random.default_rng(1234)
@@ -294,7 +297,7 @@ def spectrum_superlu(grid: Grid, p: PhysParams) -> spectral.SpectrumResult:
                 Ax = A @ x
                 lam_r = np.vdot(x, Ax)
                 res = np.linalg.norm(Ax - lam_r * x)
-                if (res <= spectral.RESIDUAL_TOL
+                if (res <= RESIDUAL_TOL
                         and abs(lam_r - prev) <= 1e-12 * (1.0 + abs(lam))):
                     dist = np.abs(w - lam_r)
                     if dist[i] <= dist.min():

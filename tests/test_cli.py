@@ -552,26 +552,41 @@ def test_abscissa_that_shift_invert_contradicts_is_refused(tmp_path, cfgfile):
     assert (row[2], row[6], row[7]) == ("true", "", "FloatingPointError")
 
 
-@pytest.mark.parametrize("theta_bc, gamma, abscissa", [
-    # the rightmost row is not refined, and QR's real part, +8.461e-10,
-    # +6.205e-9 and +4.290e-9, lies within the rounding error n eps ||B||_1
-    # of its block B.  The counted Dirichlet abscissas are -3.79e-11 and
-    # -3.79e-13, and the refined Neumann ones fall as gamma^-2 (below).  At
-    # gamma = 1e5 QR's -3.733e-9 (counted: -3.790e-9) lies within 1.65e-8
-    ("dirichlet", "1e6", None),
-    ("neumann", "1e7", None),
-    ("dirichlet", "1e7", None),
-    ("dirichlet", "1e5", None),
-    # the rightmost row is refined, and written as before
-    ("neumann", "1e4", -9.7697920131933316e-08),
-    ("dirichlet", "1e4", -3.7900749947000464e-07),
-    ("neumann", "1e6", -9.7693202543669247e-12),
-])
-def test_spectrum_refuses_an_abscissa_below_its_rounding_error(tmp_path, capfd, theta_bc,
-                                                               gamma, abscissa):
+# beta = 4.5, 8x8: the rightmost 60-digit eigenvalues (mpmath.eig) of every
+# block; the even parity block holds the Dirichlet ones.  QR's rightmost
+# real part, +8.461e-10 (Dirichlet, gamma = 1e6), +6.205e-9 (Neumann, 1e7)
+# and +4.290e-9 (Dirichlet, 1e7), lies within the rounding error
+# n eps ||B||_1 of its block B, so spectrum exited 3 there and at Dirichlet
+# 1e5; inverse iteration wrote the Dirichlet 1e4 value 2.8e-8 and the
+# Neumann 1e6 value 4.9e-5 off.  The Dirichlet count is 1.7e-10 off at 1e7
+LARGE_GAMMA = [
+    ("neumann", "1e4", -9.769791994274596e-08, 1e-10),
+    ("neumann", "1e5", -9.7697953982987e-10, 1e-10),
+    ("neumann", "1e6", -9.769795432339e-12, 1e-10),
+    ("neumann", "1e7", -9.7697954326794e-14, 1e-10),
+    ("dirichlet", "1e4", -3.790074888997368e-07, 1e-12),
+    ("dirichlet", "1e5", -3.7900799701477302e-09, 1e-12),
+    ("dirichlet", "1e6", -3.7900800209593083e-11, 1e-12),
+    ("dirichlet", "1e7", -3.7900800214674234e-13, 1e-9),
+]
+
+
+@pytest.mark.parametrize("overrides, abscissa, rel", [
+    pytest.param([f"model.theta_bc={bc}", f"model.gamma={gamma}", "model.beta=4.5",
+                  "grid.nx=8", "grid.nrho=8"], ref, rel, id=f"{bc}-{gamma}")
+    for bc, gamma, ref, rel in LARGE_GAMMA] + [
+    # at ell = 5.5e-30 the odd block's entries reach 2e60: its rightmost QR
+    # eigenvalue, 2.7e28, lies far inside its rounding error of 5.2e45, and
+    # neither the count nor shift-invert confirms it
+    pytest.param(["model.theta_bc=dirichlet", "model.beta=0", "grid.nx=3",
+                  "grid.nrho=2", "model.ell=5.477282865432251e-30"], None, None,
+                 id="dirichlet-ell-5.5e-30")])
+def test_spectrum_refuses_an_abscissa_below_its_rounding_error(tmp_path, capfd, overrides,
+                                                               abscissa, rel):
+    # spectrum writes the abscissa of the sweep's rule, from the same
+    # function, as its abscissa and row 0; it exits 3 exactly where that
+    # rule has no value of known sign
     out = tmp_path / "spec"
-    overrides = ["model.beta=4.5", "grid.nx=8", "grid.nrho=8",
-                 f"model.theta_bc={theta_bc}", f"model.gamma={gamma}"]
     code = _run(["spectrum", "--config", os.devnull, "--out", str(out)]
                 + [arg for o in overrides for arg in ("--override", o)])
     stdout, err = capfd.readouterr()
@@ -582,8 +597,17 @@ def test_spectrum_refuses_an_abscissa_below_its_rounding_error(tmp_path, capfd, 
         return
     assert (code, err) == (0, "")
     summary = json.loads((out / "summary.json").read_text())
-    assert summary["rightmost_refined"][0]
-    assert summary["abscissa"] == pytest.approx(abscissa, rel=1e-6)
+    assert abs(summary["abscissa"] - abscissa) <= rel * abs(abscissa)
+    rows = np.loadtxt(out / "spectrum.csv", delimiter=",", skiprows=2)
+    assert rows[0, 0] == summary["abscissa"]
+    run = load_config(os.devnull, overrides=overrides)
+    assert summary["abscissa"] == spectral.spectral_abscissa(run.grid, run.params)[0]
+    # a row whose polish is not confirmed keeps its QR eigenvalue (one of
+    # them may have given way to row 0)
+    w = oracles.reduced_eigvals(run.grid, run.params)[0]
+    kept = [z for z, f in zip(w[np.argsort(-w.real)], summary["rightmost_refined"]) if not f]
+    listed = [((rows[:, 0] == z.real) & (rows[:, 1] == z.imag)).any() for z in kept]
+    assert sum(listed) >= len(kept) - 1
 
 
 def test_sweep_requires_exactly_one_range(tmp_path, cfgfile):
@@ -791,11 +815,11 @@ def test_sweep_point_with_linalg_error_is_a_row_error(tmp_path, cfgfile,
 
 
 def test_spectrum_whose_refinement_overflows_writes_no_nan(tmp_path, capfd):
-    # at gamma = 1e300 the inverse iteration overflows: it printed two
-    # RuntimeWarnings and wrote NaN eigenvalues and abscissa with exit 0.
-    # An unconverged refinement (residual above 1e-8; 8.0 and 5.8 here, with
-    # 6 of the 10 rows refined) writes the QR eigenvalue it started from, not
-    # its Rayleigh quotient, and rightmost_refined says which rows it is.
+    # at gamma = 1e300 a refinement overflows: inverse iteration printed two
+    # RuntimeWarnings and wrote NaN eigenvalues and abscissa with exit 0.  An
+    # unconfirmed refinement writes the QR eigenvalue it started from, and
+    # rightmost_refined says which rows it is; here the rightmost QR
+    # eigenvalue lies within its block's rounding error, so the run exits 3.
     cfg = tmp_path / "run.ini"
     cfg.write_text("[model]\nbeta = 1.0\n")
     out = tmp_path / "spec"

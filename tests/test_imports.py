@@ -194,11 +194,10 @@ def test_the_cli_and_certify_load_no_multiprocessing_or_pickle(tmp_path):
 
 
 def test_neumann_spectra_load_no_sparse_linalg(tmp_path):
-    # SuperLU and ARPACK serve Dirichlet theta and unresolved blocks alone:
-    # a Neumann spectrum refines on dense mode blocks, the dissipativity
-    # supremum needs none, and QR resolves every Neumann block the abscissa
-    # visits here.  Loaded after each step: spectrum, dissipativity_test, a
-    # Neumann abscissa, then a Dirichlet abscissa
+    # ARPACK serves Dirichlet theta alone: a Neumann spectrum and abscissa
+    # polish on their mode blocks' characteristic functions, and the
+    # dissipativity supremum needs none.  Loaded after each step: spectrum,
+    # dissipativity_test, a Neumann abscissa, then a Dirichlet abscissa
     loaded = "print(json.dumps('scipy.sparse.linalg' in sys.modules))"
     proc = _python(
         "import sys, json; from thermodelay.cli import main; "

@@ -194,19 +194,30 @@ def test_reduced_neumann_generator_is_block_diagonal_as_stored(Nx, Nrho):
 
 @pytest.mark.parametrize("theta_bc", ["neumann", "dirichlet"])
 @pytest.mark.parametrize("Nx,Nrho", [(3, 2), (8, 8), (17, 5), (32, 32)])
-def test_dense_blocks_equal_the_fancy_slices(theta_bc, Nx, Nrho):
-    # each block the refinement reads (_block_eigvals) has the bytes of the
-    # fancy slice R[b][:, b]: of the reduced generator for Neumann theta, of
-    # the oracle's Dirichlet generator, assembled whole, for Dirichlet theta
+def test_dense_blocks_equal_the_fancy_slices(monkeypatch, theta_bc, Nx, Nrho):
+    # each block QR solves for the spectrum (_block_eigvals) has the bytes of
+    # the fancy slice R[b][:, b]: of the reduced generator for Neumann theta,
+    # of the oracle's Dirichlet generator, assembled whole, for the parity
+    # blocks and the chain of Dirichlet theta, whose mode blocks come first
+    # (the poles of the count)
+    solved = []
+
+    def eigvals(a):
+        solved.append(a)
+        return sla.eigvals(a)
+
+    monkeypatch.setattr(spectral, "sla", SimpleNamespace(eigvals=eigvals))
     g = Grid(Nx=Nx, Nrho=Nrho)
     p = PhysParams(**{**UNIT.__dict__, "beta": 4.5, "theta_bc": theta_bc})
     R = oracles.reduced_generator(assemble_generator(g, p, oracles.modal_operators(g, p)))
-    blocks = ([np.arange(R.shape[0])[b] for _, b in spectral._modal_blocks(g)]
-              if theta_bc == "neumann" else oracles.parity_blocks(g))
-    block = spectral._block_eigvals(g, p)[3]
-    for j, b in enumerate(blocks):
-        a, ref = block(j), R[b][:, b].toarray()
-        a = a if theta_bc == "neumann" else a.toarray()
+    spectral._block_eigvals(g, p)
+    if theta_bc == "neumann":
+        blocks = [np.arange(R.shape[0])[b] for _, b in spectral._modal_blocks(g)]
+    else:
+        blocks, solved = oracles.parity_blocks(g), [solved[-2], solved[-1], solved[Nx]]
+    assert len(solved) == len(blocks)
+    for a, b in zip(solved, blocks):
+        ref = R[b][:, b].toarray()
         assert a.dtype == ref.dtype and a.shape == ref.shape
         assert a.tobytes() == ref.tobytes()
 
@@ -225,14 +236,14 @@ def test_parity_blocks_are_the_slices_of_the_dirichlet_generator(Nx, Nrho, model
     R = oracles.reduced_generator(assemble_generator(g, p, oracles.modal_operators(g, p)))
     blocks = spectral._parity_blocks(g, p, spectral._modal_reduced(g, p),
                                      [b for _, b in spectral._modal_blocks(g)])
-    assert len(blocks) == 3
+    assert len(blocks) == 2
     for (M, theta), b in zip(blocks, oracles.parity_blocks(g)):
         want = R[b][:, b]
         for name in ("data", "indices", "indptr"):
             a, c = getattr(M, name), getattr(want, name)
             assert a.dtype == c.dtype and a.tobytes() == c.tobytes(), (b.size, name)
     assert [t.tolist() for _, t in blocks] == [list(range(1, Nx + 1, 2)),
-                                                  list(range(0, Nx + 1, 2)), []]
+                                                  list(range(0, Nx + 1, 2))]
 
 
 @pytest.mark.parametrize("theta_bc,N,ref", [("neumann", 64, -0.2140881138550164),
@@ -341,10 +352,11 @@ def test_benchmark_reference_abscissa():
 
 
 def test_refinement_waits_for_the_rayleigh_quotient_to_settle():
-    # one solve from a shift 1e-8 (1 + |lambda|) away leaves the Rayleigh
-    # quotient about 2e-8 off, with a residual below 1e-8; accepting it wrote
-    # -0.7482970209682348 for the rightmost eigenvalue.  Oracle: one dense
-    # eigvals of the real-space reduced generator
+    # inverse iteration, one solve from a shift 1e-8 (1 + |lambda|) away,
+    # left the Rayleigh quotient about 2e-8 off, with a residual below 1e-8;
+    # accepting it wrote -0.7482970209682348 for the rightmost eigenvalue.
+    # Row 0 is now the counted abscissa.  Oracle: one dense eigvals of the
+    # real-space reduced generator
     p = PhysParams(**{**UNIT.__dict__, "beta": 2.7, "gamma": 3.0,
                       "theta_bc": "dirichlet"})
     g = Grid(Nx=8, Nrho=8)
@@ -358,8 +370,8 @@ def test_refinement_waits_for_the_rayleigh_quotient_to_settle():
 @pytest.mark.parametrize("theta_bc", ["neumann", "dirichlet"])
 def test_refinement_keeps_every_eigenvalue_of_a_cluster(theta_bc):
     # the rightmost eigenvalues near -0.3005658 lie about 1e-8 apart, in
-    # different modes; inverse iteration from one of them can settle on its
-    # neighbour, which then appears twice and the eigenvalue itself not at all
+    # different modes; a refinement could settle on a neighbour, which then
+    # appears twice and the eigenvalue itself not at all
     p = PhysParams(**{**UNIT.__dict__, "beta": 4.5, "gamma": 0.5,
                       "theta_bc": theta_bc})
     g = Grid(Nx=32, Nrho=32)
@@ -370,17 +382,19 @@ def test_refinement_keeps_every_eigenvalue_of_a_cluster(theta_bc):
     dist = np.abs(res.eigenvalues[:N_TOP, None] - w[None, :])
     assert dist.min(axis=0).max() <= 1e-10 and dist.min(axis=1).max() <= 1e-10
     assert np.unique(dist.argmin(axis=1)).size == N_TOP
-    # each lies alone in its Neumann mode block, so every refinement settles;
-    # a Dirichlet parity block keeps half the cluster, too close for the shift
-    if theta_bc == "neumann":
-        assert res.converged.all()
+    # the cluster is 2e-8 to 1.2e-7 wide, far wider than each block's QR
+    # bound, so every polish is confirmed: inverse iteration, from a shift
+    # 1e-8 (1 + |lambda|) away, refined 3 of the 10 Dirichlet rows
+    assert res.converged.all()
 
 
 @pytest.mark.parametrize("N,gamma", [(16, 1.0), (64, 1.0), (32, 0.5)])
 def test_dense_refinement_matches_the_superlu_refinement(N, gamma):
-    # each Neumann mode block is solved densely (numpy) instead of by
-    # SuperLU: only the N_TOP refined rows may move, by rounding, and the
-    # same rows settle.  32x32 at gamma = 0.5 is the cluster above
+    # independent cross-check: the polished rows against inverse iteration
+    # by SuperLU on each Neumann mode block (oracles.spectrum_superlu, with
+    # its own residual tolerance).  Only the N_TOP refined rows may move, by
+    # rounding, and both refine every one of them; the residual is the
+    # polish's last step.  32x32 at gamma = 0.5 is the cluster above
     p = PhysParams(**{**UNIT.__dict__, "beta": 4.5, "gamma": gamma})
     g = Grid(Nx=N, Nrho=N)
     res, ref = spectrum_dense(g, p), oracles.spectrum_superlu(g, p)
@@ -395,10 +409,10 @@ def test_dense_refinement_matches_the_superlu_refinement(N, gamma):
 @pytest.mark.parametrize("theta_bc", ["neumann", "dirichlet"])
 @pytest.mark.parametrize("N", [8, 16])
 def test_a_real_eigenvalue_is_refined_in_real_arithmetic(N, theta_bc):
-    # a real QR value is refined from a real shift and the real part of its
-    # start vector, so its row is real: complex arithmetic left imaginary
-    # parts of about 1e-16 on 8 to 9 of the 10 rows here.  Every row is
-    # refined, as before
+    # a real QR value is polished from a real start, on a function real on
+    # the real axis, so its row is real: inverse iteration in complex
+    # arithmetic left imaginary parts of about 1e-16 on 8 to 9 of the 10 rows
+    # here.  Every row is refined
     p = PhysParams(**{**UNIT.__dict__, "beta": 4.5, "theta_bc": theta_bc})
     g = Grid(Nx=N, Nrho=N)
     w = oracles.reduced_eigvals(g, p)[0]
@@ -413,25 +427,11 @@ def test_a_real_eigenvalue_is_refined_in_real_arithmetic(N, theta_bc):
         assert abs(row - lam) <= 1e-10 and row.imag == 0.0, (lam, row)
 
 
-def test_a_singular_dense_shift_keeps_the_qr_value(monkeypatch):
-    # numpy's solve raises LinAlgError on an exactly singular block, as
-    # SuperLU raised RuntimeError: the row keeps its QR eigenvalue, with an
-    # infinite residual, and the error does not leave spectrum_dense
-    g, p = Grid(Nx=8, Nrho=8), UNIT.with_beta(4.5)
-
-    def singular(a, b):
-        raise np.linalg.LinAlgError("Singular matrix")
-
-    w = oracles.reduced_eigvals(g, p)[0]
-    monkeypatch.setattr(np.linalg, "solve", singular)
-    res = spectrum_dense(g, p)
-    assert np.isinf(res.rightmost_residuals).all() and not res.converged.any()
-    assert res.eigenvalues.tobytes() == w[np.argsort(-w.real)].tobytes()
-
-
 def test_dirichlet_spectrum_solves_each_parity_block_once(monkeypatch):
-    # one QR each for the odd block, the even block and the chain; no
-    # Neumann mode block is solved for poles only the abscissa reads
+    # one QR each for the odd block and the even block, after one for each
+    # Neumann mode block and the chain: the count that gives row 0 takes its
+    # poles from the mode blocks, as the sweep does, and the chain's
+    # eigenvalues are listed from the same solve
     calls = []
 
     def eigvals(a):
@@ -440,7 +440,7 @@ def test_dirichlet_spectrum_solves_each_parity_block_once(monkeypatch):
 
     monkeypatch.setattr(spectral, "sla", SimpleNamespace(eigvals=eigvals))
     spectrum_dense(Grid(Nx=8, Nrho=8), _dirichlet(4.5))
-    assert calls == [4 * 11, 4 * 11 + 1, 8]
+    assert calls == [11] * 8 + [8, 4 * 11, 4 * 11 + 1]
 
 
 def _dirichlet(beta):
@@ -451,9 +451,9 @@ def _counted_blocks(g, p):
     """The two parity blocks as the Dirichlet abscissa counts them, as
     (M, theta, poles): the poles are the eigenvalues of D, its modes'
     Neumann eigenvalues and 0 for the theta mean."""
-    poles, modes, R, idx, _ = spectral._mode_eigvals(g, p)
+    poles, modes, R, idx, *_ = spectral._mode_eigvals(g, p)
     out = []
-    for M, theta in spectral._parity_blocks(g, p, R, idx)[:2]:
+    for M, theta in spectral._parity_blocks(g, p, R, idx):
         cos = theta[theta > 0]
         out.append((M, theta, np.r_[poles[np.isin(modes, cos)],
                                     np.zeros(theta.size - cos.size)]))
@@ -642,20 +642,84 @@ def test_neumann_abscissa_at_a_large_gamma(gamma, ref):
     assert lam == a
 
 
+SYMBOL_CASES = [(8, 8, {}), (6, 5, {"kappa": 0.37, "gamma": 2.3, "beta": 0.7, "ell": 1.7})]
+
+
+@pytest.mark.parametrize("Nx,Nrho,model", SYMBOL_CASES)
+def test_mode_symbol_is_the_determinant_of_its_block(Nx, Nrho, model):
+    # det(sI - B_k) = (s + c)^Nrho e_k(s), c = Nrho/tau, for every mode block
+    # B_k of the assembled generator, at random complex s
+    p = PhysParams(**{**UNIT.__dict__, "beta": 4.5, **model})
+    g = Grid(Nx=Nx, Nrho=Nrho, ell=p.ell)
+    R = spectral._modal_reduced(g, p)
+    gk = discretization._fourier_symbols(g)[0]
+    c = Nrho / p.tau
+    s = np.random.default_rng(7).normal(size=(6, 2)) @ [3.0, 3.0j]
+    for k, b in spectral._modal_blocks(g)[:-1]:
+        B = R[b, b].toarray()
+        det = np.array([np.linalg.det(z * np.eye(len(B)) - B) for z in s])
+        e = spectral._symbol(s, gk[k] ** 2, spectral._delay(s, g, p), p)[1]
+        assert np.all(np.abs((s + c) ** Nrho * e - det) <= 1e-12 * np.abs(det)), k
+
+
+@pytest.mark.parametrize("Nx,Nrho,model", SYMBOL_CASES)
+def test_secular_function_is_the_determinant_ratio(Nx, Nrho, model):
+    # F(s) = det(sI - M) / det(sI - D) on both parity blocks, where D is the
+    # direct sum of the parity's Neumann mode blocks (and 0 for the mean)
+    p = PhysParams(**{**UNIT.__dict__, "beta": 4.5, "theta_bc": "dirichlet", **model})
+    g = Grid(Nx=Nx, Nrho=Nrho, ell=p.ell)
+    R = spectral._modal_reduced(g, p)
+    idx = [b for _, b in spectral._modal_blocks(g)]
+    s = np.random.default_rng(7).normal(size=(6, 2)) @ [3.0, 3.0j]
+    for M, theta in spectral._parity_blocks(g, p, R, idx):
+        M = M.toarray()
+        blocks = [R[idx[k - 1], idx[k - 1]].toarray() for k in theta if k]
+        ratio = []
+        for z in s:
+            det_d = np.prod([np.linalg.det(z * np.eye(len(B)) - B) for B in blocks])
+            det_d *= z if 0 in theta else 1.0
+            ratio.append(np.linalg.det(z * np.eye(len(M)) - M) / det_d)
+        F = spectral._secular(s, g, p, theta)
+        assert np.all(np.abs(F - ratio) <= 1e-12 * np.abs(ratio)), theta
+
+
+def test_a_counted_block_of_tiny_eigenvalues_is_not_sharpened(monkeypatch):
+    # nx = 4, nrho = 2, beta = 0, gamma = 1e6: the odd block's candidates lie
+    # about 1e-11 apart, and the count merged those within 1e-8 (1 + |a|),
+    # so it failed and the block was sharpened.  Merged within 1e-8 |a|, the
+    # count settles it; the even block is still sharpened, and the abscissa
+    # keeps its bits
+    sharpened = []
+    sharpen = spectral._sharpened
+
+    def recorded(M, w):
+        sharpened.append(M.shape[0])
+        return sharpen(M, w)
+
+    monkeypatch.setattr(spectral, "_sharpened", recorded)
+    p = PhysParams(**{**_dirichlet(0.0).__dict__, "gamma": 1e6})
+    a, _ = spectral_abscissa(Grid(Nx=4, Nrho=2), p)
+    assert sharpened == [11]
+    assert a.hex() == "-0x1.2fe5c529c9000p-35"
+
+
 @pytest.mark.parametrize("N", [8, 16, 32, 64])
 @pytest.mark.parametrize("beta", [0.0, 0.6244, 2.7, 4.5, 20.0])
 def test_neumann_abscissa_where_qr_resolves_it_is_qrs(monkeypatch, N, beta):
-    # every block the abscissa visits is resolved by QR, so it is QR's
-    # rightmost eigenvalue to the bit, and no ARPACK call runs
+    # the abscissa is spectrum_dense's row 0 to the bit, from the same rule:
+    # QR's rightmost eigenvalue, polished within its block's QR bound, with
+    # no ARPACK call
     def candidates(*args, **kwargs):
         raise AssertionError("ARPACK ran")
 
     monkeypatch.setattr(spectral, "_rightmost_candidates", candidates)
     g, p = Grid(Nx=N, Nrho=N), UNIT.with_beta(beta)
-    w = oracles.reduced_eigvals(g, p)[0]
     a, lam = spectral_abscissa(g, p)
-    assert a.hex() == w.real.max().hex()
-    assert lam == w[np.argmax(w.real)]
+    row = spectrum_dense(g, p).eigenvalues[0]
+    assert a.hex() == row.real.hex() and lam == row
+    w, modes, *_, owner, err = spectral._mode_eigvals(g, p)
+    j = owner[np.argmax(w.real)]
+    assert abs(a - w.real.max()) <= err[j]
 
 
 @pytest.mark.parametrize("arpack", ["fails", "does not reproduce"])
