@@ -449,49 +449,36 @@ def _rightmost_candidates(M: sp.spmatrix, shifts,
     return np.r_[w, w.conj()]
 
 
-def _gershgorin_box(M: sp.spmatrix):
-    """X >= Re(lambda) and Y >= |Im(lambda)| for every eigenvalue of the real
-    sparse M, from its Gershgorin discs by rows and by columns."""
-    d = M.diagonal()
-    A = abs(M - sp.diags(d)).tocsr()
-    one = np.ones(A.shape[0])
-    rows, cols = A @ one, A.T @ one
-    return (min(np.max(d + rows), np.max(d + cols)),
-            min(np.max(rows), np.max(cols)))
+def _count_right_of(x0: float, theta: np.ndarray, poles: np.ndarray,
+                    known: np.ndarray, grid: Grid, p: PhysParams) -> int | None:
+    """Number of eigenvalues with real part above x0 of the parity block on
+    the cosine modes theta (see _parity_blocks), or None when the count is
+    not settled.
 
-
-def _edge(a: float, b: float, marks: np.ndarray, step: float) -> np.ndarray:
-    """Samples from a to b: a uniform grid at most `step` apart and the
-    marks strictly between them."""
-    lo, hi = min(a, b), max(a, b)
-    t = np.unique(np.r_[np.linspace(lo, hi, int(np.ceil((hi - lo) / step)) + 1),
-                        marks[(marks > lo) & (marks < hi)]])
-    return t if a <= b else t[::-1]
-
-
-def _winding(f, x0: float, X: float, Y: float, known: np.ndarray,
-             step: float) -> int | None:
-    """Winding number of f around the box x0 < Re s < X, |Im s| < Y.
-
-    f(conj s) = conj f(s), so the winding number is the change of arg f
-    along the upper half X -> X + iY -> x0 + iY -> x0, divided by pi.  Each
-    edge is sampled at most `step` apart and, for each known pole or zero,
-    at its projection onto the edge and one distance from it either side;
-    then every step is bisected until f turns by at most pi/8 from sample
-    to sample.  The result is sampled, not proven.  Returns None when f is
-    not finite on the path or the refinement does not settle.
+    It is the number of poles (eigenvalues of D) right of x0 plus the
+    winding number of F (_secular) around the half plane Re s > x0.  F(conj
+    s) = conj F(s) and F - 1 = O(1/s), so that is the change of arg F along
+    s = x0 + i w as w falls from infinity to 0, divided by pi.  The path
+    w = S t/(1 - t), S = 1 + the largest modulus among the poles, the other
+    `known` points and x0, is sampled at 64 uniform steps of t from 1 (where
+    F = 1) to 0, and at the projection of every pole and known point onto
+    the line and one distance from it either side; then every step is
+    bisected until F turns by at most pi/8 from sample to sample.  The
+    result is sampled, not proven.  None when F is not finite on the path
+    or the refinement does not settle.
     """
-    re, im = known.real, known.imag
+    known = np.r_[poles, known]
+    S = 1.0 + np.abs(np.r_[known, x0]).max()
+    d = np.abs(known.real - x0)
+    marks = np.r_[known.imag, known.imag - d, known.imag + d]
+    marks = marks[marks > 0.0]
+    t = np.unique(np.r_[np.linspace(0.0, 1.0, 65), marks / (S + marks)])[::-1]
 
-    def vertical(x):
-        d = np.abs(re - x)
-        return np.r_[im, im - d, im + d]
+    def f(t):
+        with np.errstate(all="ignore"):
+            return _secular(x0 + 1j * (S * t / (1.0 - t)), grid, p, theta)
 
-    top = np.r_[re, re - np.abs(im - Y), re + np.abs(im - Y)]
-    s = np.r_[X + 1j * _edge(0.0, Y, vertical(X), step),
-              (_edge(X, x0, top, step) + 1j * Y)[1:],
-              (x0 + 1j * _edge(Y, 0.0, vertical(x0), step))[1:]]
-    fs = f(s)
+    fs = np.r_[1.0, f(t[1:])]
     for _ in range(WINDING_ROUNDS):
         with np.errstate(all="ignore"):
             turn = np.angle(fs[1:] / fs[:-1])
@@ -500,42 +487,15 @@ def _winding(f, x0: float, X: float, Y: float, known: np.ndarray,
         wide = np.flatnonzero(np.abs(turn) > np.pi / 8)
         if wide.size == 0:
             n = turn.sum() / np.pi
-            return round(n) if abs(n - round(n)) < 1e-6 else None
-        if s.size + wide.size > WINDING_MAX_SAMPLES:
+            if abs(n - round(n)) >= 1e-6:
+                return None
+            return int(np.count_nonzero(poles.real > x0)) + round(n)
+        if t.size + wide.size > WINDING_MAX_SAMPLES:
             return None
-        mid = 0.5 * (s[wide] + s[wide + 1])
-        s = np.insert(s, wide + 1, mid)
+        mid = 0.5 * (t[wide] + t[wide + 1])
+        t = np.insert(t, wide + 1, mid)
         fs = np.insert(fs, wide + 1, f(mid))
     return None
-
-
-def _count_right_of(x0: float, M: sp.spmatrix, theta: np.ndarray,
-                    poles: np.ndarray, known: np.ndarray, grid: Grid,
-                    p: PhysParams) -> int | None:
-    """Number of eigenvalues of the parity block M (see _parity_blocks)
-    with real part above x0, or None when the winding number is not settled.
-
-    The box x0 < Re s < X, |Im s| < Y holds all of them: X and Y are the
-    Gershgorin bounds of M plus a margin, which keeps every
-    eigenvalue off its right, top and bottom edges.  The count is the poles
-    (eigenvalues of D) in the box plus the winding number of F (_secular)
-    around it, sampled also at the poles and the other `known` points.
-    None also when the bounds overflow, and 0 when x0 is not left of X (a
-    spurious candidate put it there): no eigenvalue lies right of X.
-    """
-    X, Y = _gershgorin_box(M)
-    if not np.isfinite(X + Y):
-        return None
-    if x0 >= X:
-        return 0
-    margin = (X - x0 + Y) / 8.0
-    X, Y = X + margin, Y + margin
-    winding = _winding(lambda s: _secular(s, grid, p, theta), x0, X, Y,
-                       np.r_[poles, known], margin / 4.0)
-    if winding is None:
-        return None
-    inside = (poles.real > x0) & (poles.real < X) & (np.abs(poles.imag) < Y)
-    return int(inside.sum()) + winding
 
 
 def _counted_rightmost(M: sp.spmatrix, theta: np.ndarray, poles: np.ndarray,
@@ -547,11 +507,13 @@ def _counted_rightmost(M: sp.spmatrix, theta: np.ndarray, poles: np.ndarray,
     2. The left edge x0 lies in the widest gap between pole real parts just
        below the rightmost candidate a: at most 1e-3 (1 + |a|) below it, and
        above the next candidate.
-    3. The eigenvalues right of x0 are counted (_count_right_of).
+    3. The eigenvalues right of x0 are counted on the line Re s = x0
+       (_count_right_of).
     4. The candidate is accepted if the count equals the number of distinct
        candidates (more than 1e-8 |a| apart) right of x0, and polished
        within 2^-28 of its size.  A count above it means candidates were
-       missed: steps 1-3 are redone once with 4 N_CANDIDATES per shift.
+       missed: steps 1-3 are redone once with 4 N_CANDIDATES per shift.  A
+       spurious candidate right of every eigenvalue counts 0 and is refused.
     """
     top = poles[np.argmax(poles.real)]
     shifts = dict.fromkeys([0j, complex(top.real, abs(top.imag))])
@@ -572,7 +534,7 @@ def _counted_rightmost(M: sp.spmatrix, theta: np.ndarray, poles: np.ndarray,
         for z in sorted(cand[cand.real > x0], key=lambda z: (-z.real, -z.imag)):
             if all(abs(z - d) > tol for d in distinct):
                 distinct.append(z)
-        count = _count_right_of(x0, M, theta, poles, cand, grid, p)
+        count = _count_right_of(x0, theta, poles, cand, grid, p)
         if count is None or count <= len(distinct):
             break
     if count != len(distinct):

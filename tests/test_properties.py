@@ -14,7 +14,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import scipy.linalg as sla
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from thermodelay import spectral
 from thermodelay.cli import main
@@ -294,6 +294,32 @@ def test_spectrum_obeys_the_scaling_law(nx, nrho, theta_bc, alpha, beta, gamma,
     a = spectral.spectral_abscissa(grid, p)[0]
     a_scaled = spectral.spectral_abscissa(unit, q)[0] / tau
     assert abs(a - a_scaled) <= max(1e-10 * abs(a), 1e-12 * radius)
+
+
+@settings(PROPERTY, max_examples=150)     # two counts each; about 1.5 s
+@given(nx=st.integers(3, 12), nrho=st.integers(2, 8),
+       logs=st.lists(log_scales, min_size=6, max_size=6))
+def test_dirichlet_count_matches_the_dense_count(nx, nrho, logs):
+    # both parity blocks, the left edge x0 placed as _counted_rightmost
+    # places it, from the dense rightmost eigenvalue.  Within 1e-6 of the
+    # line Re s = x0 the dense QR count is itself wrong (against 40-digit
+    # eigensolves), so such a draw is rejected
+    alpha, beta, gamma, kappa, tau, ell = 10.0 ** np.array(logs)
+    p = PhysParams(alpha=alpha, beta=beta, gamma=gamma, kappa=kappa, tau=tau,
+                   ell=ell, theta_bc="dirichlet")
+    g = Grid(Nx=nx, Nrho=nrho, ell=ell)
+    poles, modes, R, idx, *_ = spectral._mode_eigvals(g, p)
+    for M, theta in spectral._parity_blocks(g, p, R, idx):
+        D = spectral._parity_poles(theta, poles, modes)
+        w = sla.eigvals(M.toarray())
+        a = w.real.max()
+        lo = max(a - 1e-3 * (1.0 + abs(a)),
+                 w.real[w.real < a - 1e-8 * (abs(a) or 1.0)].max(initial=-np.inf))
+        cuts = np.sort(np.r_[lo, a, D.real[(D.real > lo) & (D.real < a)]])
+        i = int(np.argmax(np.diff(cuts)))
+        x0 = 0.5 * (cuts[i] + cuts[i + 1])
+        assume(np.abs(np.r_[w, D].real - x0).min() > 1e-6 * (1.0 + abs(x0)))
+        assert spectral._count_right_of(x0, theta, D, w, g, p) == np.sum(w.real > x0)
 
 
 MODEL_KEYS = ("alpha", "beta", "gamma", "kappa", "tau", "ell")

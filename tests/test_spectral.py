@@ -514,7 +514,7 @@ def test_dirichlet_count_matches_dense_count(beta):
              if x < a]
     assert len(edges) >= 10
     for x0 in edges:
-        assert spectral._count_right_of(x0, M, theta, poles, np.array([]), g,
+        assert spectral._count_right_of(x0, theta, poles, np.array([]), g,
                                         p) == np.sum(w.real > x0), x0
 
 
@@ -524,9 +524,9 @@ def test_dirichlet_count_matches_dense_count(beta):
 def test_dirichlet_abscissa_falls_back_when_candidates_miss(monkeypatch, beta,
                                                             miss):
     # the count then differs from the candidates, and the dense block is
-    # solved.  A spurious Ritz value past X + Y of the Gershgorin box puts
-    # the left edge there: the count right of it is 0, not a box of
-    # negative width
+    # solved.  A spurious Ritz value past 2 max_i sum_j |M_ij|, a bound on
+    # every eigenvalue's modulus, puts the left edge there: the count right
+    # of it is 0
     g, p = Grid(Nx=16, Nrho=16), _dirichlet(beta)
     ref = oracles.reduced_eigvals(g, p)[0].real.max()
     found = spectral._rightmost_candidates
@@ -536,8 +536,7 @@ def test_dirichlet_abscissa_falls_back_when_candidates_miss(monkeypatch, beta,
             return found(M, [0.0])
         w = found(M, shifts)
         if miss == "one past the box":
-            X, Y = spectral._gershgorin_box(M)
-            return np.r_[w, 2.0 * (abs(X) + Y) + 1.0]
+            return np.r_[w, 2.0 * abs(M).sum(axis=1).max() + 1.0]
         return w[w.real < w.real.max() - 1e-9]
 
     monkeypatch.setattr(spectral, "_rightmost_candidates", candidates)
@@ -562,6 +561,8 @@ def test_dirichlet_abscissa_falls_back_when_arpack_fails(monkeypatch):
     (4, 0.0, 1e6, -3.4549150282366493e-11),
     # and the rightmost of a cluster 2e-15 apart 4.6e-9 off
     (5, 1e6, 1.0, -1.0000009722239433e-06),
+    # the even block holds it
+    (5, 0.0, 1e6, -3.6000000001205995e-11),
 ])
 def test_dirichlet_abscissa_at_a_large_parameter(nx, beta, gamma, ref):
     # neither the count nor QR resolves these clusters (_sharpened); the
