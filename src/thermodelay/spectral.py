@@ -59,7 +59,7 @@ SECANT_STEPS = 20        # steps of a root polish (_secant_root)
 
 @dataclass
 class SpectrumResult:
-    eigenvalues: np.ndarray        # the abscissa's, then by real part, descending
+    eigenvalues: np.ndarray        # the abscissa's, then by (re, im), descending
     rightmost_residuals: np.ndarray
     converged: np.ndarray          # per polished eigenvalue, in QR's order
     modes: np.ndarray | None = None  # Fourier mode per eigenvalue (Neumann only)
@@ -187,8 +187,9 @@ def spectrum_dense(grid: Grid, p: PhysParams) -> SpectrumResult:
     the polish confirms it (_secant_root, radius the block's QR bound); its
     residual is the polish's last step.  Row 0 is the abscissa's eigenvalue
     (_rightmost), in place of the nearest QR row of its block; the other
-    rows follow by real part, descending.  Raises FloatingPointError if a
-    QR eigenvalue is not finite, and where the rule raises it.
+    rows follow by real part, then imaginary part, descending.  Raises
+    FloatingPointError if a QR eigenvalue is not finite, and where the rule
+    raises it.
     """
     w, modes, owner, err, eig, parity = _block_eigvals(grid, p)
     if not np.isfinite(w).all():
@@ -205,7 +206,7 @@ def spectrum_dense(grid: Grid, p: PhysParams) -> SpectrumResult:
     mine = np.flatnonzero(owner == at)
     a = mine[np.argmin(np.abs(w[mine] - top))]
     refined[a] = top
-    order2 = np.argsort(-refined.real)
+    order2 = np.lexsort((-refined.imag, -refined.real))
     order2 = np.r_[a, order2[order2 != a]]
     return SpectrumResult(eigenvalues=refined[order2], converged=converged,
                           rightmost_residuals=np.array([step for _, step in polish]),

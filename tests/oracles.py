@@ -306,7 +306,7 @@ def spectrum_superlu(grid: Grid, p: PhysParams) -> spectral.SpectrumResult:
                 prev = lam_r
         if np.isfinite(res):
             residuals[i] = res
-    order2 = np.argsort(-refined.real)
+    order2 = np.lexsort((-refined.imag, -refined.real))    # spectrum_dense's row order
     return spectral.SpectrumResult(eigenvalues=refined[order2],
                                    rightmost_residuals=residuals, converged=converged,
                                    modes=modes[order][order2])

@@ -632,6 +632,23 @@ def test_spectrum_outputs(tmp_path, cfgfile):
     assert json.loads((out_d / "summary.json").read_text())["rightmost_mode"] is None
 
 
+def test_spectrum_rows_follow_their_values(tmp_path):
+    # after row 0 the rows run by real part, then imaginary part, descending,
+    # so rows of equal real part (conjugate pairs) are written in an order
+    # their values fix; they are the eigenvalues spectrum_dense returns
+    out = tmp_path / "spec"
+    overrides = ["model.beta=0", "grid.nx=16", "grid.nrho=16"]
+    assert _run(["spectrum", "--config", os.devnull, "--out", str(out)]
+                + [arg for o in overrides for arg in ("--override", o)]) == 0
+    rows = np.loadtxt(out / "spectrum.csv", delimiter=",", skiprows=2)
+    dre, dim = np.diff(rows[1:, 0]), np.diff(rows[1:, 1])
+    assert np.all((dre < 0.0) | ((dre == 0.0) & (dim <= 0.0)))
+    assert np.count_nonzero(dre == 0.0) > 10
+    run = load_config(os.devnull, overrides=overrides)
+    w = spectral.spectrum_dense(run.grid, run.params).eigenvalues
+    assert sorted(map(tuple, rows)) == sorted(zip(w.real, w.imag))
+
+
 def _trap(*args, **kwargs):
     raise AssertionError("an oversized dense path ran")
 
