@@ -13,10 +13,12 @@ M = D - w c c^T: D, the Neumann mode blocks of its modes, is cut from the
 Neumann matrix, and only the rank-1 theta coupling w c c^T is added
 (_parity_blocks).  The reduced coordinates come mode by mode
 (restriction_maps), so the restricted Neumann matrix is block-diagonal as
-stored and each mode block is a contiguous slice of it.  Every eigenvalue
-is a root of its block's characteristic function (_symbol, _secular), and
-one secant polish (_secant_root) refines each rightmost QR eigenvalue on
-it (spectrum_dense).  The abscissa takes one rightmost eigenvalue per block
+stored and each mode block is a contiguous slice of it.  Both commands
+read one list of blocks (_blocks): the mode blocks or the two parity
+blocks, then the mode-0 chain.  Every eigenvalue is a root of its block's
+characteristic function (_symbol, _secular), and one secant polish
+(_secant_root) refines each rightmost QR eigenvalue on it
+(spectrum_dense).  The abscissa takes one rightmost eigenvalue per block
 under one rule for both theta BCs and both commands (_rightmost): a mode
 block's polished QR value, the chain's -Nrho/tau, and a Dirichlet parity
 block's counted one (_counted_rightmost), sharpened by shift-invert where
@@ -158,47 +160,64 @@ def _mode_eigvals(grid: Grid, p: PhysParams):
     return np.concatenate(w), np.array(ks)[owner], R, idx, owner, np.array(err)
 
 
-def _block_eigvals(grid: Grid, p: PhysParams):
-    """Every QR eigenvalue of the reduced generator, block by block, and its
-    Fourier mode (None for Dirichlet theta); then each eigenvalue's block,
-    each block's QR bound, _mode_eigvals' output and the parity blocks
-    (_parity_blocks), each solved whole, as (M, theta, QR eigenvalues); the
-    larger one is checked against DENSE_MAX_DIM before assembly."""
-    if p.theta_bc != "neumann":
-        Nx, n = grid.Nx, grid.Nrho + 3
-        _check_dense_dim(max((Nx + 1) // 2 * n, Nx // 2 * n + 1))
-    eig = _mode_eigvals(grid, p)
-    w, modes, R, idx, owner, err = eig
+def _blocks(grid: Grid, p: PhysParams, solve: bool = False) -> list[tuple]:
+    """The blocks of the reduced generator in the rule's order: the Neumann
+    mode blocks, or else the odd and the even parity block (_parity_blocks),
+    then the mode-0 chain.  Each is (w, err, f, parity): its QR eigenvalues
+    w, their bound err (_qr_error), a function f whose roots are its
+    eigenvalues, and for a parity block (M, theta, the eigenvalues of D),
+    else None.  A parity block's w is None unless `solve`, and then the
+    larger one is checked against DENSE_MAX_DIM before assembly.  f is e_k
+    (_symbol) for Neumann mode k, F (_secular) times the distance to the
+    nearest eigenvalue of D for a parity block, and s + Nrho/tau for the
+    chain, whose only eigenvalue is -Nrho/tau."""
+    if solve and p.theta_bc != "neumann":      # the larger parity block
+        n = grid.Nrho + 3
+        _check_dense_dim(max((grid.Nx + 1) // 2 * n, grid.Nx // 2 * n + 1))
+    w, modes, R, idx, owner, err = _mode_eigvals(grid, p)
+
+    def e(s, mu):
+        with np.errstate(all="ignore"):     # a root that is not finite is refused
+            return _symbol(s, mu, _delay(s, grid, p), p)[1]
+
+    def secular(s, theta, D):
+        return _secular(s, grid, p, theta) * (s - D[np.argmin(np.abs(D - s))])
+
     if p.theta_bc == "neumann":
-        return w, modes, owner, err, eig, ()
-    parity = [(M, theta, sla.eigvals(M.toarray()))
-              for M, theta in _parity_blocks(grid, p, R, idx)]
-    ws = [v for *_, v in parity] + [w[modes == 0]]
-    return (np.concatenate(ws), None, np.repeat(np.arange(3), [v.size for v in ws]),
-            np.r_[[_qr_error(M) for M, *_ in parity], err[-1]], eig, parity)
+        g = _fourier_symbols(grid)[0]
+        blocks = [(w[owner == k - 1], err[k - 1], functools.partial(e, mu=g[k] ** 2), None)
+                  for k in range(1, grid.Nx + 1)]
+    else:
+        blocks = []
+        for M, theta in _parity_blocks(grid, p, R, idx):
+            D = _parity_poles(theta, w, modes)
+            blocks.append((sla.eigvals(M.toarray()) if solve else None, _qr_error(M),
+                           functools.partial(secular, theta=theta, D=D), (M, theta, D)))
+    return blocks + [(w[modes == 0], err[-1], lambda s: s + grid.Nrho / p.tau, None)]
 
 
 def spectrum_dense(grid: Grid, p: PhysParams) -> SpectrumResult:
     """All eigenvalues of the generator on the constrained state space.
 
-    QR (LAPACK) gives every eigenvalue, block by block (_block_eigvals).
-    Each of the N_REFINE rightmost is polished as a root of its block's
-    function (_root_functions) and replaces its QR value (converged) where
-    the polish confirms it (_secant_root, radius the block's QR bound); its
-    residual is the polish's last step.  Row 0 is the abscissa's eigenvalue
-    (_rightmost), in place of the nearest QR row of its block; the other
-    rows follow by real part, then imaginary part, descending.  Raises
-    FloatingPointError if a QR eigenvalue is not finite, and where the rule
-    raises it.
+    QR (LAPACK) gives every eigenvalue, block by block (_blocks).  Each of
+    the N_REFINE rightmost is polished as a root of its block's function
+    and replaces its QR value (converged) where the polish confirms it
+    (_secant_root, radius the block's QR bound); its residual is the
+    polish's last step.  Row 0 is the abscissa's eigenvalue (_rightmost),
+    in place of the nearest QR row of its block; the other rows follow by
+    real part, then imaginary part, descending.  Raises FloatingPointError
+    if a QR eigenvalue is not finite, and where the rule raises it.
     """
-    w, modes, owner, err, eig, parity = _block_eigvals(grid, p)
+    blocks = _blocks(grid, p, solve=True)
+    ws, errs, roots, _ = zip(*blocks)
+    w = np.concatenate(ws)
     if not np.isfinite(w).all():
         raise FloatingPointError("the spectrum has a non-finite eigenvalue")
-    roots = _root_functions(grid, p, eig, parity)
-    top, at = _rightmost(grid, p, eig, parity)
+    owner = np.repeat(np.arange(len(ws)), [v.size for v in ws])
+    top, at = _rightmost(grid, p, blocks)
     order = np.argsort(-w.real)
     w, owner = w[order], owner[order]
-    polish = [_secant_root(roots[j], z, err[j], w[owner == j])
+    polish = [_secant_root(roots[j], z, errs[j], w[owner == j])
               for z, j in zip(w[:N_REFINE], owner)]
     converged = np.array([root is not None for root, _ in polish])
     refined = w.copy()
@@ -210,32 +229,13 @@ def spectrum_dense(grid: Grid, p: PhysParams) -> SpectrumResult:
     order2 = np.r_[a, order2[order2 != a]]
     return SpectrumResult(eigenvalues=refined[order2], converged=converged,
                           rightmost_residuals=np.array([step for _, step in polish]),
-                          modes=None if modes is None else modes[order][order2])
+                          modes=np.r_[1:grid.Nx + 1, 0][owner][order2]     # blocks' modes
+                          if p.theta_bc == "neumann" else None)
 
 
 def _qr_error(B) -> float:
     """n eps ||B||_1: QR's rounding error on the eigenvalues of the block B."""
     return B.shape[0] * np.finfo(float).eps * abs(B).sum(axis=0).max()
-
-
-def _root_functions(grid: Grid, p: PhysParams, eig, parity=()) -> list:
-    """Per block, numbered as by _block_eigvals, a function whose roots are
-    its eigenvalues: e_k (_symbol) for Neumann mode k, F (_secular) times
-    the distance to the nearest eigenvalue of D for a parity block, and
-    s + Nrho/tau for the mode-0 chain, whose only eigenvalue is -Nrho/tau."""
-    g = _fourier_symbols(grid)[0]
-
-    def e(s, mu):
-        with np.errstate(all="ignore"):     # a root that is not finite is refused
-            return _symbol(s, mu, _delay(s, grid, p), p)[1]
-
-    def secular(s, theta, D):
-        return _secular(s, grid, p, theta) * (s - D[np.argmin(np.abs(D - s))])
-
-    roots = ([functools.partial(secular, theta=t, D=_parity_poles(t, *eig[:2]))
-              for _, t, *_ in parity] if parity else
-             [functools.partial(e, mu=g[k] ** 2) for k in range(1, grid.Nx + 1)])
-    return roots + [lambda s: s + grid.Nrho / p.tau]
 
 
 def _parity_poles(theta: np.ndarray, poles: np.ndarray, modes: np.ndarray) -> np.ndarray:
@@ -248,43 +248,37 @@ def _parity_poles(theta: np.ndarray, poles: np.ndarray, modes: np.ndarray) -> np
 def spectral_abscissa(grid: Grid, p: PhysParams):
     """Maximum real part of the constrained-space spectrum and the achieving
     eigenvalue, by one rule per block for both theta BCs (_rightmost)."""
-    eig = _mode_eigvals(grid, p)
-    if p.theta_bc != "neumann":     # the dense theta coupling of a parity block
-        _check_dense_dim(grid.nflux - grid.nflux // 2)
-    parity = _parity_blocks(grid, p, *eig[2:4]) if p.theta_bc != "neumann" else ()
-    best = _rightmost(grid, p, eig, parity)[0]
+    best = _rightmost(grid, p, _blocks(grid, p))[0]
     return float(best.real), complex(best)
 
 
-def _rightmost(grid: Grid, p: PhysParams, eig, parity=()):
-    """The rightmost eigenvalue by one rule per block, and its block as
-    numbered by _block_eigvals; parity holds (M, theta[, QR eigenvalues]).
+def _rightmost(grid: Grid, p: PhysParams, blocks: list[tuple]):
+    """The rightmost eigenvalue by one rule per block, and its index in
+    blocks (_blocks).
 
-    The mode-0 chain gives -Nrho/tau.  A parity block is counted
-    (_counted_rightmost), and where the count fails its QR eigenvalues are
-    sharpened (_sharpened).  A Neumann mode block gives its rightmost QR
-    eigenvalue, polished (_polished).  These blocks are visited from QR's
-    rightmost value down, skipping one whose value plus its QR bound lies
-    below the best.
+    The mode-0 chain, last, gives -Nrho/tau.  A parity block is counted
+    (_counted_rightmost), and where the count fails its QR eigenvalues,
+    solved here if the block holds none, are sharpened (_sharpened).  A
+    Neumann mode block gives its rightmost QR eigenvalue, polished
+    (_polished).  These blocks are visited from QR's rightmost value down,
+    skipping one whose value plus its QR bound lies below the best.
     """
-    poles, modes, R, idx, owner, err = eig
-    best, at = complex(-grid.Nrho / p.tau), len(parity) or len(idx) - 1
+    best, at = complex(-grid.Nrho / p.tau), len(blocks) - 1
     todo = []
-    for j, (M, theta, *qr) in enumerate(parity):
-        lam = _counted_rightmost(M, theta, _parity_poles(theta, poles, modes), grid, p)
+    for j, (w, err, f, parity) in enumerate(blocks[:-1]):
+        if parity is None:
+            todo.append((w, err, j, functools.partial(_polished, f, err)))
+            continue
+        lam, M = _counted_rightmost(*parity, grid, p), parity[0]
         if lam is None:
-            if not qr:
+            if w is None:
                 _check_dense_dim(M.shape[0])
-                qr = [sla.eigvals(M.toarray())]
-            todo.append((qr[0], _qr_error(M), j, functools.partial(_sharpened, M)))
+                w = sla.eigvals(M.toarray())
+            todo.append((w, err, j, functools.partial(_sharpened, M)))
         elif lam.real > best.real:
             best, at = lam, j
-    if not parity:
-        roots = _root_functions(grid, p, eig)
-        todo = [(poles[owner == j], err[j], j, functools.partial(_polished, roots[j], err[j]))
-                for j in range(len(idx) - 1)]
-    for w, e, j, rightmost in sorted(todo, key=lambda b: -b[0].real.max()):
-        if w.real.max() + e >= best.real:
+    for w, err, j, rightmost in sorted(todo, key=lambda b: -b[0].real.max()):
+        if w.real.max() + err >= best.real:
             z = rightmost(w)
             if z.real > best.real:
                 best, at = z, j
@@ -359,10 +353,11 @@ def _parity_blocks(grid: Grid, p: PhysParams, R: sp.csr_matrix,
     cut takes its modes' rows field by field, all u, all v, all z, then all
     theta, the even block with a theta-mean row and column; only its
     theta-theta block, kappa (-diag(g^2) - (4/dx^2) c c^T), is written
-    here, densely: the caller checks the larger parity's theta modes
-    against DENSE_MAX_DIM.
+    here, densely, once the larger parity's theta modes are checked against
+    DENSE_MAX_DIM.
     """
     nf = grid.nflux
+    _check_dense_dim(nf - nf // 2)
     g, c = _fourier_symbols(grid)
     rows = np.arange(R.shape[0])
     blocks = []

@@ -255,7 +255,9 @@ def parity_blocks(grid: Grid) -> list[np.ndarray]:
 def reduced_eigvals(grid: Grid, p: PhysParams):
     """Every QR eigenvalue of the reduced generator, block by block, and its
     Fourier mode (None for Dirichlet theta), unsharpened."""
-    return spectral._block_eigvals(grid, p)[:2]
+    if p.theta_bc == "neumann":
+        return spectral._mode_eigvals(grid, p)[:2]
+    return np.concatenate([w for w, *_ in spectral._blocks(grid, p, solve=True)]), None
 
 
 def spectrum_superlu(grid: Grid, p: PhysParams) -> spectral.SpectrumResult:

@@ -195,7 +195,7 @@ def test_reduced_neumann_generator_is_block_diagonal_as_stored(Nx, Nrho):
 @pytest.mark.parametrize("theta_bc", ["neumann", "dirichlet"])
 @pytest.mark.parametrize("Nx,Nrho", [(3, 2), (8, 8), (17, 5), (32, 32)])
 def test_dense_blocks_equal_the_fancy_slices(monkeypatch, theta_bc, Nx, Nrho):
-    # each block QR solves for the spectrum (_block_eigvals) has the bytes of
+    # each block QR solves for the spectrum (_blocks) has the bytes of
     # the fancy slice R[b][:, b]: of the reduced generator for Neumann theta,
     # of the oracle's Dirichlet generator, assembled whole, for the parity
     # blocks and the chain of Dirichlet theta, whose mode blocks come first
@@ -210,7 +210,7 @@ def test_dense_blocks_equal_the_fancy_slices(monkeypatch, theta_bc, Nx, Nrho):
     g = Grid(Nx=Nx, Nrho=Nrho)
     p = PhysParams(**{**UNIT.__dict__, "beta": 4.5, "theta_bc": theta_bc})
     R = oracles.reduced_generator(assemble_generator(g, p, oracles.modal_operators(g, p)))
-    spectral._block_eigvals(g, p)
+    spectral._blocks(g, p, solve=True)
     if theta_bc == "neumann":
         blocks = [np.arange(R.shape[0])[b] for _, b in spectral._modal_blocks(g)]
     else:
