@@ -16,10 +16,10 @@ Neumann matrix, and only the rank-1 theta coupling w c c^T is added
 stored and each mode block is a contiguous slice of it.  Both commands
 read one list of blocks (_blocks): the mode blocks or the two parity
 blocks, then the mode-0 chain.  Every eigenvalue is a root of its block's
-characteristic function (_symbol, _secular), and one secant polish
-(_secant_root) refines each rightmost QR eigenvalue on it
-(spectrum_dense).  The abscissa takes one rightmost eigenvalue per block
-under one rule for both theta BCs and both commands (_rightmost): a mode
+characteristic function (_symbol, _secular); one secant polish
+(_secant_root), from a start rounded to 2^-30 of its size (_rounded),
+refines a rightmost QR eigenvalue on it.  The abscissa takes one rightmost
+eigenvalue per block by one rule for both theta BCs (_rightmost): a mode
 block's polished QR value, the chain's -Nrho/tau, and a Dirichlet parity
 block's counted one (_counted_rightmost), sharpened by shift-invert where
 the count fails (_sharpened).  scipy.sparse.linalg (ARPACK) is imported
@@ -200,13 +200,14 @@ def spectrum_dense(grid: Grid, p: PhysParams) -> SpectrumResult:
     """All eigenvalues of the generator on the constrained state space.
 
     QR (LAPACK) gives every eigenvalue, block by block (_blocks).  Each of
-    the N_REFINE rightmost is polished as a root of its block's function
-    and replaces its QR value (converged) where the polish confirms it
-    (_secant_root, radius the block's QR bound); its residual is the
-    polish's last step.  Row 0 is the abscissa's eigenvalue (_rightmost),
-    in place of the nearest QR row of its block; the other rows follow by
-    real part, then imaginary part, descending.  Raises FloatingPointError
-    if a QR eigenvalue is not finite, and where the rule raises it.
+    the N_REFINE rightmost is polished as a root of its block's function,
+    from its QR value rounded to 2^-30 of its size, and replaces it
+    (converged) where the polish confirms it (_secant_root, radius the
+    block's QR bound); its residual is the polish's last step.  Row 0 is
+    the abscissa's eigenvalue (_rightmost), in place of the nearest QR row
+    of its block; the other rows follow by real part, then imaginary part,
+    descending.  Raises FloatingPointError if a QR eigenvalue is not
+    finite, and where the rule raises it.
     """
     blocks = _blocks(grid, p, solve=True)
     ws, errs, roots, _ = zip(*blocks)
@@ -304,18 +305,17 @@ def _sharpened(M: sp.spmatrix, w: np.ndarray) -> complex:
 
     Where QR's bound err = n eps ||M||_1 exceeds 2^-30 of the rightmost,
     complex shift-invert Arnoldi at it finds the rightmost eigenvalue
-    within err, kept if a second shift 2^-40 relative above it, off the
-    real axis, reproduces it to 2^-30, and rounded to 2^-40 so that the
-    BLAS thread count does not show.  Otherwise QR's value stands, unless
-    err is at least the size of its real part: then not even its sign is
-    known, and FloatingPointError is raised, as it is when shift-invert
-    finds no eigenvalue within err (+1.708 where the abscissa is -0.0384).
+    within err, kept if a second shift one step h above it, off the real
+    axis, reproduces it to 2^-30, and rounded to h = 2^-40 of its size
+    (_rounded).  Otherwise QR's value stands, unless err is at least the
+    size of its real part: then not even its sign is known, and
+    FloatingPointError is raised, as it is when shift-invert finds no
+    eigenvalue within err (+1.708 where the abscissa is -0.0384).
     """
     z0 = w[np.argmax(w.real)]
     err = _qr_error(M)
     if err <= 2.0**-30 * abs(z0):
         return z0
-    z = None
     try:
         C = M.astype(complex)
         cand = _rightmost_candidates(C, [z0])
@@ -324,18 +324,16 @@ def _sharpened(M: sp.spmatrix, w: np.ndarray) -> complex:
             raise FloatingPointError(f"shift-invert finds no eigenvalue within the "
                                      f"rounding error {err:.3g} of QR's rightmost {z0}")
         z = cand[np.argmax(cand.real)]
-        h = math.ldexp(1.0, math.frexp(abs(z))[1] - 41)
+        rounded, h = _rounded(z, 40)
         again = _rightmost_candidates(C, [z + 1j * h])
-        if not np.abs(again - z).min() <= 2.0**-30 * abs(z):
-            z = None
+        if np.abs(again - z).min() <= 2.0**-30 * abs(z):
+            return rounded
     except RuntimeError:      # a singular shift or an ArpackError
-        z = None
-    if z is None:
-        if err >= abs(z0.real):
-            raise FloatingPointError(f"the rightmost eigenvalue {z0} lies within "
-                                     f"the rounding error {err:.3g} of its block")
-        return z0
-    return complex(round(z.real / h) * h, round(z.imag / h) * h)
+        pass
+    if err >= abs(z0.real):
+        raise FloatingPointError(f"the rightmost eigenvalue {z0} lies within "
+                                 f"the rounding error {err:.3g} of its block")
+    return z0
 
 
 def _parity_blocks(grid: Grid, p: PhysParams, R: sp.csr_matrix,
@@ -544,18 +542,24 @@ def _counted_rightmost(M: sp.spmatrix, theta: np.ndarray, poles: np.ndarray,
                         2.0**-28 * abs(lam))[0]
 
 
+def _rounded(z: complex, bits: int) -> tuple[complex, float]:
+    """z rounded to a step h, and h: 2^-bits of the largest power of two not
+    above a normal |z|, ulp(|z|) 2^(52 - bits), never 0.  Polishes start from
+    or return such values, so the BLAS thread count that made z cannot show."""
+    h = math.ulp(abs(z)) * 2.0 ** (52 - bits)
+    return complex(round(z.real / h) * h, round(z.imag / h) * h), h
+
+
 def _secant_root(f, z: complex, radius: float, w=()):
     """The root of f next to z by the secant method, from z rounded to
-    about 1e-9 relative so that the BLAS thread count of the value z does
-    not show, and the size of its last step.  The root is None unless it is
-    finite within `radius` of z and no other of the values w lies within
-    `radius` of z.  A real start stays on the real axis.
+    2^-30 of its size (_rounded), and the size of its last step.  The root
+    is None unless it is finite within `radius` of z and no other of the
+    values w lies within `radius` of z.  A real start stays on the real
+    axis.
     """
-    h = 2.0 ** (np.floor(np.log2(1.0 + abs(z))) - 30)
-    s0 = complex(round(z.real / h) * h, round(z.imag / h) * h)
-    s1 = s0 + h
+    s0, step = _rounded(z, 30)
+    s1 = s0 + step
     f0, f1 = (complex(f(np.array([s]))[0]) for s in (s0, s1))
-    step = h
     for _ in range(SECANT_STEPS):
         if f1 == f0:
             break

@@ -744,6 +744,51 @@ def test_sharpened_refuses_a_real_part_within_its_rounding_error(monkeypatch, ar
     assert len(calls) == (1 if arpack == "fails" else 2)
 
 
+def test_the_odd_block_counts_an_abscissa_of_size_4e_13():
+    # 8x8 Dirichlet, beta = 4.5, gamma = 1e7.  The polish of the count
+    # started from the candidate rounded to an absolute 2^-30, which kept no
+    # digit of -3.79e-13, and the count failed; rounded to 2^-30 of its size,
+    # it gives the 60-digit abscissa (mpmath eig of both parity blocks; the
+    # even block holds it, 6.7e-27 right of the odd block's)
+    p = PhysParams(**{**_dirichlet(4.5).__dict__, "gamma": 1e7})
+    g = Grid(Nx=8, Nrho=8)
+    M, theta, poles = _counted_blocks(g, p)[0]
+    lam = spectral._counted_rightmost(M, theta, poles, g, p)
+    ref = -3.7900800214674234e-13
+    assert lam is not None and abs(lam - ref) <= 1e-12 * abs(ref), lam
+
+
+def test_dirichlet_abscissa_of_a_cluster_the_count_misses():
+    """9x6 Dirichlet, alpha = 25.67, beta = 97.18, gamma = 0.0552, kappa =
+    0.0107, tau = 26.40, ell = 0.0960: the odd block's two rightmost pairs
+    lie 3.4e-10 apart in real part, near its count's line, and the count
+    there reads 4 where the truth is 2, so both parity counts fail and
+    shift-invert sharpens each block.  The reference is the rightmost pair
+    of a 60-digit eigensolve (mpmath eig) of the odd block."""
+    p = PhysParams(alpha=25.67, beta=97.18, gamma=0.0552, kappa=0.0107, tau=26.40,
+                   ell=0.0960, theta_bc="dirichlet")
+    a, lam = spectral_abscissa(Grid(Nx=9, Nrho=6, ell=p.ell), p)
+    ref = 0.030639575250766443 + 0.08526734161781147j
+    assert abs(a - ref.real) <= 1e-11 * ref.real
+    assert abs(lam - ref) <= 1e-11 * abs(ref)
+
+
+@pytest.mark.parametrize("x", [0.0, 5e-324, 1e-310, 3.79e-13, 0.3, 1e300])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("bits", [30, 40])
+def test_rounding_of_a_polish_is_near_and_settled(x, kind, bits):
+    # finite, within one step h of z, and rounded again unchanged; h is
+    # 2^-bits of the largest power of two not above a normal |z|, and not 0
+    # at z = 0 or a subnormal |z|
+    z = complex(x, -x if kind == "complex" else 0.0)
+    r, h = spectral._rounded(z, bits)
+    assert 0.0 < h < np.inf and np.isfinite(r)
+    assert abs(r - z) <= h
+    assert spectral._rounded(r, bits) == (r, h)
+    if abs(z) >= np.finfo(float).tiny:
+        assert h == np.ldexp(1.0, int(np.floor(np.log2(abs(z)))) - bits)
+
+
 def test_h_weight_matrix_spd():
     g = Grid(Nx=6, Nrho=4)
     W = h_weight_matrix(real_space_generator(g, UNIT), xi=1.3).toarray()
