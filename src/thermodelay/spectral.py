@@ -5,25 +5,26 @@ mean in Neumann mode).  Spectra are taken there: sparse maps E and P
 restrict the assembled generator to it.  One generator is assembled per
 call, in the Fourier-mode coordinates of build_operators with Neumann
 theta, where the restricted matrix splits into one small block per mode
-(_modal_blocks); only those blocks are dense.  Dirichlet theta couples the
-cosine modes of one parity, as the reflection x -> ell - x commutes with
-the generator, so its restricted matrix splits into an odd and an even
-block of about half the reduced dimension each.  Each parity block is
-M = D - w c c^T: D, the Neumann mode blocks of its modes, is cut from the
-Neumann matrix, and only the rank-1 theta coupling w c c^T is added
-(_parity_blocks).  The reduced coordinates come mode by mode
-(restriction_maps), so the restricted Neumann matrix is block-diagonal as
-stored and each mode block is a contiguous slice of it.  Both commands
-read one list of blocks (_blocks): the mode blocks or the two parity
-blocks, then the mode-0 chain.  Every eigenvalue is a root of its block's
-characteristic function (_symbol, _secular); one secant polish
-(_secant_root), from a start rounded to 2^-30 of its size (_rounded),
-refines a rightmost QR eigenvalue on it.  The abscissa takes one rightmost
-eigenvalue per block by one rule for both theta BCs (_rightmost): a mode
-block's polished QR value, the chain's -Nrho/tau, and a Dirichlet parity
-block's counted one (_counted_rightmost), sharpened by shift-invert where
-the count fails (_sharpened).  scipy.sparse.linalg (ARPACK) is imported
-only for Dirichlet theta.
+(_modal_blocks), a contiguous slice of it, as the reduced coordinates come
+mode by mode (restriction_maps); only those blocks are dense.  Dirichlet
+theta couples the cosine modes of one parity, as the reflection
+x -> ell - x commutes with the generator, so its restricted matrix splits
+into an odd and an even block of about half the reduced dimension each.
+Each parity block is M = D - w c c^T: D, the Neumann mode blocks of its
+modes, is cut from the Neumann matrix, and only the rank-1 theta coupling
+w c c^T is added (_parity_blocks).  Both commands read one list of blocks
+(_blocks): the mode blocks or the two parity blocks, then the mode-0
+chain.  Every eigenvalue is a root of its block's characteristic function
+(_symbol, _secular); one secant polish (_secant_root), from a start
+rounded to 2^-30 of its size (_rounded), refines a rightmost QR eigenvalue
+on it.  The abscissa takes one rightmost eigenvalue per block by one rule
+for both theta BCs (_rightmost): a mode block's polished QR value, the
+chain's -Nrho/tau, and a Dirichlet parity block's counted one
+(_counted_rightmost), sharpened by shift-invert where the count fails
+(_sharpened).  F's poles, the eigenvalues of D, are one array per parity
+block, from QR, read by every reader; the count polishes a pole on its
+mode's e_k where QR cannot place it (_settle).  scipy.sparse.linalg
+(ARPACK) is imported only for Dirichlet theta.
 
 The dissipativity supremum is read off the same Neumann mode blocks.  The
 Gram matrix of the weighted inner product, restricted to the constrained
@@ -162,15 +163,16 @@ def _mode_eigvals(grid: Grid, p: PhysParams):
 
 def _blocks(grid: Grid, p: PhysParams, solve: bool = False) -> list[tuple]:
     """The blocks of the reduced generator in the rule's order: the Neumann
-    mode blocks, or else the odd and the even parity block (_parity_blocks),
-    then the mode-0 chain.  Each is (w, err, f, parity): its QR eigenvalues
-    w, their bound err (_qr_error), a function f whose roots are its
-    eigenvalues, and for a parity block (M, theta, the eigenvalues of D),
-    else None.  A parity block's w is None unless `solve`, and then the
-    larger one is checked against DENSE_MAX_DIM before assembly.  f is e_k
-    (_symbol) for Neumann mode k, F (_secular) times the distance to the
-    nearest eigenvalue of D for a parity block, and s + Nrho/tau for the
-    chain, whose only eigenvalue is -Nrho/tau."""
+    mode blocks, or else the odd and the even parity block
+    (_parity_blocks), then the mode-0 chain.  Each is (w, err, f, parity):
+    its QR eigenvalues w, their bound err (_qr_error), a function f whose
+    roots are its eigenvalues, and for a parity block (M, theta, D, of),
+    else None: D its poles (_parity_poles), of their mode blocks (_settle).
+    A parity block's w is None unless `solve`, and then the larger one is
+    checked against DENSE_MAX_DIM before assembly.  f is e_k (_symbol) for
+    Neumann mode k, F (_secular) times the distance to the nearest pole in
+    D for a parity block, and s + Nrho/tau for the chain, whose only
+    eigenvalue is -Nrho/tau."""
     if solve and p.theta_bc != "neumann":      # the larger parity block
         n = grid.Nrho + 3
         _check_dense_dim(max((grid.Nx + 1) // 2 * n, grid.Nx // 2 * n + 1))
@@ -183,16 +185,16 @@ def _blocks(grid: Grid, p: PhysParams, solve: bool = False) -> list[tuple]:
     def secular(s, theta, D):
         return _secular(s, grid, p, theta) * (s - D[np.argmin(np.abs(D - s))])
 
-    if p.theta_bc == "neumann":
-        g = _fourier_symbols(grid)[0]
-        blocks = [(w[owner == k - 1], err[k - 1], functools.partial(e, mu=g[k] ** 2), None)
-                  for k in range(1, grid.Nx + 1)]
-    else:
-        blocks = []
+    g = _fourier_symbols(grid)[0]
+    blocks = [(w[owner == k - 1], err[k - 1], functools.partial(e, mu=g[k] ** 2), None)
+              for k in range(1, grid.Nx + 1)]
+    if p.theta_bc != "neumann":
+        modal, blocks = blocks, []
         for M, theta in _parity_blocks(grid, p, R, idx):
             D = _parity_poles(theta, w, modes)
+            of = [modal[j] for j in owner[np.isin(modes, theta[theta > 0])]]
             blocks.append((sla.eigvals(M.toarray()) if solve else None, _qr_error(M),
-                           functools.partial(secular, theta=theta, D=D), (M, theta, D)))
+                           functools.partial(secular, theta=theta, D=D), (M, theta, D, of)))
     return blocks + [(w[modes == 0], err[-1], lambda s: s + grid.Nrho / p.tau, None)]
 
 
@@ -241,9 +243,21 @@ def _qr_error(B) -> float:
 
 def _parity_poles(theta: np.ndarray, poles: np.ndarray, modes: np.ndarray) -> np.ndarray:
     """The eigenvalues of D of the parity block on the cosine modes theta,
-    from the Neumann eigenvalues `poles` of `modes`; 0 for the theta mean."""
+    from the Neumann QR eigenvalues `poles` of `modes`, mode by mode; 0 for
+    the theta mean.  These are F's poles (_secular); see _settle."""
     cos = theta[theta > 0]
     return np.r_[poles[np.isin(modes, cos)], np.zeros(theta.size - cos.size)]
+
+
+def _settle(poles: np.ndarray, of: list[tuple], dist: np.ndarray):
+    """Polish in place each pole poles[i] whose distance dist[i] lies
+    within the QR bound err of its mode block of[i] = (w, err, f, None) of
+    _blocks, where QR cannot place it: to its secant root on e_k = f
+    (_secant_root, radius err, cluster guard w) where confirmed.  The theta
+    mean's pole, 0, is exact."""
+    for i, (w, err, f, _) in enumerate(of):
+        if dist[i] <= err and (root := _secant_root(f, poles[i], err, w)[0]) is not None:
+            poles[i] = root
 
 
 def spectral_abscissa(grid: Grid, p: PhysParams):
@@ -270,7 +284,7 @@ def _rightmost(grid: Grid, p: PhysParams, blocks: list[tuple]):
         if parity is None:
             todo.append((w, err, j, functools.partial(_polished, f, err)))
             continue
-        lam, M = _counted_rightmost(*parity, grid, p), parity[0]
+        lam, M = _counted_rightmost(*parity, f, grid, p), parity[0]
         if lam is None:
             if w is None:
                 _check_dense_dim(M.shape[0])
@@ -449,17 +463,17 @@ def _count_right_of(x0: float, theta: np.ndarray, poles: np.ndarray,
     the cosine modes theta (see _parity_blocks), or None when the count is
     not settled.
 
-    It is the number of poles (eigenvalues of D) right of x0 plus the
-    winding number of F (_secular) around the half plane Re s > x0.  F(conj
-    s) = conj F(s) and F - 1 = O(1/s), so that is the change of arg F along
+    It is the number of poles right of x0, the eigenvalues of D as given
+    (QR's, polished where QR cannot place them: _settle), plus the winding
+    number of F (_secular) around the half plane Re s > x0.  F(conj s) =
+    conj F(s) and F - 1 = O(1/s), so that is the change of arg F along
     s = x0 + i w as w falls from infinity to 0, divided by pi.  The path
     w = S t/(1 - t), S = 1 + the largest modulus among the poles, the other
     `known` points and x0, is sampled at 64 uniform steps of t from 1 (where
-    F = 1) to 0, and at the projection of every pole and known point onto
-    the line and one distance from it either side; then every step is
-    bisected until F turns by at most pi/8 from sample to sample.  The
-    result is sampled, not proven.  None when F is not finite on the path
-    or the refinement does not settle.
+    F = 1) to 0, at the projection of every pole and known point onto the
+    line and one distance either side; then each step is bisected until F
+    turns by at most pi/8 from sample to sample.  Sampled, not proven; None
+    when F is not finite on the path or the refinement does not settle.
     """
     known = np.r_[poles, known]
     S = 1.0 + np.abs(np.r_[known, x0]).max()
@@ -493,21 +507,23 @@ def _count_right_of(x0: float, theta: np.ndarray, poles: np.ndarray,
 
 
 def _counted_rightmost(M: sp.spmatrix, theta: np.ndarray, poles: np.ndarray,
-                       grid: Grid, p: PhysParams) -> complex | None:
+                       of: list[tuple], f, grid: Grid, p: PhysParams) -> complex | None:
     """Rightmost eigenvalue of the Dirichlet parity block M, or None when
-    the count does not confirm it.
+    the count does not confirm it; poles, of and f are its entry in _blocks.
 
     1. Candidates: shift-invert Arnoldi at 0 and at the rightmost pole.
     2. The left edge x0 lies in the widest gap between pole real parts just
        below the rightmost candidate a: at most 1e-3 (1 + |a|) below it, and
-       above the next candidate.
+       above the next candidate.  Each pole within its mode block's QR
+       bound of the line, on a side QR cannot decide, is polished (_settle).
     3. The eigenvalues right of x0 are counted on the line Re s = x0
        (_count_right_of).
     4. The candidate is accepted if the count equals the number of distinct
-       candidates (more than 1e-8 |a| apart) right of x0, and polished
-       within 2^-28 of its size.  A count above it means candidates were
-       missed: steps 1-3 are redone once with 4 N_CANDIDATES per shift.  A
-       spurious candidate right of every eigenvalue counts 0 and is refused.
+       candidates (more than 1e-8 |a| apart) right of x0, and polished on f
+       within 2^-28 of its size, its nearest pole first where QR cannot
+       place it.  A count above it means candidates were missed: steps 1-3
+       are redone once with 4 N_CANDIDATES per shift.  A spurious candidate
+       right of every eigenvalue counts 0 and is refused.
     """
     top = poles[np.argmax(poles.real)]
     shifts = dict.fromkeys([0j, complex(top.real, abs(top.imag))])
@@ -523,6 +539,7 @@ def _counted_rightmost(M: sp.spmatrix, theta: np.ndarray, poles: np.ndarray,
         cuts = np.sort(np.r_[lo, a, poles.real[(poles.real > lo) & (poles.real < a)]])
         i = int(np.argmax(np.diff(cuts)))
         x0 = 0.5 * (cuts[i] + cuts[i + 1])
+        _settle(poles, of, np.abs(poles.real - x0))
 
         distinct = []
         for z in sorted(cand[cand.real > x0], key=lambda z: (-z.real, -z.imag)):
@@ -535,11 +552,9 @@ def _counted_rightmost(M: sp.spmatrix, theta: np.ndarray, poles: np.ndarray,
         return None
     lam = complex(distinct[0].real,
                   abs(distinct[0].imag) if abs(distinct[0].imag) > tol else 0.0)
-    # F times the distance to the nearest pole has the same root there but
-    # no pole beside it, which may sit closer than the rounded start
-    near = poles[np.argmin(np.abs(poles - lam))]
-    return _secant_root(lambda s: _secular(s, grid, p, theta) * (s - near), lam,
-                        2.0**-28 * abs(lam))[0]
+    near = np.abs(poles - lam)       # f divides out the nearest pole
+    _settle(poles, of, np.where(near > near.min(), np.inf, near))
+    return _secant_root(f, lam, 2.0**-28 * abs(lam))[0]
 
 
 def _rounded(z: complex, bits: int) -> tuple[complex, float]:

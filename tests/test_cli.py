@@ -558,7 +558,10 @@ def test_abscissa_that_shift_invert_contradicts_is_refused(tmp_path, cfgfile):
 # and +4.290e-9 (Dirichlet, 1e7), lies within the rounding error
 # n eps ||B||_1 of its block B, so spectrum exited 3 there and at Dirichlet
 # 1e5; inverse iteration wrote the Dirichlet 1e4 value 2.8e-8 and the
-# Neumann 1e6 value 4.9e-5 off.  The Dirichlet count is 1.7e-10 off at 1e7
+# Neumann 1e6 value 4.9e-5 off.  At Dirichlet 1e5, 1e6 and 1e7 the even
+# block's count failed on QR's poles and shift-invert wrote its value up to
+# 1.7e-10 off; counted on poles polished where QR cannot place them, every
+# Dirichlet value is within 1e-12
 LARGE_GAMMA = [
     ("neumann", "1e4", -9.769791994274596e-08, 1e-10),
     ("neumann", "1e5", -9.7697953982987e-10, 1e-10),
@@ -567,7 +570,7 @@ LARGE_GAMMA = [
     ("dirichlet", "1e4", -3.790074888997368e-07, 1e-12),
     ("dirichlet", "1e5", -3.7900799701477302e-09, 1e-12),
     ("dirichlet", "1e6", -3.7900800209593083e-11, 1e-12),
-    ("dirichlet", "1e7", -3.7900800214674234e-13, 1e-9),
+    ("dirichlet", "1e7", -3.7900800214674234e-13, 1e-12),
 ]
 
 
@@ -581,11 +584,20 @@ LARGE_GAMMA = [
     pytest.param(["model.theta_bc=dirichlet", "model.beta=0", "grid.nx=3",
                   "grid.nrho=2", "model.ell=5.477282865432251e-30"], None, None,
                  id="dirichlet-ell-5.5e-30")])
-def test_spectrum_refuses_an_abscissa_below_its_rounding_error(tmp_path, capfd, overrides,
-                                                               abscissa, rel):
+def test_spectrum_refuses_an_abscissa_below_its_rounding_error(tmp_path, capfd, monkeypatch,
+                                                               overrides, abscissa, rel):
     # spectrum writes the abscissa of the sweep's rule, from the same
     # function, as its abscissa and row 0; it exits 3 exactly where that
-    # rule has no value of known sign
+    # rule has no value of known sign.  Where it has one, every Dirichlet
+    # count settles: no parity block falls back to shift-invert
+    sharpened = []
+    sharpen = spectral._sharpened
+
+    def recorded(M, w):
+        sharpened.append(M.shape[0])
+        return sharpen(M, w)
+
+    monkeypatch.setattr(spectral, "_sharpened", recorded)
     out = tmp_path / "spec"
     code = _run(["spectrum", "--config", os.devnull, "--out", str(out)]
                 + [arg for o in overrides for arg in ("--override", o)])
@@ -595,7 +607,7 @@ def test_spectrum_refuses_an_abscissa_below_its_rounding_error(tmp_path, capfd, 
         assert err.startswith("numerical failure: the rightmost eigenvalue")
         assert err.count("\n") == 1, err
         return
-    assert (code, err) == (0, "")
+    assert (code, err, sharpened) == (0, "", [])
     summary = json.loads((out / "summary.json").read_text())
     assert abs(summary["abscissa"] - abscissa) <= rel * abs(abscissa)
     rows = np.loadtxt(out / "spectrum.csv", delimiter=",", skiprows=2)

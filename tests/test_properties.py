@@ -12,6 +12,7 @@ import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
+import mpmath
 import numpy as np
 import scipy.linalg as sla
 from hypothesis import assume, example, given, settings, strategies as st
@@ -195,13 +196,18 @@ def _sweep_rows(out: Path) -> list[list[str]]:
 
 def _dense_abscissa(gen) -> float:
     """The dense oracle of the abscissa: the rightmost QR eigenvalue of the
-    reduced generator's blocks (oracles.reduced_eigvals), refined by
-    shifted inverse iteration for its right and left eigenvectors and their
-    two-sided Rayleigh quotient, whose error is quadratic in theirs.  At large
+    reduced generator's blocks (spectral._blocks, as
+    oracles.reduced_eigvals takes them), refined by shifted inverse
+    iteration for its right and left eigenvectors and their two-sided
+    Rayleigh quotient, whose error is quadratic in theirs.  At large
     parameters the QR value alone is good only to about eps ||R||.  Where
     the quotient does not settle, the QR value is no eigenvalue to working
-    precision and is kept as it is."""
-    w = oracles.reduced_eigvals(gen.grid, gen.p)[0]
+    precision.  It stands where its block's QR bound n eps ||B||_1 lies well
+    inside the test's 1e-10; elsewhere, and only there, since it takes
+    seconds for a block of 60 rows, the rightmost eigenvalue of a 30-digit
+    eigensolve (mpmath.eig) of its parity block takes its place."""
+    blocks = spectral._blocks(gen.grid, gen.p, solve=True)
+    w = np.concatenate([v for v, *_ in blocks])
     lam = w[np.argmax(w.real)]
     R = oracles.reduced_generator(gen).toarray()
     lu = sla.lu_factor(R - (lam + 1e-8 * (1.0 + abs(lam))) * np.eye(len(R)))
@@ -213,8 +219,14 @@ def _dense_abscissa(gen) -> float:
         y = sla.lu_solve(lu, y, trans=2)        # (R - shift)^H y_new = y
         y /= np.linalg.norm(y)
         quotients.append(np.vdot(y, R @ x) / np.vdot(y, x))
-    settled = abs(quotients[-1] - quotients[-2]) <= 1e-13 * (1.0 + abs(lam))
-    return float(quotients[-1].real if settled else lam.real)
+    if abs(quotients[-1] - quotients[-2]) <= 1e-13 * (1.0 + abs(lam)):
+        return float(quotients[-1].real)
+    err, parity = next((err, parity) for v, err, _, parity in blocks if lam in v)
+    if parity is None or err <= 1e-11 * (1.0 + abs(lam)):
+        return float(lam.real)
+    with mpmath.workdps(30):
+        eig = mpmath.eig(mpmath.matrix(parity[0].toarray().tolist()), left=False, right=False)
+        return float(max(mpmath.re(z) for z in eig))
 
 
 @PROPERTY
@@ -230,6 +242,9 @@ def _dense_abscissa(gen) -> float:
 # QR alone put these abscissae 4e-10 (a wrong sign) and 5e-9 off
 @example(nx=4, nrho=2, steps=1, name="gamma", values=["1e6"])
 @example(nx=5, nrho=2, steps=1, name="beta", values=["1e6"])
+# QR gives +9.45e-10 and the quotient does not settle; the oracle's 30-digit
+# eigensolve gives -3.600000000126e-11, the sweep the 60-digit -3.6000000001206e-11
+@example(nx=5, nrho=2, steps=1, name="gamma", values=["1e6"])
 def test_dirichlet_sweep_exits_cleanly_with_the_dense_abscissa(nx, nrho, steps,
                                                                name, values):
     # every abscissa in sweep.csv is the counted one; the oracle is the dense
@@ -322,6 +337,45 @@ def test_dirichlet_count_matches_the_dense_count(nx, nrho, logs):
         x0 = 0.5 * (cuts[i] + cuts[i + 1])
         assume(np.abs(np.r_[w, D].real - x0).min() > 1e-6 * (1.0 + abs(x0)))
         assert spectral._count_right_of(x0, theta, D, np.array([]), g, p) == np.sum(w.real > x0)
+
+
+# the first 100 draws of the Dirichlet scan, seed 7: nx 3-16, nrho 2-8, one
+# of alpha..ell log-uniform in [1, 1e6] and the others in [0.1, 10], beta = 0
+# in half of the draws where beta is not the large one.  Counts that fail
+# (_counted_rightmost gives None) and blocks sharpened by shift-invert
+# (_sharpened), on QR's poles and on poles polished where QR cannot place
+# them (_settle)
+ROUTE_ON_QR_POLES = {"failed counts": 15, "sharpened": 12}
+ROUTE = {"failed counts": 10, "sharpened": 7}
+
+
+def test_the_dirichlet_route_falls_back_no_more_often(monkeypatch):
+    assert all(ROUTE[k] < ROUTE_ON_QR_POLES[k] for k in ROUTE)
+    seen = dict.fromkeys(ROUTE, 0)
+    count, sharpen = spectral._counted_rightmost, spectral._sharpened
+
+    def counted(*args):
+        lam = count(*args)
+        seen["failed counts"] += lam is None
+        return lam
+
+    def sharpened(M, w):
+        seen["sharpened"] += 1
+        return sharpen(M, w)
+
+    monkeypatch.setattr(spectral, "_counted_rightmost", counted)
+    monkeypatch.setattr(spectral, "_sharpened", sharpened)
+    rng = np.random.default_rng(7)
+    for _ in range(100):
+        nx, nrho, large = int(rng.integers(3, 17)), int(rng.integers(2, 9)), int(rng.integers(6))
+        logs = rng.uniform(-1.0, 1.0, 6)
+        logs[large] = rng.uniform(0.0, 6.0)
+        values = 10.0 ** logs
+        if large != 1 and rng.random() < 0.5:
+            values[1] = 0.0
+        p = PhysParams(*map(float, values), theta_bc="dirichlet")
+        spectral.spectral_abscissa(Grid(Nx=nx, Nrho=nrho, ell=p.ell), p)
+    assert all(seen[k] <= ROUTE[k] for k in ROUTE), seen
 
 
 MODEL_KEYS = ("alpha", "beta", "gamma", "kappa", "tau", "ell")

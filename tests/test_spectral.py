@@ -449,15 +449,10 @@ def _dirichlet(beta):
 
 def _counted_blocks(g, p):
     """The two parity blocks as the Dirichlet abscissa counts them, as
-    (M, theta, poles): the poles are the eigenvalues of D, its modes'
-    Neumann eigenvalues and 0 for the theta mean."""
-    poles, modes, R, idx, *_ = spectral._mode_eigvals(g, p)
-    out = []
-    for M, theta in spectral._parity_blocks(g, p, R, idx):
-        cos = theta[theta > 0]
-        out.append((M, theta, np.r_[poles[np.isin(modes, cos)],
-                                    np.zeros(theta.size - cos.size)]))
-    return out
+    (M, theta, poles, of, f): a parity entry of _blocks and the block's root
+    function.  The poles are the eigenvalues of D, its modes' Neumann QR
+    eigenvalues and 0 for the theta mean, which the count polishes in place."""
+    return [(*parity, f) for _, _, f, parity in spectral._blocks(g, p)[:2]]
 
 
 def _mode_sized_eigvals_only(monkeypatch, grid):
@@ -504,7 +499,7 @@ def test_dirichlet_count_matches_dense_count(beta):
     # the edges only uniformly, bisected the same way, miscounts at beta = 0.
     g = Grid(Nx=32, Nrho=32)
     p = _dirichlet(beta)
-    M, theta, poles = _counted_blocks(g, p)[0]
+    M, theta, poles, *_ = _counted_blocks(g, p)[0]
     w = sla.eigvals(M.toarray())
     a = w.real.max()
     near = np.r_[poles, w]
@@ -540,8 +535,8 @@ def test_dirichlet_abscissa_falls_back_when_candidates_miss(monkeypatch, beta,
         return w[w.real < w.real.max() - 1e-9]
 
     monkeypatch.setattr(spectral, "_rightmost_candidates", candidates)
-    for M, theta, poles in _counted_blocks(g, p):
-        assert spectral._counted_rightmost(M, theta, poles, g, p) is None
+    for block in _counted_blocks(g, p):
+        assert spectral._counted_rightmost(*block, g, p) is None
     assert abs(spectral_abscissa(g, p)[0] - ref) <= 1e-12
 
 
@@ -565,8 +560,9 @@ def test_dirichlet_abscissa_falls_back_when_arpack_fails(monkeypatch):
     (5, 0.0, 1e6, -3.6000000001205995e-11),
 ])
 def test_dirichlet_abscissa_at_a_large_parameter(nx, beta, gamma, ref):
-    # neither the count nor QR resolves these clusters (_sharpened); the
-    # references are 60-digit eigensolves of the reduced generator
+    # QR does not resolve these clusters, nor did the count on QR's poles
+    # (_sharpened); the count on poles polished where QR cannot place them
+    # does.  The references are 60-digit eigensolves of the reduced generator
     p = PhysParams(**{**_dirichlet(beta).__dict__, "gamma": gamma})
     assert abs(spectral_abscissa(Grid(Nx=nx, Nrho=2), p)[0] - ref) <= 1e-11 * abs(ref)
 
@@ -688,8 +684,9 @@ def test_a_counted_block_of_tiny_eigenvalues_is_not_sharpened(monkeypatch):
     # nx = 4, nrho = 2, beta = 0, gamma = 1e6: the odd block's candidates lie
     # about 1e-11 apart, and the count merged those within 1e-8 (1 + |a|),
     # so it failed and the block was sharpened.  Merged within 1e-8 |a|, the
-    # count settles it; the even block is still sharpened, and the abscissa
-    # keeps its bits
+    # count settles it.  The even block was sharpened, 3.1e-13 relative off,
+    # until its poles were polished where QR cannot place them; now it is
+    # counted too, 1.9e-16 from the 60-digit -3.4549150282366493e-11
     sharpened = []
     sharpen = spectral._sharpened
 
@@ -700,8 +697,8 @@ def test_a_counted_block_of_tiny_eigenvalues_is_not_sharpened(monkeypatch):
     monkeypatch.setattr(spectral, "_sharpened", recorded)
     p = PhysParams(**{**_dirichlet(0.0).__dict__, "gamma": 1e6})
     a, _ = spectral_abscissa(Grid(Nx=4, Nrho=2), p)
-    assert sharpened == [11]
-    assert a.hex() == "-0x1.2fe5c529c9000p-35"
+    assert sharpened == []
+    assert a.hex() == "-0x1.2fe5c529c8975p-35"
 
 
 @pytest.mark.parametrize("N", [8, 16, 32, 64])
@@ -752,10 +749,25 @@ def test_the_odd_block_counts_an_abscissa_of_size_4e_13():
     # even block holds it, 6.7e-27 right of the odd block's)
     p = PhysParams(**{**_dirichlet(4.5).__dict__, "gamma": 1e7})
     g = Grid(Nx=8, Nrho=8)
-    M, theta, poles = _counted_blocks(g, p)[0]
-    lam = spectral._counted_rightmost(M, theta, poles, g, p)
+    lam = spectral._counted_rightmost(*_counted_blocks(g, p)[0], g, p)
     ref = -3.7900800214674234e-13
     assert lam is not None and abs(lam - ref) <= 1e-12 * abs(ref), lam
+
+
+def test_the_count_reads_polished_poles():
+    # 8x8 Dirichlet, beta = 4.5, gamma = 1e7, the even block on the line its
+    # count draws.  QR puts the poles of modes 6 and 8 at +4.5e-9 and
+    # +6.2e-9, inside their blocks' QR bounds 3.8e-7 and 4.3e-7 of the line;
+    # their 60-digit values, -2.43e-12 and -3.14e-12, lie left of it.  On
+    # QR's poles the count reads 3; on the poles polished where QR cannot
+    # place them, 1: the block's rightmost eigenvalue, -3.79e-13, alone
+    p = PhysParams(**{**_dirichlet(4.5).__dict__, "gamma": 1e7})
+    g, x0 = Grid(Nx=8, Nrho=8), -8.588489771600068e-13
+    M, theta, poles, of, _ = _counted_blocks(g, p)[1]
+    assert spectral._count_right_of(x0, theta, poles, np.array([]), g, p) == 3
+    spectral._settle(poles, of, np.abs(poles.real - x0))
+    assert spectral._count_right_of(x0, theta, poles, np.array([]), g, p) == 1
+    assert np.all(poles.real[poles.real > x0] <= 0.0)
 
 
 def test_dirichlet_abscissa_of_a_cluster_the_count_misses():
